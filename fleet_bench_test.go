@@ -1,14 +1,9 @@
-// Fleet benchmark + artifacts: the closed-loop fleet simulator replayed
-// against a statically configured service and an adaptive one, recording
-// BENCH_fleet.json (p50/p99 SRT and shed rate vs concurrent sessions), and
-// the SLO telemetry overhead guard recording BENCH_slo.json (same <2%
-// disabled-path mechanism as BENCH_trace.json).
+// Fleet benchmark: the closed-loop fleet simulator replayed against a
+// statically configured service and an adaptive one.
 package prague_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 	"time"
 
@@ -29,12 +24,11 @@ func fleetQueries(f *benchFixture) []workload.Query {
 // the same bound and is allowed to grow it.
 const fleetInFlight = 3
 
-func newFleetService(tb testing.TB, f *benchFixture, adaptive bool) (*service.Service, *metrics.Registry) {
+func newFleetService(tb testing.TB, f *benchFixture, adaptive bool) *service.Service {
 	tb.Helper()
-	reg := metrics.NewRegistry()
 	opts := []service.Option{
 		service.WithSigma(3),
-		service.WithMetrics(reg),
+		service.WithMetrics(metrics.NewRegistry()),
 		service.WithSessionTTL(0),
 		service.WithVerifyWorkers(2),
 		service.WithMaxInFlight(fleetInFlight),
@@ -54,192 +48,17 @@ func newFleetService(tb testing.TB, f *benchFixture, adaptive bool) (*service.Se
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return svc, reg
-}
-
-// TestFleetArtifact records BENCH_fleet.json: p50/p99 SRT and shed rate vs
-// concurrent sessions, static vs adaptive config, and enforces the
-// tentpole's acceptance bar — at the highest session count the adaptive
-// runtime must strictly improve shed rate or p99 SRT over the static
-// config, and must have actually adjusted a knob to do it.
-func TestFleetArtifact(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark artifact skipped in -short mode")
-	}
-	f := aidsFixture(t)
-	qs := fleetQueries(f)
-
-	sessionCounts := []int{4, 8, 16}
-	queriesPer := 60
-	if os.Getenv("FLEET_SMOKE") != "" {
-		queriesPer = 20
-	}
-
-	type point struct {
-		P50US    int64   `json:"p50_us"`
-		P99US    int64   `json:"p99_us"`
-		ShedRate float64 `json:"shed_rate"`
-		Queries  int64   `json:"queries"`
-		Shed     int64   `json:"shed"`
-	}
-	type row struct {
-		Sessions int   `json:"sessions"`
-		Static   point `json:"static"`
-		Adaptive point `json:"adaptive"`
-	}
-
-	measure := func(sessions int, adaptive bool) (point, int64) {
-		svc, reg := newFleetService(t, f, adaptive)
-		defer svc.Close()
-		res, err := fleetsim.Run(svc, f.db, qs, fleetsim.Config{
-			Sessions:         sessions,
-			QueriesPerWorker: queriesPer,
-			Seed:             int64(sessions),
-			MutateEvery:      10,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Failures != 0 {
-			t.Fatalf("fleet (%d sessions, adaptive=%v) hard failures: %+v", sessions, adaptive, res)
-		}
-		return point{
-			P50US:    res.P50.Microseconds(),
-			P99US:    res.P99.Microseconds(),
-			ShedRate: res.ShedRate(),
-			Queries:  res.Queries,
-			Shed:     res.Shed,
-		}, reg.Snapshot().Counters[metrics.CounterAdaptAdjust]
-	}
-
-	var rows []row
-	var topAdjustments int64
-	for _, n := range sessionCounts {
-		st, _ := measure(n, false)
-		ad, adj := measure(n, true)
-		rows = append(rows, row{Sessions: n, Static: st, Adaptive: ad})
-		topAdjustments = adj
-		t.Logf("sessions=%2d  static: p99=%6dµs shed=%.3f   adaptive: p99=%6dµs shed=%.3f (adjustments=%d)",
-			n, st.P99US, st.ShedRate, ad.P99US, ad.ShedRate, adj)
-	}
-
-	top := rows[len(rows)-1]
-	if topAdjustments == 0 {
-		t.Errorf("adaptive fleet at %d sessions never adjusted a knob", top.Sessions)
-	}
-	if !(top.Adaptive.ShedRate < top.Static.ShedRate || top.Adaptive.P99US < top.Static.P99US) {
-		t.Errorf("adaptive config no better than static at %d sessions: static %+v adaptive %+v",
-			top.Sessions, top.Static, top.Adaptive)
-	}
-
-	artifact := map[string]any{
-		"workload":             "closed-loop fleet, zipf query mix (containment + similarity), mutation every 10th query",
-		"queries_per_worker":   queriesPer,
-		"static_max_inflight":  fleetInFlight,
-		"adaptive":             "same starting knobs + WithSLO(1s, 0.02) + WithAdaptive, window 100ms, tick 10ms",
-		"sessions":             sessionCounts,
-		"rows":                 rows,
-		"adaptive_adjustments": topAdjustments,
-	}
-	buf, err := json.MarshalIndent(artifact, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_fleet.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSLOOverheadArtifact enforces the telemetry performance bar with the
-// same mechanism as BENCH_trace.json: with the SLO telemetry constructed
-// but disabled, the serving path (AddEdge formulation, which feeds the
-// spig_build window every step) must stay within 2% of a service built with
-// no SLO telemetry at all.
-func TestSLOOverheadArtifact(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark artifact skipped in -short mode")
-	}
-	f := aidsFixture(t)
-	wq := f.containment
-	measure := func(mode string) testing.BenchmarkResult {
-		opts := []service.Option{
-			service.WithSigma(3),
-			service.WithMetrics(metrics.NewRegistry()),
-			service.WithSessionTTL(0),
-		}
-		if mode != "noslo" {
-			opts = append(opts, service.WithSLOWindow(5*time.Second))
-		}
-		svc, err := service.New(f.db, f.idx, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer svc.Close()
-		if mode == "disabled" {
-			svc.SLOCollector().SetEnabled(false)
-		}
-		return testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := formulateSession(svc, wq); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-
-	const attempts = 5
-	bestRatio := 0.0
-	var base, disabled testing.BenchmarkResult
-	for i := 0; i < attempts; i++ {
-		nb := measure("noslo")
-		nd := measure("disabled")
-		ratio := float64(nd.NsPerOp()) / float64(nb.NsPerOp())
-		if i == 0 || ratio < bestRatio {
-			bestRatio, base, disabled = ratio, nb, nd
-		}
-	}
-	enabled := measure("enabled")
-
-	artifact := map[string]any{
-		"workload": "formulation (AddEdge path) of the containment query, fresh session per op",
-		"query":    wq.Name,
-		"attempts": attempts,
-		"noslo": map[string]int64{
-			"ns_per_op": base.NsPerOp(), "allocs_per_op": base.AllocsPerOp(),
-		},
-		"disabled": map[string]int64{
-			"ns_per_op": disabled.NsPerOp(), "allocs_per_op": disabled.AllocsPerOp(),
-		},
-		"enabled": map[string]int64{
-			"ns_per_op": enabled.NsPerOp(), "allocs_per_op": enabled.AllocsPerOp(),
-		},
-		"disabled_over_noslo": bestRatio,
-		"bar":                 1.02,
-	}
-	buf, err := json.MarshalIndent(artifact, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_slo.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("slo overhead: noslo=%d ns/op, disabled=%d ns/op (best ratio %.4f), enabled=%d ns/op",
-		base.NsPerOp(), disabled.NsPerOp(), bestRatio, enabled.NsPerOp())
-	if bestRatio >= 1.02 {
-		t.Errorf("disabled SLO telemetry adds %.2f%% to the AddEdge path, above the 2%% bar",
-			(bestRatio-1)*100)
-	}
+	return svc
 }
 
 // BenchmarkFleet measures one closed-loop fleet round per op, static vs
-// adaptive — the benchab.sh A/B surface for the adaptive runtime.
+// adaptive.
 func BenchmarkFleet(b *testing.B) {
 	f := aidsFixture(b)
 	qs := fleetQueries(f)
 	for _, mode := range []string{"static", "adaptive"} {
 		b.Run(fmt.Sprintf("sessions=8/%s", mode), func(b *testing.B) {
-			svc, _ := newFleetService(b, f, mode == "adaptive")
+			svc := newFleetService(b, f, mode == "adaptive")
 			defer svc.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"prague/internal/graph"
+	"prague/internal/workpool"
 
 	prague "prague"
 )
@@ -49,6 +50,8 @@ func TestConcurrentSessionsShareIndexes(t *testing.T) {
 		{"N", "C", "C", "N"},
 		{"C", "S", "C"},
 	}
+	pool := workpool.New(2)
+	defer pool.Close()
 	var wg sync.WaitGroup
 	errs := make(chan error, len(queries)*4)
 	for w := 0; w < 4; w++ {
@@ -61,7 +64,7 @@ func TestConcurrentSessionsShareIndexes(t *testing.T) {
 					errs <- err
 					return
 				}
-				s.SetVerifyWorkers(2)
+				s.SetPool(pool)
 				ids := make([]int, len(labels))
 				for i, l := range labels {
 					ids[i] = s.AddNode(l)

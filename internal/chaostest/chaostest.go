@@ -394,6 +394,7 @@ func (d *driver) opAdd(ctx context.Context) {
 		v = d.addNode()
 	}
 	label := edgeLabels[d.r.Intn(len(edgeLabels))]
+	undrawn := d.mirror.Clone()
 	step, merr := d.mirror.AddLabeledEdge(u, v, label)
 	if merr != nil {
 		return // structurally invalid (duplicate, self-loop): skip the op
@@ -409,11 +410,11 @@ func (d *driver) opAdd(ctx context.Context) {
 		}
 	case typedActionErr(err):
 		// The edge may or may not have been drawn before the fault hit;
-		// reconcile the mirror with the service's actual state.
+		// reconcile the mirror with the service's actual state. An edge shed
+		// or timed out before the engine drew it consumed no step label, so
+		// the mirror's label counter rolls back with it.
 		if !d.serviceHasStep(step) {
-			if derr := d.mirror.DeleteEdge(step); derr != nil {
-				d.t.Errorf("session %s: cannot roll back mirror step %d: %v", d.sess.ID(), step, derr)
-			}
+			d.mirror = undrawn
 		}
 	default:
 		d.t.Errorf("session %s: AddEdge returned untyped error: %v", d.sess.ID(), err)

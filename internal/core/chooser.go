@@ -209,15 +209,8 @@ func buildSigTable(snap store.Snapshot) *sigTable {
 
 // SetFilterChooser configures the verify-prefilter mode. FilterAuto (the
 // default) picks an arm per action; the forced modes pin one arm, which the
-// parity tests and experiments use for A/B runs.
+// parity tests and benchmarks use for A/B runs.
 func (e *Engine) SetFilterChooser(m FilterMode) { e.chooserMode = m }
-
-// FilterChooser returns the configured mode.
-func (e *Engine) FilterChooser() FilterMode { return e.chooserMode }
-
-// LastFilterDecision returns the most recent chooser decision (zero value if
-// no prefilter decision has been made yet this session).
-func (e *Engine) LastFilterDecision() FilterDecision { return e.lastChoice }
 
 // FilterExplain renders the last chooser decision as a one-line explanation.
 func (e *Engine) FilterExplain() string {

@@ -90,14 +90,13 @@ type Engine struct {
 	simFlag bool
 	pending bool // Rq empty in containment mode, awaiting the user's choice
 
-	rq            []int                  // exact candidates (containment mode)
-	rfree         levelSets              // verification-free candidates per level (similarity mode)
-	rver          levelSets              // to-verify candidates per level (similarity mode)
-	candMemo      map[*spig.Vertex][]int // per-vertex Algorithm 3 results
-	verifyWorkers int                    // per-call goroutines (deprecated SetVerifyWorkers path)
-	pool          *workpool.Pool         // shared verification pool (service-injected), or nil
-	cache         *candcache.Cache       // shared cross-session candidate cache, or nil
-	stats         SessionStats
+	rq       []int                  // exact candidates (containment mode)
+	rfree    levelSets              // verification-free candidates per level (similarity mode)
+	rver     levelSets              // to-verify candidates per level (similarity mode)
+	candMemo map[*spig.Vertex][]int // per-vertex Algorithm 3 results
+	pool     *workpool.Pool         // shared verification pool (service-injected), or nil
+	cache    *candcache.Cache       // shared cross-session candidate cache, or nil
+	stats    SessionStats
 
 	// Degradation ladder state (ladder.go). runFaults counts candidate
 	// checks dropped by injected errors or recovered panics during the

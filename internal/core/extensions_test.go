@@ -262,6 +262,8 @@ func TestAddPatternValidation(t *testing.T) {
 func TestParallelVerificationMatchesSequential(t *testing.T) {
 	f := makeFixture(t, 36, 40, 0.25)
 	r := rand.New(rand.NewSource(36))
+	pool := workpool.New(4)
+	defer pool.Close()
 	for trial := 0; trial < 6; trial++ {
 		spec := randomQuerySpec(r, []string{"C", "N", "O"}, 5)
 		seq, err := New(f.db, f.idx, 2)
@@ -272,7 +274,7 @@ func TestParallelVerificationMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par.SetVerifyWorkers(4)
+		par.SetPool(pool)
 		formulate(t, seq, spec)
 		formulate(t, par, spec)
 		a, err := seq.Run()
@@ -301,11 +303,14 @@ func TestParallelFilterSmallAndLarge(t *testing.T) {
 		ids = append(ids, i)
 	}
 	ctx := context.Background()
-	seqOut, err := workpool.FilterN(ctx, ids, 1, pred)
+	var inline *workpool.Pool
+	seqOut, err := inline.Filter(ctx, ids, pred)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parOut, err := workpool.FilterN(ctx, ids, 8, pred)
+	pool := workpool.New(8)
+	defer pool.Close()
+	parOut, err := pool.Filter(ctx, ids, pred)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +322,7 @@ func TestParallelFilterSmallAndLarge(t *testing.T) {
 			t.Fatal("order not preserved")
 		}
 	}
-	if out, _ := workpool.FilterN(ctx, nil, 4, pred); out != nil {
+	if out, _ := pool.Filter(ctx, nil, pred); out != nil {
 		t.Error("empty input should return nil")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"prague/internal/graph"
+	"prague/internal/workpool"
 )
 
 // TestRandomizedSessions drives the engine through random action sequences
@@ -18,6 +19,8 @@ func TestRandomizedSessions(t *testing.T) {
 	f := makeFixture(t, 51, 35, 0.25)
 	labels := []string{"C", "C", "N", "O", "S"}
 	bonds := []string{"", "", "1", "2"}
+	pool := workpool.New(3)
+	defer pool.Close()
 
 	for trial := 0; trial < 25; trial++ {
 		r := rand.New(rand.NewSource(int64(trial) + 1000))
@@ -26,7 +29,7 @@ func TestRandomizedSessions(t *testing.T) {
 			t.Fatal(err)
 		}
 		if trial%3 == 0 {
-			e.SetVerifyWorkers(3)
+			e.SetPool(pool)
 		}
 		var nodes []int
 		addNode := func() int {

@@ -14,22 +14,6 @@ import (
 // not close the pool. A nil pool restores inline verification.
 func (e *Engine) SetPool(p *workpool.Pool) { e.pool = p }
 
-// SetVerifyWorkers sets the number of goroutines used by the verification
-// phases (exact subgraph isomorphism over Rq and SimVerify over Rver).
-// Values ≤ 1 mean sequential verification (the default). Results are
-// bit-identical regardless of the setting.
-//
-// Deprecated: construct a service with the WithVerifyWorkers option (or
-// inject a shared pool via SetPool) instead; this per-engine knob spawns
-// per-call goroutines and cannot bound concurrency across sessions. It is
-// kept as a thin shim so existing callers compile.
-func (e *Engine) SetVerifyWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	e.verifyWorkers = n
-}
-
 // filter runs pred over ids, fanning out per shard when the store is
 // partitioned, and merging the per-shard survivors by ascending graph id.
 // Both paths poll ctx between candidates and return the partial result with
@@ -45,19 +29,10 @@ func (e *Engine) filter(ctx context.Context, ids []int, pred func(id int) bool) 
 	return e.filterOne(ctx, ids, pred)
 }
 
-// filterOne is one verification batch: the shared pool when injected, else
-// the deprecated per-call worker path.
+// filterOne is one verification batch on the shared pool; a nil pool
+// verifies inline.
 func (e *Engine) filterOne(ctx context.Context, ids []int, pred func(id int) bool) ([]int, error) {
-	var (
-		out []int
-		st  workpool.Stats
-		err error
-	)
-	if e.pool != nil {
-		out, st, err = e.pool.FilterStats(ctx, ids, pred)
-	} else {
-		out, st, err = workpool.FilterNStats(ctx, ids, e.verifyWorkers, pred)
-	}
+	out, st, err := e.pool.FilterStats(ctx, ids, pred)
 	if st.Panics > 0 {
 		e.runFaults.Add(int64(st.Panics))
 	}

@@ -10,7 +10,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"prague/internal/dataset"
@@ -95,8 +94,7 @@ func New(cfg Config) *Suite {
 func Names() []string {
 	return []string{
 		"table2", "fig9a", "fig9be", "fig9fi", "fig9j",
-		"table3", "table4", "fig10a", "fig10be", "table5",
-		"latency", "candcache", "trace", "chaos", "shard", "mutate", "filter", "fleet", "rpc",
+		"table3", "table4", "fig10a", "fig10be", "table5", "latency",
 		"ablation-sequence", "ablation-freever", "ablation-dif", "ablation-beta",
 	}
 }
@@ -126,22 +124,6 @@ func (s *Suite) Run(name string) error {
 		return s.Table5()
 	case "latency":
 		return s.Latency()
-	case "candcache":
-		return s.CandCache()
-	case "trace":
-		return s.Trace()
-	case "shard":
-		return s.Shard()
-	case "chaos":
-		return s.Chaos()
-	case "mutate":
-		return s.Mutate()
-	case "filter":
-		return s.Filter()
-	case "fleet":
-		return s.Fleet()
-	case "rpc":
-		return s.RPC()
 	case "ablation-sequence":
 		return s.AblationSequence()
 	case "ablation-freever":
@@ -350,9 +332,3 @@ func newBaselines(db []*graph.Graph, feat *feature.Index, maxSigma int) (*baseli
 
 func ms(d time.Duration) float64  { return float64(d.Microseconds()) / 1000 }
 func sec(d time.Duration) float64 { return d.Seconds() }
-
-func sortedCopy(q []workload.Query) []workload.Query {
-	out := append([]workload.Query(nil), q...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}

@@ -2,9 +2,8 @@
 // a live service: N concurrent workers replaying a zipf-popular mix of
 // containment and similarity queries with seeded think times, session
 // churn, and interleaved store mutations. It is the load generator behind
-// the `-exp fleet` experiment and the BENCH_fleet.json artifact — the
-// closed-loop harness that makes "static vs adaptive config" comparisons
-// reproducible.
+// BenchmarkFleet — the closed-loop harness that makes "static vs adaptive
+// config" comparisons reproducible.
 //
 // Determinism contract: every random draw (query popularity, think time,
 // mutation targets) comes from a per-worker rand seeded with

@@ -109,6 +109,9 @@ func TestFleetDeterministicTraffic(t *testing.T) {
 	if a.Queries == 0 || a.P99 <= 0 {
 		t.Fatalf("no completed queries measured: %+v", a)
 	}
+	if a.Failures != 0 || b.Failures != 0 {
+		t.Fatalf("mutating fleet recorded hard failures: %+v / %+v", a, b)
+	}
 }
 
 // TestFleetZipfSkew checks the popularity distribution is actually skewed:

@@ -6,22 +6,33 @@ import (
 	"io"
 	"reflect"
 	"testing"
+
+	"prague/internal/store"
 )
 
 // FuzzWireCodec throws arbitrary bytes at the frame reader and checks the
 // codec's safety contract: no panic and no unbounded allocation on garbage,
 // every failure is either ErrBadFrame (corruption) or a transport error
 // (truncation), and any frame that does decode re-encodes to an envelope
-// that decodes identically (round-trip stability).
+// that decodes identically (round-trip stability). Every frame that decodes
+// is also dispatched on a small in-process server, which must answer it —
+// with an error reply for a malformed request — and never panic.
 func FuzzWireCodec(f *testing.F) {
+	db, idx := buildDB(f, 21, 30)
+	st, err := store.NewSharded(db, idx, 2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	srv := NewServer(st)
+
 	for _, codec := range []Codec{CodecGob, CodecJSON} {
-		for _, m := range []*Msg{
+		for _, m := range append([]*Msg{
 			{},
 			{Seq: 1, Op: OpHello},
 			sampleMsg(),
 			{Op: OpCandidates, Epoch: ^uint64(0), Phi: []int{-1, 0, 1 << 30}},
 			{Op: OpGraphs, IDs: []BitsPage{{Base: -1, Words: []uint64{1}}}},
-		} {
+		}, badEntryProbes()...) {
 			var buf bytes.Buffer
 			if err := WriteFrame(&buf, codec, m); err != nil {
 				f.Fatal(err)
@@ -57,6 +68,9 @@ func FuzzWireCodec(f *testing.F) {
 		}
 		if !reflect.DeepEqual(m, m2) {
 			t.Fatalf("envelope changed across round trip:\nfirst  %+v\nsecond %+v", m, m2)
+		}
+		if reply := srv.dispatch(m); reply == nil {
+			t.Fatalf("no reply to %+v", m)
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"net"
 	"reflect"
 	"testing"
 	"time"
@@ -471,5 +472,50 @@ func TestJSONCodecEndToEnd(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ids, rs.Pin().Shard(0).GraphIDs()) {
 		t.Error("JSON-codec probe diverged from membership")
+	}
+}
+
+// badEntryProbes are well-framed OpCandidates requests whose index entry ids
+// lie outside the served index: one per id-bearing field.
+func badEntryProbes() []*Msg {
+	return []*Msg{
+		{Op: OpCandidates, Kind: int(index.KindFrequent), FreqID: 1 << 30},
+		{Op: OpCandidates, Kind: int(index.KindDIF), DifID: -1},
+		{Op: OpCandidates, Kind: int(index.KindNone), Phi: []int{1 << 30}},
+		{Op: OpCandidates, Kind: int(index.KindNone), Ups: []int{-1}},
+	}
+}
+
+// TestBadEntryIDsAreBadRequests sends every out-of-range probe over one live
+// connection: each must be answered with codeBadRequest, and the same
+// connection must still serve a valid probe afterwards.
+func TestBadEntryIDsAreBadRequests(t *testing.T) {
+	db, idx := buildDB(t, 21, 30)
+	c := newCluster(t, db, idx, 2, 1, allShards(2))
+	conn, err := net.Dial("tcp", c.addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	roundTrip := func(m *Msg) *Msg {
+		t.Helper()
+		m.Epoch = c.stores[0].Epoch()
+		if err := WriteFrame(conn, CodecGob, m); err != nil {
+			t.Fatal(err)
+		}
+		reply, _, err := ReadFrame(conn)
+		if err != nil {
+			t.Fatalf("no reply to %+v: %v", m, err)
+		}
+		return reply
+	}
+	for _, m := range badEntryProbes() {
+		if reply := roundTrip(m); reply.ErrCode != codeBadRequest {
+			t.Errorf("%+v: reply code %d (%s), want codeBadRequest", m, reply.ErrCode, reply.Error)
+		}
+	}
+	reply := roundTrip(&Msg{Op: OpCandidates, Kind: int(index.KindNone)})
+	if reply.ErrCode != codeOK || !reflect.DeepEqual(UnpackIDs(reply.IDs), c.stores[0].Shard(0).GraphIDs()) {
+		t.Errorf("valid probe after the bad ones: code %d (%s), ids %v", reply.ErrCode, reply.Error, UnpackIDs(reply.IDs))
 	}
 }

@@ -269,16 +269,45 @@ func (s *Server) handleCandidates(req *Msg) *Msg {
 	if req.Shard < 0 || req.Shard >= sn.NumShards() {
 		return errMsg(OpCandidates, codeBadRequest, fmt.Sprintf("shard %d out of range", req.Shard))
 	}
-	sc := s.scratchP.Get().(*probeScratch)
-	ids := localCandidates(sn.Shard(req.Shard), store.Probe{
+	sh := sn.Shard(req.Shard)
+	p := store.Probe{
 		Kind:   index.Kind(req.Kind),
 		FreqID: req.FreqID,
 		DifID:  req.DifID,
 		Phi:    req.Phi,
 		Ups:    req.Ups,
-	}, sc)
+	}
+	if err := checkProbe(sh.Index(), p); err != nil {
+		return errMsg(OpCandidates, codeBadRequest, err.Error())
+	}
+	sc := s.scratchP.Get().(*probeScratch)
+	ids := localCandidates(sh, p, sc)
 	s.scratchP.Put(sc)
 	return &Msg{Op: OpCandidates, Epoch: req.Epoch, IDs: PackIDs(ids)}
+}
+
+// checkProbe bounds every index entry id a probe will dereference: the ids
+// come off the wire, and the index accessors do not check them.
+func checkProbe(idx *index.Set, p store.Probe) error {
+	inRange := func(what string, n int, ids ...int) error {
+		for _, id := range ids {
+			if id < 0 || id >= n {
+				return fmt.Errorf("%s entry %d out of range [0,%d)", what, id, n)
+			}
+		}
+		return nil
+	}
+	nf, ni := idx.A2F.NumEntries(), idx.A2I.NumEntries()
+	switch p.Kind {
+	case index.KindFrequent:
+		return inRange("frequent", nf, p.FreqID)
+	case index.KindDIF:
+		return inRange("DIF", ni, p.DifID)
+	}
+	if err := inRange("Ups", ni, p.Ups...); err != nil {
+		return err
+	}
+	return inRange("Phi", nf, p.Phi...)
 }
 
 // localCandidates is Algorithm 3's per-shard probe evaluated against an
@@ -391,14 +420,4 @@ func (s *Server) handleDelete(req *Msg) *Msg {
 	post := s.st.Pin()
 	s.remember(post)
 	return &Msg{Op: OpDelete, Epoch: post.Epoch(), Tag: post.CacheTag(), GraphID: req.GraphID}
-}
-
-// ServeReplica is a convenience for tests and the shardserver binary: build
-// a server over st on a loopback (or given) address and return it listening.
-func ServeReplica(st store.Store, addr string, opts ...ServerOption) (*Server, error) {
-	s := NewServer(st, opts...)
-	if err := s.Listen(addr); err != nil {
-		return nil, err
-	}
-	return s, nil
 }

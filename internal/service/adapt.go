@@ -206,11 +206,6 @@ func (s *Service) SLOReport() slo.Report {
 	return r
 }
 
-// SLOCollector returns the rolling-window collector, or nil when the SLO
-// telemetry is off. Benchmarks flip its SetEnabled to measure the disabled
-// path; the serving path's observe calls are nil-safe either way.
-func (s *Service) SLOCollector() *slo.Collector { return s.col }
-
 // SLOTargets returns the declared targets (zero when none were declared).
 func (s *Service) SLOTargets() slo.Targets { return s.slotrack.Targets() }
 

@@ -112,7 +112,7 @@ type Option func(*Options)
 func WithSigma(sigma int) Option { return func(o *Options) { o.Sigma = sigma } }
 
 // WithVerifyWorkers bounds the shared verification pool (default
-// GOMAXPROCS). This replaces the deprecated per-engine SetVerifyWorkers.
+// GOMAXPROCS).
 func WithVerifyWorkers(n int) Option { return func(o *Options) { o.VerifyWorkers = n } }
 
 // WithSessionTTL sets how long an idle session survives before the janitor

@@ -13,9 +13,7 @@
 // racing a rotation may land in a slot being recycled and be lost; this is
 // telemetry, and losing a sample at a 1/slotDur boundary is the accepted
 // price for a lock-free window (the same stance metrics.Histogram takes on
-// torn snapshot reads). A nil or disabled *Collector no-ops every method;
-// the disabled path is guarded <2% by TestSLOOverheadArtifact, the same bar
-// BENCH_trace.json holds the tracer to.
+// torn snapshot reads). A nil *Collector no-ops every method.
 //
 // Cumulative counters (cache hits, worker busyness) cannot be windowed at
 // the source without taxing their hot paths, so the Tracker samples them on
@@ -330,9 +328,8 @@ type RateInfo struct {
 const DefaultWindow = 5 * time.Second
 
 // Collector owns the rolling windows. All Observe*/Add methods are safe for
-// unbounded concurrency; a nil or disabled Collector no-ops.
+// unbounded concurrency; a nil Collector no-ops.
 type Collector struct {
-	enabled atomic.Bool
 	clk     clock.Clock
 	epoch   time.Time // construction instant; slot seq = Since(epoch)/slotDur
 	slotDur time.Duration
@@ -342,7 +339,7 @@ type Collector struct {
 	rates  [numRates]rateWindow
 }
 
-// NewCollector creates an enabled collector whose windows span roughly
+// NewCollector creates a collector whose windows span roughly
 // `window` (clamped to ≥ 80ms so each of the 8 slots covers ≥ 10ms), using
 // clk for slot rotation — a clock.Fake makes the windows fully
 // deterministic in tests.
@@ -370,7 +367,6 @@ func NewCollector(clk clock.Clock, window time.Duration) *Collector {
 	for i := range c.rates {
 		c.rates[i].init()
 	}
-	c.enabled.Store(true)
 	return c
 }
 
@@ -382,16 +378,8 @@ func (c *Collector) Window() time.Duration {
 	return c.slotDur * numSlots
 }
 
-// Enabled reports whether the collector records. Nil-safe.
-func (c *Collector) Enabled() bool { return c != nil && c.enabled.Load() }
-
-// SetEnabled flips recording at runtime. Nil-safe. Disabling leaves stale
-// slots in place; they age out of every merged view by sequence.
-func (c *Collector) SetEnabled(on bool) {
-	if c != nil {
-		c.enabled.Store(on)
-	}
-}
+// Enabled reports whether the collector records: every non-nil one does.
+func (c *Collector) Enabled() bool { return c != nil }
 
 func (c *Collector) seqNow() int64 {
 	return int64(c.clk.Now().Sub(c.epoch) / c.slotDur)
@@ -399,7 +387,7 @@ func (c *Collector) seqNow() int64 {
 
 // ObservePhase records one phase duration into its rolling window.
 func (c *Collector) ObservePhase(p Phase, d time.Duration) {
-	if c == nil || !c.enabled.Load() || p >= numPhases {
+	if c == nil || p >= numPhases {
 		return
 	}
 	c.phases[p].observe(c.seqNow(), d)
@@ -407,7 +395,7 @@ func (c *Collector) ObservePhase(p Phase, d time.Duration) {
 
 // ObserveStage records one Run's SRT into its outcome stage's window.
 func (c *Collector) ObserveStage(s Stage, d time.Duration) {
-	if c == nil || !c.enabled.Load() || s >= numStages {
+	if c == nil || s >= numStages {
 		return
 	}
 	c.stages[s].observe(c.seqNow(), d)
@@ -415,7 +403,7 @@ func (c *Collector) ObserveStage(s Stage, d time.Duration) {
 
 // AddRate counts n events on a rate window.
 func (c *Collector) AddRate(r Rate, n int64) {
-	if c == nil || !c.enabled.Load() || r >= numRates {
+	if c == nil || r >= numRates {
 		return
 	}
 	c.rates[r].add(c.seqNow(), n)

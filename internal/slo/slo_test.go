@@ -89,18 +89,6 @@ func TestCollectorDisabledAndNil(t *testing.T) {
 	if d := nilC.PhaseDist(PhaseSRT); d.Count != 0 {
 		t.Fatalf("nil dist = %+v", d)
 	}
-
-	c := NewCollector(fakeClock(), time.Second)
-	c.SetEnabled(false)
-	c.ObservePhase(PhaseSRT, time.Second)
-	if d := c.PhaseDist(PhaseSRT); d.Count != 0 {
-		t.Fatalf("disabled collector recorded: %+v", d)
-	}
-	c.SetEnabled(true)
-	c.ObservePhase(PhaseSRT, time.Second)
-	if d := c.PhaseDist(PhaseSRT); d.Count != 1 {
-		t.Fatalf("re-enabled collector dist = %+v", d)
-	}
 }
 
 func TestCollectorConcurrent(t *testing.T) {

@@ -205,5 +205,5 @@ func LoadSharded(db []*graph.Graph, dir string) (*Sharded, error) {
 	}
 	// m.Fingerprint restores the lineage fp; "" (legacy) recomputes it from
 	// content, which matches the original because legacy layouts are epoch 0.
-	return assemble(graphs, sets, index.PartitionStats{}, minSup, m.Epoch, m.Fingerprint)
+	return assemble(graphs, sets, minSup, m.Epoch, m.Fingerprint)
 }

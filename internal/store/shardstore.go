@@ -18,7 +18,6 @@ import (
 // what makes mutation throughput scale with shard count.
 type Sharded struct {
 	base
-	stats index.PartitionStats
 }
 
 // shardOf is the deterministic graph-id → shard assignment: a 64-bit finalizer
@@ -46,17 +45,17 @@ func NewSharded(db []*graph.Graph, idx *index.Set, n int) (*Sharded, error) {
 	if err := Validate(db, idx); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	sets, stats, err := index.PartitionSets(idx, n, func(id int) int { return shardOf(id, n) })
+	sets, _, err := index.PartitionSets(idx, n, func(id int) int { return shardOf(id, n) })
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	minSup := minSupportOf(idx.Alpha, idx.NumGraphs)
-	return assemble(append([]*graph.Graph(nil), db...), sets, stats, minSup, 0, "")
+	return assemble(append([]*graph.Graph(nil), db...), sets, minSup, 0, "")
 }
 
 // assemble builds the Sharded from per-shard index sets, deriving each
 // shard's live graph-id list from the hash assignment over non-nil slots.
-func assemble(graphs []*graph.Graph, sets []*index.Set, stats index.PartitionStats, minSup int, epoch uint64, fp string) (*Sharded, error) {
+func assemble(graphs []*graph.Graph, sets []*index.Set, minSup int, epoch uint64, fp string) (*Sharded, error) {
 	n := len(sets)
 	byShard := liveByShard(graphs, n)
 	shards := make([]*shardSnap, n)
@@ -67,11 +66,7 @@ func assemble(graphs []*graph.Graph, sets []*index.Set, stats index.PartitionSta
 		}
 		shards[i] = &shardSnap{id: i, ids: byShard[i], set: set}
 	}
-	s := &Sharded{stats: stats}
+	s := &Sharded{}
 	s.cur.Store(newSnap(fmt.Sprintf("s%d", n), graphs, shards, minSup, epoch, fp))
 	return s, nil
 }
-
-// BuildStats reports how long the partition split and the concurrent
-// per-shard index construction took.
-func (s *Sharded) BuildStats() index.PartitionStats { return s.stats }

@@ -90,49 +90,8 @@ func BuildReport(root *SpanData) RunReport {
 	return r
 }
 
-// MergeReports sums several reports into one aggregate breakdown (used by
-// the trace experiment to report a whole replayed workload).
-func MergeReports(reports ...RunReport) RunReport {
-	agg := RunReport{Action: "aggregate"}
-	byKind := map[string]*PhaseStat{}
-	for _, r := range reports {
-		agg.Duration += r.Duration
-		agg.Spans += r.Spans
-		agg.Dropped += r.Dropped
-		agg.CandidatesChecked += r.CandidatesChecked
-		agg.CandidatesKept += r.CandidatesKept
-		agg.CandidatesPruned += r.CandidatesPruned
-		agg.CacheHits += r.CacheHits
-		agg.CacheMisses += r.CacheMisses
-		agg.CacheCoalesced += r.CacheCoalesced
-		agg.Degraded = agg.Degraded || r.Degraded
-		for _, ps := range r.Phases {
-			a := byKind[ps.Phase]
-			if a == nil {
-				a = &PhaseStat{Phase: ps.Phase}
-				byKind[ps.Phase] = a
-			}
-			a.Count += ps.Count
-			a.Total += ps.Total
-			if ps.Max > a.Max {
-				a.Max = ps.Max
-			}
-		}
-	}
-	for _, ps := range byKind {
-		agg.Phases = append(agg.Phases, *ps)
-	}
-	sort.Slice(agg.Phases, func(a, b int) bool {
-		if agg.Phases[a].Total != agg.Phases[b].Total {
-			return agg.Phases[a].Total > agg.Phases[b].Total
-		}
-		return agg.Phases[a].Phase < agg.Phases[b].Phase
-	})
-	return agg
-}
-
 // Render formats the report as an aligned text table (praguecli's `trace`
-// command and the trace experiment).
+// command).
 func (r RunReport) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s breakdown: %v total, %d spans", r.Action, r.Duration.Round(time.Microsecond), r.Spans)

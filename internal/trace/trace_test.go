@@ -248,7 +248,7 @@ func TestConcurrentChildren(t *testing.T) {
 	}
 }
 
-func TestBuildAndMergeReports(t *testing.T) {
+func TestBuildReport(t *testing.T) {
 	if got := BuildReport(nil); got.Spans != 0 || got.Action != "" {
 		t.Fatalf("BuildReport(nil) = %+v", got)
 	}
@@ -280,22 +280,8 @@ func TestBuildAndMergeReports(t *testing.T) {
 		t.Fatal("degrade_similarity span did not mark the report degraded")
 	}
 
-	agg := MergeReports(r, r)
-	if agg.Action != "aggregate" || agg.CandidatesChecked != 20 || agg.Spans != 8 {
-		t.Fatalf("merged = %+v", agg)
-	}
-	var vbPhase *PhaseStat
-	for i := range agg.Phases {
-		if agg.Phases[i].Phase == "verify_batch" {
-			vbPhase = &agg.Phases[i]
-		}
-	}
-	if vbPhase == nil || vbPhase.Count != 2 {
-		t.Fatalf("merged verify_batch phase = %+v", vbPhase)
-	}
-
-	out := agg.Render()
-	for _, want := range []string{"aggregate breakdown", "verify_batch", "candidates: 20 checked, 8 kept, 12 pruned", "degraded to similarity"} {
+	out := r.Render()
+	for _, want := range []string{"run breakdown", "verify_batch", "candidates: 10 checked, 4 kept, 6 pruned", "degraded to similarity"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Render output missing %q:\n%s", want, out)
 		}

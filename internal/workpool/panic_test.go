@@ -55,31 +55,12 @@ func TestPanicFailsOnlyOffendingCandidate(t *testing.T) {
 }
 
 // TestPanicIsolationInlinePaths covers the inline fast path (tiny batches /
-// nil pool) and the per-call FilterN path.
+// nil pool).
 func TestPanicIsolationInlinePaths(t *testing.T) {
 	var nilPool *Pool
 	got, st, err := nilPool.FilterStats(context.Background(), []int{1}, func(int) bool { panic("x") })
 	if err != nil || len(got) != 0 || st.Panics != 1 {
 		t.Fatalf("nil pool inline: got=%v stats=%+v err=%v", got, st, err)
-	}
-
-	ids, _ := evens(100)
-	got, st, err = FilterNStats(context.Background(), ids, 4, func(id int) bool {
-		if id == 42 {
-			panic("x")
-		}
-		return id%2 == 0
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Panics != 1 {
-		t.Fatalf("FilterNStats panics = %d, want 1", st.Panics)
-	}
-	for _, id := range got {
-		if id == 42 {
-			t.Fatal("panicked candidate was kept")
-		}
 	}
 
 	// Single-worker pool routes through the inline path too.

@@ -310,68 +310,6 @@ submit:
 	return out, Stats{Panics: int(panics.Load())}, err
 }
 
-// FilterN is Filter with an explicit per-call worker bound for callers that
-// have no shared pool (the deprecated Engine.SetVerifyWorkers path). It
-// spawns at most workers goroutines for this call only. Panicking
-// predicates fail only their own candidate, as with a shared pool.
-func FilterN(ctx context.Context, ids []int, workers int, pred func(id int) bool) ([]int, error) {
-	out, _, err := FilterNStats(ctx, ids, workers, pred)
-	return out, err
-}
-
-// FilterNStats is FilterN reporting per-batch Stats.
-func FilterNStats(ctx context.Context, ids []int, workers int, pred func(id int) bool) ([]int, Stats, error) {
-	var panics atomic.Int64
-	if len(ids) == 0 {
-		return nil, Stats{}, ctx.Err()
-	}
-	if workers <= 1 || len(ids) < 2*workers {
-		out, err := filterInline(ctx, ids, pred, nil, nil, &panics)
-		return out, Stats{Panics: int(panics.Load())}, err
-	}
-	keep := make([]bool, len(ids))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if ctx.Err() != nil {
-					continue
-				}
-				kept, panicked := safeCall(pred, ids[i])
-				keep[i] = kept
-				if panicked != nil {
-					notePanic(nil, &panics, panicked)
-				}
-			}
-		}()
-	}
-	var err error
-feed:
-	for i := range ids {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			err = ctx.Err()
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
-	if err == nil {
-		err = ctx.Err()
-	}
-	var out []int
-	for i, k := range keep {
-		if k {
-			out = append(out, ids[i])
-		}
-	}
-	return out, Stats{Panics: int(panics.Load())}, err
-}
-
 func filterInline(ctx context.Context, ids []int, pred func(id int) bool, batch *trace.Span, p *Pool, panics *atomic.Int64) ([]int, error) {
 	var out []int
 	for _, id := range ids {

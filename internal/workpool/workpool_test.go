@@ -108,21 +108,17 @@ func TestFilterCancellationPromptAndPartial(t *testing.T) {
 	}
 }
 
-func TestFilterNilPoolAndFilterN(t *testing.T) {
+func TestFilterNilPool(t *testing.T) {
 	var p *Pool
 	ids, want := evens(31)
 	got, err := p.Filter(context.Background(), ids, func(id int) bool { return id%2 == 0 })
 	if err != nil || !equal(got, want) {
 		t.Fatalf("nil pool filter: %v %v", got, err)
 	}
-	got, err = FilterN(context.Background(), ids, 4, func(id int) bool { return id%2 == 0 })
-	if err != nil || !equal(got, want) {
-		t.Fatalf("FilterN: %v %v", got, err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := FilterN(ctx, ids, 4, func(id int) bool { return true }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("FilterN on cancelled ctx: %v", err)
+	if _, err := p.Filter(ctx, ids, func(id int) bool { return true }); !errors.Is(err, context.Canceled) {
+		t.Fatalf("nil pool filter on cancelled ctx: %v", err)
 	}
 }
 

@@ -1,13 +1,7 @@
 package prague_test
 
 import (
-	"context"
-	"encoding/json"
-	"os"
-	"runtime"
-	"sync"
 	"testing"
-	"time"
 
 	"prague/internal/graph"
 	"prague/internal/store"
@@ -45,135 +39,4 @@ func BenchmarkMutation(b *testing.B) {
 			}
 		})
 	}
-}
-
-// TestMutationArtifact records what the mutable-store tentpole promises:
-// incremental mutation throughput holds up across shard counts, and the Run
-// SRT under sustained ingest stays in the idle regime — queries pin an epoch
-// snapshot and never block on mutations, paying only repin and cache
-// invalidation. During the ingest phase every Run's pinned epoch
-// (RunOutcome.Epoch) must be monotonically non-decreasing, and once the
-// mutator stops the next Run must pin the store's final epoch exactly.
-// Writes BENCH_mutate.json.
-func TestMutationArtifact(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark artifact skipped in -short mode")
-	}
-	f := aidsFixture(t)
-	wq := f.worst[0]
-
-	type row struct {
-		Shards       int     `json:"shards"`
-		MutationsSec float64 `json:"mutations_per_sec"`
-		IdleSRTNs    int64   `json:"idle_srt_ns_per_op"`
-		IngestSRTNs  int64   `json:"ingest_srt_ns_per_op"`
-		FinalEpoch   uint64  `json:"final_epoch"`
-	}
-	var rows []row
-	const warmup = 300
-	for _, n := range []int{1, 4, 8} {
-		st := shardStore(t, f.db, f.idx, n)
-
-		// Mutation throughput, measured over a fixed burst.
-		t0 := time.Now()
-		mutateN(t, st, f.db, warmup)
-		throughput := float64(warmup) / time.Since(t0).Seconds()
-
-		idle := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				e := shardEngine(b, st, wq, 3)
-				b.StartTimer()
-				if _, err := e.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-
-		// Sustained ingest: a mutator streams mutations while Runs are timed.
-		// Every timed Run reports the single epoch it pinned; epochs must
-		// never move backwards.
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if i%2 == 0 {
-					if _, err := st.InsertGraph(f.db[i%len(f.db)].Clone()); err != nil {
-						t.Error(err)
-						return
-					}
-				} else if err := st.DeleteGraph(st.LiveIDs()[0]); err != nil {
-					t.Error(err)
-					return
-				}
-				runtime.Gosched()
-			}
-		}()
-		var lastEpoch uint64
-		ingest := testing.Benchmark(func(b *testing.B) {
-			ctx := context.Background()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				e := shardEngine(b, st, wq, 3)
-				b.StartTimer()
-				out, err := e.RunDetailedCtx(ctx)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				if out.Epoch < lastEpoch {
-					b.Fatalf("epoch moved backwards under ingest: %d after %d", out.Epoch, lastEpoch)
-				}
-				lastEpoch = out.Epoch
-				b.StartTimer()
-			}
-		})
-		close(stop)
-		wg.Wait()
-		if t.Failed() {
-			t.Fatalf("shards=%d: mutator failed during ingest phase", n)
-		}
-
-		// Quiesced: the next Run pins exactly the store's final epoch.
-		final := st.Epoch()
-		quiesced := shardEngine(t, st, wq, 3)
-		out, err := quiesced.RunDetailedCtx(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Epoch != final {
-			t.Fatalf("shards=%d: quiesced Run pinned epoch %d, store is at %d", n, out.Epoch, final)
-		}
-
-		rows = append(rows, row{
-			Shards:       n,
-			MutationsSec: throughput,
-			IdleSRTNs:    idle.NsPerOp(),
-			IngestSRTNs:  ingest.NsPerOp(),
-			FinalEpoch:   final,
-		})
-	}
-
-	artifact := map[string]any{
-		"workload":   "alternating InsertGraph/DeleteGraph bursts; worst-case similarity query, formulation untimed, Run timed idle and under sustained ingest",
-		"query":      wq.Name,
-		"gomaxprocs": runtime.GOMAXPROCS(0),
-		"layouts":    rows,
-		"note":       "mutations maintain per-shard A2F/A2I id lists incrementally (copy-on-write, epoch snapshots); each timed Run pins exactly one epoch (RunOutcome.Epoch), asserted monotone under ingest and equal to the store epoch once quiesced",
-	}
-	buf, err := json.MarshalIndent(artifact, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_mutate.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("mutation artifact: rows=%+v", rows)
 }

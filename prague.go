@@ -415,7 +415,7 @@ var DefaultMetrics = metrics.Default
 func WithSigma(sigma int) Option { return service.WithSigma(sigma) }
 
 // WithVerifyWorkers bounds the service's shared verification pool (default
-// GOMAXPROCS). It replaces the deprecated Session.SetVerifyWorkers.
+// GOMAXPROCS).
 func WithVerifyWorkers(n int) Option { return service.WithVerifyWorkers(n) }
 
 // WithSessionTTL sets how long an idle session survives before eviction

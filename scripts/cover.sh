@@ -1,6 +1,6 @@
 #!/bin/sh
 # Coverage ratchet: measure total statement coverage (short mode, so the
-# long-running chaos/bench artifacts stay out of the figure) and fail when
+# long-running chaos and experiment suites stay out of the figure) and fail when
 # it regresses more than 2 points below the committed baseline in
 # .covbaseline. When coverage grows, raise the baseline in the same change.
 set -eu

@@ -1,11 +1,7 @@
 package prague_test
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
 	"testing"
-	"time"
 
 	"prague/internal/core"
 	"prague/internal/graph"
@@ -85,123 +81,5 @@ func shardName(n int) string {
 		return "shards=4"
 	default:
 		return "shards=8"
-	}
-}
-
-// TestShardArtifact records the sharding trade-off the tentpole promises:
-// per-shard index construction parallelizes (BuildTime is the concurrent
-// phase of PartitionSets; SplitTime the sequential delta-split prologue),
-// while the Run SRT stays in the same regime and the answers stay
-// byte-identical across layouts. Writes BENCH_shard.json. The build-time
-// improvement is asserted only on multi-core runners — on a single-CPU box
-// the concurrent phase serializes and proves nothing either way.
-func TestShardArtifact(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark artifact skipped in -short mode")
-	}
-	f := aidsFixture(t)
-	wq := f.worst[0]
-	maxprocs := runtime.GOMAXPROCS(0)
-
-	// Best-of-attempts partition timings: noise inflates single runs, a real
-	// parallel speedup survives the minimum.
-	const attempts = 3
-	partition := func(n int) index.PartitionStats {
-		var best index.PartitionStats
-		for i := 0; i < attempts; i++ {
-			st, err := store.NewSharded(f.db, f.idx, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := st.BuildStats()
-			if i == 0 || s.SplitTime+s.BuildTime < best.SplitTime+best.BuildTime {
-				best = s
-			}
-		}
-		return best
-	}
-
-	type row struct {
-		Shards    int     `json:"shards"`
-		SplitMS   float64 `json:"split_ms"`
-		BuildMS   float64 `json:"build_ms"`
-		SRTNsPerO int64   `json:"srt_ns_per_op"`
-	}
-	var rows []row
-	var baseline []core.Result
-	stats := map[int]index.PartitionStats{}
-	for _, n := range []int{1, 4, 8} {
-		stats[n] = partition(n)
-		st := shardStore(t, f.db, f.idx, n)
-		got, err := shardEngine(t, st, wq, 3).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if baseline == nil {
-			baseline = got
-		} else {
-			if len(got) != len(baseline) {
-				t.Fatalf("shards=%d returned %d results, monolithic %d", n, len(got), len(baseline))
-			}
-			for i := range got {
-				if got[i] != baseline[i] {
-					t.Fatalf("shards=%d result %d is %+v, monolithic %+v", n, i, got[i], baseline[i])
-				}
-			}
-		}
-		res := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				e := shardEngine(b, st, wq, 3)
-				b.StartTimer()
-				if _, err := e.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		rows = append(rows, row{
-			Shards:    n,
-			SplitMS:   float64(stats[n].SplitTime) / float64(time.Millisecond),
-			BuildMS:   float64(stats[n].BuildTime) / float64(time.Millisecond),
-			SRTNsPerO: res.NsPerOp(),
-		})
-	}
-
-	artifact := map[string]any{
-		"workload":   "similarity query (worst-case Fig 9 pick), formulation untimed, Run timed",
-		"query":      wq.Name,
-		"gomaxprocs": maxprocs,
-		"num_cpu":    runtime.NumCPU(),
-		"attempts":   attempts,
-		"layouts":    rows,
-		"identical":  true,
-		"note":       "split_ms is the sequential delta-split prologue; build_ms the concurrent per-shard index construction; answers byte-identical across layouts; SRT speedup is only physical when num_cpu provides real parallelism",
-	}
-	buf, err := json.MarshalIndent(artifact, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_shard.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("shard artifact: gomaxprocs=%d rows=%+v", maxprocs, rows)
-
-	// Capability-gated parallelism asserts: GOMAXPROCS can be raised on any
-	// box, but goroutines only run concurrently when the hardware has the
-	// cores, so both gates check runtime.NumCPU — on a single-CPU runner the
-	// per-shard fan-out serializes and sharding is pure coordination
-	// overhead, which the artifact records honestly but must not fail on.
-	if maxprocs >= 4 && runtime.NumCPU() >= 4 {
-		if stats[4].BuildTime >= stats[1].BuildTime {
-			t.Errorf("4-shard concurrent build (%v) did not beat the 1-shard build (%v) on a %d-way runner",
-				stats[4].BuildTime, stats[1].BuildTime, maxprocs)
-		}
-	}
-	if maxprocs >= 8 && runtime.NumCPU() >= 8 {
-		mono, eight := rows[0].SRTNsPerO, rows[len(rows)-1].SRTNsPerO
-		if eight >= mono {
-			t.Errorf("8-shard SRT (%d ns/op) did not beat monolithic SRT (%d ns/op) on a %d-way runner",
-				eight, mono, runtime.NumCPU())
-		}
 	}
 }

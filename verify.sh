@@ -20,3 +20,8 @@ go test -race -run 'TestMutationStressUnderRace|TestMutationChaos' ./internal/st
 # allocations would trip the pinned budgets, so these tests self-skip there.
 go test -run 'AllocBudget' ./internal/graph/ ./internal/spig/ ./internal/intset/
 sh scripts/cover.sh
+# Nothing above may write into the tree: a dirty checkout after the gate
+# means a test recorded something.
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+	test -z "$(git status --porcelain)"
+fi
