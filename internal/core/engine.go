@@ -118,7 +118,7 @@ type Engine struct {
 	// probeScratch holds per-shard bitset scratch for Algorithm 3's NIF
 	// list intersection. Indexed by shard id — computeCandidates runs at
 	// most one goroutine per shard, so rows never race. Lazily sized.
-	probeScratch []shardScratch
+	probeScratch []store.ProbeScratch
 
 	// chooser state (chooser.go): the adaptive verify-prefilter.
 	chooserMode  FilterMode
@@ -126,11 +126,6 @@ type Engine struct {
 	chooserEpoch uint64         // epoch chooserTab was built against
 	lastChoice   FilterDecision // most recent chooser decision, for Explain
 	filterObs    func(FilterDecision)
-}
-
-// shardScratch is one shard's reusable intersection scratch.
-type shardScratch struct {
-	a, b intset.Bits
 }
 
 // levelSets maps SPIG level -> sorted candidate id set.

@@ -28,6 +28,11 @@ const (
 	KindDIF
 )
 
+// Indexed reports whether a fragment of this kind is itself an index entry,
+// so its FSG list is exact: it feeds verification-free answering, while a
+// NIF's candidate list is a superset verified downstream.
+func (k Kind) Indexed() bool { return k == KindFrequent || k == KindDIF }
+
 func (k Kind) String() string {
 	switch k {
 	case KindFrequent:

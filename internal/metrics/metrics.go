@@ -69,7 +69,7 @@ const (
 	// logical shard calls; attempts count wire attempts (so attempts - calls
 	// is the retry+hedge overhead). The health pair is gauge-like: endpoints
 	// currently considered healthy / known, refreshed after every call.
-	CounterShardRPCCalls      = "shard_rpc_calls"         // logical remote shard calls
+	CounterShardRPCCalls      = "shard_rpc_calls"         // logical remote calls: one per replica group per probe batch
 	CounterShardRPCAttempts   = "shard_rpc_attempts"      // wire attempts (first tries + retries + hedges)
 	CounterShardRPCRetries    = "shard_rpc_retries"       // backoff retry rounds taken
 	CounterShardRPCHedged     = "shard_rpc_hedged"        // hedge requests fired to a replica

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -44,16 +45,16 @@ var (
 	_ store.Store          = (*RemoteStore)(nil)
 	_ store.HealthReporter = (*RemoteStore)(nil)
 	_ store.Snapshot       = (*remoteSnap)(nil)
+	_ store.Prober         = (*remoteSnap)(nil)
 	_ store.Shard          = (*remoteShard)(nil)
-	_ store.ProberShard    = (*remoteShard)(nil)
 )
 
 // WithCodec selects the envelope codec for outgoing frames (default gob).
 func WithCodec(c Codec) DialOption { return func(rs *RemoteStore) { rs.codec = c } }
 
-// WithCallTimeout bounds one wire attempt (default 2s). The per-shard
-// deadline budget of a scatter-gather call is min(ctx deadline, attempts ×
-// timeout with backoff) — the action context stays the overall authority.
+// WithCallTimeout bounds one wire attempt (default 2s). The deadline budget
+// of one replica-group call is min(ctx deadline, attempts × timeout with
+// backoff) — the action context stays the overall authority.
 func WithCallTimeout(d time.Duration) DialOption {
 	return func(rs *RemoteStore) {
 		if d > 0 {
@@ -71,14 +72,14 @@ func WithDialTimeout(d time.Duration) DialOption {
 	}
 }
 
-// WithHedgeDelay sets how long a shard call waits on the primary endpoint
+// WithHedgeDelay sets how long a group call waits on the primary endpoint
 // before hedging to a replica (default 2ms). Zero or negative disables
 // hedging; failover on a failed primary still happens.
 func WithHedgeDelay(d time.Duration) DialOption {
 	return func(rs *RemoteStore) { rs.hedgeDelay = d }
 }
 
-// WithRetries sets how many backoff retry rounds a shard call may take
+// WithRetries sets how many backoff retry rounds a group call may take
 // after the first round fails on every endpoint (default 2).
 func WithRetries(n int) DialOption {
 	return func(rs *RemoteStore) {
@@ -105,8 +106,8 @@ func WithClientMetrics(reg *metrics.Registry) DialOption {
 }
 
 // RemoteStore is the coordinator-side store.Store over a set of shard
-// servers. Reads (candidate probes, lookups) scatter to the endpoint(s)
-// owning the probed shard with retry, failover, and hedging; graphs are
+// servers. Candidate probes scatter once per replica group with retry,
+// failover, and hedging; lookups go to any endpoint; graphs are
 // prefetched once and cached forever (ids are never reused and graphs are
 // immutable per id); mutations broadcast to every endpoint in lockstep
 // under a CAS on the base epoch, so all replicas assign identical ids and
@@ -116,7 +117,8 @@ type RemoteStore struct {
 	endpoints []string
 	pools     []*connPool
 	healthy   []atomic.Bool
-	shardEps  [][]int // shard id -> endpoint indices, dial order
+	shardEps  [][]int        // shard id -> endpoint indices, dial order
+	groups    []replicaGroup // shards partitioned by endpoint list
 	numShards int
 	codec     Codec
 
@@ -135,6 +137,14 @@ type RemoteStore struct {
 	seq atomic.Uint64
 	rr  atomic.Uint64 // round-robin cursor for unsharded ops
 	reg atomic.Pointer[metrics.Registry]
+}
+
+// replicaGroup is the set of shards served by exactly the same endpoints, in
+// the same dial order: one candidate request reaches all of them, so a
+// probe batch costs one call per group.
+type replicaGroup struct {
+	shards []int // ascending
+	eps    []int // endpoint indices, dial order
 }
 
 // remoteMirror is the coordinator's view of the cluster's published epoch.
@@ -213,6 +223,12 @@ func Dial(ctx context.Context, endpoints []string, opts ...DialOption) (*RemoteS
 			rs.Close()
 			return nil, fmt.Errorf("rpcstore: dial: no endpoint serves shard %d: %w", sid, ErrTopology)
 		}
+		gi := slices.IndexFunc(rs.groups, func(g replicaGroup) bool { return slices.Equal(g.eps, eps) })
+		if gi < 0 {
+			gi = len(rs.groups)
+			rs.groups = append(rs.groups, replicaGroup{eps: eps})
+		}
+		rs.groups[gi].shards = append(rs.groups[gi].shards, sid)
 	}
 
 	live := UnpackIDs(h0.IDs)
@@ -515,17 +531,17 @@ func retryable(err error) bool {
 	return !errors.As(err, &term)
 }
 
-// call is one logical shard call: scatter to the endpoints owning the
-// shard with hedging and failover inside a round, retry-with-backoff
-// across rounds (rotating which endpoint is primary), all under the
-// caller's context deadline — the per-shard slice of the action budget.
-func (rs *RemoteStore) call(ctx context.Context, shard int, req *Msg, checkEpoch bool) (*Msg, error) {
+// call is one logical replica-group call: scatter to the group's endpoints
+// with hedging and failover inside a round, retry-with-backoff across
+// rounds (rotating which endpoint is primary), all under the caller's
+// context deadline — the action budget.
+func (rs *RemoteStore) call(ctx context.Context, g replicaGroup, req *Msg, checkEpoch bool) (*Msg, error) {
 	rs.inc(metrics.CounterShardRPCCalls)
 	sp := trace.SpanFromContext(ctx).Child(trace.KindShardRPC)
-	sp.Add("shard", int64(shard))
+	sp.Add("shards", int64(len(g.shards)))
 	sp.SetAttr("op", req.Op)
 	defer sp.End()
-	eps := rs.shardEps[shard]
+	eps := g.eps
 	var lastErr error
 	for round := 0; round <= rs.maxRetries; round++ {
 		if round > 0 {
@@ -554,7 +570,7 @@ func (rs *RemoteStore) call(ctx context.Context, shard int, req *Msg, checkEpoch
 		}
 	}
 	rs.inc(metrics.CounterShardRPCErrors)
-	return nil, fmt.Errorf("rpcstore: shard %d: %v: %w", shard, lastErr, store.ErrShardUnavailable)
+	return nil, fmt.Errorf("rpcstore: shards %v: %v: %w", g.shards, lastErr, store.ErrShardUnavailable)
 }
 
 type attemptResult struct {
@@ -764,9 +780,71 @@ func (sn *remoteSnap) Lookup(code string) (index.Kind, int) {
 	return index.Kind(reply.Kind), reply.EntryID
 }
 
-// remoteShard is one partition of a pinned epoch, probed over the wire.
-// Index() is nil by design: candidate enumeration dispatches through the
-// store.ProberShard interface instead.
+// ProbeAll implements store.Prober: the whole batch goes to every replica
+// group in one OpCandidates request, the groups concurrently, and each
+// probe's per-group lists merge into one ascending list. A group that
+// cannot answer (every endpoint failed within the call's budget)
+// contributes its shards' live ids to every NIF probe, and the indexed
+// probes' lists stay nil behind an error wrapping store.ErrShardUnavailable.
+func (sn *remoteSnap) ProbeAll(ctx context.Context, probes []store.Probe) ([][]int, error) {
+	packed := make([][]int, len(probes))
+	for i, p := range probes {
+		packed[i] = packProbe(p)
+	}
+	groups := sn.rs.groups
+	parts := make([][][]int, len(groups)) // group -> probe -> ids
+	errs := make([]error, len(groups))
+	var wg sync.WaitGroup
+	for gi := range groups {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			parts[gi], errs[gi] = sn.probeGroup(ctx, groups[gi], packed)
+		}()
+	}
+	wg.Wait()
+	err := errors.Join(errs...)
+	out := make([][]int, len(probes))
+	per := make([][]int, 0, sn.rs.numShards)
+	for i, p := range probes {
+		if err != nil && p.Kind.Indexed() {
+			continue
+		}
+		per = per[:0]
+		for gi, g := range groups {
+			if errs[gi] == nil {
+				per = append(per, parts[gi][i])
+				continue
+			}
+			for _, sid := range g.shards {
+				per = append(per, sn.shardIDs[sid])
+			}
+		}
+		out[i] = store.MergeSorted(per)
+	}
+	return out, err
+}
+
+// probeGroup sends the packed batch to one replica group and unpacks the
+// reply.
+func (sn *remoteSnap) probeGroup(ctx context.Context, g replicaGroup, probes [][]int) ([][]int, error) {
+	reply, err := sn.rs.call(ctx, g, &Msg{Op: OpCandidates, Epoch: sn.epoch, Shards: g.shards, Probes: probes}, true)
+	if err != nil {
+		return nil, err
+	}
+	if len(reply.Parts) != len(probes) {
+		return nil, fmt.Errorf("rpcstore: shards %v: %d parts for %d probes: %w (%w)",
+			g.shards, len(reply.Parts), len(probes), store.ErrShardUnavailable, ErrBadFrame)
+	}
+	lists := make([][]int, len(probes))
+	for i, pages := range reply.Parts {
+		lists[i] = UnpackIDs(pages)
+	}
+	return lists, nil
+}
+
+// remoteShard is one partition of a pinned epoch. Index() is nil by
+// design: candidate probes go through the snapshot's ProbeAll instead.
 type remoteShard struct {
 	snap *remoteSnap
 	id   int
@@ -776,24 +854,6 @@ func (sh *remoteShard) ID() int           { return sh.id }
 func (sh *remoteShard) NumGraphs() int    { return len(sh.snap.shardIDs[sh.id]) }
 func (sh *remoteShard) GraphIDs() []int   { return sh.snap.shardIDs[sh.id] }
 func (sh *remoteShard) Index() *index.Set { return nil }
-
-// Candidates implements store.ProberShard: one scatter-gather leg.
-func (sh *remoteShard) Candidates(ctx context.Context, p store.Probe) ([]int, error) {
-	reply, err := sh.snap.rs.call(ctx, sh.id, &Msg{
-		Op:     OpCandidates,
-		Epoch:  sh.snap.epoch,
-		Shard:  sh.id,
-		Kind:   int(p.Kind),
-		FreqID: p.FreqID,
-		DifID:  p.DifID,
-		Phi:    p.Phi,
-		Ups:    p.Ups,
-	}, true)
-	if err != nil {
-		return nil, err
-	}
-	return UnpackIDs(reply.IDs), nil
-}
 
 // ---- connection pool ----
 

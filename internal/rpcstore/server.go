@@ -4,12 +4,12 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 
 	"prague/internal/faultinject"
 	"prague/internal/index"
-	"prague/internal/intset"
 	"prague/internal/store"
 )
 
@@ -76,14 +76,12 @@ func WithPinRing(n int) ServerOption {
 func NewServer(st store.Store, opts ...ServerOption) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		st:     st,
-		ringSz: 64,
-		pinned: map[uint64]store.Snapshot{},
-		ctx:    ctx,
-		cancel: cancel,
-		scratchP: sync.Pool{New: func() any {
-			return &probeScratch{}
-		}},
+		st:       st,
+		ringSz:   64,
+		pinned:   map[uint64]store.Snapshot{},
+		ctx:      ctx,
+		cancel:   cancel,
+		scratchP: sync.Pool{New: func() any { return new(store.ProbeScratch) }},
 	}
 	for _, o := range opts {
 		o(s)
@@ -96,10 +94,6 @@ func NewServer(st store.Store, opts ...ServerOption) *Server {
 	}
 	s.remember(st.Pin())
 	return s
-}
-
-type probeScratch struct {
-	a, b intset.Bits
 }
 
 // ServedShards returns the shard ids this server answers probes for,
@@ -256,34 +250,59 @@ func (s *Server) handleHello(req *Msg) *Msg {
 	}
 }
 
+// handleCandidates evaluates every probe of one action on every requested
+// shard and replies, per probe, with the union over those shards. The whole
+// request is checked before any probe runs: a duplicate, out-of-range or
+// unserved shard id, or an index entry id outside a shard's index, fails it
+// as a whole.
 func (s *Server) handleCandidates(req *Msg) *Msg {
-	if !s.serve[req.Shard] {
-		return errMsg(OpCandidates, codeWrongShard,
-			fmt.Sprintf("shard %d not served here (serving %v)", req.Shard, s.ServedShards()))
+	if len(req.Shards) == 0 {
+		return errMsg(OpCandidates, codeBadRequest, "no shards to probe")
+	}
+	for i, sid := range req.Shards {
+		if slices.Contains(req.Shards[:i], sid) {
+			return errMsg(OpCandidates, codeBadRequest, fmt.Sprintf("shard %d requested twice", sid))
+		}
+		if !s.serve[sid] {
+			return errMsg(OpCandidates, codeWrongShard,
+				fmt.Sprintf("shard %d not served here (serving %v)", sid, s.ServedShards()))
+		}
 	}
 	sn, ok := s.snapAt(req.Epoch)
 	if !ok {
 		return errMsg(OpCandidates, codeStaleEpoch,
 			fmt.Sprintf("epoch %d no longer pinned (current %d)", req.Epoch, s.st.Epoch()))
 	}
-	if req.Shard < 0 || req.Shard >= sn.NumShards() {
-		return errMsg(OpCandidates, codeBadRequest, fmt.Sprintf("shard %d out of range", req.Shard))
+	probes := make([]store.Probe, len(req.Probes))
+	for i, w := range req.Probes {
+		var err error
+		if probes[i], err = unpackProbe(w); err != nil {
+			return errMsg(OpCandidates, codeBadRequest, err.Error())
+		}
 	}
-	sh := sn.Shard(req.Shard)
-	p := store.Probe{
-		Kind:   index.Kind(req.Kind),
-		FreqID: req.FreqID,
-		DifID:  req.DifID,
-		Phi:    req.Phi,
-		Ups:    req.Ups,
+	shards := make([]store.Shard, len(req.Shards))
+	for i, sid := range req.Shards {
+		if sid < 0 || sid >= sn.NumShards() {
+			return errMsg(OpCandidates, codeBadRequest, fmt.Sprintf("shard %d out of range", sid))
+		}
+		shards[i] = sn.Shard(sid)
+		for _, p := range probes {
+			if err := checkProbe(shards[i].Index(), p); err != nil {
+				return errMsg(OpCandidates, codeBadRequest, err.Error())
+			}
+		}
 	}
-	if err := checkProbe(sh.Index(), p); err != nil {
-		return errMsg(OpCandidates, codeBadRequest, err.Error())
+	sc := s.scratchP.Get().(*store.ProbeScratch)
+	defer s.scratchP.Put(sc)
+	perShard := make([][]int, len(shards))
+	parts := make([][]BitsPage, len(probes))
+	for i, p := range probes {
+		for j, sh := range shards {
+			perShard[j] = store.ShardCandidates(sh, p, sc)
+		}
+		parts[i] = PackIDs(store.MergeSorted(perShard))
 	}
-	sc := s.scratchP.Get().(*probeScratch)
-	ids := localCandidates(sh, p, sc)
-	s.scratchP.Put(sc)
-	return &Msg{Op: OpCandidates, Epoch: req.Epoch, IDs: PackIDs(ids)}
+	return &Msg{Op: OpCandidates, Epoch: req.Epoch, Parts: parts}
 }
 
 // checkProbe bounds every index entry id a probe will dereference: the ids
@@ -308,45 +327,6 @@ func checkProbe(idx *index.Set, p store.Probe) error {
 		return err
 	}
 	return inRange("Phi", nf, p.Phi...)
-}
-
-// localCandidates is Algorithm 3's per-shard probe evaluated against an
-// in-process shard: the shard-restricted FSG list for indexed fragments,
-// the Υ-then-Φ bitset intersection for NIFs, the whole shard with no index
-// information. It mirrors the engine's in-process probe exactly, so a
-// remote layout returns byte-identical candidates.
-func localCandidates(sh store.Shard, p store.Probe, sc *probeScratch) []int {
-	idx := sh.Index()
-	switch p.Kind {
-	case index.KindFrequent:
-		return idx.A2F.FSGIds(p.FreqID)
-	case index.KindDIF:
-		return idx.A2I.FSGIds(p.DifID)
-	}
-	if len(p.Phi) == 0 && len(p.Ups) == 0 {
-		return sh.GraphIDs()
-	}
-	first := true
-	and := func(ids []int) bool {
-		if first {
-			sc.a.SetSorted(ids)
-			first = false
-		} else {
-			sc.a.AndSorted(ids, &sc.b)
-		}
-		return !sc.a.Empty()
-	}
-	for _, id := range p.Ups {
-		if !and(idx.A2I.FSGIds(id)) {
-			return nil
-		}
-	}
-	for _, id := range p.Phi {
-		if !and(idx.A2F.FSGIds(id)) {
-			return nil
-		}
-	}
-	return sc.a.AppendTo(make([]int, 0, sc.a.Len()))
 }
 
 func (s *Server) handleGraphs(req *Msg) *Msg {

@@ -26,6 +26,8 @@ import (
 	"math/bits"
 
 	"prague/internal/graph"
+	"prague/internal/index"
+	"prague/internal/store"
 )
 
 // Codec selects the envelope encoding for one frame.
@@ -104,22 +106,21 @@ type Msg struct {
 	ErrCode int    `json:"err_code,omitempty"`
 	Error   string `json:"error,omitempty"`
 
-	// OpHello reply: the server's topology and store identity.
+	// OpHello reply: the server's topology and store identity. Shards is
+	// also the OpCandidates request's replica group: the shards to probe.
 	Shards    []int  `json:"shards,omitempty"`     // shard ids this server serves
 	NumShards int    `json:"num_shards,omitempty"` // partition count N of the layout
 	Tag       string `json:"tag,omitempty"`        // store.CacheTag at Epoch
 	NumGraphs int    `json:"num_graphs,omitempty"` // id-space size (slots incl. tombstones)
 
-	// OpCandidates request (mirrors store.Probe) and target shard.
-	Shard  int   `json:"shard,omitempty"`
-	Kind   int   `json:"kind,omitempty"`
-	FreqID int   `json:"freq_id,omitempty"`
-	DifID  int   `json:"dif_id,omitempty"`
-	Phi    []int `json:"phi,omitempty"`
-	Ups    []int `json:"ups,omitempty"`
+	// OpCandidates: every probe one action needs, each flattened by
+	// packProbe (request), and per probe its candidates merged over the
+	// requested shards (reply, aligned with Probes).
+	Probes [][]int      `json:"probes,omitempty"`
+	Parts  [][]BitsPage `json:"parts,omitempty"`
 
-	// Id sets: OpCandidates replies (candidates), OpHello replies (live
-	// universe), OpGraphs requests (wanted ids).
+	// Id sets: OpHello replies (live universe), OpGraphs requests (wanted
+	// ids).
 	IDs []BitsPage `json:"ids,omitempty"`
 
 	// OpGraphs reply (gob blobs aligned with the request ids) and OpInsert
@@ -128,6 +129,7 @@ type Msg struct {
 
 	// OpLookup request (canonical code) and reply (Kind + entry id).
 	Frag    string `json:"frag,omitempty"`
+	Kind    int    `json:"kind,omitempty"`
 	EntryID int    `json:"entry_id,omitempty"`
 
 	// OpInsert reply / OpDelete request-and-reply: the graph id.
@@ -199,6 +201,32 @@ func UnpackIDs(pages []BitsPage) []int {
 		}
 	}
 	return out
+}
+
+// packProbe flattens a probe for the wire: kind, A²F id, A²I id, |Φ|, then
+// Φ and Υ. A flat int list keeps nested struct types out of the envelope:
+// frames use a fresh gob codec each, so every frame — every lookup and
+// mutation too — would carry and compile such a type's descriptor.
+func packProbe(p store.Probe) []int {
+	w := make([]int, 0, 4+len(p.Phi)+len(p.Ups))
+	w = append(w, int(p.Kind), p.FreqID, p.DifID, len(p.Phi))
+	w = append(w, p.Phi...)
+	return append(w, p.Ups...)
+}
+
+// unpackProbe reverses packProbe. The probe's lists alias w.
+func unpackProbe(w []int) (store.Probe, error) {
+	if len(w) < 4 || w[3] < 0 || w[3] > len(w)-4 {
+		return store.Probe{}, fmt.Errorf("rpcstore: probe of %d words: %w", len(w), ErrBadFrame)
+	}
+	p := store.Probe{Kind: index.Kind(w[0]), FreqID: w[1], DifID: w[2]}
+	if n := w[3]; n > 0 {
+		p.Phi = w[4 : 4+n]
+	}
+	if len(w) > 4+w[3] {
+		p.Ups = w[4+w[3]:]
+	}
+	return p, nil
 }
 
 // EncodeGraph serializes a data graph for the wire.

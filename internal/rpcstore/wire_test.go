@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"prague/internal/graph"
+	"prague/internal/index"
+	"prague/internal/store"
 )
 
 func TestPackUnpackRoundTrip(t *testing.T) {
@@ -86,12 +88,33 @@ func TestUnpackIDsTolerantOfMalformedPages(t *testing.T) {
 	}
 }
 
+var sampleProbes = []store.Probe{
+	{Kind: index.KindFrequent, FreqID: 3, DifID: -1},
+	{Kind: index.KindNone, FreqID: -1, DifID: -1, Phi: []int{1, 2}, Ups: []int{5}},
+	{Kind: index.KindNone, FreqID: -1, DifID: -1, Ups: []int{0, 7}},
+}
+
+func TestProbePackRoundTrip(t *testing.T) {
+	for _, p := range sampleProbes {
+		got, err := unpackProbe(packProbe(p))
+		if err != nil || !reflect.DeepEqual(got, p) {
+			t.Errorf("unpackProbe(packProbe(%+v)) = %+v, %v", p, got, err)
+		}
+	}
+	for _, w := range [][]int{nil, {1, 2, 3}, {0, -1, -1, -1}, {0, -1, -1, 2, 9}} {
+		if _, err := unpackProbe(w); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("unpackProbe(%v): err = %v, want ErrBadFrame", w, err)
+		}
+	}
+}
+
 func sampleMsg() *Msg {
 	return &Msg{
 		Seq: 42, Op: OpCandidates, Epoch: 7,
 		ErrCode: 0, Shards: []int{0, 2}, NumShards: 4, Tag: "sharded4:abc@7",
-		NumGraphs: 100, Shard: 2, Kind: 1, FreqID: 3, DifID: -1,
-		Phi: []int{1, 2}, Ups: []int{5},
+		NumGraphs:  100,
+		Probes:     [][]int{packProbe(sampleProbes[0]), packProbe(sampleProbes[1])},
+		Parts:      [][]BitsPage{PackIDs([]int{2, 3}), nil},
 		IDs:        PackIDs([]int{1, 5, 1024}),
 		GraphBlobs: [][]byte{{1, 2, 3}, nil},
 		Frag:       "C-C", EntryID: 9, GraphID: 55,
@@ -116,8 +139,9 @@ func TestFrameRoundTrip(t *testing.T) {
 			// JSON decodes empty slices vs nil equivalently via omitempty;
 			// compare the fields that matter.
 			if got.Seq != m.Seq || got.Op != m.Op || got.Epoch != m.Epoch ||
-				got.Tag != m.Tag || got.Shard != m.Shard || got.DifID != m.DifID ||
-				!reflect.DeepEqual(got.Phi, m.Phi) ||
+				got.Tag != m.Tag || !reflect.DeepEqual(got.Shards, m.Shards) ||
+				!reflect.DeepEqual(got.Probes, m.Probes) || len(got.Parts) != len(m.Parts) ||
+				!reflect.DeepEqual(UnpackIDs(got.Parts[0]), UnpackIDs(m.Parts[0])) ||
 				!reflect.DeepEqual(UnpackIDs(got.IDs), UnpackIDs(m.IDs)) ||
 				got.Frag != m.Frag || got.GraphID != m.GraphID {
 				t.Errorf("round trip diverged:\ngot  %+v\nwant %+v", got, m)

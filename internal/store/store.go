@@ -124,15 +124,16 @@ type Shard interface {
 	// GraphIDs returns the shard's live global graph ids in ascending
 	// order. The slice is owned by the shard and must not be mutated.
 	GraphIDs() []int
-	// Index returns the shard-restricted index set.
+	// Index returns the shard-restricted index set, or nil when the shard
+	// lives in another process (its snapshot is then a Prober).
 	Index() *index.Set
 }
 
-// Probe is one Algorithm 3 index probe against a single shard, in a form
-// that can cross a process boundary: the vertex's classification plus the
-// entry ids to intersect. It captures exactly what shardCandidates reads
-// from a spig.Vertex, so a remote shard can evaluate the probe without the
-// vertex (or the query) ever leaving the coordinator.
+// Probe is one Algorithm 3 index probe, in a form that can cross a process
+// boundary: the vertex's classification plus the entry ids to intersect. It
+// captures exactly what candidate maintenance reads from a spig.Vertex, so a
+// remote shard can evaluate the probe without the vertex (or the query) ever
+// leaving the coordinator.
 type Probe struct {
 	Kind   index.Kind // KindFrequent / KindDIF / KindNone (NIF)
 	FreqID int        // A²F entry id when Kind == KindFrequent
@@ -141,17 +142,71 @@ type Probe struct {
 	Ups    []int      // indexed DIF subgraphs (A²I entry ids), NIF only
 }
 
-// ProberShard is the optional shard capability remote layouts implement
-// instead of Index(): candidate enumeration as one round trip. When a
-// shard's Index() returns nil, candidate maintenance dispatches the probe
-// here; errors from indexed probes wrap ErrShardUnavailable, while NIF
-// probe failures are degraded by the caller to the shard's whole id set
-// (sound — NIF lists are always verified downstream).
-type ProberShard interface {
-	Shard
-	// Candidates evaluates the probe against the shard at the snapshot's
-	// pinned epoch and returns ascending global graph ids.
-	Candidates(ctx context.Context, p Probe) ([]int, error)
+// ProbeScratch is reusable bitset scratch for ShardCandidates' NIF
+// intersection. One goroutine uses one scratch at a time.
+type ProbeScratch struct {
+	a, b intset.Bits
+}
+
+// ShardCandidates is Algorithm 3's index probe against one in-process shard:
+// the shard-restricted FSG list for indexed probes, the Υ-then-Φ
+// intersection for NIFs, and the shard's whole id set when no index
+// information exists. The NIF intersection runs word-at-a-time over
+// compressed bitsets in sc; only the returned list is allocated. Indexed
+// probes return the index's own list, which must not be mutated.
+func ShardCandidates(sh Shard, p Probe, sc *ProbeScratch) []int {
+	idx := sh.Index()
+	switch p.Kind {
+	case index.KindFrequent:
+		return idx.A2F.FSGIds(p.FreqID)
+	case index.KindDIF:
+		return idx.A2I.FSGIds(p.DifID)
+	}
+	if len(p.Phi) == 0 && len(p.Ups) == 0 {
+		// A NIF with no indexed subgraph information at all. This cannot
+		// happen with the standard indexes (every single edge is frequent
+		// or a DIF, and Υ propagates), but a degraded index — e.g. the
+		// A²I-disabled ablation — can reach here. With no information, the
+		// sound candidate set is the whole shard.
+		return sh.GraphIDs()
+	}
+	// DIFs have the strongest pruning power; intersect them first so the
+	// running set shrinks early.
+	first := true
+	and := func(ids []int) bool {
+		if first {
+			sc.a.SetSorted(ids)
+			first = false
+		} else {
+			sc.a.AndSorted(ids, &sc.b)
+		}
+		return !sc.a.Empty()
+	}
+	for _, id := range p.Ups {
+		if !and(idx.A2I.FSGIds(id)) {
+			return nil
+		}
+	}
+	for _, id := range p.Phi {
+		if !and(idx.A2F.FSGIds(id)) {
+			return nil
+		}
+	}
+	return sc.a.AppendTo(make([]int, 0, sc.a.Len()))
+}
+
+// Prober is the snapshot capability of layouts whose shards live in other
+// processes (Shard(i).Index() is nil): every probe one action needs,
+// evaluated in one call, so the layout can send one request per replica
+// group instead of one per probe and shard.
+type Prober interface {
+	// ProbeAll evaluates the probes at the snapshot's pinned epoch and
+	// returns one ascending global id list per probe. When some shard
+	// cannot be served, it still returns every NIF probe's list, with the
+	// unserved shards contributing their whole live id sets (a sound
+	// superset), and an error wrapping ErrShardUnavailable; every indexed
+	// probe's list is then nil.
+	ProbeAll(ctx context.Context, probes []Probe) ([][]int, error)
 }
 
 // ShardHealth is one shard's serving status as seen by a coordinator:

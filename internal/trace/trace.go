@@ -54,7 +54,7 @@ const (
 	KindDegrade      // transparent containment→similarity degradation
 	KindShardEval    // per-shard candidate/verification fan-out
 	KindFilterChoose // adaptive verify-prefilter arm selection + pruning
-	KindShardRPC     // one remote shard call (scatter-gather leg, incl. retries/hedges)
+	KindShardRPC     // one replica-group call (scatter-gather leg, incl. retries/hedges)
 
 	// Synthetic kinds (recorded via Tracer.RecordEvent, not span trees).
 	KindSLOViolation // one SLO-violating tracker tick (slo package)

@@ -338,9 +338,9 @@ func LoadShardedStore(db *Database, dir string) (GraphStore, error) {
 }
 
 // DialStore connects to a remote shard-server topology (cmd/shardserver
-// processes) and returns a coordinator-side GraphStore: candidate probes
-// scatter-gather over TCP with per-shard retry, replica failover, and
-// hedged requests; graphs are prefetched and cached client-side; mutations
+// processes) and returns a coordinator-side GraphStore: an action's
+// candidate probes travel as one request per replica group over TCP, with
+// retry, replica failover, and hedged requests; graphs are prefetched and cached client-side; mutations
 // broadcast to every replica in lockstep. Replicas claiming the same shard
 // serve as failover/hedging targets. The returned store also implements
 // io.Closer — close it when done (NewServiceFromStore does not take

@@ -13,8 +13,11 @@ BIN=$(mktemp -d)
 P1=""
 P2=""
 cleanup() {
-  [ -n "$P1" ] && kill "$P1" 2>/dev/null || true
-  [ -n "$P2" ] && kill "$P2" 2>/dev/null || true
+  # Kill the servers, then reap them: nothing outlives the script.
+  for p in $P1 $P2; do
+    kill "$p" 2>/dev/null || true
+    wait "$p" 2>/dev/null || true
+  done
   rm -rf "$BIN"
 }
 trap cleanup EXIT
@@ -47,10 +50,18 @@ for port in "$PORT1" "$PORT2"; do
 done
 echo "rpcsmoke: servers up"
 
+# A 3-edge path, the suggested-deletion probe batch, a deletion (Modify
+# re-fetches every candidate level in one batch per server) and a Run.
 out=$("$BIN/praguecli" -connect "127.0.0.1:$PORT1,127.0.0.1:$PORT2" <<'EOF'
 node C
 node C
+node C
+node O
 edge 0 1
+edge 1 2
+edge 2 3
+suggest
+delete 3
 run
 shards
 quit
@@ -67,6 +78,9 @@ check() {
 }
 check "connected: 2 endpoints, 2 shards, $DBSIZE graphs"
 check "step [0-9]+: status=(frequent|infrequent|similar)"
+check "step 3: status=(frequent|infrequent|similar)"
+check "suggestion: delete e[0-9]+ \(yields [0-9]+ exact candidates\)"
+check "step 0: status=(frequent|infrequent|similar)"
 check "[0-9]+ results \(SRT "
 check "shard 0: 1/1 endpoints healthy"
 check "shard 1: 1/1 endpoints healthy"
