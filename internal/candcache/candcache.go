@@ -284,6 +284,32 @@ func (c *Cache) Do(ctx context.Context, key string, compute func(ctx context.Con
 	}
 }
 
+// Lookup is the first half of Do, for callers that compute their misses
+// themselves — typically many keys in one batch — and publish each with Put.
+// It is traced and fault-injected as Do is: a cand_fetch span counts the hit
+// or miss, and a firing SiteCache fault bypasses the cache, so neither ok nor
+// publish is set and the caller must not Put what it computes. Unlike Do,
+// misses are not coalesced: concurrent callers that miss one key each compute
+// it. A nil cache reports a miss that is not to be published.
+func (c *Cache) Lookup(ctx context.Context, key string) (ids []int, ok, publish bool) {
+	if c == nil {
+		return nil, false, false
+	}
+	sp := trace.SpanFromContext(ctx).Child(trace.KindCandFetch)
+	sp.SetAttr("key", key)
+	defer sp.End()
+	if err := faultinject.Hit(ctx, faultinject.SiteCache); err != nil {
+		sp.Add("fault_bypass", 1)
+		return nil, false, false
+	}
+	if ids, ok = c.Get(key); ok {
+		sp.Add("hit", 1)
+		return ids, true, false
+	}
+	sp.Add("miss", 1)
+	return nil, false, true
+}
+
 // putLocked inserts (or refreshes) an entry; sh.mu is held.
 func (c *Cache) putLocked(sh *shard, key string, ids []int) {
 	size := int64(len(key)) + 8*int64(len(ids)) + entryOverhead

@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"prague/internal/faultinject"
 	"prague/internal/intset"
 	"prague/internal/metrics"
+	"prague/internal/trace"
 )
 
 func TestNewDisabled(t *testing.T) {
@@ -301,5 +304,42 @@ func TestConcurrentMixedUse(t *testing.T) {
 	wg.Wait()
 	if c.Len() == 0 {
 		t.Fatal("nothing resident after the hammer")
+	}
+}
+
+// TestLookup: Lookup reports a miss as one to publish and a resident key as
+// a hit, each as a cand_fetch span; a cache fault bypasses the cache and
+// forbids publishing; a nil cache never hits and never publishes.
+func TestLookup(t *testing.T) {
+	c := New(1<<20, nil)
+	tr := trace.New(trace.Options{Enabled: true})
+	ctx, root := tr.StartRoot(context.Background(), trace.KindRun)
+	if _, ok, publish := c.Lookup(ctx, "k"); ok || !publish {
+		t.Fatalf("cold key: ok=%v publish=%v, want a miss to publish", ok, publish)
+	}
+	c.Put("k", []int{1, 2})
+	if ids, ok, publish := c.Lookup(ctx, "k"); !ok || publish || !intset.Equal(ids, []int{1, 2}) {
+		t.Fatalf("resident key: %v ok=%v publish=%v, want a hit", ids, ok, publish)
+	}
+	inj := faultinject.New()
+	inj.Set(faultinject.SiteCache, faultinject.Rule{Every: 1, Err: true})
+	if _, ok, publish := c.Lookup(faultinject.With(ctx, inj), "k"); ok || publish {
+		t.Fatalf("faulted lookup: ok=%v publish=%v, want a bypass", ok, publish)
+	}
+	root.End()
+	got := map[string]int64{}
+	root.Data().Walk(func(s *trace.SpanData) {
+		if s.Kind == trace.KindCandFetch.String() {
+			for k, n := range s.Counts {
+				got[k] += n
+			}
+		}
+	})
+	if want := map[string]int64{"miss": 1, "hit": 1, "fault_bypass": 1}; !reflect.DeepEqual(got, want) {
+		t.Errorf("cand_fetch counts %v, want %v", got, want)
+	}
+	var nilCache *Cache
+	if _, ok, publish := nilCache.Lookup(ctx, "k"); ok || publish {
+		t.Errorf("nil cache: ok=%v publish=%v, want neither", ok, publish)
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"prague/internal/clock"
@@ -175,7 +176,7 @@ type worker struct {
 	r       *rand.Rand
 	zipf    *rand.Zipf
 	lats    []time.Duration
-	done    int // sessions completed (drives AbandonEvery churn)
+	done    atomic.Int64 // sessions created (drives AbandonEvery churn); open-loop attempts race on it
 }
 
 func newWorker(svc *service.Service, db []*graph.Graph, queries []workload.Query, cfg Config, id int) *worker {
@@ -273,8 +274,8 @@ func (w *worker) attempt(wq workload.Query) openOutcome {
 	if err != nil {
 		return openOutcome{shed: errors.Is(err, service.ErrOverloaded), err: err}
 	}
-	w.done++
-	abandon := w.cfg.AbandonEvery > 0 && w.done%w.cfg.AbandonEvery == 0
+	n := w.done.Add(1)
+	abandon := w.cfg.AbandonEvery > 0 && n%int64(w.cfg.AbandonEvery) == 0
 	if !abandon {
 		defer w.svc.Delete(ss.ID()) //nolint:errcheck // best-effort cleanup
 	}
