@@ -3,25 +3,26 @@ package core
 // The adaptive verify-prefilter ("filter chooser"). Per action, a small cost
 // model picks how candidate graphs are screened before the VF2 verifier
 // runs: rely on the A²F/A²I probe alone, add Grafil-style feature-count
-// filtering (internal/grafil's LightIndex), or add signature pruning
-// (64-bit label/edge-triple presence masks plus size and degree bounds). No
-// single filter wins on every query — count filtering pays off on fragments
-// with repeated labels, masks on fragments with rare labels, and neither is
-// worth per-candidate work when the probe already returned a handful of ids
-// — so the arm is chosen per query from its shape and the pinned epoch's
-// label statistics. Every arm is a sound superset filter for subgraph
-// containment, so the verified answer set is identical across arms; the
-// choice affects only how much work verification does.
+// filtering, or add signature pruning (64-bit label/edge-triple presence
+// masks plus size and degree bounds). No single filter wins on every query —
+// count filtering pays off on fragments with repeated labels, masks on
+// fragments with rare labels, and neither is worth per-candidate work when
+// the probe already returned a handful of ids — so the arm is chosen per
+// query from its shape and the pinned epoch's label statistics. Every arm is
+// a sound superset filter for subgraph containment, so the verified answer
+// set is identical across arms; the choice affects only how much work
+// verification does.
+//
+// Both filters read the pinned snapshot's prefilter.Table, which the store
+// owns: built by the first action that needs it, then derived row by row
+// with every mutation, so an epoch advance costs the chooser nothing.
 
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
-	"sync"
 
-	"prague/internal/grafil"
 	"prague/internal/graph"
-	"prague/internal/store"
+	"prague/internal/prefilter"
 	"prague/internal/trace"
 )
 
@@ -88,125 +89,6 @@ type FilterDecision struct {
 // straight to the verifier.
 const minPrefilterCands = 24
 
-// sigEntry is one data graph's signature: presence masks and cheap bounds.
-type sigEntry struct {
-	labelMask  uint64
-	tripleMask uint64
-	nodes      int32
-	edges      int32
-	maxDeg     int32
-}
-
-// sigTable holds the per-epoch chooser state: one signature per live graph
-// (slab indexed by graph id) and the Grafil-light count index.
-type sigTable struct {
-	sigs  []sigEntry
-	light *grafil.LightIndex
-}
-
-func maskBit(s string) uint64 {
-	h := fnv.New32a()
-	h.Write([]byte(s))
-	return 1 << (h.Sum32() & 63)
-}
-
-func graphSig(g *graph.Graph) sigEntry {
-	var e sigEntry
-	e.nodes = int32(g.NumNodes())
-	e.edges = int32(g.NumEdges())
-	for v, l := range g.Labels() {
-		e.labelMask |= maskBit(l)
-		if d := int32(g.Degree(v)); d > e.maxDeg {
-			e.maxDeg = d
-		}
-	}
-	for _, ed := range g.Edges() {
-		la, lb := g.Label(ed.U), g.Label(ed.V)
-		if lb < la {
-			la, lb = lb, la
-		}
-		e.tripleMask |= maskBit(la + "\x00" + g.EdgeLabel(ed.U, ed.V) + "\x00" + lb)
-	}
-	return e
-}
-
-// passes reports whether data signature d can contain query signature q: a
-// necessary condition for subgraph isomorphism (masks are presence unions,
-// so a missing query bit proves a missing label/triple).
-func (q sigEntry) passes(d sigEntry) bool {
-	return q.labelMask&^d.labelMask == 0 &&
-		q.tripleMask&^d.tripleMask == 0 &&
-		q.nodes <= d.nodes && q.edges <= d.edges && q.maxDeg <= d.maxDeg
-}
-
-// chooserTabCache shares signature tables across engines. Sessions are
-// cheap and short-lived (the service creates one engine per user session),
-// while the table costs a full pass over the live graphs — rebuilding it per
-// session would dominate the verify hot path's allocation profile. Tables
-// are keyed by Snapshot.CacheTag (layout + content fingerprint + epoch), so
-// two snapshots sharing a tag are guaranteed to agree on every graph the
-// table describes. A small FIFO bounds the cache across epochs and stores.
-var chooserTabCache = struct {
-	sync.Mutex
-	entries map[string]*chooserTabHolder
-	order   []string
-}{entries: map[string]*chooserTabHolder{}}
-
-type chooserTabHolder struct {
-	once sync.Once
-	tab  *sigTable
-}
-
-const chooserTabCacheMax = 8
-
-// ensureChooserTab returns the signature table for the pinned epoch, building
-// it at most once service-wide per (store, epoch). Per-candidate checks
-// against the table are allocation-free.
-func (e *Engine) ensureChooserTab() *sigTable {
-	epoch := e.snap.Epoch()
-	if e.chooserTab != nil && e.chooserEpoch == epoch {
-		return e.chooserTab
-	}
-	tag := e.snap.CacheTag()
-	chooserTabCache.Lock()
-	h, ok := chooserTabCache.entries[tag]
-	if !ok {
-		h = &chooserTabHolder{}
-		chooserTabCache.entries[tag] = h
-		chooserTabCache.order = append(chooserTabCache.order, tag)
-		if len(chooserTabCache.order) > chooserTabCacheMax {
-			old := chooserTabCache.order[0]
-			chooserTabCache.order = chooserTabCache.order[1:]
-			delete(chooserTabCache.entries, old)
-		}
-	}
-	chooserTabCache.Unlock()
-	snap := e.snap
-	h.once.Do(func() { h.tab = buildSigTable(snap) })
-	e.chooserTab, e.chooserEpoch = h.tab, epoch
-	return h.tab
-}
-
-func buildSigTable(snap store.Snapshot) *sigTable {
-	ids := snap.LiveIDs()
-	maxID := -1
-	for _, id := range ids {
-		if id > maxID {
-			maxID = id
-		}
-	}
-	tab := &sigTable{
-		sigs:  make([]sigEntry, maxID+1),
-		light: grafil.BuildLight(ids, snap.Graph),
-	}
-	for _, id := range ids {
-		if g := snap.Graph(id); g != nil {
-			tab.sigs[id] = graphSig(g)
-		}
-	}
-	return tab
-}
-
 // SetFilterChooser configures the verify-prefilter mode. FilterAuto (the
 // default) picks an arm per action; the forced modes pin one arm, which the
 // parity tests and benchmarks use for A/B runs.
@@ -227,45 +109,40 @@ func (e *Engine) FilterExplain() string {
 // reporting.
 func (e *Engine) SetFilterObserver(fn func(FilterDecision)) { e.filterObs = fn }
 
-// chooseArm applies the cost model: given the fragment and the candidate
-// count, pick the cheapest arm expected to win. The ordering reflects where
-// each filter's power actually comes from on index-probed candidates: a
-// candidate list produced by FSG-list intersection already guarantees every
-// single indexed feature is *present*, so presence masks alone rarely prune
-// further — count multiplicity (Grafil) and size/degree bounds (signature)
-// are what the probe cannot express.
-func (e *Engine) chooseArm(frag *graph.Graph, ncand int) (FilterArm, string) {
+// chooseArm applies the cost model to a fragment whose candidate count is
+// large enough to prefilter, returning the arm, its reason and — when the
+// arm counts features — the fragment's profile, computed once. The ordering
+// reflects where each filter's power actually comes from on index-probed
+// candidates: a candidate list produced by FSG-list intersection already
+// guarantees every single indexed feature is *present*, so presence masks
+// alone rarely prune further — count multiplicity (Grafil) and size/degree
+// bounds (signature) are what the probe cannot express.
+func (e *Engine) chooseArm(tab *prefilter.Table, frag *graph.Graph) (FilterArm, string, prefilter.Profile) {
 	switch e.chooserMode {
-	case FilterProbe:
-		return ArmProbe, "forced"
 	case FilterGrafil:
-		return ArmGrafil, "forced"
+		return ArmGrafil, "forced", tab.Profile(frag)
 	case FilterSignature:
-		return ArmSignature, "forced"
+		return ArmSignature, "forced", prefilter.Profile{}
 	}
-	if ncand < minPrefilterCands {
-		return ArmProbe, fmt.Sprintf("cands=%d<min=%d", ncand, minPrefilterCands)
-	}
-	tab := e.ensureChooserTab()
-	p := tab.light.Profile(frag)
+	p := tab.Profile(frag)
 	if p.Unknown {
-		// An out-of-vocabulary label or triple: no indexed graph can contain
-		// the fragment, and the count check rejects every candidate in O(1).
-		return ArmGrafil, "oov-feature"
+		// A label or triple no live graph has: no candidate can contain the
+		// fragment, and the count check rejects every candidate in O(1).
+		return ArmGrafil, "oov-feature", p
 	}
 	if p.RepeatedFeatures() {
 		// Repeated labels/triples: count requirements prune where presence
 		// (which the index probe already established) cannot.
-		return ArmGrafil, "repeated-features"
+		return ArmGrafil, "repeated-features", p
 	}
-	if sel := tab.light.MinLabelSelectivity(frag); sel <= 0.5 {
+	if sel := tab.MinLabelSelectivity(frag); sel <= 0.5 {
 		// A rare label with no multiplicity: the presence mask plus the
 		// size/degree bounds are the cheapest per-candidate check.
-		return ArmSignature, fmt.Sprintf("rare-label(sel=%.2f)", sel)
+		return ArmSignature, fmt.Sprintf("rare-label(sel=%.2f)", sel), p
 	}
 	// Common labels, no multiplicity: neither filter separates candidates
 	// the probe has not already separated; skip per-candidate overhead.
-	return ArmProbe, "low-power"
+	return ArmProbe, "low-power", p
 }
 
 // prefilter screens cands for fragment frag with the chosen arm, returning a
@@ -273,40 +150,58 @@ func (e *Engine) chooseArm(frag *graph.Graph, ncand int) (FilterArm, string) {
 // either cands itself (probe arm) or freshly allocated — cached and memoized
 // inputs are never mutated.
 func (e *Engine) prefilter(ctx context.Context, frag *graph.Graph, cands []int) []int {
-	arm, reason := e.chooseArm(frag, len(cands))
-	d := FilterDecision{Arm: arm, Candidates: len(cands), Kept: len(cands),
-		FragEdges: frag.NumEdges(), Reason: reason}
-	if arm == ArmProbe {
-		e.finishChoice(ctx, d)
+	d := FilterDecision{Candidates: len(cands), Kept: len(cands), FragEdges: frag.NumEdges()}
+	var (
+		tab   *prefilter.Table
+		built bool
+		prof  prefilter.Profile
+	)
+	switch {
+	case e.chooserMode == FilterProbe:
+		d.Arm, d.Reason = ArmProbe, "forced"
+	case e.chooserMode == FilterAuto && len(cands) < minPrefilterCands:
+		d.Arm, d.Reason = ArmProbe, fmt.Sprintf("cands=%d<min=%d", len(cands), minPrefilterCands)
+	default:
+		tab, built = e.snap.FilterTable()
+		d.Arm, d.Reason, prof = e.chooseArm(tab, frag)
+	}
+	if d.Arm == ArmProbe {
+		e.finishChoice(ctx, d, built)
 		return cands
 	}
-	tab := e.ensureChooserTab()
 	kept := make([]int, 0, len(cands))
-	switch arm {
+	switch d.Arm {
 	case ArmSignature:
-		qs := graphSig(frag)
+		qs := prefilter.SigOf(frag)
 		for _, id := range cands {
-			if id >= 0 && id < len(tab.sigs) && qs.passes(tab.sigs[id]) {
+			if qs.Admits(tab.Row(id)) {
 				kept = append(kept, id)
 			}
 		}
 	case ArmGrafil:
-		p := tab.light.Profile(frag)
 		for _, id := range cands {
-			if tab.light.Pass(&p, id) {
+			if prof.Admits(tab.Row(id)) {
 				kept = append(kept, id)
 			}
 		}
 	}
 	d.Kept = len(kept)
-	e.finishChoice(ctx, d)
+	e.finishChoice(ctx, d, built)
 	return kept
 }
 
-func (e *Engine) finishChoice(ctx context.Context, d FilterDecision) {
+// finishChoice publishes a decision: the filter_choose span (with a
+// table_build count when this action paid for the pinned epoch's full table
+// build), the pruned counter, Explain, and the observer.
+func (e *Engine) finishChoice(ctx context.Context, d FilterDecision, built bool) {
 	e.lastChoice = d
 	if sp := trace.SpanFromContext(ctx); sp != nil {
-		sp.Record(trace.KindFilterChoose, 0, d.Arm.String(), int64(d.Kept))
+		c := sp.Child(trace.KindFilterChoose)
+		c.Add(d.Arm.String(), int64(d.Kept))
+		if built {
+			c.Add("table_build", 1)
+		}
+		c.End()
 		sp.Add("filter_pruned", int64(d.Candidates-d.Kept))
 	}
 	if e.filterObs != nil {
@@ -320,28 +215,27 @@ func (e *Engine) finishChoice(ctx context.Context, d FilterDecision) {
 // after levelPrefilter returns, so concurrent verify workers share it.
 type levelGate struct {
 	arm   FilterArm
-	tab   *sigTable
-	sigs  []sigEntry            // signature arm: per-fragment signatures
-	profs []grafil.LightProfile // grafil arm: per-fragment count requirements
+	tab   *prefilter.Table
+	sigs  []prefilter.Sig     // signature arm: per-fragment signatures
+	profs []prefilter.Profile // grafil arm: per-fragment count requirements
 }
 
-// pass reports whether candidate id survives the gate for fragment j.
-func (lg *levelGate) pass(j, id int) bool {
-	if lg == nil {
-		return true
-	}
+// pass reports whether a candidate, given by its table row, survives the
+// gate for fragment j.
+func (lg *levelGate) pass(j int, r *prefilter.Row) bool {
 	if lg.arm == ArmGrafil {
-		return lg.tab.light.Pass(&lg.profs[j], id)
+		return lg.profs[j].Admits(r)
 	}
-	return id >= 0 && id < len(lg.tab.sigs) && lg.sigs[j].passes(lg.tab.sigs[id])
+	return lg.sigs[j].Admits(r)
 }
 
 // passAny reports whether candidate id survives the gate for any of the n
 // fragments — the level's verification is containsAnyFragment, so a graph
 // failing every fragment gate cannot be confirmed at this level.
 func (lg *levelGate) passAny(n, id int) bool {
+	r := lg.tab.Row(id)
 	for j := 0; j < n; j++ {
-		if lg.pass(j, id) {
+		if lg.pass(j, r) {
 			return true
 		}
 	}
@@ -360,37 +254,36 @@ func (e *Engine) levelPrefilter(ctx context.Context, frags []*graph.Graph, pendi
 	if e.chooserMode == FilterAuto && len(pending) < minPrefilterCands {
 		return nil
 	}
-	tab := e.ensureChooserTab()
+	tab, built := e.snap.FilterTable()
 	lg := &levelGate{tab: tab}
 	var reason string
-	switch e.chooserMode {
-	case FilterGrafil:
-		lg.arm, reason = ArmGrafil, "forced"
-	case FilterSignature:
+	if e.chooserMode == FilterSignature {
 		lg.arm, reason = ArmSignature, "forced"
-	default:
-		// One pass over the level's fragments decides the arm for all of
-		// them: multiplicity or an out-of-vocabulary feature anywhere makes
-		// count filtering the strongest gate; otherwise the signature's
-		// bounds are the cheapest check that still adds to the probe.
-		lg.arm, reason = ArmSignature, "bounds"
-		for _, f := range frags {
-			p := tab.light.Profile(f)
-			if p.Unknown || p.RepeatedFeatures() {
-				lg.arm, reason = ArmGrafil, "repeated-features"
-				break
+	} else {
+		// Every fragment is profiled once. In auto mode, multiplicity or an
+		// out-of-vocabulary feature anywhere makes count filtering the
+		// strongest gate; otherwise the signature's bounds are the cheapest
+		// check that still adds to the probe.
+		lg.profs = make([]prefilter.Profile, len(frags))
+		for i, f := range frags {
+			lg.profs[i] = tab.Profile(f)
+		}
+		lg.arm, reason = ArmGrafil, "forced"
+		if e.chooserMode == FilterAuto {
+			lg.arm, reason = ArmSignature, "bounds"
+			for i := range lg.profs {
+				if p := &lg.profs[i]; p.Unknown || p.RepeatedFeatures() {
+					lg.arm, reason = ArmGrafil, "repeated-features"
+					break
+				}
 			}
 		}
 	}
-	if lg.arm == ArmGrafil {
-		lg.profs = make([]grafil.LightProfile, len(frags))
+	if lg.arm == ArmSignature {
+		lg.profs = nil
+		lg.sigs = make([]prefilter.Sig, len(frags))
 		for i, f := range frags {
-			lg.profs[i] = tab.light.Profile(f)
-		}
-	} else {
-		lg.sigs = make([]sigEntry, len(frags))
-		for i, f := range frags {
-			lg.sigs[i] = graphSig(f)
+			lg.sigs[i] = prefilter.SigOf(f)
 		}
 	}
 	kept := 0
@@ -402,6 +295,6 @@ func (e *Engine) levelPrefilter(ctx context.Context, frags []*graph.Graph, pendi
 	e.finishChoice(ctx, FilterDecision{
 		Arm: lg.arm, Candidates: len(pending), Kept: kept,
 		FragEdges: frags[0].NumEdges(), Reason: reason,
-	})
+	}, built)
 	return lg
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -9,6 +10,9 @@ import (
 	"prague/internal/graph"
 	"prague/internal/index"
 	"prague/internal/mining"
+	"prague/internal/rpcstore"
+	"prague/internal/store"
+	"prague/internal/trace"
 )
 
 // chooserFuzzFix lazily builds one shared database + index fixture for the
@@ -146,42 +150,258 @@ func FuzzFilterChooser(f *testing.F) {
 		}
 
 		// The shared answer must also be the oracle's.
-		if simMode {
-			for _, g := range fx.db {
-				d := graph.SubgraphDistance(qg, g)
-				if d <= 2 {
-					if gd, ok := probe[g.ID]; !ok || gd != d {
-						t.Fatalf("graph %d dist %d, engine says %v (ok=%v)", g.ID, d, gd, ok)
-					}
-				} else if _, ok := probe[g.ID]; ok {
-					t.Fatalf("graph %d beyond σ included", g.ID)
-				}
-			}
-			return
+		live := make([]int, len(fx.db))
+		for i := range live {
+			live[i] = i
 		}
+		checkOracle(t, probe, simMode, qg, live, func(id int) *graph.Graph { return fx.db[id] })
+	})
+}
+
+// checkOracle compares a Run's answers (graph id -> distance) with brute
+// force over the live graphs: the exact containment set when the engine
+// stayed in containment mode and some graph contains qg, and otherwise every
+// graph within σ = 2 at its subgraph distance.
+func checkOracle(t *testing.T, got map[int]int, simMode bool, qg *graph.Graph, live []int, graphOf func(int) *graph.Graph) {
+	t.Helper()
+	if !simMode {
 		exact := map[int]bool{}
-		for _, g := range fx.db {
-			if graph.SubgraphIsomorphic(qg, g) {
-				exact[g.ID] = true
+		for _, id := range live {
+			if graph.SubgraphIsomorphic(qg, graphOf(id)) {
+				exact[id] = true
 			}
 		}
 		if len(exact) > 0 {
-			if len(probe) != len(exact) {
-				t.Fatalf("%d exact results, oracle %d", len(probe), len(exact))
+			if len(got) != len(exact) {
+				t.Fatalf("%d exact results, oracle %d", len(got), len(exact))
 			}
-			for id := range probe {
+			for id := range got {
 				if !exact[id] {
 					t.Fatalf("false positive %d", id)
 				}
 			}
 			return
 		}
-		// Exact mode with no exact matches: Run falls back to similarity.
-		for _, g := range fx.db {
-			d := graph.SubgraphDistance(qg, g)
-			if d <= 2 && probe[g.ID] != d {
-				t.Fatalf("fallback missed graph %d at dist %d", g.ID, d)
+	}
+	for _, id := range live {
+		d := graph.SubgraphDistance(qg, graphOf(id))
+		if d <= 2 {
+			if gd, ok := got[id]; !ok || gd != d {
+				t.Fatalf("graph %d dist %d, engine says %v (ok=%v)", id, d, gd, ok)
+			}
+		} else if _, ok := got[id]; ok {
+			t.Fatalf("graph %d beyond σ included", id)
+		}
+	}
+}
+
+// chooserTopology opens the chooser fixture as one of the layouts the
+// epoch-advance tests run on: monolithic, four in-process shards, or four
+// shards split over two loopback shard servers.
+func chooserTopology(t *testing.T, name string, fx *fixture) store.Store {
+	t.Helper()
+	switch name {
+	case "mem":
+		st, err := store.NewMem(fx.db, fx.idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	case "sharded4":
+		st, err := store.NewSharded(fx.db, fx.idx, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	var addrs []string
+	for _, shards := range [][]int{{0, 1}, {2, 3}} {
+		st, err := store.NewSharded(fx.db, fx.idx, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := rpcstore.NewServer(st, rpcstore.WithServeShards(shards...))
+		if err := srv.Listen("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		addrs = append(addrs, srv.Addr().String())
+	}
+	rs, err := rpcstore.Dial(context.Background(), addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rs.Close() })
+	return rs
+}
+
+var chooserTopologies = []string{"mem", "sharded4", "remote2"}
+
+// mercuryGraph is a data graph with a label no fixture graph has (Hg) on
+// carbon, so the query C-Hg goes from no match to one.
+func mercuryGraph() *graph.Graph {
+	g := graph.New(-1)
+	for _, l := range []string{"C", "C", "Hg", "N", "O"} {
+		g.AddNode(l)
+	}
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {1, 4}} {
+		g.MustAddEdge(e[0], e[1])
+	}
+	return g
+}
+
+// chooserQuery is a canvas script: node labels, then edges in drawing order.
+type chooserQuery struct {
+	labels []string
+	edges  [][2]int
+}
+
+// formulate draws q on e, leaving any Modify/SimQuery choice open: Run then
+// decides at its own epoch.
+func (q chooserQuery) formulate(t *testing.T, e *Engine) {
+	t.Helper()
+	nodes := make([]int, len(q.labels))
+	for i, l := range q.labels {
+		nodes[i] = e.AddNode(l)
+	}
+	for _, ed := range q.edges {
+		if _, err := e.AddEdge(nodes[ed[0]], nodes[ed[1]]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestChooserParityAcrossEpochAdvance: sessions formulate a query, the store
+// then inserts a graph carrying a label no graph had (Hg) and deletes
+// another, and the sessions Run. Every arm must answer like the brute-force
+// oracle at the pinned epoch, and explain its last decision exactly like a
+// fresh engine over a fresh store that never saw the old epoch — the table
+// the mutation derived must decide like one built from scratch.
+func TestChooserParityAcrossEpochAdvance(t *testing.T) {
+	fx := chooserFixture(t)
+	// Hg on carbon (a rare label after the insert), Hg between two carbons
+	// (repeated C, no exact match), P (no graph has it), a heteroatom comb,
+	// and two ordinary shapes.
+	queries := []chooserQuery{
+		{[]string{"C", "Hg"}, [][2]int{{0, 1}}},
+		{[]string{"C", "Hg", "C"}, [][2]int{{0, 1}, {1, 2}}},
+		{[]string{"C", "P"}, [][2]int{{0, 1}}},
+		{[]string{"C", "C", "C", "N", "N", "N"}, [][2]int{{0, 1}, {1, 2}, {0, 3}, {1, 4}, {2, 5}}},
+		{[]string{"C", "C", "O", "Hg"}, [][2]int{{0, 1}, {1, 2}, {1, 3}}},
+		{[]string{"S", "C", "N"}, [][2]int{{0, 1}, {1, 2}}},
+	}
+	modes := []FilterMode{FilterProbe, FilterGrafil, FilterSignature, FilterAuto}
+	const victim = 3
+	advance := func(st store.Store) {
+		t.Helper()
+		if _, err := st.InsertGraph(mercuryGraph()); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.DeleteGraph(victim); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, topo := range chooserTopologies {
+		for qi, q := range queries {
+			st := chooserTopology(t, topo, fx)
+			engines := make([]*Engine, len(modes))
+			for i, m := range modes {
+				e, err := NewWithStore(st, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.SetFilterChooser(m)
+				q.formulate(t, e)
+				engines[i] = e
+			}
+			st.FilterTable() // the old epoch's table exists, so the next is derived
+			advance(st)
+			if _, built := st.FilterTable(); built {
+				t.Fatalf("%s: the epoch advance left the new snapshot without a table", topo)
+			}
+			fresh, err := store.NewMem(fx.db, fx.idx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			advance(fresh)
+			for i, m := range modes {
+				e := engines[i]
+				results, err := e.Run()
+				if err != nil {
+					t.Fatalf("%s q%d %v: run: %v", topo, qi, m, err)
+				}
+				if e.Snapshot().Epoch() != st.Epoch() {
+					t.Fatalf("%s q%d %v: ran at epoch %d, store at %d", topo, qi, m, e.Snapshot().Epoch(), st.Epoch())
+				}
+				got := map[int]int{}
+				for _, r := range results {
+					got[r.GraphID] = r.Distance
+				}
+				qg, _ := e.Query().Graph()
+				snap := e.Snapshot()
+				checkOracle(t, got, e.SimilarityMode(), qg, snap.LiveIDs(), snap.Graph)
+
+				ref, err := NewWithStore(fresh, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref.SetFilterChooser(m)
+				q.formulate(t, ref)
+				if _, err := ref.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if g, w := e.FilterExplain(), ref.FilterExplain(); g != w {
+					t.Errorf("%s q%d %v: %q, fresh store %q", topo, qi, m, g, w)
+				}
 			}
 		}
-	})
+	}
+}
+
+// TestNoTableRebuildAfterMutations: the Run that first needs the filter
+// table records one table_build on its filter_choose span. After ten
+// insert+delete pairs the next Run records none, because every mutation
+// derived its snapshot's table from its parent's.
+func TestNoTableRebuildAfterMutations(t *testing.T) {
+	fx := chooserFixture(t)
+	tr := trace.New(trace.Options{Enabled: true})
+	builds := func(e *Engine) (n, decisions int64) {
+		t.Helper()
+		ctx, root := tr.StartRoot(context.Background(), trace.KindRun)
+		_, err := e.RunCtx(ctx)
+		root.End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		root.Data().Walk(func(s *trace.SpanData) {
+			if s.Kind == trace.KindFilterChoose.String() {
+				n += s.Counts["table_build"]
+				decisions++
+			}
+		})
+		return n, decisions
+	}
+	for _, topo := range []string{"mem", "remote2"} {
+		st := chooserTopology(t, topo, fx)
+		e, err := NewWithStore(st, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SetFilterChooser(FilterGrafil)
+		chooserQuery{[]string{"C", "Hg"}, [][2]int{{0, 1}}}.formulate(t, e)
+		if n, d := builds(e); n != 1 || d == 0 {
+			t.Fatalf("%s: first Run recorded %d table builds in %d decisions, want 1", topo, n, d)
+		}
+		for k := 0; k < 10; k++ {
+			if _, err := st.InsertGraph(mercuryGraph()); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.DeleteGraph(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n, d := builds(e); n != 0 || d == 0 {
+			t.Fatalf("%s: Run after 10 insert+delete pairs recorded %d table builds in %d decisions, want 0", topo, n, d)
+		}
+	}
 }

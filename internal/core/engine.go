@@ -121,11 +121,9 @@ type Engine struct {
 	probeScratch []store.ProbeScratch
 
 	// chooser state (chooser.go): the adaptive verify-prefilter.
-	chooserMode  FilterMode
-	chooserTab   *sigTable      // per-epoch per-graph signatures, lazily built
-	chooserEpoch uint64         // epoch chooserTab was built against
-	lastChoice   FilterDecision // most recent chooser decision, for Explain
-	filterObs    func(FilterDecision)
+	chooserMode FilterMode
+	lastChoice  FilterDecision // most recent chooser decision, for Explain
+	filterObs   func(FilterDecision)
 }
 
 // levelSets maps SPIG level -> sorted candidate id set.

@@ -151,8 +151,9 @@ func (e *Engine) containsAnyFragmentGated(frags []*graph.Graph, gate *levelGate,
 	if gate == nil {
 		return containsAnyFragment(frags, g)
 	}
+	r := gate.tab.Row(id)
 	for j, f := range frags {
-		if gate.pass(j, id) && graph.SubgraphIsomorphic(f, g) {
+		if gate.pass(j, r) && graph.SubgraphIsomorphic(f, g) {
 			return true
 		}
 	}

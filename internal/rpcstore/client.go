@@ -15,6 +15,7 @@ import (
 	"prague/internal/graph"
 	"prague/internal/index"
 	"prague/internal/metrics"
+	"prague/internal/prefilter"
 	"prague/internal/store"
 	"prague/internal/trace"
 )
@@ -236,7 +237,7 @@ func Dial(ctx context.Context, endpoints []string, opts ...DialOption) (*RemoteS
 		rs.Close()
 		return nil, fmt.Errorf("rpcstore: dial: prefetch graphs: %w", err)
 	}
-	rs.publishMirror(h0.Epoch, h0.Tag, h0.NumGraphs, live)
+	rs.publishMirror(h0.Epoch, h0.Tag, h0.NumGraphs, live, nil)
 	rs.updateHealthGauges()
 	if reg := rs.reg.Load(); reg != nil {
 		reg.Counter(metrics.CounterShardEndpointsAll).Set(int64(len(endpoints)))
@@ -244,8 +245,10 @@ func Dial(ctx context.Context, endpoints []string, opts ...DialOption) (*RemoteS
 	return rs, nil
 }
 
-// publishMirror installs a new epoch view (Dial, and each mutation).
-func (rs *RemoteStore) publishMirror(epoch uint64, tag string, numGraphs int, live []int) {
+// publishMirror installs a new epoch view (Dial, and each mutation). tab is
+// the view's filter table when the mutation derived it from its parent's;
+// nil leaves it to be built by the view's first reader.
+func (rs *RemoteStore) publishMirror(epoch uint64, tag string, numGraphs int, live []int, tab *prefilter.Table) {
 	sn := &remoteSnap{
 		rs:        rs,
 		epoch:     epoch,
@@ -257,6 +260,9 @@ func (rs *RemoteStore) publishMirror(epoch uint64, tag string, numGraphs int, li
 	for _, id := range live {
 		si := store.AssignShard(id, rs.numShards)
 		sn.shardIDs[si] = append(sn.shardIDs[si], id)
+	}
+	if tab != nil {
+		sn.filter.Set(tab)
 	}
 	rs.mirror.Store(&remoteMirror{snap: sn})
 }
@@ -338,6 +344,8 @@ func (rs *RemoteStore) Shard(i int) store.Shard              { return rs.Pin().S
 func (rs *RemoteStore) ShardOf(graphID int) int              { return store.AssignShard(graphID, rs.numShards) }
 func (rs *RemoteStore) CacheTag() string                     { return rs.Pin().CacheTag() }
 
+func (rs *RemoteStore) FilterTable() (*prefilter.Table, bool) { return rs.Pin().FilterTable() }
+
 // Save is unsupported: replicas persist their own layouts server-side.
 func (rs *RemoteStore) Save(dir string) error {
 	return fmt.Errorf("rpcstore: save to %s: %w", dir, ErrRemoteSave)
@@ -379,7 +387,11 @@ func (rs *RemoteStore) InsertGraph(g *graph.Graph) (int, error) {
 	live := make([]int, 0, len(sn.live)+1)
 	live = append(live, sn.live...)
 	live = append(live, wantID) // ids strictly increase: append keeps order
-	rs.publishMirror(sn.epoch+1, tag, sn.numGraphs+1, live)
+	var tab *prefilter.Table
+	if t := sn.filter.Peek(); t != nil {
+		tab = t.Insert(wantID, g)
+	}
+	rs.publishMirror(sn.epoch+1, tag, sn.numGraphs+1, live, tab)
 	return wantID, nil
 }
 
@@ -405,7 +417,11 @@ func (rs *RemoteStore) DeleteGraph(id int) error {
 	live := make([]int, 0, len(sn.live)-1)
 	live = append(live, sn.live[:i]...)
 	live = append(live, sn.live[i+1:]...)
-	rs.publishMirror(sn.epoch+1, tag, sn.numGraphs, live)
+	var tab *prefilter.Table
+	if t := sn.filter.Peek(); t != nil {
+		tab = t.Delete(id)
+	}
+	rs.publishMirror(sn.epoch+1, tag, sn.numGraphs, live, tab)
 	return nil
 }
 
@@ -736,6 +752,7 @@ type remoteSnap struct {
 	shardIDs  [][]int // live ids split by shard assignment
 
 	lookupMemo sync.Map // canonical code -> [2]int{kind, entry id}
+	filter     prefilter.Slot
 }
 
 func (sn *remoteSnap) Epoch() uint64    { return sn.epoch }
@@ -743,6 +760,12 @@ func (sn *remoteSnap) NumGraphs() int   { return sn.numGraphs }
 func (sn *remoteSnap) LiveIDs() []int   { return sn.live }
 func (sn *remoteSnap) NumShards() int   { return sn.rs.numShards }
 func (sn *remoteSnap) CacheTag() string { return sn.tag }
+
+// FilterTable is built from the client-side graph cache, which Dial filled
+// with every live graph: no RPC.
+func (sn *remoteSnap) FilterTable() (*prefilter.Table, bool) {
+	return sn.filter.Get(sn.live, sn.Graph)
+}
 
 func (sn *remoteSnap) ShardOf(graphID int) int {
 	return store.AssignShard(graphID, sn.rs.numShards)

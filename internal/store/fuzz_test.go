@@ -59,14 +59,21 @@ func FuzzShardMerge(f *testing.F) {
 // FuzzIncrementalIndex drives a random insert/delete edit script against a
 // sharded store and asserts the tentpole equivalence: after every script the
 // surgically maintained per-shard A²F delta lists and A²I id-lists are
-// byte-identical to a from-scratch rebuild over the frozen vocabulary, and
-// the negative-border masks match the rebuilt supports. Each input byte is
-// one edit: low bit picks insert vs delete, the rest select the inserted
-// graph shape or the delete victim.
+// byte-identical to a from-scratch rebuild over the frozen vocabulary, the
+// negative-border masks match the rebuilt supports, and the filter table —
+// built before the script, then derived per mutation — matches a fresh
+// build. Each input byte is one edit: low bit picks insert vs delete; for an
+// insert, bit 1 picks a graph with an out-of-vocabulary label and triple and
+// the rest its shape; for a delete, the rest select the victim.
 func FuzzIncrementalIndex(f *testing.F) {
 	f.Add([]byte{}, uint8(1))
 	f.Add([]byte{0, 2, 4, 1, 3}, uint8(3))
 	f.Add([]byte{255, 254, 253, 0, 1, 2, 7, 8, 9, 16}, uint8(4))
+	// An out-of-vocabulary insert deleted again: 18 graphs, the insert takes
+	// id 18, and 37>>1 = 18 picks it.
+	f.Add([]byte{2, 37}, uint8(1))
+	// Two of them (ids 18, 19) deleted newest first.
+	f.Add([]byte{6, 2, 39, 37}, uint8(4))
 
 	f.Fuzz(func(t *testing.T, script []byte, nshards uint8) {
 		if len(script) > 24 {
@@ -78,9 +85,14 @@ func FuzzIncrementalIndex(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		st.FilterTable()
 		for step, b := range script {
 			if b&1 == 0 {
-				if _, err := st.InsertGraph(extraGraph(int64(b)>>1 + int64(step)<<8)); err != nil {
+				g := extraGraph
+				if b&2 != 0 {
+					g = oovGraph
+				}
+				if _, err := st.InsertGraph(g(int64(b)>>2 + int64(step)<<8)); err != nil {
 					t.Fatal(err)
 				}
 			} else {

@@ -10,6 +10,7 @@ import (
 
 	"prague/internal/graph"
 	"prague/internal/intset"
+	"prague/internal/prefilter"
 )
 
 // extraGraph derives a fresh connected insertable graph from a seed (ids are
@@ -28,14 +29,82 @@ func extraGraph(seed int64) *graph.Graph {
 	return g
 }
 
+// oovGraph is extraGraph plus a C-Hg triple bond: a label and an edge
+// triple no graph of testDB has.
+func oovGraph(seed int64) *graph.Graph {
+	g := extraGraph(seed)
+	c := g.AddNode("C")
+	g.MustAddEdge(0, c)
+	hg := g.AddNode("Hg")
+	if err := g.AddLabeledEdge(c, hg, "3"); err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// filterProbes are the query fragments the filter-table parity check asks
+// the chooser's questions about: common, repeated, rare and unseen features.
+func filterProbes() []*graph.Graph {
+	path := func(labels ...string) *graph.Graph {
+		g := graph.New(-1)
+		for i, l := range labels {
+			g.AddNode(l)
+			if i > 0 {
+				g.MustAddEdge(i-1, i)
+			}
+		}
+		return g
+	}
+	bond := graph.New(-1)
+	bond.AddNode("C")
+	bond.AddNode("Hg")
+	if err := bond.AddLabeledEdge(0, 1, "3"); err != nil {
+		panic(err)
+	}
+	return []*graph.Graph{
+		path("C", "C"), path("C", "N", "C"), path("O", "C", "O"), path("S", "C"),
+		path("Hg"), path("C", "Hg"), path("Hg", "C", "Hg"), bond,
+	}
+}
+
+// checkFilterTable compares the snapshot's filter table — built or derived
+// per mutation — with a from-scratch prefilter.Build over the same live
+// graphs: rows, signatures and live-document counts by feature, then every
+// chooser question on filterProbes for every live id.
+func checkFilterTable(t *testing.T, s *snap) {
+	t.Helper()
+	got, _ := s.FilterTable()
+	want := prefilter.Build(s.live, s.Graph)
+	if err := got.Diff(want); err != nil {
+		t.Fatalf("epoch %d: maintained filter table diverges from rebuild: %v", s.epoch, err)
+	}
+	for fi, f := range filterProbes() {
+		gp, wp := got.Profile(f), want.Profile(f)
+		if gp.Unknown != wp.Unknown || gp.RepeatedFeatures() != wp.RepeatedFeatures() ||
+			got.MinLabelSelectivity(f) != want.MinLabelSelectivity(f) {
+			t.Fatalf("epoch %d, probe %d: profile (unknown %v, repeated %v, sel %v), rebuild (%v, %v, %v)",
+				s.epoch, fi, gp.Unknown, gp.RepeatedFeatures(), got.MinLabelSelectivity(f),
+				wp.Unknown, wp.RepeatedFeatures(), want.MinLabelSelectivity(f))
+		}
+		qs := prefilter.SigOf(f)
+		for _, id := range s.live {
+			gr, wr := got.Row(id), want.Row(id)
+			if gp.Admits(gr) != wp.Admits(wr) || qs.Admits(gr) != qs.Admits(wr) {
+				t.Fatalf("epoch %d, probe %d, graph %d: a check disagrees with rebuild", s.epoch, fi, id)
+			}
+		}
+	}
+}
+
 // checkIncrementalAgainstRebuild pins the tentpole acceptance criterion:
 // after any edit script, every shard's surgically maintained A²F/A²I lists
 // are byte-identical to a from-scratch rebuild over the shard's live graphs,
-// and the negative-border masks equal the masks derived from those rebuilt
-// supports.
+// the negative-border masks equal the masks derived from those rebuilt
+// supports, and the filter table agrees with a from-scratch build.
 func checkIncrementalAgainstRebuild(t *testing.T, st Store) {
 	t.Helper()
 	s := st.Pin().(*snap)
+	checkFilterTable(t, s)
 	rebuiltSupF := make([]int, len(s.supF))
 	rebuiltSupI := make([]int, len(s.supI))
 	for _, sh := range s.shards {
@@ -183,9 +252,9 @@ func TestMutationValidation(t *testing.T) {
 	}
 }
 
-// TestCacheTagLineage pins the CacheTag contract that every tag-keyed
-// process-global cache (candcache, the chooser's signature tables) depends
-// on: a tag identifies the computation completely, so it must capture the
+// TestCacheTagLineage pins the CacheTag contract that the tag-keyed shared
+// candidate cache (candcache) depends on: a tag identifies the computation
+// completely, so it must capture the
 // mutation *history*, not just a content fingerprint frozen at construction
 // plus an epoch counter. Two stores with identical initial content applying
 // different mutation sequences land on the same epoch with different
@@ -436,6 +505,91 @@ func TestMutationStressUnderRace(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
+	}
+	checkIncrementalAgainstRebuild(t, st)
+}
+
+// TestFilterTableBuiltOnce: readers racing on one fresh snapshot's
+// FilterTable while a mutator publishes successors see exactly one build and
+// one table; the successors' tables match a rebuild.
+func TestFilterTableBuiltOnce(t *testing.T) {
+	db := testDB(t, 27, 20)
+	st, err := NewSharded(db, buildIndex(t, db, 0.25, 2), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := st.Pin()
+	const readers = 8
+	tabs := make([]*prefilter.Table, readers)
+	builds := make([]bool, readers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			tabs[i], builds[i] = s.FilterTable()
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		for k := 0; k < 10; k++ {
+			id, err := st.InsertGraph(oovGraph(int64(k)))
+			if err == nil {
+				err = st.DeleteGraph(id - 1)
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	close(start)
+	wg.Wait()
+	n := 0
+	for i := range tabs {
+		if builds[i] {
+			n++
+		}
+		if tabs[i] == nil || tabs[i] != tabs[0] {
+			t.Fatalf("reader %d saw table %p, reader 0 %p", i, tabs[i], tabs[0])
+		}
+	}
+	if n != 1 {
+		t.Fatalf("%d builds of one snapshot's table, want 1", n)
+	}
+	if tab, built := s.FilterTable(); built || tab != tabs[0] {
+		t.Fatal("a later call rebuilt the table")
+	}
+	checkIncrementalAgainstRebuild(t, st)
+}
+
+// TestFilterTableLazy: no table exists until someone asks — a mutation on a
+// store nobody asked leaves its successor lazy too — and once one exists, the
+// next mutation publishes its successor with a derived table.
+func TestFilterTableLazy(t *testing.T) {
+	db := testDB(t, 28, 20)
+	st, err := NewMem(db, buildIndex(t, db, 0.25, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.InsertGraph(oovGraph(1)); err != nil {
+		t.Fatal(err)
+	}
+	if st.Pin().(*snap).filter.Peek() != nil {
+		t.Fatal("a mutation built a table nobody asked for")
+	}
+	if _, built := st.FilterTable(); !built {
+		t.Fatal("the first FilterTable call did not build")
+	}
+	if err := st.DeleteGraph(20); err != nil {
+		t.Fatal(err)
+	}
+	if st.Pin().(*snap).filter.Peek() == nil {
+		t.Fatal("the delete published its snapshot without a derived table")
 	}
 	checkIncrementalAgainstRebuild(t, st)
 }

@@ -11,6 +11,7 @@ import (
 	"prague/internal/graph"
 	"prague/internal/index"
 	"prague/internal/intset"
+	"prague/internal/prefilter"
 )
 
 // Epoch-based copy-on-write state shared by both store layouts.
@@ -36,6 +37,12 @@ import (
 // stays exact regardless of classification. Because the masks are a pure
 // function of the supports, incremental and from-scratch states agree on
 // them whenever they agree on the lists (FuzzIncrementalIndex pins both).
+//
+// Derived per-epoch state follows the same discipline. The verify
+// prefilter's table (FilterTable) is built by the first reader of a snap;
+// from then on each mutation derives its successor's table from its parent's
+// (one row inserted or dropped) before publishing, instead of every epoch's
+// first reader rebuilding it over the whole database.
 type snap struct {
 	epoch  uint64
 	kind   string         // layout token: "m" or "s<N>"
@@ -49,6 +56,7 @@ type snap struct {
 	supI   []int // global support per a2i entry
 	maskF  []bool
 	maskI  []bool
+	filter prefilter.Slot
 }
 
 type shardSnap struct {
@@ -70,6 +78,8 @@ func (s *snap) NumShards() int            { return len(s.shards) }
 func (s *snap) Shard(i int) Shard         { return s.shards[i] }
 func (s *snap) ShardOf(graphID int) int   { return shardOf(graphID, len(s.shards)) }
 func (s *snap) CacheTag() string          { return s.tag }
+
+func (s *snap) FilterTable() (*prefilter.Table, bool) { return s.filter.Get(s.live, s.Graph) }
 
 // Lookup classifies a canonical code against the vocabulary (every shard
 // carries all of it; shard 0 answers), demoting masked entries to KindNone.
@@ -106,6 +116,8 @@ func (b *base) NumShards() int                       { return b.cur.Load().NumSh
 func (b *base) Shard(i int) Shard                    { return b.cur.Load().Shard(i) }
 func (b *base) ShardOf(graphID int) int              { return b.cur.Load().ShardOf(graphID) }
 func (b *base) CacheTag() string                     { return b.cur.Load().CacheTag() }
+
+func (b *base) FilterTable() (*prefilter.Table, bool) { return b.cur.Load().FilterTable() }
 
 // Pin returns the current snapshot for a single-epoch evaluation.
 func (b *base) Pin() Snapshot { return b.cur.Load() }
@@ -228,6 +240,9 @@ func (b *base) InsertGraph(g *graph.Graph) (int, error) {
 		ns.supI[i]++
 	}
 	ns.recomputeMasks()
+	if t := cur.filter.Peek(); t != nil {
+		ns.filter.Set(t.Insert(id, g))
+	}
 	b.cur.Store(ns)
 	return id, nil
 }
@@ -267,6 +282,9 @@ func (b *base) DeleteGraph(id int) error {
 		ns.supI[i]--
 	}
 	ns.recomputeMasks()
+	if t := cur.filter.Peek(); t != nil {
+		ns.filter.Set(t.Delete(id))
+	}
 	b.cur.Store(ns)
 	return nil
 }
@@ -325,8 +343,8 @@ func makeTag(kind, fp string, epoch uint64) string {
 // stores built from identical content that apply different mutation
 // sequences reach the same epoch number with different databases, and an
 // epoch-only tag would let their cache entries alias (a process-wide cache,
-// like the verify-prefilter's signature tables, would then serve one
-// store's features for the other's graphs). Chaining the previous
+// like the shared candidate cache, would then serve one store's candidates
+// for the other's graphs). Chaining the previous
 // fingerprint makes the tag a hash of the whole history; hashing the
 // inserted graph's labeled structure (not just its shape) separates
 // same-slot inserts of different graphs. Replicas applying the same

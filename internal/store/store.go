@@ -27,6 +27,7 @@ import (
 	"prague/internal/graph"
 	"prague/internal/index"
 	"prague/internal/intset"
+	"prague/internal/prefilter"
 )
 
 // Sentinel errors shared by the store constructors and mutators (and
@@ -89,6 +90,12 @@ type Snapshot interface {
 	// against different layouts, different databases, or different epochs
 	// of the same store must never collide in a shared candidate cache.
 	CacheTag() string
+	// FilterTable returns the verify prefilter's per-graph table for this
+	// epoch: the signature and Grafil-light counts of every live graph. The
+	// first call builds it, once per snapshot, unless the mutation that
+	// published the snapshot derived it from its parent's table; built
+	// reports whether this call paid for the full build.
+	FilterTable() (tab *prefilter.Table, built bool)
 }
 
 // Store is the engine's handle on one database + index layout. Reads served
