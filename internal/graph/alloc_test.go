@@ -37,31 +37,41 @@ func allocFixture() (q, g *Graph) {
 
 // The VF2 verify path runs once per candidate graph per action — it is the
 // hot path the pool exists for. Budgets are pinned at zero: any allocation
-// here is a regression multiplied by every candidate of every query.
+// here is a regression multiplied by every candidate of every query. The
+// queries cover both visit-order paths: label counting (two labels, and a
+// label g lacks) and the single-label path that skips it.
 func TestVF2AllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation budgets are not meaningful under -race")
 	}
-	q, g := allocFixture()
-	// Warm the pool on this goroutine.
-	for i := 0; i < 10; i++ {
-		SubgraphIsomorphic(q, g)
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		SubgraphIsomorphic(q, g)
-	}); n != 0 {
-		t.Errorf("SubgraphIsomorphic allocates %.1f/op in steady state, budget 0", n)
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		CountEmbeddings(q, g, 0)
-	}); n != 0 {
-		t.Errorf("CountEmbeddings allocates %.1f/op in steady state, budget 0", n)
-	}
+	twoLabels, g := allocFixture()
+	oneLabel := path("C", "C", "C")
+	absent := path("C", "P")
 	fn := func([]int) bool { return false }
-	if n := testing.AllocsPerRun(200, func() {
-		ForEachEmbedding(q, g, fn)
-	}); n != 0 {
-		t.Errorf("ForEachEmbedding allocates %.1f/op in steady state, budget 0", n)
+	for _, tc := range []struct {
+		name string
+		q    *Graph
+	}{{"two labels", twoLabels}, {"single label", oneLabel}, {"label absent from g", absent}} {
+		q := tc.q
+		// Warm the pool on this goroutine.
+		for i := 0; i < 10; i++ {
+			SubgraphIsomorphic(q, g)
+		}
+		if n := testing.AllocsPerRun(200, func() {
+			SubgraphIsomorphic(q, g)
+		}); n != 0 {
+			t.Errorf("%s: SubgraphIsomorphic allocates %.1f/op in steady state, budget 0", tc.name, n)
+		}
+		if n := testing.AllocsPerRun(200, func() {
+			CountEmbeddings(q, g, 0)
+		}); n != 0 {
+			t.Errorf("%s: CountEmbeddings allocates %.1f/op in steady state, budget 0", tc.name, n)
+		}
+		if n := testing.AllocsPerRun(200, func() {
+			ForEachEmbedding(q, g, fn)
+		}); n != 0 {
+			t.Errorf("%s: ForEachEmbedding allocates %.1f/op in steady state, budget 0", tc.name, n)
+		}
 	}
 }
 

@@ -162,7 +162,12 @@ func MinDFSCode(g *Graph) []CodeEdge {
 	for i, e := range g.edges {
 		edgeIdx[e] = i
 	}
-	labelOf := func(u, v int) string { return g.edgeLabels[edgeIdx[normEdge(u, v)]] }
+	labelOf := func(u, v int) string {
+		if !g.edgeLabeled() { // no edge index lookup on unlabeled graphs
+			return ""
+		}
+		return g.EdgeLabelAt(edgeIdx[normEdge(u, v)])
+	}
 
 	// Seed: minimal first tuple (0, 1, la, le, lb) over all edges (both
 	// orientations).
@@ -170,7 +175,7 @@ func MinDFSCode(g *Graph) []CodeEdge {
 	haveFirst := false
 	for i, e := range g.edges {
 		for _, o := range [2][2]int{{e.U, e.V}, {e.V, e.U}} {
-			t := CodeEdge{I: 0, J: 1, LI: g.labels[o[0]], LE: g.edgeLabels[i], LJ: g.labels[o[1]]}
+			t := CodeEdge{I: 0, J: 1, LI: g.labels[o[0]], LE: g.EdgeLabelAt(i), LJ: g.labels[o[1]]}
 			if !haveFirst || LessExt(t, first) {
 				first, haveFirst = t, true
 			}
@@ -180,7 +185,7 @@ func MinDFSCode(g *Graph) []CodeEdge {
 	cur.reset(2, g.NumNodes(), len(g.edges))
 	for i, e := range g.edges {
 		for _, o := range [2][2]int{{e.U, e.V}, {e.V, e.U}} {
-			if g.labels[o[0]] != first.LI || g.labels[o[1]] != first.LJ || g.edgeLabels[i] != first.LE {
+			if g.labels[o[0]] != first.LI || g.labels[o[1]] != first.LJ || g.EdgeLabelAt(i) != first.LE {
 				continue
 			}
 			row := cur.addRow()

@@ -6,12 +6,13 @@ import (
 )
 
 // decodeFuzzGraph turns an arbitrary byte stream into a small connected
-// labeled graph: the first byte sizes the node set (2..7), each node takes a
-// label byte, nodes after the first attach to an earlier node (spanning
-// tree, so the graph is always connected with ≥ 1 edge — MinDFSCode's
-// domain), and remaining byte pairs propose extra edges. Returns nil when
-// the stream is too short to build anything.
-func decodeFuzzGraph(data []byte) *Graph {
+// labeled graph: the first byte sizes the node set (2..maxNodes), each node
+// takes a label byte indexing labels, nodes after the first attach to an
+// earlier node (spanning tree, so the graph is always connected with ≥ 1
+// edge — MinDFSCode's domain), and remaining byte triples propose extra
+// edges; every edge takes a bond byte indexing bonds. Returns nil when the
+// stream is too short to build anything.
+func decodeFuzzGraph(data []byte, maxNodes int, labels, bonds []string) *Graph {
 	r := bytes.NewReader(data)
 	next := func() (byte, bool) {
 		b, err := r.ReadByte()
@@ -21,9 +22,7 @@ func decodeFuzzGraph(data []byte) *Graph {
 	if !ok {
 		return nil
 	}
-	n := 2 + int(sz)%6
-	labels := []string{"C", "N", "O", "S", "P"}
-	bonds := []string{"", "1", "2"}
+	n := 2 + int(sz)%(maxNodes-1)
 	g := New(0)
 	for v := 0; v < n; v++ {
 		lb, _ := next()
@@ -84,7 +83,7 @@ func FuzzCanonicalCode(f *testing.F) {
 	f.Add([]byte{6, 0, 1, 2, 3, 4, 0, 0, 1, 1, 0, 2, 2, 0, 1, 3, 0, 2, 4, 1, 3, 5, 2}, []byte{0, 5, 1, 4, 2})
 
 	f.Fuzz(func(t *testing.T, graphBytes, permBytes []byte) {
-		g := decodeFuzzGraph(graphBytes)
+		g := decodeFuzzGraph(graphBytes, 7, []string{"C", "N", "O", "S", "P"}, []string{"", "1", "2"})
 		if g == nil {
 			t.Skip("undecodable byte stream")
 		}

@@ -24,10 +24,13 @@ type Graph struct {
 	// ID is the database identifier of a data graph (unused for queries).
 	ID int
 
-	labels     []string
-	adj        [][]int
-	edges      []Edge
-	edgeLabels []string // aligned with edges; "" = unlabeled
+	labels []string
+	adj    [][]int
+	edges  []Edge
+	// edgeLabels is aligned with edges ("" = unlabeled) once any edge
+	// carries a label, and nil while none does: an unlabeled graph stores
+	// no labels and answers every label query without a scan.
+	edgeLabels []string
 }
 
 // Edge is an undirected edge between node indices U and V, normalized so that
@@ -77,7 +80,13 @@ func (g *Graph) AddLabeledEdge(u, v int, label string) error {
 	g.adj[u] = append(g.adj[u], v)
 	g.adj[v] = append(g.adj[v], u)
 	g.edges = append(g.edges, normEdge(u, v))
-	g.edgeLabels = append(g.edgeLabels, label)
+	if label != "" && g.edgeLabels == nil {
+		// First labeled edge: the edges before it read "".
+		g.edgeLabels = make([]string, len(g.edges)-1, len(g.edges))
+	}
+	if g.edgeLabels != nil {
+		g.edgeLabels = append(g.edgeLabels, label)
+	}
 	return nil
 }
 
@@ -91,18 +100,18 @@ func (g *Graph) MustAddEdge(u, v int) {
 
 // EdgeLabel returns the label of the undirected edge {u, v} ("" for
 // unlabeled or absent edges).
-func (g *Graph) EdgeLabel(u, v int) string {
-	e := normEdge(u, v)
-	for i, f := range g.edges {
-		if f == e {
-			return g.edgeLabels[i]
-		}
-	}
-	return ""
-}
+func (g *Graph) EdgeLabel(u, v int) string { return g.edgeLabelOf(normEdge(u, v)) }
 
 // EdgeLabelAt returns the label of the i-th edge in Edges order.
-func (g *Graph) EdgeLabelAt(i int) string { return g.edgeLabels[i] }
+func (g *Graph) EdgeLabelAt(i int) string {
+	if g.edgeLabels == nil {
+		return ""
+	}
+	return g.edgeLabels[i]
+}
+
+// edgeLabeled reports whether any edge of g carries a label.
+func (g *Graph) edgeLabeled() bool { return g.edgeLabels != nil }
 
 // NumNodes returns the number of nodes.
 func (g *Graph) NumNodes() int { return len(g.labels) }
@@ -209,8 +218,11 @@ func (g *Graph) DeleteEdge(u, v int) (*Graph, error) {
 	return sub, nil
 }
 
-// edgeLabelOf returns the label of a known-present edge.
+// edgeLabelOf returns the label of a normalized edge ("" if absent).
 func (g *Graph) edgeLabelOf(e Edge) string {
+	if g.edgeLabels == nil {
+		return ""
+	}
 	for i, f := range g.edges {
 		if f == e {
 			return g.edgeLabels[i]
@@ -307,12 +319,12 @@ func (g *Graph) Permute(perm []int) (*Graph, error) {
 	for i, l := range g.labels {
 		p.labels[perm[i]] = l
 	}
-	for i, e := range g.edges {
+	for _, e := range g.edges {
 		u, v := perm[e.U], perm[e.V]
 		p.adj[u] = append(p.adj[u], v)
 		p.adj[v] = append(p.adj[v], u)
 		p.edges = append(p.edges, normEdge(u, v))
-		p.edgeLabels = append(p.edgeLabels, g.edgeLabels[i])
 	}
+	p.edgeLabels = append([]string(nil), g.edgeLabels...)
 	return p, nil
 }

@@ -32,7 +32,7 @@ func WriteAll(w io.Writer, graphs []*Graph) error {
 			}
 		}
 		for i, e := range g.edges {
-			if l := g.edgeLabels[i]; l != "" {
+			if l := g.EdgeLabelAt(i); l != "" {
 				if _, err := fmt.Fprintf(bw, "e %d %d %s\n", e.U, e.V, l); err != nil {
 					return err
 				}
@@ -99,7 +99,9 @@ func ReadAll(r io.Reader) ([]*Graph, error) {
 	return graphs, nil
 }
 
-// gobGraph is the wire representation for gob encoding.
+// gobGraph is the wire representation for gob encoding. EdgeLabels is empty
+// for an unlabeled graph; a payload carrying an explicit "" per edge decodes
+// to the same label-free graph.
 type gobGraph struct {
 	ID         int
 	Labels     []string

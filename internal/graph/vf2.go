@@ -4,7 +4,16 @@ package graph
 // Cordella et al. [3], the verifier the paper adopts. The matching is the
 // standard (non-induced) subgraph isomorphism of the paper: an injective
 // mapping m from the query's nodes to the data graph's nodes such that labels
-// are preserved and every query edge {u,v} maps to a data edge {m(u), m(v)}.
+// are preserved and every query edge {u,v} maps to a data edge {m(u), m(v)}
+// carrying the same edge label.
+//
+// Query nodes are visited in a connected order chosen per data graph: the
+// root is the query node whose label is rarest among g's nodes, and each next
+// node is the frontier node (adjacent to one already ordered) with the rarest
+// label. Ties go to the higher query degree, then to the lower index at the
+// root and the node reached first on the frontier. A query with one distinct
+// label skips the count, so its order is by degree alone. Edge labels are
+// compared only when q or g has any.
 //
 // Match state is recycled through a sync.Pool so the per-candidate verify hot
 // path is allocation-free in steady state. All scratch is re-sliced and
@@ -34,6 +43,11 @@ type vf2State struct {
 	parent []int // order position -> earlier query neighbor (-1 for root)
 
 	inOrder []bool // buildOrder scratch
+	rarity  []int  // buildOrder scratch: query node -> g's nodes with its label
+
+	// edgeLabeled is set when q or g has edge labels; otherwise every edge
+	// label is "" and the per-edge comparison is skipped.
+	edgeLabeled bool
 
 	// Result handling is mode-based rather than closure-based so the hot
 	// entry points allocate nothing per call.
@@ -71,6 +85,7 @@ func (s *vf2State) prepare(q, g *Graph) {
 		s.core[i] = -1
 	}
 	s.mapped = resizeBools(s.mapped, g.NumNodes())
+	s.edgeLabeled = q.edgeLabeled() || g.edgeLabeled()
 	s.mode = modeExists
 	s.found = false
 	s.count, s.limit = 0, 0
@@ -97,19 +112,59 @@ func resizeBools(buf []bool, n int) []bool {
 	return buf
 }
 
-// buildOrder produces a connected visit order over q's nodes starting from a
-// node with a rare label / high degree, with each subsequent node adjacent to
-// an already ordered one. q must be connected.
+// countLabels sets rarity[v] to the number of g's nodes labeled like query
+// node v. With a single distinct query label every count would be equal, so
+// the count is skipped and rarity stays all zero.
+func (s *vf2State) countLabels(n int) {
+	s.rarity = resizeInts(s.rarity, n)
+	clear(s.rarity)
+	ql := s.q.labels
+	single := true
+	for v := 1; v < n && single; v++ {
+		single = ql[v] == ql[0]
+	}
+	if single {
+		return
+	}
+	for v := 0; v < n; v++ {
+		u := 0
+		for u < v && ql[u] != ql[v] {
+			u++
+		}
+		if u < v { // label already counted at u
+			s.rarity[v] = s.rarity[u]
+			continue
+		}
+		for _, l := range s.g.labels {
+			if l == ql[v] {
+				s.rarity[v]++
+			}
+		}
+	}
+}
+
+// before reports whether query node v is explored before w: rarer label in g
+// first, then higher degree.
+func (s *vf2State) before(v, w int) bool {
+	if s.rarity[v] != s.rarity[w] {
+		return s.rarity[v] < s.rarity[w]
+	}
+	return s.q.Degree(v) > s.q.Degree(w)
+}
+
+// buildOrder produces a connected visit order over q's nodes, rarest label in
+// g first (see the file comment), with each subsequent node adjacent to an
+// already ordered one. q must be connected.
 func (s *vf2State) buildOrder() {
 	q := s.q
 	n := q.NumNodes()
 	s.inOrder = resizeBools(s.inOrder, n)
 	s.order = s.order[:0]
 	s.parent = s.parent[:0]
-	// Start from the highest-degree node; ties on smaller index.
+	s.countLabels(n)
 	start := 0
 	for v := 1; v < n; v++ {
-		if q.Degree(v) > q.Degree(start) {
+		if s.before(v, start) {
 			start = v
 		}
 	}
@@ -119,11 +174,11 @@ func (s *vf2State) buildOrder() {
 		s.inOrder[start] = true
 	}
 	for len(s.order) < n {
-		bestV, bestPar, bestDeg := -1, -1, -1
+		bestV, bestPar := -1, -1
 		for _, u := range s.order {
 			for _, w := range q.Neighbors(u) {
-				if !s.inOrder[w] && q.Degree(w) > bestDeg {
-					bestV, bestPar, bestDeg = w, u, q.Degree(w)
+				if !s.inOrder[w] && (bestV == -1 || s.before(w, bestV)) {
+					bestV, bestPar = w, u
 				}
 			}
 		}
@@ -194,7 +249,7 @@ func (s *vf2State) tryCandidate(depth, qv, gv int) bool {
 		if !s.g.HasEdge(gv, s.core[qn]) {
 			return false
 		}
-		if s.q.EdgeLabel(qv, qn) != s.g.EdgeLabel(gv, s.core[qn]) {
+		if s.edgeLabeled && s.q.EdgeLabel(qv, qn) != s.g.EdgeLabel(gv, s.core[qn]) {
 			return false
 		}
 	}

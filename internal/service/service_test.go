@@ -11,6 +11,7 @@ import (
 
 	"prague/internal/clock"
 	"prague/internal/core"
+	"prague/internal/faultinject"
 	"prague/internal/graph"
 	"prague/internal/index"
 	"prague/internal/metrics"
@@ -391,20 +392,22 @@ func TestEvictIdleDirect(t *testing.T) {
 
 // TestRunCancellationMidVerification is the acceptance test for context
 // plumbing: on a large synthetic database, cancelling RunCtx while the
-// verification fan-out is in flight must return promptly with a wrapped
-// context.Canceled, and a short deadline must return a wrapped
-// context.DeadlineExceeded — partial results, not hangs.
+// verification fan-out is in flight must return a wrapped context.Canceled,
+// and a deadline passing mid-verification a wrapped
+// context.DeadlineExceeded — partial results, not hangs. Both land without
+// a timing race: a SiteVerify rule parks every k-th candidate check far
+// longer than the test runs, so the workers stop one by one and verification
+// is still in flight when the cancel or the deadline arrives.
 func TestRunCancellationMidVerification(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large fixture")
 	}
 	db, idx := buildFixture(t, 16_000, 23, 0.3, 6)
-	// Caching and the verify prefilter are disabled: a second session's run
-	// must hit live verification of the full candidate set for there to be
-	// anything to cancel (a cached or heavily pruned run finishes before the
-	// cancel can land).
+	// Caching and the verify prefilter are disabled: every run must verify
+	// the full candidate set, so each run's candidate checks are the same.
+	inj := faultinject.New()
 	svc, err := New(db, idx, WithSigma(4), WithVerifyWorkers(4), WithMetrics(metrics.NewRegistry()),
-		WithSessionTTL(0), WithCandidateCache(0), WithFilterChooser(core.FilterProbe))
+		WithSessionTTL(0), WithCandidateCache(0), WithFilterChooser(core.FilterProbe), WithFaultInjection(inj))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,53 +447,82 @@ func TestRunCancellationMidVerification(t *testing.T) {
 		return ss
 	}
 
-	// Baseline: uncancelled Run, to prove the cancel lands mid-flight.
+	// Baseline: an uncancelled Run with no rule armed counts the candidate
+	// checks of one run.
 	base := formulate(context.Background())
-	t0 := time.Now()
+	before := inj.Hits(faultinject.SiteVerify)
 	results, err := base.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline := time.Since(t0)
-	t.Logf("baseline SRT %v over %d graphs", baseline, len(db))
+	candidates := inj.Hits(faultinject.SiteVerify) - before
+	t.Logf("baseline run: %d candidate checks over %d graphs", candidates, len(db))
 	if len(results) != len(db) {
 		t.Fatalf("baseline run: %d results, want %d (σ ≥ |q|)", len(results), len(db))
 	}
-	if baseline < 5*time.Millisecond {
-		t.Fatalf("fixture too small for a meaningful cancellation test: baseline run %v", baseline)
+	// With 4 workers each parked by its k-th check at the latest, a run stops
+	// making checks after about 4k of them.
+	const k = 16
+	if candidates < 8*k {
+		t.Fatalf("fixture too small for a meaningful cancellation test: %d candidate checks", candidates)
+	}
+	park := faultinject.Rule{Every: k, Latency: time.Hour}
+	checksOf := func(run func() error) (int64, error) {
+		t.Helper()
+		before := inj.Hits(faultinject.SiteVerify)
+		err := run()
+		n := inj.Hits(faultinject.SiteVerify) - before
+		if n >= candidates {
+			t.Fatalf("aborted run made %d candidate checks, not fewer than the %d of a full run", n, candidates)
+		}
+		return n, err
 	}
 
-	// Explicit cancel landing mid-verification.
+	// Explicit cancel, once a candidate check is parked.
 	ss := formulate(context.Background())
+	inj.Set(faultinject.SiteVerify, park)
+	parked := inj.NotifyFired(faultinject.SiteVerify)
 	ctx, cancel := context.WithCancel(context.Background())
-	time.AfterFunc(baseline/8, cancel)
-	t0 = time.Now()
-	_, err = ss.Run(ctx)
-	elapsed := time.Since(t0)
+	n, err := checksOf(func() error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := ss.Run(ctx)
+			done <- err
+		}()
+		select {
+		case <-parked:
+		case err := <-done:
+			t.Fatalf("run finished without reaching a parked check: %v", err)
+		}
+		cancel()
+		return <-done
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run: err = %v, want wrapped context.Canceled", err)
 	}
-	if elapsed > baseline/2+time.Second {
-		t.Fatalf("cancelled run took %v (baseline %v): not prompt", elapsed, baseline)
-	}
+	t.Logf("cancelled run: %d candidate checks", n)
 
-	// Deadline exceeded mid-verification.
+	// A deadline far shorter than the parked latency.
 	ss2 := formulate(context.Background())
-	dctx, dcancel := context.WithTimeout(context.Background(), baseline/8)
+	fired := inj.Fired(faultinject.SiteVerify)
+	dctx, dcancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 	defer dcancel()
-	t0 = time.Now()
-	_, err = ss2.Run(dctx)
-	elapsed = time.Since(t0)
+	n, err = checksOf(func() error {
+		_, err := ss2.Run(dctx)
+		return err
+	})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("deadline run: err = %v, want wrapped context.DeadlineExceeded", err)
 	}
-	if elapsed > baseline/2+time.Second {
-		t.Fatalf("deadline run took %v (baseline %v): not prompt", elapsed, baseline)
+	if inj.Fired(faultinject.SiteVerify) == fired {
+		t.Fatal("the deadline passed before verification began")
 	}
+	t.Logf("deadline run: %d candidate checks", n)
 
 	// The session remains usable after an aborted Run.
-	if _, err := ss.Run(context.Background()); err != nil {
-		t.Fatalf("run after cancellation: %v", err)
+	inj.Set(faultinject.SiteVerify, faultinject.Rule{})
+	if results, err := ss.Run(context.Background()); err != nil || len(results) != len(db) {
+		t.Fatalf("run after cancellation: %d results, err %v", len(results), err)
 	}
 }
 
