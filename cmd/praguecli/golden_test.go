@@ -23,6 +23,9 @@ var update = flag.Bool("update", false, "rewrite the golden files")
 var (
 	durRe     = regexp.MustCompile(`\b\d+(\.\d+)?(ns|µs|us|ms|h)\b|\b\d+(\.\d+)?m?s\b`)
 	floatRe   = regexp.MustCompile(`\b\d+\.\d+\b`)
+	// A histogram whose samples all read zero prints its timings as a bare
+	// 0, which floatRe leaves alone; the field names say they are timings.
+	msFieldRe = regexp.MustCompile(`("(?:sum|mean|max|p\d+)_ms": )[-+.eE0-9]+`)
 	bucketsRe = regexp.MustCompile(`(?s)"buckets": \{[^}]*\}`)
 	spacesRe  = regexp.MustCompile(` {2,}`)
 )
@@ -31,6 +34,7 @@ func normalize(b []byte) []byte {
 	// Which latency buckets fill up is as timing-dependent as the latencies
 	// themselves; only the histogram's presence and count are structural.
 	b = bucketsRe.ReplaceAll(b, []byte(`"buckets": <elided>`))
+	b = msFieldRe.ReplaceAll(b, []byte("${1}<f>"))
 	b = durRe.ReplaceAll(b, []byte("<dur>"))
 	b = floatRe.ReplaceAll(b, []byte("<f>"))
 	// Column padding widths follow the length of the duration strings they

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"prague/internal/faultinject"
-	"prague/internal/intset"
 	"prague/internal/spig"
 	"prague/internal/store"
 	"prague/internal/trace"
@@ -258,15 +257,17 @@ func (e *Engine) allIds() []int { return e.snap.LiveIDs() }
 // level's SPIG vertices into verification-free candidates (vertices indexed
 // as frequent fragments or DIFs — the data graph provably contains the
 // level-i fragment, hence dist ≤ |q|-i) and candidates needing verification
-// (NIF vertices, whose candidate sets are only upper bounds). The probes of
-// every level are resolved together (one batch on a remote layout);
-// cancellation is polled before them, between them in process, and between
-// levels.
-func (e *Engine) similarSubCandidates(ctx context.Context) (rfree, rver levelSets, err error) {
+// (NIF vertices, whose candidate sets are only upper bounds). The result
+// replaces e.sim, whose bitsets are cleared and refilled in place; on error
+// e.sim is left empty. The probes of every level are resolved together (one
+// batch on a remote layout); cancellation is polled before them, between
+// them in process, and between levels.
+func (e *Engine) similarSubCandidates(ctx context.Context) error {
+	e.sim = e.sim[:0]
 	n := e.q.Size()
 	lo := max(n-e.sigma, 1)
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, nil, cerr
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	levels := make([][]*spig.Vertex, 0, n-lo) // levels[j] is level n-1-j
 	var vs []*spig.Vertex
@@ -277,34 +278,35 @@ func (e *Engine) similarSubCandidates(ctx context.Context) (rfree, rver levelSet
 	}
 	lists, errs := make([][]int, len(vs)), make([]error, len(vs))
 	e.exactSubCandidatesAll(ctx, vs, lists, errs)
-	for _, verr := range errs {
-		if verr != nil {
-			return nil, nil, verr
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	rfree, rver = levelSets{}, levelSets{}
+	// Reslicing up to the capacity keeps the earlier levels' buffers.
+	e.sim = e.sim[:min(len(levels), cap(e.sim))]
+	for len(e.sim) < len(levels) {
+		e.sim = append(e.sim, simLevel{})
+	}
+	last := e.snap.NumGraphs() - 1
 	k := 0
 	for j, lv := range levels {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, nil, cerr
+		if err := ctx.Err(); err != nil {
+			e.sim = e.sim[:0]
+			return err
 		}
-		i := n - 1 - j
-		var free, ver []int
+		l := &e.sim[j]
+		l.free.SetRange(0, last)
+		l.ver.SetRange(0, last)
 		for _, v := range lv {
 			if v.Kind.Indexed() {
-				free = intset.Union(free, lists[k])
+				l.free.OrSorted(lists[k])
 			} else {
-				ver = intset.Union(ver, lists[k])
+				l.ver.OrSorted(lists[k])
 			}
 			k++
 		}
-		ver = intset.Diff(ver, free) // already verification-free at this level
-		if len(free) > 0 {
-			rfree[i] = free
-		}
-		if len(ver) > 0 {
-			rver[i] = ver
-		}
+		l.ver.AndNot(&l.free) // already verification-free at this level
 	}
-	return rfree, rver, nil
+	return nil
 }

@@ -86,6 +86,40 @@ func TestRunFallbackLeavesConsistentState(t *testing.T) {
 	}
 }
 
+// TestModifyOutOfChoiceDropsSimilaritySets: when the user answers an empty Rq
+// with Modify rather than SimQuery and the modified query has exact
+// candidates again, the similarity candidates computed for the abandoned
+// query are dropped — they are neither counted nor served by the ladder's
+// verification-free rung.
+func TestModifyOutOfChoiceDropsSimilaritySets(t *testing.T) {
+	f := makeChoiceFixture(t)
+	e, err := New(f.db, f.idx, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, p, p2 := e.AddNode("C"), e.AddNode("P"), e.AddNode("P")
+	if out, err := e.AddEdge(c, p); err != nil || out.ExactCount == 0 {
+		t.Fatalf("C-P edge: %+v, %v; fixture invariant broken", out, err)
+	}
+	out, err := e.AddEdge(p, p2)
+	if err != nil || !out.NeedsChoice {
+		t.Fatalf("P-P edge: %+v, %v; want the modify-or-similarity choice", out, err)
+	}
+	if out.FreeCount+out.VerCount == 0 {
+		t.Fatal("fixture: the emptied query has no similarity candidates to drop")
+	}
+	out, err = e.DeleteEdge(out.Step)
+	if err != nil || out.Status == StatusSimilar || out.ExactCount == 0 {
+		t.Fatalf("Modify: %+v, %v; want containment with exact candidates", out, err)
+	}
+	if free, ver, total := e.CandidateCounts(); free+ver+total != 0 {
+		t.Errorf("CandidateCounts after Modify = (%d, %d, %d), want zeros", free, ver, total)
+	}
+	if e.hasFree() {
+		t.Error("the verification-free rung still holds the abandoned query's Rfree")
+	}
+}
+
 func TestRunCtxCancelled(t *testing.T) {
 	f := makeFixture(t, 7, 40, 0.3)
 	e, err := New(f.db, f.idx, 2)
@@ -201,7 +235,7 @@ func TestSimilarSubCandidatesStopsBetweenProbes(t *testing.T) {
 	e.candMemo = nil
 	// Err is polled once before the probes, then before every vertex but
 	// the first: the second poll falls between the first two probes.
-	if _, _, err := e.similarSubCandidates(&cancelAfter{Context: context.Background(), n: 2}); !errors.Is(err, context.Canceled) {
+	if err := e.similarSubCandidates(&cancelAfter{Context: context.Background(), n: 2}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if len(e.candMemo) != 1 {

@@ -90,9 +90,13 @@ type Engine struct {
 	simFlag bool
 	pending bool // Rq empty in containment mode, awaiting the user's choice
 
-	rq       []int                  // exact candidates (containment mode)
-	rfree    levelSets              // verification-free candidates per level (similarity mode)
-	rver     levelSets              // to-verify candidates per level (similarity mode)
+	rq []int // exact candidates (containment mode)
+	// sim holds Algorithm 4's candidates (similarity mode): sim[d-1] is SPIG
+	// level |q|-d, for d = 1…min(σ, |q|-1). Its bitsets span the pinned
+	// snapshot's id space and keep their buffers across refreshes.
+	sim      []simLevel
+	counts   [2]intset.Bits         // scratch for the union counts over sim
+	rank     ranking                // Algorithm 5's scratch (results.go)
 	candMemo map[*spig.Vertex][]int // per-vertex Algorithm 3 results
 	pool     *workpool.Pool         // shared verification pool (service-injected), or nil
 	cache    *candcache.Cache       // shared cross-session candidate cache, or nil
@@ -110,7 +114,7 @@ type Engine struct {
 	lastGoodEpoch uint64
 
 	// stale marks candidate state that no longer reflects the query: the
-	// last refresh was cancelled mid-recompute, so rq/rfree/rver belong to
+	// last refresh was cancelled mid-recompute, so rq/sim belong to
 	// an older query revision (or are empty). Run must recompute before
 	// answering — serving stale sets would be silently incomplete.
 	stale bool
@@ -126,8 +130,11 @@ type Engine struct {
 	filterObs   func(FilterDecision)
 }
 
-// levelSets maps SPIG level -> sorted candidate id set.
-type levelSets map[int][]int
+// simLevel is one SPIG level i of Algorithm 4's window.
+type simLevel struct {
+	free intset.Bits // Rfree(i): the FSG ids of the level's indexed fragments
+	ver  intset.Bits // Rver(i): the NIF fragments' candidates not in Rfree(i)
+}
 
 // SessionStats accumulates per-session measurements used by the experiments.
 type SessionStats struct {
@@ -180,7 +187,7 @@ func (e *Engine) repin() store.Snapshot {
 	e.spigs.SetClassifier(ns)
 	e.candMemo = nil
 	if e.q.Size() > 0 {
-		e.stale = true // rq/rfree/rver were computed against an older epoch
+		e.stale = true // rq/sim were computed against an older epoch
 	}
 	return ns
 }
@@ -306,7 +313,7 @@ func (e *Engine) refresh(ctx context.Context) (StepOutcome, error) {
 func (e *Engine) refreshInner(ctx context.Context) (StepOutcome, error) {
 	if e.q.Size() == 0 {
 		e.rq = nil
-		e.rfree, e.rver = nil, nil
+		e.sim = e.sim[:0]
 		return StepOutcome{Status: StatusEmpty}, nil
 	}
 	if !e.simFlag {
@@ -317,6 +324,9 @@ func (e *Engine) refreshInner(ctx context.Context) (StepOutcome, error) {
 		}
 		e.rq = rq
 		if len(e.rq) > 0 {
+			// Similarity candidates left from an earlier revision (a Modify
+			// out of the awaiting-choice state) describe another query.
+			e.sim = e.sim[:0]
 			e.pending = false
 			status := StatusInfrequent
 			if target.Kind == index.KindFrequent {
@@ -327,27 +337,17 @@ func (e *Engine) refreshInner(ctx context.Context) (StepOutcome, error) {
 		// Rq became empty: precompute similarity candidates (Algorithm 1
 		// lines 7-10) and ask the user to choose.
 		e.pending = true
-		e.rfree, e.rver, err = e.similarSubCandidates(ctx)
-		if err != nil {
+		if err := e.similarSubCandidates(ctx); err != nil {
 			return StepOutcome{}, err
 		}
-		return StepOutcome{
-			Status:      StatusSimilar,
-			NeedsChoice: true,
-			FreeCount:   countLevelSets(e.rfree),
-			VerCount:    countLevelSets(e.rver),
-		}, nil
+		free, ver, _ := e.CandidateCounts()
+		return StepOutcome{Status: StatusSimilar, NeedsChoice: true, FreeCount: free, VerCount: ver}, nil
 	}
-	var err error
-	e.rfree, e.rver, err = e.similarSubCandidates(ctx)
-	if err != nil {
+	if err := e.similarSubCandidates(ctx); err != nil {
 		return StepOutcome{}, err
 	}
-	return StepOutcome{
-		Status:    StatusSimilar,
-		FreeCount: countLevelSets(e.rfree),
-		VerCount:  countLevelSets(e.rver),
-	}, nil
+	free, ver, _ := e.CandidateCounts()
+	return StepOutcome{Status: StatusSimilar, FreeCount: free, VerCount: ver}, nil
 }
 
 // Rq returns the current exact candidate set (containment mode).
@@ -356,9 +356,17 @@ func (e *Engine) Rq() []int { return intset.Clone(e.rq) }
 // CandidateCounts reports |Rfree| and |Rver| (the union over levels) and
 // their union's size — the "candidate size" of the paper's Figures 9 and 10.
 func (e *Engine) CandidateCounts() (free, ver, total int) {
-	fu := flattenLevelSets(e.rfree)
-	vu := flattenLevelSets(e.rver)
-	return len(fu), len(vu), len(intset.Union(fu, vu))
+	fu, vu := &e.counts[0], &e.counts[1]
+	n := e.snap.NumGraphs()
+	fu.SetRange(0, n-1)
+	vu.SetRange(0, n-1)
+	for i := range e.sim {
+		fu.Or(&e.sim[i].free)
+		vu.Or(&e.sim[i].ver)
+	}
+	free, ver = fu.Len(), vu.Len()
+	fu.Or(vu)
+	return free, ver, fu.Len()
 }
 
 // Run handles the Run action of Algorithm 1: finish evaluation and return
@@ -387,13 +395,13 @@ func (e *Engine) RunCtx(ctx context.Context) ([]Result, error) {
 // budget context; RunDetailedCtx interprets its partial results and error.
 func (e *Engine) evaluate(ctx context.Context) ([]Result, error) {
 	if e.stale {
-		// A cancelled formulation refresh left rq/rfree/rver for an older
+		// A cancelled formulation refresh left rq/sim for an older
 		// query revision. Recompute before answering; on a second failure
 		// drop the sets entirely so the ladder cannot serve bounds that are
 		// unsound for the current query (last-known-good remains available,
 		// and is flagged as such).
 		if _, err := e.refresh(ctx); err != nil {
-			e.rq, e.rfree, e.rver = nil, nil, nil
+			e.rq, e.sim = nil, e.sim[:0]
 			return nil, fmt.Errorf("core: run: recompute stale candidates: %w", err)
 		}
 	}
@@ -432,8 +440,7 @@ func (e *Engine) evaluate(ctx context.Context) ([]Result, error) {
 		e.simFlag = true
 		e.pending = false
 		dctx, dsp := trace.StartChild(ctx, trace.KindDegrade)
-		var err error
-		e.rfree, e.rver, err = e.similarSubCandidates(dctx)
+		err := e.similarSubCandidates(dctx)
 		dsp.End()
 		if err != nil {
 			// The mode flipped but the similarity candidates were never
@@ -449,14 +456,4 @@ func (e *Engine) evaluate(ctx context.Context) ([]Result, error) {
 		return results, fmt.Errorf("core: run: %w", err)
 	}
 	return results, nil
-}
-
-func countLevelSets(ls levelSets) int { return len(flattenLevelSets(ls)) }
-
-func flattenLevelSets(ls levelSets) []int {
-	var all []int
-	for _, ids := range ls {
-		all = append(all, ids...)
-	}
-	return intset.Normalize(all)
 }

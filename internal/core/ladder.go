@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"prague/internal/faultinject"
@@ -131,7 +130,7 @@ func (e *Engine) RunDetailedCtx(ctx context.Context) (RunOutcome, error) {
 		case len(results) > 0:
 			out.Truncated = true
 			out.Stage = StagePartial
-		case len(e.rfree) > 0:
+		case e.hasFree():
 			out.Results = e.quickSimilarity()
 			out.Truncated = true
 			out.Stage = StageSimilarity
@@ -176,31 +175,18 @@ func (e *Engine) annotateRun(ctx context.Context, out RunOutcome) {
 // each reported distance is a valid upper bound — exactly the Truncated
 // contract. Used when the run budget expires before anything was verified.
 func (e *Engine) quickSimilarity() []Result {
-	n := e.q.Size()
-	assigned := map[int]int{}
-	lo := n - e.sigma
-	if lo < 1 {
-		lo = 1
-	}
-	// High levels first: they give the tightest distance bounds.
-	for i := n - 1; i >= lo; i-- {
-		for _, id := range e.rfree[i] {
-			if _, done := assigned[id]; !done {
-				assigned[id] = n - i
-			}
+	res, _ := e.rank.rank(e.snap.NumGraphs(), e.q.Size(), nil, e.sim, nil, nil)
+	return res
+}
+
+// hasFree reports whether some level holds a verification-free candidate.
+func (e *Engine) hasFree() bool {
+	for i := range e.sim {
+		if !e.sim[i].free.Empty() {
+			return true
 		}
 	}
-	results := make([]Result, 0, len(assigned))
-	for id, d := range assigned {
-		results = append(results, Result{GraphID: id, Distance: d})
-	}
-	sort.Slice(results, func(a, b int) bool {
-		if results[a].Distance != results[b].Distance {
-			return results[a].Distance < results[b].Distance
-		}
-		return results[a].GraphID < results[b].GraphID
-	})
-	return results
+	return false
 }
 
 // verifyPred wraps a verification predicate with the SiteVerify fault hook:

@@ -228,7 +228,7 @@ func TestBudgetLadder(t *testing.T) {
 		if !cand.SimilarityMode() {
 			cand.ChooseSimilarity()
 		}
-		if len(flattenLevelSets(cand.rfree)) > 0 {
+		if cand.hasFree() {
 			e, spec = cand, cspec
 			break
 		}
@@ -259,7 +259,7 @@ func TestBudgetLadder(t *testing.T) {
 	if err != nil || full.Stage != StageFull {
 		t.Fatalf("full run failed: %+v %v", full, err)
 	}
-	e.rfree = nil
+	e.sim = nil
 	e.SetRunBudget(time.Nanosecond)
 	out, err = e.RunDetailedCtx(context.Background())
 	if err != nil {
@@ -281,7 +281,7 @@ func TestBudgetLadder(t *testing.T) {
 	if !e2.SimilarityMode() {
 		e2.ChooseSimilarity()
 	}
-	e2.rfree = nil
+	e2.sim = nil
 	e2.SetRunBudget(time.Nanosecond)
 	_, err = e2.RunDetailedCtx(context.Background())
 	if !errors.Is(err, ErrBudgetExhausted) {

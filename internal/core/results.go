@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sort"
 
 	"prague/internal/graph"
 	"prague/internal/index"
@@ -23,81 +22,134 @@ import (
 // distance 1.
 func (e *Engine) similarResultsGen(ctx context.Context, qg *graph.Graph) ([]Result, error) {
 	n := e.q.Size()
-	assigned := map[int]int{} // graph id -> distance
+	numIDs := e.snap.NumGraphs()
 
 	// Distance-0 pass (only meaningful in similarity mode; in containment
 	// mode Run already returned when exact results existed). Routed through
 	// the shared cache: exact containment of the full query is the single
 	// most expensive verification, and concurrent sessions formulating the
 	// same query share one pass.
-	var ctxErr error
+	var exact []int
 	if target := e.spigs.Target(e.q); target != nil {
 		cands, err := e.exactSubCandidates(ctx, target)
 		if err == nil {
-			var exact []int
 			exact, err = e.exactContainment(ctx, target.Code, qg, cands)
-			for _, id := range exact {
-				assigned[id] = 0
-			}
 		}
-		ctxErr = err
-	}
-
-	lo := n - e.sigma
-	if lo < 1 {
-		lo = 1
-	}
-	for i := n - 1; ctxErr == nil && i >= lo; i-- {
-		dist := n - i
-		for _, id := range e.rfree[i] {
-			if _, done := assigned[id]; !done {
-				assigned[id] = dist
-			}
+		if err != nil {
+			res, _ := e.rank.rank(numIDs, n, exact, nil, nil, nil)
+			return res, err
 		}
-		// Rver(i) minus everything already confirmed (Algorithm 5 line 3).
-		pending := intset.Diff(e.rver[i], keysSorted(assigned))
-		var confirmed []int
-		var err error
-		if e.cache != nil {
-			confirmed, err = e.verifyLevelCached(ctx, i, pending)
-		} else {
-			frags := e.levelFragments(i)
-			// Level gate (chooser.go): a pending graph only reaches VF2 for
-			// fragments whose features (counts or signature) it can contain.
-			gate := e.levelPrefilter(ctx, frags, pending)
-			confirmed, err = e.filter(ctx, pending, e.verifyPred(ctx, func(id int) bool {
-				return e.containsAnyFragmentGated(frags, gate, id)
-			}))
-		}
-		for _, id := range confirmed {
-			assigned[id] = dist
-		}
-		ctxErr = err
 	}
 
 	// σ ≥ |q| admits graphs sharing nothing with the query: by Definition 2
 	// their distance is exactly |q| (δ = 0). They form the trailing band of
 	// the ranking — the pinned epoch's live graphs, so tombstoned slots never
 	// surface and graphs inserted mid-evaluation never leak in.
-	if ctxErr == nil && e.sigma >= n {
-		for _, id := range e.snap.LiveIDs() {
-			if _, done := assigned[id]; !done {
-				assigned[id] = n
-			}
-		}
+	var tail []int
+	if e.sigma >= n {
+		tail = e.snap.LiveIDs()
 	}
-
-	results := make([]Result, 0, len(assigned))
-	for id, d := range assigned {
-		results = append(results, Result{GraphID: id, Distance: d})
-	}
-	sort.Slice(results, func(a, b int) bool {
-		if results[a].Distance != results[b].Distance {
-			return results[a].Distance < results[b].Distance
-		}
-		return results[a].GraphID < results[b].GraphID
+	return e.rank.rank(numIDs, n, exact, e.sim, tail, func(d int, pending []int) ([]int, error) {
+		return e.verifyLevel(ctx, n-d, pending)
 	})
-	return results, ctxErr
+}
+
+// verifyLevel returns the pending graphs that contain one of the query's
+// level-i fragment classes (Algorithm 5's SimVerify), through the shared
+// cache when one is injected.
+func (e *Engine) verifyLevel(ctx context.Context, i int, pending []int) ([]int, error) {
+	if e.cache != nil {
+		return e.verifyLevelCached(ctx, i, pending)
+	}
+	frags := e.levelFragments(i)
+	// Level gate (chooser.go): a pending graph only reaches VF2 for
+	// fragments whose features (counts or signature) it can contain.
+	gate := e.levelPrefilter(ctx, frags, pending)
+	return e.filter(ctx, pending, e.verifyPred(ctx, func(id int) bool {
+		return e.containsAnyFragmentGated(frags, gate, id)
+	}))
+}
+
+// ranking is Algorithm 5's bookkeeping on bitsets over the pinned snapshot's
+// id space: done holds every id placed so far and bands[d] the ids placed at
+// distance d. Distances are placed in ascending order and an id is placed
+// once, so reading the bands in order yields the answer in (distance, id)
+// order without a map or a sort. The buffers are reused across Runs.
+type ranking struct {
+	last  int // the largest id of the id space
+	done  intset.Bits
+	bands []intset.Bits
+	next  intset.Bits // the candidates of one placement not placed yet
+	ids   []int       // one band's ids while the answer is emitted
+}
+
+// rank places exact at distance 0, then for each level d = 1…len(levels)
+// (SPIG level n-d) the level's unplaced Rfree ids and the ids verify confirms
+// among its unplaced Rver ids at distance d, then every unplaced tail id at
+// distance n. verify sees each level's pending ids as a fresh ascending list
+// and must return a subset of it; a nil verify skips Rver. The first verify
+// error ends the ranking, and what was placed so far is returned with it.
+func (r *ranking) rank(numIDs, n int, exact []int, levels []simLevel, tail []int,
+	verify func(d int, pending []int) ([]int, error)) ([]Result, error) {
+	r.reset(numIDs, n)
+	r.placeSorted(0, exact)
+	var err error
+	for d := 1; err == nil && d <= len(levels); d++ {
+		l := &levels[d-1]
+		r.place(d, r.unplaced(&l.free))
+		if verify == nil {
+			continue
+		}
+		// Rver(i) minus everything already placed (Algorithm 5 line 3).
+		var confirmed []int
+		confirmed, err = verify(d, r.unplaced(&l.ver).AppendTo(nil))
+		r.placeSorted(d, confirmed)
+	}
+	if err == nil && tail != nil {
+		r.next.SetRange(0, r.last)
+		r.next.OrSorted(tail)
+		r.next.AndNot(&r.done)
+		r.place(n, &r.next)
+	}
+	out := make([]Result, 0, r.done.Len())
+	for d := range r.bands {
+		r.ids = r.bands[d].AppendTo(r.ids[:0])
+		for _, id := range r.ids {
+			out = append(out, Result{GraphID: id, Distance: d})
+		}
+	}
+	return out, err
+}
+
+// reset clears done and the bands 0…n, each spanning [0, numIDs).
+func (r *ranking) reset(numIDs, n int) {
+	r.last = numIDs - 1
+	r.bands = r.bands[:min(n+1, cap(r.bands))]
+	for len(r.bands) <= n {
+		r.bands = append(r.bands, intset.Bits{})
+	}
+	r.done.SetRange(0, r.last)
+	for d := range r.bands {
+		r.bands[d].SetRange(0, r.last)
+	}
+}
+
+// unplaced loads r.next with set's ids that are not placed yet.
+func (r *ranking) unplaced(set *intset.Bits) *intset.Bits {
+	r.next.SetRange(0, r.last)
+	r.next.Or(set)
+	r.next.AndNot(&r.done)
+	return &r.next
+}
+
+func (r *ranking) place(d int, ids *intset.Bits) {
+	r.bands[d].Or(ids)
+	r.done.Or(ids)
+}
+
+func (r *ranking) placeSorted(d int, ids []int) {
+	r.bands[d].OrSorted(ids)
+	r.done.OrSorted(ids)
 }
 
 // verifyLevelCached confirms pending Rver(i) candidates through the shared
@@ -167,13 +219,4 @@ func containsAnyFragment(frags []*graph.Graph, g *graph.Graph) bool {
 		}
 	}
 	return false
-}
-
-func keysSorted(m map[int]int) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -53,6 +53,15 @@ func TestBitsAllocBudget(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("SetRange/Add/Len allocates %.1f/op after warmup, budget 0", n)
 	}
+	b.SetSorted(lists[1])
+	if n := testing.AllocsPerRun(100, func() {
+		a.SetRange(0, 4095)
+		a.OrSorted(lists[0])
+		a.Or(&b)
+		a.AndNot(&b)
+	}); n != 0 {
+		t.Errorf("OrSorted/Or/AndNot allocates %.1f/op after warmup, budget 0", n)
+	}
 }
 
 func idRange(lo, hi, step int) []int {

@@ -73,6 +73,43 @@ func (b *Bits) And(c *Bits) {
 	b.words = bw[:n]
 }
 
+// overlap returns the words of b and of c that cover the ids both spans
+// hold (empty when the spans are disjoint).
+func (b *Bits) overlap(c *Bits) (bw, cw []uint64) {
+	lo := max(b.base, c.base)
+	hi := min(b.base+len(b.words), c.base+len(c.words))
+	if hi <= lo {
+		return nil, nil
+	}
+	return b.words[lo-b.base : hi-b.base], c.words[lo-c.base : hi-c.base]
+}
+
+// Or unions c into b in place over the overlap of the two spans; b's span
+// does not change, so c's ids must lie inside it.
+func (b *Bits) Or(c *Bits) {
+	bw, cw := b.overlap(c)
+	for i, w := range cw {
+		bw[i] |= w
+	}
+}
+
+// AndNot removes c's ids from b in place (b &^= c), word-at-a-time; b's span
+// does not change.
+func (b *Bits) AndNot(c *Bits) {
+	bw, cw := b.overlap(c)
+	for i, w := range cw {
+		bw[i] &^= w
+	}
+}
+
+// OrSorted adds a sorted id list to b in place. Like Add, every id must lie
+// inside b's span.
+func (b *Bits) OrSorted(ids []int) {
+	for _, id := range ids {
+		b.words[(id>>6)-b.base] |= 1 << (uint(id) & 63)
+	}
+}
+
 // AndSorted intersects b with a sorted id list in place, using scratch as the
 // word buffer for the list's bitset image.
 func (b *Bits) AndSorted(ids []int, scratch *Bits) {

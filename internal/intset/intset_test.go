@@ -201,6 +201,47 @@ func TestLargeSetsAgainstReference(t *testing.T) {
 	}
 }
 
+// TestBitsOrAndNotAgainstReference checks the in-place bitset algebra against
+// the sorted-list reference, with the operand loaded by SetSorted so that its
+// span starts at a different word than the receiver's.
+func TestBitsOrAndNotAgainstReference(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	var x, y Bits
+	for trial := 0; trial < 50; trial++ {
+		a := randomSet(r, r.Intn(300), 2000)
+		b := randomSet(r, r.Intn(300), 2000)
+		y.SetSorted(b)
+		load := func() {
+			x.SetRange(0, 1999)
+			x.OrSorted(a)
+		}
+		load()
+		if got := x.AppendTo(nil); !eq(got, a) {
+			t.Fatalf("OrSorted(%v) = %v", a, got)
+		}
+		x.Or(&y)
+		if got, want := x.AppendTo(nil), refUnion(a, b); !eq(got, want) {
+			t.Fatalf("Or: got %v, want %v", got, want)
+		}
+		load()
+		x.AndNot(&y)
+		if got, want := x.AppendTo(nil), refDiff(a, b); !eq(got, want) {
+			t.Fatalf("AndNot: got %v, want %v", got, want)
+		}
+		if x.Len() != len(refDiff(a, b)) {
+			t.Fatalf("Len after AndNot = %d, want %d", x.Len(), len(refDiff(a, b)))
+		}
+	}
+	// Disjoint spans leave the receiver unchanged.
+	x.SetSorted([]int{1, 2})
+	y.SetSorted([]int{5000})
+	x.Or(&y)
+	x.AndNot(&y)
+	if got := x.AppendTo(nil); !eq(got, []int{1, 2}) {
+		t.Fatalf("disjoint spans: got %v", got)
+	}
+}
+
 func randomSet(r *rand.Rand, n, max int) []int {
 	m := map[int]bool{}
 	for i := 0; i < n; i++ {

@@ -3,13 +3,17 @@ package rpcstore
 import (
 	"context"
 	"errors"
+	"io"
 	"math/rand"
+	"net"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"prague/internal/candcache"
 	"prague/internal/core"
+	"prague/internal/index"
 	"prague/internal/metrics"
 	"prague/internal/store"
 	"prague/internal/trace"
@@ -244,6 +248,134 @@ func TestOverlappingGroupsMatchLocal(t *testing.T) {
 			same("delete", func(e *core.Engine) any { return step(e.DeleteEdge(sg.Step)) })
 		}
 		same("run", func(e *core.Engine) any { res, err := e.Run(); return []any{res, err} })
+	}
+}
+
+// corruptingProxy forwards frames between its clients and one server,
+// appending id numGraphs — one past the id space — to the first part of
+// every OpCandidates reply. It returns the address to dial.
+func corruptingProxy(t *testing.T, server string, numGraphs int) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		conns  []net.Conn
+		closed bool
+	)
+	track := func(c net.Conn) {
+		mu.Lock()
+		defer mu.Unlock()
+		if closed {
+			c.Close()
+			return
+		}
+		conns = append(conns, c)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			client, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			upstream, err := net.Dial("tcp", server)
+			if err != nil {
+				client.Close()
+				continue
+			}
+			track(client)
+			track(upstream)
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				io.Copy(upstream, client)
+				upstream.Close()
+			}()
+			go func() {
+				defer wg.Done()
+				defer client.Close()
+				for {
+					m, codec, err := ReadFrame(upstream)
+					if err != nil {
+						return
+					}
+					if m.Op == OpCandidates && len(m.Parts) > 0 {
+						m.Parts[0] = append(m.Parts[0], PackIDs([]int{numGraphs})...)
+					}
+					if WriteFrame(client, codec, m) != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		closed = true
+		for _, c := range conns {
+			c.Close()
+		}
+		mu.Unlock()
+		wg.Wait()
+	})
+	return ln.Addr().String()
+}
+
+// TestOutOfRangeCandidateIDsRejected: a shard server whose candidate replies
+// carry an id outside the pinned epoch's id space is answering malformed
+// frames. Its group counts as unanswered: indexed probes get the typed
+// error, NIF probes the degraded superset, and a session over the store never
+// serves the bogus id.
+func TestOutOfRangeCandidateIDsRejected(t *testing.T) {
+	db, idx := buildDB(t, 35, 30)
+	c := newCluster(t, db, idx, 2, 1, allShards(2))
+	rs, err := Dial(context.Background(), []string{corruptingProxy(t, c.addrs[0], len(db))},
+		WithRetries(0), WithCallTimeout(10*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rs.Close() })
+	pr := rs.Pin().(store.Prober)
+
+	_, err = pr.ProbeAll(context.Background(), []store.Probe{{Kind: index.KindFrequent, FreqID: 0}})
+	if !errors.Is(err, store.ErrShardUnavailable) || !errors.Is(err, ErrBadFrame) {
+		t.Errorf("indexed probe: err = %v, want ErrShardUnavailable and ErrBadFrame", err)
+	}
+	nif := []store.Probe{{Kind: index.KindNone}, {Kind: index.KindNone, Phi: []int{0}}}
+	got, err := pr.ProbeAll(context.Background(), nif)
+	if !errors.Is(err, store.ErrShardUnavailable) {
+		t.Errorf("NIF probes: err = %v, want ErrShardUnavailable", err)
+	}
+	for i := range nif {
+		if !reflect.DeepEqual(got[i], rs.LiveIDs()) {
+			t.Errorf("NIF probe %d: %v, want the degraded superset (every live id)", i, got[i])
+		}
+	}
+
+	e, err := core.NewWithStore(rs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := []int{e.AddNode("C"), e.AddNode("C"), e.AddNode("C")}
+	for k := 1; k < len(n); k++ {
+		if _, err := e.AddEdge(n[k-1], n[k]); !errors.Is(err, store.ErrShardUnavailable) {
+			t.Errorf("edge %d: err = %v, want ErrShardUnavailable", k, err)
+		}
+	}
+	res, err := e.Run()
+	if !errors.Is(err, store.ErrShardUnavailable) {
+		t.Errorf("Run: err = %v, want ErrShardUnavailable", err)
+	}
+	for _, r := range res {
+		if r.GraphID >= len(db) {
+			t.Errorf("Run served the bogus id %d", r.GraphID)
+		}
 	}
 }
 

@@ -849,7 +849,10 @@ func (sn *remoteSnap) ProbeAll(ctx context.Context, probes []store.Probe) ([][]i
 }
 
 // probeGroup sends the packed batch to one replica group and unpacks the
-// reply.
+// reply. Every candidate id must be a graph id of the pinned epoch, in
+// ascending order: the coordinator serves Rfree ids as answers and loads
+// candidate lists into bitsets sized by NumGraphs, so a reply that breaks
+// this is malformed and the group counts as unanswered.
 func (sn *remoteSnap) probeGroup(ctx context.Context, g replicaGroup, probes [][]int) ([][]int, error) {
 	reply, err := sn.rs.call(ctx, g, &Msg{Op: OpCandidates, Epoch: sn.epoch, Shards: g.shards, Probes: probes}, true)
 	if err != nil {
@@ -862,6 +865,14 @@ func (sn *remoteSnap) probeGroup(ctx context.Context, g replicaGroup, probes [][
 	lists := make([][]int, len(probes))
 	for i, pages := range reply.Parts {
 		lists[i] = UnpackIDs(pages)
+		next := 0 // the smallest id the list may hold next
+		for _, id := range lists[i] {
+			if id < next || id >= sn.numGraphs {
+				return nil, fmt.Errorf("rpcstore: shards %v: candidate id %d out of order or outside [0, %d): %w (%w)",
+					g.shards, id, sn.numGraphs, store.ErrShardUnavailable, ErrBadFrame)
+			}
+			next = id + 1
+		}
 	}
 	return lists, nil
 }
