@@ -50,9 +50,6 @@ var (
 	_ store.Shard          = (*remoteShard)(nil)
 )
 
-// WithCodec selects the envelope codec for outgoing frames (default gob).
-func WithCodec(c Codec) DialOption { return func(rs *RemoteStore) { rs.codec = c } }
-
 // WithCallTimeout bounds one wire attempt (default 2s). The deadline budget
 // of one replica-group call is min(ctx deadline, attempts × timeout with
 // backoff) — the action context stays the overall authority.
@@ -121,7 +118,6 @@ type RemoteStore struct {
 	shardEps  [][]int        // shard id -> endpoint indices, dial order
 	groups    []replicaGroup // shards partitioned by endpoint list
 	numShards int
-	codec     Codec
 
 	callTimeout time.Duration
 	dialTimeout time.Duration
@@ -165,7 +161,6 @@ func Dial(ctx context.Context, endpoints []string, opts ...DialOption) (*RemoteS
 	}
 	rs := &RemoteStore{
 		endpoints:   endpoints,
-		codec:       CodecGob,
 		callTimeout: defaultCallTimeout,
 		dialTimeout: defaultDialTimeout,
 		hedgeDelay:  defaultHedgeDelay,
@@ -512,7 +507,7 @@ func (rs *RemoteStore) attempt(ctx context.Context, ep int, req *Msg, checkEpoch
 	conn.SetDeadline(deadline)
 	m := *req
 	m.Seq = rs.seq.Add(1)
-	if err := WriteFrame(conn, rs.codec, &m); err != nil {
+	if err := WriteFrame(conn, CodecBinary, &m); err != nil {
 		return fail(conn, err)
 	}
 	reply, _, err := ReadFrame(conn)

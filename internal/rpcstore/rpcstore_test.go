@@ -473,20 +473,40 @@ func TestSaveUnsupported(t *testing.T) {
 	}
 }
 
-func TestJSONCodecEndToEnd(t *testing.T) {
+// TestLegacyFrameDropsConnection: a peer still speaking the retired gob or
+// JSON envelope has its connection dropped, and the server goes on answering
+// other connections.
+func TestLegacyFrameDropsConnection(t *testing.T) {
 	db, idx := buildDB(t, 20, 12)
 	c := newCluster(t, db, idx, 2, 1, allShards(2))
-	rs, err := Dial(context.Background(), c.addrs, WithCodec(CodecJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
-	ids, err := probeOne(rs.Pin(), store.Probe{Kind: index.KindNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ids, rs.Pin().LiveIDs()) {
-		t.Error("JSON-codec probe diverged from membership")
+	for _, frame := range legacyFrames(t) {
+		old, err := net.Dial("tcp", c.addrs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		old.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := old.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		var timeout net.Error
+		if _, err := old.Read(make([]byte, 1)); err == nil || errors.As(err, &timeout) && timeout.Timeout() {
+			t.Errorf("legacy tag %d: read = %v, want the connection closed", frame[4], err)
+		}
+		old.Close()
+
+		conn, err := net.Dial("tcp", c.addrs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if err := WriteFrame(conn, CodecBinary, &Msg{Seq: 3, Op: OpHello}); err != nil {
+			t.Fatal(err)
+		}
+		reply, _, err := ReadFrame(conn)
+		if err != nil || reply.Seq != 3 || reply.NumShards != 2 {
+			t.Errorf("after legacy tag %d: hello reply %+v, err %v", frame[4], reply, err)
+		}
+		conn.Close()
 	}
 }
 
@@ -558,7 +578,7 @@ func TestBadEntryIDsAreBadRequests(t *testing.T) {
 	roundTrip := func(m *Msg) *Msg {
 		t.Helper()
 		m.Epoch = c.stores[0].Epoch()
-		if err := WriteFrame(conn, CodecGob, m); err != nil {
+		if err := WriteFrame(conn, CodecBinary, m); err != nil {
 			t.Fatal(err)
 		}
 		reply, _, err := ReadFrame(conn)

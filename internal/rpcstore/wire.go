@@ -6,68 +6,51 @@
 // runtime, and service layers run unchanged over a multi-process topology.
 //
 // The wire format is deliberately boring: length-prefixed frames, each a
-// one-byte codec tag (gob or JSON) followed by one encoded Msg envelope.
-// Frames are self-contained (a fresh codec instance per frame), so a
-// connection can be dropped and redialed at any frame boundary, and either
-// side may speak either codec per frame. Candidate and live-id sets travel
-// as compressed bitset pages (BitsPage) rather than id lists; data graphs
-// travel as gob blobs (graph.Graph implements GobEncode/GobDecode)
-// regardless of the envelope codec.
+// one-byte layout tag followed by one Msg envelope in a fixed binary layout
+// (appendMsg/parseMsg), written and read without reflection. Frames are
+// self-contained — no state carries from one frame to the next — so a
+// connection can be dropped and redialed at any frame boundary. Candidate
+// and live-id sets travel as compressed bitset pages (BitsPage) rather than
+// id lists; data graphs travel as gob blobs inside the envelope
+// (graph.Graph implements GobEncode/GobDecode).
 package rpcstore
 
 import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math/bits"
+	"sync"
 
 	"prague/internal/graph"
 	"prague/internal/index"
 	"prague/internal/store"
 )
 
-// Codec selects the envelope encoding for one frame.
+// Codec is a frame's layout tag. There is one layout; the tag exists so a
+// frame from a peer speaking another one is refused rather than misparsed.
 type Codec byte
 
 const (
-	// CodecGob encodes envelopes with encoding/gob (compact, the default).
-	CodecGob Codec = 0
-	// CodecJSON encodes envelopes with encoding/json (debuggable by eye).
-	CodecJSON Codec = 1
+	// CodecBinary tags the fixed binary Msg layout. Tags 0 and 1 were the
+	// retired gob and JSON envelopes.
+	CodecBinary Codec = 2
+	// CodecGob names the one layout for callers written against the retired
+	// gob envelope.
+	//
+	// Deprecated: use CodecBinary.
+	CodecGob = CodecBinary
 )
-
-func (c Codec) String() string {
-	switch c {
-	case CodecGob:
-		return "gob"
-	case CodecJSON:
-		return "json"
-	default:
-		return "unknown"
-	}
-}
-
-// ParseCodec resolves a codec name ("gob" or "json") for CLI flags.
-func ParseCodec(name string) (Codec, error) {
-	switch name {
-	case "gob", "":
-		return CodecGob, nil
-	case "json":
-		return CodecJSON, nil
-	}
-	return 0, fmt.Errorf("rpcstore: unknown codec %q (want gob or json)", name)
-}
 
 // MaxFrame caps one frame's payload; a peer announcing more is treated as
 // corrupt rather than trusted with an allocation.
 const MaxFrame = 64 << 20
 
 // ErrBadFrame wraps every framing/decoding failure (oversized length
-// prefix, unknown codec tag, undecodable payload). Test with errors.Is.
+// prefix, unknown layout tag, undecodable payload). Test with errors.Is.
 var ErrBadFrame = errors.New("malformed frame")
 
 // Wire error codes: a reply's ErrCode tells the client how to treat the
@@ -82,9 +65,9 @@ const (
 	codeStoreErr      = 5 // the store rejected the operation (ErrNoSuchGraph, ...)
 )
 
-// Op names. Strings, not iota: they are visible in JSON frames and gob
-// streams, and a version skew between coordinator and server surfaces as a
-// readable codeBadRequest instead of a misrouted handler.
+// Op names. Strings, not iota: they are readable in a frame dump, and a
+// version skew between coordinator and server surfaces as a readable
+// codeBadRequest instead of a misrouted handler.
 const (
 	OpHello      = "hello"
 	OpCandidates = "cand"
@@ -94,46 +77,46 @@ const (
 	OpDelete     = "delete"
 )
 
-// Msg is the flat request/reply envelope shared by every op and both
-// codecs. Unused fields stay zero; gob omits them and JSON keeps them
-// cheap via omitempty.
+// Msg is the flat request/reply envelope shared by every op. Unused fields
+// stay zero, and a zero field costs one byte on the wire. The field order is
+// the wire order (appendMsg): reordering fields is a protocol change.
 type Msg struct {
-	Seq   uint64 `json:"seq"`
-	Op    string `json:"op"`
-	Epoch uint64 `json:"epoch,omitempty"` // request: pinned epoch; reply: epoch answered at
+	Seq   uint64
+	Op    string
+	Epoch uint64 // request: pinned epoch; reply: epoch answered at
 
 	// Reply error surface.
-	ErrCode int    `json:"err_code,omitempty"`
-	Error   string `json:"error,omitempty"`
+	ErrCode int
+	Error   string
 
 	// OpHello reply: the server's topology and store identity. Shards is
 	// also the OpCandidates request's replica group: the shards to probe.
-	Shards    []int  `json:"shards,omitempty"`     // shard ids this server serves
-	NumShards int    `json:"num_shards,omitempty"` // partition count N of the layout
-	Tag       string `json:"tag,omitempty"`        // store.CacheTag at Epoch
-	NumGraphs int    `json:"num_graphs,omitempty"` // id-space size (slots incl. tombstones)
+	Shards    []int  // shard ids this server serves
+	NumShards int    // partition count N of the layout
+	Tag       string // store.CacheTag at Epoch
+	NumGraphs int    // id-space size (slots incl. tombstones)
 
 	// OpCandidates: every probe one action needs, each flattened by
 	// packProbe (request), and per probe its candidates merged over the
 	// requested shards (reply, aligned with Probes).
-	Probes [][]int      `json:"probes,omitempty"`
-	Parts  [][]BitsPage `json:"parts,omitempty"`
+	Probes [][]int
+	Parts  [][]BitsPage
 
 	// Id sets: OpHello replies (live universe), OpGraphs requests (wanted
 	// ids).
-	IDs []BitsPage `json:"ids,omitempty"`
+	IDs []BitsPage
 
 	// OpGraphs reply (gob blobs aligned with the request ids) and OpInsert
 	// request (one blob).
-	GraphBlobs [][]byte `json:"graph_blobs,omitempty"`
+	GraphBlobs [][]byte
 
 	// OpLookup request (canonical code) and reply (Kind + entry id).
-	Frag    string `json:"frag,omitempty"`
-	Kind    int    `json:"kind,omitempty"`
-	EntryID int    `json:"entry_id,omitempty"`
+	Frag    string
+	Kind    int
+	EntryID int
 
 	// OpInsert reply / OpDelete request-and-reply: the graph id.
-	GraphID int `json:"graph_id,omitempty"`
+	GraphID int
 }
 
 // BitsPage is one 1024-bit span of a compressed id set: ids
@@ -141,8 +124,8 @@ type Msg struct {
 // ascending Base order with all-zero pages omitted, so dense candidate
 // lists cost ~1/64th of their id-list size on the wire.
 type BitsPage struct {
-	Base  int      `json:"base"`
-	Words []uint64 `json:"words"`
+	Base  int
+	Words []uint64
 }
 
 const (
@@ -204,9 +187,8 @@ func UnpackIDs(pages []BitsPage) []int {
 }
 
 // packProbe flattens a probe for the wire: kind, A²F id, A²I id, |Φ|, then
-// Φ and Υ. A flat int list keeps nested struct types out of the envelope:
-// frames use a fresh gob codec each, so every frame — every lookup and
-// mutation too — would carry and compile such a type's descriptor.
+// Φ and Υ. A flat int list keeps the envelope to the few shapes the layout
+// already writes, so a probe needs no layout of its own.
 func packProbe(p store.Probe) []int {
 	w := make([]int, 0, 4+len(p.Phi)+len(p.Ups))
 	w = append(w, int(p.Kind), p.FreqID, p.DifID, len(p.Phi))
@@ -247,39 +229,42 @@ func DecodeGraph(blob []byte) (*graph.Graph, error) {
 	return &g, nil
 }
 
+// bodyChunk bounds what ReadFrame allocates ahead of the bytes that have
+// arrived: a body larger than this grows as it is read, so a bare header
+// announcing MaxFrame pins one chunk, not MaxFrame.
+const bodyChunk = 64 << 10
+
+// framePool recycles WriteFrame's frame buffers; buffers that grew past
+// bodyChunk (graph fetch replies) are left to the collector.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
 // WriteFrame writes one envelope as a length-prefixed frame: 4-byte
-// big-endian payload length, 1 codec byte, then the encoded envelope.
+// big-endian payload length, 1 layout byte, then the envelope in the layout
+// of appendMsg — header and body in one Write. Any codec other than
+// CodecBinary is refused.
 func WriteFrame(w io.Writer, codec Codec, m *Msg) error {
-	var body bytes.Buffer
-	switch codec {
-	case CodecGob:
-		if err := gob.NewEncoder(&body).Encode(m); err != nil {
-			return fmt.Errorf("rpcstore: encode frame: %w", err)
-		}
-	case CodecJSON:
-		if err := json.NewEncoder(&body).Encode(m); err != nil {
-			return fmt.Errorf("rpcstore: encode frame: %w", err)
-		}
-	default:
+	if codec != CodecBinary {
 		return fmt.Errorf("rpcstore: write: unknown codec %d: %w", codec, ErrBadFrame)
 	}
-	if body.Len()+1 > MaxFrame {
-		return fmt.Errorf("rpcstore: frame of %d bytes exceeds MaxFrame: %w", body.Len(), ErrBadFrame)
+	bp := framePool.Get().(*[]byte)
+	b := appendMsg(append((*bp)[:0], 0, 0, 0, 0, byte(CodecBinary)), m)
+	if len(b)-4 > MaxFrame {
+		return fmt.Errorf("rpcstore: frame of %d bytes exceeds MaxFrame: %w", len(b)-5, ErrBadFrame)
 	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(body.Len()+1))
-	hdr[4] = byte(codec)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	binary.BigEndian.PutUint32(b, uint32(len(b)-4))
+	_, err := w.Write(b)
+	if cap(b) <= bodyChunk {
+		*bp = b
+		framePool.Put(bp)
 	}
-	_, err := w.Write(body.Bytes())
 	return err
 }
 
-// ReadFrame reads one frame and decodes its envelope, reporting which codec
-// the peer used. Oversized lengths, unknown codec tags, and undecodable
-// payloads all wrap ErrBadFrame; genuine transport failures (EOF, timeouts)
-// pass through untouched so callers can tell corruption from disconnection.
+// ReadFrame reads one frame and decodes its envelope, reporting its layout
+// (always CodecBinary). Oversized lengths, other layout tags — the retired
+// gob (0) and JSON (1) envelopes among them — and undecodable payloads all
+// wrap ErrBadFrame; genuine transport failures (EOF, timeouts) pass through
+// untouched so callers can tell corruption from disconnection.
 func ReadFrame(r io.Reader) (*Msg, Codec, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -289,23 +274,222 @@ func ReadFrame(r io.Reader) (*Msg, Codec, error) {
 	if n == 0 || n > MaxFrame {
 		return nil, 0, fmt.Errorf("rpcstore: frame length %d: %w", n, ErrBadFrame)
 	}
-	codec := Codec(hdr[4])
-	body := make([]byte, n-1)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, 0, err
-	}
-	var m Msg
-	switch codec {
-	case CodecGob:
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&m); err != nil {
-			return nil, codec, fmt.Errorf("rpcstore: decode gob frame: %w: %v", ErrBadFrame, err)
-		}
-	case CodecJSON:
-		if err := json.Unmarshal(body, &m); err != nil {
-			return nil, codec, fmt.Errorf("rpcstore: decode json frame: %w: %v", ErrBadFrame, err)
-		}
-	default:
+	if codec := Codec(hdr[4]); codec != CodecBinary {
 		return nil, codec, fmt.Errorf("rpcstore: read: unknown codec %d: %w", codec, ErrBadFrame)
 	}
-	return &m, codec, nil
+	body, err := readBody(r, int(n-1))
+	if err != nil {
+		return nil, 0, err
+	}
+	m := new(Msg)
+	if err := parseMsg(body, m); err != nil {
+		return nil, CodecBinary, err
+	}
+	return m, CodecBinary, nil
+}
+
+// readBody reads exactly size bytes. Beyond bodyChunk the buffer grows as
+// bytes arrive, so memory follows what the peer sent, not what it announced.
+func readBody(r io.Reader, size int) ([]byte, error) {
+	if size <= bodyChunk {
+		body := make([]byte, size)
+		_, err := io.ReadFull(r, body)
+		return body, err
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, bodyChunk))
+	if _, err := io.CopyN(buf, r, int64(size)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// appendMsg appends m's wire layout to b: the fields in declaration order,
+// unsigned integers as uvarints, signed ones as varints, strings and blobs
+// as a uvarint length and the bytes, lists as a uvarint count and the
+// elements, and each BitsPage as its base (varint), a word count and the
+// words as fixed 8-byte little-endian values.
+func appendMsg(b []byte, m *Msg) []byte {
+	b = binary.AppendUvarint(b, m.Seq)
+	b = appendString(b, m.Op)
+	b = binary.AppendUvarint(b, m.Epoch)
+	b = binary.AppendVarint(b, int64(m.ErrCode))
+	b = appendString(b, m.Error)
+	b = appendInts(b, m.Shards)
+	b = binary.AppendVarint(b, int64(m.NumShards))
+	b = appendString(b, m.Tag)
+	b = binary.AppendVarint(b, int64(m.NumGraphs))
+	b = binary.AppendUvarint(b, uint64(len(m.Probes)))
+	for _, w := range m.Probes {
+		b = appendInts(b, w)
+	}
+	b = binary.AppendUvarint(b, uint64(len(m.Parts)))
+	for _, pages := range m.Parts {
+		b = appendPages(b, pages)
+	}
+	b = appendPages(b, m.IDs)
+	b = binary.AppendUvarint(b, uint64(len(m.GraphBlobs)))
+	for _, blob := range m.GraphBlobs {
+		b = binary.AppendUvarint(b, uint64(len(blob)))
+		b = append(b, blob...)
+	}
+	b = appendString(b, m.Frag)
+	b = binary.AppendVarint(b, int64(m.Kind))
+	b = binary.AppendVarint(b, int64(m.EntryID))
+	return binary.AppendVarint(b, int64(m.GraphID))
+}
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+func appendInts(b []byte, xs []int) []byte {
+	b = binary.AppendUvarint(b, uint64(len(xs)))
+	for _, x := range xs {
+		b = binary.AppendVarint(b, int64(x))
+	}
+	return b
+}
+
+func appendPages(b []byte, pages []BitsPage) []byte {
+	b = binary.AppendUvarint(b, uint64(len(pages)))
+	for _, p := range pages {
+		b = binary.AppendVarint(b, int64(p.Base))
+		b = binary.AppendUvarint(b, uint64(len(p.Words)))
+		for _, w := range p.Words {
+			b = binary.LittleEndian.AppendUint64(b, w)
+		}
+	}
+	return b
+}
+
+// parseMsg decodes one appendMsg body into m. It is total: a varint that
+// overflows, a count larger than the bytes left could hold, a short field or
+// a trailing byte fails it with ErrBadFrame. Every count is checked before
+// its allocation, so a decode allocates at most 24 bytes (one slice header)
+// per body byte. Empty lists and blobs decode as nil, so decoding is
+// canonical: re-encoding a decoded Msg reproduces the same envelope.
+func parseMsg(body []byte, m *Msg) error {
+	r := msgReader{b: body}
+	m.Seq = r.uvarint()
+	m.Op = r.string()
+	m.Epoch = r.uvarint()
+	m.ErrCode = r.int()
+	m.Error = r.string()
+	m.Shards = r.ints()
+	m.NumShards = r.int()
+	m.Tag = r.string()
+	m.NumGraphs = r.int()
+	if n := r.count(1); n > 0 {
+		m.Probes = make([][]int, n)
+		for i := range m.Probes {
+			m.Probes[i] = r.ints()
+		}
+	}
+	if n := r.count(1); n > 0 {
+		m.Parts = make([][]BitsPage, n)
+		for i := range m.Parts {
+			m.Parts[i] = r.pages()
+		}
+	}
+	m.IDs = r.pages()
+	if n := r.count(1); n > 0 {
+		m.GraphBlobs = make([][]byte, n)
+		for i := range m.GraphBlobs {
+			if k := r.count(1); k > 0 {
+				m.GraphBlobs[i] = bytes.Clone(r.take(k))
+			}
+		}
+	}
+	m.Frag = r.string()
+	m.Kind = r.int()
+	m.EntryID = r.int()
+	m.GraphID = r.int()
+	if r.bad || len(r.b) > 0 {
+		return fmt.Errorf("rpcstore: decode frame: bad field or trailing bytes at byte %d of %d: %w",
+			len(body)-len(r.b), len(body), ErrBadFrame)
+	}
+	return nil
+}
+
+// msgReader walks one frame body. The first failure sticks: every later
+// read returns a zero value and allocates nothing.
+type msgReader struct {
+	b   []byte
+	bad bool
+}
+
+func (r *msgReader) fail() { r.bad, r.b = true, nil }
+
+func (r *msgReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.fail()
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *msgReader) int() int {
+	v, n := binary.Varint(r.b)
+	if n <= 0 || int64(int(v)) != v {
+		r.fail()
+		return 0
+	}
+	r.b = r.b[n:]
+	return int(v)
+}
+
+// count reads a length prefix and bounds it by what the remaining bytes
+// could hold at minSize bytes per element.
+func (r *msgReader) count(minSize int) int {
+	v := r.uvarint()
+	if v > uint64(len(r.b)/minSize) {
+		r.fail()
+		return 0
+	}
+	return int(v)
+}
+
+// take consumes n bytes; count has already bounded n by len(r.b).
+func (r *msgReader) take(n int) []byte {
+	s := r.b[:n:n]
+	r.b = r.b[n:]
+	return s
+}
+
+func (r *msgReader) string() string { return string(r.take(r.count(1))) }
+
+func (r *msgReader) ints() []int {
+	n := r.count(1)
+	if n == 0 {
+		return nil
+	}
+	xs := make([]int, n)
+	for i := range xs {
+		xs[i] = r.int()
+	}
+	return xs
+}
+
+func (r *msgReader) pages() []BitsPage {
+	n := r.count(2)
+	if n == 0 {
+		return nil
+	}
+	pages := make([]BitsPage, n)
+	for i := range pages {
+		pages[i].Base = r.int()
+		if k := r.count(8); k > 0 {
+			words := r.take(8 * k)
+			pages[i].Words = make([]uint64, k)
+			for j := range pages[i].Words {
+				pages[i].Words[j] = binary.LittleEndian.Uint64(words[8*j:])
+			}
+		}
+	}
+	return pages
 }

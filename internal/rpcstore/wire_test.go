@@ -2,14 +2,22 @@ package rpcstore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"prague/internal/graph"
 	"prague/internal/index"
+	"prague/internal/raceflag"
 	"prague/internal/store"
 )
 
@@ -122,88 +130,117 @@ func sampleMsg() *Msg {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	for _, codec := range []Codec{CodecGob, CodecJSON} {
-		t.Run(codec.String(), func(t *testing.T) {
-			var buf bytes.Buffer
-			m := sampleMsg()
-			if err := WriteFrame(&buf, codec, m); err != nil {
-				t.Fatal(err)
-			}
-			got, gotCodec, err := ReadFrame(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotCodec != codec {
-				t.Errorf("codec = %v, want %v", gotCodec, codec)
-			}
-			// JSON decodes empty slices vs nil equivalently via omitempty;
-			// compare the fields that matter.
-			if got.Seq != m.Seq || got.Op != m.Op || got.Epoch != m.Epoch ||
-				got.Tag != m.Tag || !reflect.DeepEqual(got.Shards, m.Shards) ||
-				!reflect.DeepEqual(got.Probes, m.Probes) || len(got.Parts) != len(m.Parts) ||
-				!reflect.DeepEqual(UnpackIDs(got.Parts[0]), UnpackIDs(m.Parts[0])) ||
-				!reflect.DeepEqual(UnpackIDs(got.IDs), UnpackIDs(m.IDs)) ||
-				got.Frag != m.Frag || got.GraphID != m.GraphID {
-				t.Errorf("round trip diverged:\ngot  %+v\nwant %+v", got, m)
-			}
-		})
+	for _, m := range []*Msg{sampleMsg(), {}, {Seq: ^uint64(0), Op: OpLookup, ErrCode: -1, Kind: math.MinInt64, EntryID: math.MaxInt64}} {
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, CodecBinary, m); err != nil {
+			t.Fatal(err)
+		}
+		got, codec, err := ReadFrame(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if codec != CodecBinary {
+			t.Errorf("codec = %d, want CodecBinary", codec)
+		}
+		if !reflect.DeepEqual(got, m) {
+			t.Errorf("round trip diverged:\ngot  %+v\nwant %+v", got, m)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%d bytes left after the frame", buf.Len())
+		}
 	}
 }
 
 func TestFrameSelfContained(t *testing.T) {
-	// Frames decode independently — mixed codecs on one stream are legal.
+	// Frames decode independently, and a frame's bytes do not depend on what
+	// the stream carried before it.
+	alone := frameBytes(t, &Msg{Seq: 2, Op: OpLookup, Frag: "C-C"})
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, CodecGob, &Msg{Seq: 1, Op: OpHello}); err != nil {
+	if err := WriteFrame(&buf, CodecBinary, &Msg{Seq: 1, Op: OpHello}); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(&buf, CodecJSON, &Msg{Seq: 2, Op: OpLookup}); err != nil {
+	first := buf.Len()
+	if err := WriteFrame(&buf, CodecBinary, &Msg{Seq: 2, Op: OpLookup, Frag: "C-C"}); err != nil {
 		t.Fatal(err)
 	}
-	m1, c1, err := ReadFrame(&buf)
-	if err != nil || m1.Seq != 1 || c1 != CodecGob {
-		t.Fatalf("frame 1: %+v codec %v err %v", m1, c1, err)
+	if !bytes.Equal(buf.Bytes()[first:], alone) {
+		t.Errorf("frame after another = %x, alone = %x", buf.Bytes()[first:], alone)
 	}
-	m2, c2, err := ReadFrame(&buf)
-	if err != nil || m2.Seq != 2 || c2 != CodecJSON {
-		t.Fatalf("frame 2: %+v codec %v err %v", m2, c2, err)
+	m1, _, err := ReadFrame(&buf)
+	if err != nil || m1.Seq != 1 || m1.Op != OpHello {
+		t.Fatalf("frame 1: %+v err %v", m1, err)
+	}
+	m2, _, err := ReadFrame(&buf)
+	if err != nil || m2.Seq != 2 || m2.Frag != "C-C" {
+		t.Fatalf("frame 2: %+v err %v", m2, err)
+	}
+}
+
+// frameBytes is m's whole frame as WriteFrame writes it.
+func frameBytes(tb testing.TB, m *Msg) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, CodecBinary, m); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// rawFrame wraps a body in a frame header carrying tag.
+func rawFrame(tag Codec, body []byte) []byte {
+	f := binary.BigEndian.AppendUint32(nil, uint32(len(body)+1))
+	return append(append(f, byte(tag)), body...)
+}
+
+// legacyFrames are sampleMsg as a peer from before the binary layout sent
+// it: a gob envelope under tag 0 and a JSON envelope under tag 1.
+func legacyFrames(tb testing.TB) [][]byte {
+	tb.Helper()
+	var gobBody bytes.Buffer
+	if err := gob.NewEncoder(&gobBody).Encode(sampleMsg()); err != nil {
+		tb.Fatal(err)
+	}
+	jsonBody, err := json.Marshal(sampleMsg())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return [][]byte{rawFrame(0, gobBody.Bytes()), rawFrame(1, jsonBody)}
+}
+
+// malformedFrames are frames every reader must refuse with ErrBadFrame.
+func malformedFrames(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	hello := frameBytes(tb, &Msg{Op: OpHello})[5:]
+	page := frameBytes(tb, &Msg{IDs: PackIDs([]int{1})})[5:]
+	legacy := legacyFrames(tb)
+	return map[string][]byte{
+		"oversized length": {0xFF, 0xFF, 0xFF, 0xFF, byte(CodecBinary)},
+		"zero length":      {0, 0, 0, 0, byte(CodecBinary)},
+		"unknown tag":      rawFrame(9, []byte("x")),
+		"empty body":       rawFrame(CodecBinary, nil),
+		"garbage":          rawFrame(CodecBinary, []byte("bad")),
+		"count past end":   rawFrame(CodecBinary, []byte{0, 0x7F, 'x'}),
+		"overlong varint":  rawFrame(CodecBinary, bytes.Repeat([]byte{0xFF}, 11)),
+		"trailing byte":    rawFrame(CodecBinary, append(hello, 0)),
+		"short words":      rawFrame(CodecBinary, page[:len(page)-6]),
+		"int overflow":     rawFrame(CodecBinary, append([]byte{0, 0, 0}, bytes.Repeat([]byte{0xFF}, 10)...)),
+		"legacy gob":       legacy[0],
+		"legacy json":      legacy[1],
 	}
 }
 
 func TestReadFrameRejectsCorruption(t *testing.T) {
-	// Oversized length prefix.
-	var buf bytes.Buffer
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0})
-	if _, _, err := ReadFrame(&buf); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("oversized length: err = %v, want ErrBadFrame", err)
-	}
-	// Zero length.
-	buf.Reset()
-	buf.Write([]byte{0, 0, 0, 0, 0})
-	if _, _, err := ReadFrame(&buf); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("zero length: err = %v, want ErrBadFrame", err)
-	}
-	// Unknown codec byte.
-	buf.Reset()
-	buf.Write([]byte{0, 0, 0, 2, 9, 'x'})
-	if _, _, err := ReadFrame(&buf); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("unknown codec: err = %v, want ErrBadFrame", err)
-	}
-	// Garbage payload under a valid header.
-	buf.Reset()
-	buf.Write([]byte{0, 0, 0, 4, byte(CodecGob), 'b', 'a', 'd'})
-	if _, _, err := ReadFrame(&buf); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("garbage gob: err = %v, want ErrBadFrame", err)
+	for name, f := range malformedFrames(t) {
+		if _, _, err := ReadFrame(bytes.NewReader(f)); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s: err = %v, want ErrBadFrame", name, err)
+		}
 	}
 }
 
 func TestReadFrameTransportErrorsPassThrough(t *testing.T) {
 	// A truncated stream is a transport failure, not corruption: the caller
 	// must be able to tell a dropped connection from a malicious peer.
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, CodecGob, sampleMsg()); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := frameBytes(t, sampleMsg())
 	for _, cut := range []int{0, 2, 5, len(full) - 1} {
 		_, _, err := ReadFrame(bytes.NewReader(full[:cut]))
 		if err == nil {
@@ -215,6 +252,120 @@ func TestReadFrameTransportErrorsPassThrough(t *testing.T) {
 		if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Errorf("truncated at %d: err = %v, want EOF-ish", cut, err)
 		}
+	}
+}
+
+// TestReadFrameBareHeaderAllocatesLittle: a header announcing a near-MaxFrame
+// body and then nothing is a truncated stream, and the reader must not have
+// allocated the announced size ahead of the bytes.
+func TestReadFrameBareHeaderAllocatesLittle(t *testing.T) {
+	hdr := binary.BigEndian.AppendUint32(nil, MaxFrame-1)
+	hdr = append(hdr, byte(CodecBinary))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadFrame(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Errorf("bare header allocated %d bytes, want < 1 MiB", d)
+	}
+}
+
+// TestParseMsgAllocBounded decodes the costliest body per byte — a list of
+// empty lists, one slice header per body byte — and checks the decode stays
+// within its documented 24 bytes per body byte.
+func TestParseMsgAllocBounded(t *testing.T) {
+	const n = 1 << 16
+	body := []byte{0, 0, 0, 0, 0, 0, 0, 0, 0} // Seq … NumGraphs
+	body = binary.AppendUvarint(body, n)      // Probes
+	body = append(body, make([]byte, n)...)   // n empty probes
+	body = append(body, make([]byte, 7)...)   // Parts … GraphID
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var m Msg
+	err := parseMsg(body, &m)
+	runtime.ReadMemStats(&after)
+	if err != nil || len(m.Probes) != n {
+		t.Fatalf("parseMsg: %d probes, err %v", len(m.Probes), err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d > 24*uint64(len(body))+4096 {
+		t.Errorf("decode of %d bytes allocated %d", len(body), d)
+	}
+}
+
+// TestFrameLayoutGolden pins the wire bytes. The layout is a contract
+// between separately deployed binaries: if this fails, the change reorders
+// or re-encodes a field, and every peer must move with it.
+func TestFrameLayoutGolden(t *testing.T) {
+	zeros := func(words int) string { return strings.Repeat("0000000000000000", words) }
+	sample := strings.Join([]string{
+		"000001c5", "02", // body length + 1, layout tag
+		"2a",                                  // Seq 42
+		"04" + "63616e64",                     // Op "cand"
+		"07",                                  // Epoch 7
+		"00",                                  // ErrCode 0
+		"00",                                  // Error ""
+		"02" + "00" + "04",                    // Shards [0 2]
+		"08",                                  // NumShards 4
+		"0e" + "73686172646564343a6162634037", // Tag "sharded4:abc@7"
+		"c801",                                // NumGraphs 100
+		"02",                                  // Probes: 2
+		"04" + "02" + "06" + "01" + "00",      //   frequent 3, DIF -1, |Φ| 0
+		"07" + "00" + "01" + "01" + "04" + "02" + "04" + "0a", // NIF, -1, -1, |Φ| 2, Φ [1 2], Υ [5]
+		"02", // Parts: 2
+		"01" + "00" + "10" + "0c00000000000000" + zeros(15), // [{0, ids 2 3}]
+		"00", //   nil
+		"02", // IDs: 2 pages
+		"00" + "10" + "2200000000000000" + zeros(15),   // {0, ids 1 5}
+		"8010" + "10" + "0100000000000000" + zeros(15), // {1024, id 1024}
+		"02" + "03" + "010203" + "00",                  // GraphBlobs [{1 2 3} nil]
+		"03" + "432d43",                                // Frag "C-C"
+		"00",                                           // Kind 0
+		"12",                                           // EntryID 9
+		"6e",                                           // GraphID 55
+	}, "")
+	for _, c := range []struct {
+		name string
+		m    *Msg
+		want string
+	}{
+		{"lookup", &Msg{Op: OpLookup}, "00000018" + "02" + "00" + "06" + "6c6f6f6b7570" + strings.Repeat("00", 15)},
+		{"sample", sampleMsg(), sample},
+	} {
+		if got := hex.EncodeToString(frameBytes(t, c.m)); got != c.want {
+			t.Errorf("%s frame:\ngot  %s\nwant %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestFrameAllocBudget pins what one candidates reply costs the codec:
+// WriteFrame reuses its pooled buffer, and ReadFrame allocates the body, the
+// Msg, its op string, the parts list and per part its pages and words, and
+// the frame header, which escapes through the io.Reader.
+func TestFrameAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation budgets are not meaningful under -race")
+	}
+	m := &Msg{Op: OpCandidates, Epoch: 7}
+	for i := 0; i < 6; i++ {
+		m.Parts = append(m.Parts, PackIDs([]int{i, 64 + i, 700 + i}))
+	}
+	var buf bytes.Buffer
+	var rd bytes.Reader
+	const budget = 17
+	if n := testing.AllocsPerRun(100, func() {
+		buf.Reset()
+		if err := WriteFrame(&buf, CodecBinary, m); err != nil {
+			t.Fatal(err)
+		}
+		rd.Reset(buf.Bytes())
+		if _, _, err := ReadFrame(&rd); err != nil {
+			t.Fatal(err)
+		}
+	}); n > budget {
+		t.Errorf("WriteFrame+ReadFrame of a six-part reply: %.0f allocs/op, budget %d", n, budget)
 	}
 }
 
@@ -250,17 +401,5 @@ func TestEncodeDecodeGraph(t *testing.T) {
 	}
 	if _, err := DecodeGraph([]byte("junk")); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("junk blob: err = %v, want ErrBadFrame", err)
-	}
-}
-
-func TestParseCodec(t *testing.T) {
-	for name, want := range map[string]Codec{"": CodecGob, "gob": CodecGob, "json": CodecJSON} {
-		got, err := ParseCodec(name)
-		if err != nil || got != want {
-			t.Errorf("ParseCodec(%q) = %v, %v", name, got, err)
-		}
-	}
-	if _, err := ParseCodec("xml"); err == nil {
-		t.Error("ParseCodec(xml) succeeded")
 	}
 }

@@ -349,7 +349,7 @@ func DialStore(ctx context.Context, endpoints []string, opts ...RemoteOption) (G
 	return rpcstore.Dial(ctx, endpoints, opts...)
 }
 
-// RemoteOption configures DialStore (codec, timeouts, hedging, retries);
+// RemoteOption configures DialStore (timeouts, hedging, retries, metrics);
 // see prague/internal/rpcstore for the full set.
 type RemoteOption = rpcstore.DialOption
 

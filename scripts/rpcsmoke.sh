@@ -13,12 +13,28 @@ BIN=$(mktemp -d)
 P1=""
 P2=""
 cleanup() {
-  # Kill the servers, then reap them: nothing outlives the script.
+  status=$?
+  # Nothing outlives the script: SIGTERM the servers, give each up to 5 s to
+  # exit, SIGKILL whichever has not, reap both, and fail if a pid survives.
   for p in $P1 $P2; do
     kill "$p" 2>/dev/null || true
+  done
+  for p in $P1 $P2; do
+    for _ in $(seq 1 50); do
+      kill -0 "$p" 2>/dev/null || break
+      sleep 0.1
+    done
+    kill -KILL "$p" 2>/dev/null || true
     wait "$p" 2>/dev/null || true
   done
+  for p in $P1 $P2; do
+    if kill -0 "$p" 2>/dev/null; then
+      echo "rpcsmoke: FAIL — server pid $p is still running"
+      status=1
+    fi
+  done
   rm -rf "$BIN"
+  exit "$status"
 }
 trap cleanup EXIT
 
@@ -52,7 +68,7 @@ echo "rpcsmoke: servers up"
 
 # A 3-edge path, the suggested-deletion probe batch, a deletion (Modify
 # re-fetches every candidate level in one batch per server) and a Run.
-out=$("$BIN/praguecli" -connect "127.0.0.1:$PORT1,127.0.0.1:$PORT2" <<'EOF'
+out=$(timeout 120 "$BIN/praguecli" -connect "127.0.0.1:$PORT1,127.0.0.1:$PORT2" <<'EOF'
 node C
 node C
 node C
