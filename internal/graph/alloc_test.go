@@ -75,11 +75,10 @@ func TestVF2AllocBudget(t *testing.T) {
 	}
 }
 
-// MinDFSCode recycles its embedding arenas through a pool; in steady state
-// the only mandatory allocation is the caller-owned copy of the resulting
-// code. The budget leaves headroom for map-internal growth but is far below
-// the per-embedding cloning the arena replaced (hundreds of allocations for
-// a fragment this size).
+// MinDFSCode recycles its embedding arenas and its edge-id table through a
+// pool; in steady state the only allocation is the caller-owned copy of the
+// resulting code. CanonicalCode encodes straight from the pooled code, so
+// its only allocation is the string itself: no fmt, no map, no copy.
 func TestMinDFSCodeAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation budgets are not meaningful under -race")
@@ -87,11 +86,16 @@ func TestMinDFSCodeAllocBudget(t *testing.T) {
 	_, g := allocFixture()
 	for i := 0; i < 10; i++ {
 		MinDFSCode(g)
+		CanonicalCode(g)
 	}
-	const budget = 8
 	if n := testing.AllocsPerRun(100, func() {
 		MinDFSCode(g)
-	}); n > budget {
-		t.Errorf("MinDFSCode allocates %.1f/op in steady state, budget %d", n, budget)
+	}); n > 1 {
+		t.Errorf("MinDFSCode allocates %.1f/op in steady state, budget 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		CanonicalCode(g)
+	}); n > 1 {
+		t.Errorf("CanonicalCode allocates %.1f/op in steady state, budget 1", n)
 	}
 }

@@ -1,7 +1,7 @@
 package graph
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -11,7 +11,10 @@ import (
 // complete canonical form (two graphs are isomorphic iff their minimum DFS
 // codes are equal) and the natural choice here because the miner is
 // gSpan-based. See DESIGN.md for the substitution note; CAMCode in cam.go is
-// the literal construction, used for cross-validation.
+// the literal construction, used for cross-validation. The string form
+// (EncodeCode) is as complete as the code itself only because labels are
+// escaped: a backslash precedes each of \ , ( ) [ ] inside a label, so no
+// label can imitate a tuple boundary.
 
 // CodeEdge is one 5-tuple (i, j, li, le, lj) of a DFS code for undirected
 // graphs with node labels and optional edge labels (LE == "" on unlabeled
@@ -127,10 +130,13 @@ func (es *embSet) appendFrom(src *embSet, i int) int {
 }
 
 // minDFSScratch pools every transient of the minimum-code search; acquire
-// via minDFSPool. Scratch is re-sliced and cleared on reuse, so a state left
-// dirty by a panic unwind is harmless.
+// via minDFSPool. Scratch is re-sliced and overwritten on reuse, so a state
+// left dirty by a panic unwind is harmless.
 type minDFSScratch struct {
-	edgeIdx   map[Edge]int
+	// off and eid form a flat edge-id table aligned with g.adj:
+	// eid[off[u]+k] is the index in g.edges of the edge {u, g.adj[u][k]}.
+	off, eid  []int
+	fill      []int // edgeTable's per-node cursor into eid
 	cur, next embSet
 	code      []CodeEdge
 	rmpath    []int
@@ -138,36 +144,63 @@ type minDFSScratch struct {
 
 var minDFSPool = sync.Pool{New: func() any { return new(minDFSScratch) }}
 
+// edgeTable fills off and eid for g. It relies on adj[u] listing u's
+// neighbors in the order their edges were added, which every Graph
+// constructor keeps: the k-th entry of adj[u] is the k-th edge of g.edges
+// incident to u.
+func (sc *minDFSScratch) edgeTable(g *Graph) {
+	off := sc.off[:0]
+	total := 0
+	for _, a := range g.adj {
+		off = append(off, total)
+		total += len(a)
+	}
+	eid := extendInts(sc.eid[:0], total)
+	pos := append(sc.fill[:0], off...)
+	for i, e := range g.edges {
+		eid[pos[e.U]] = i
+		pos[e.U]++
+		eid[pos[e.V]] = i
+		pos[e.V]++
+	}
+	sc.off, sc.eid, sc.fill = off, eid, pos
+}
+
+// edgeBetween returns the index in g.edges of the edge {u, w}, or -1 if g
+// has no such edge. It scans the shorter of the two adjacency lists.
+func (sc *minDFSScratch) edgeBetween(g *Graph, u, w int) int {
+	if len(g.adj[w]) < len(g.adj[u]) {
+		u, w = w, u
+	}
+	for k, x := range g.adj[u] {
+		if x == w {
+			return sc.eid[sc.off[u]+k]
+		}
+	}
+	return -1
+}
+
 // MinDFSCode computes the minimum DFS code of g. g must be connected; for a
 // single-node graph the code is a single pseudo-tuple carrying the label.
 func MinDFSCode(g *Graph) []CodeEdge {
+	sc := minDFSPool.Get().(*minDFSScratch)
+	defer minDFSPool.Put(sc)
+	// The scratch-backed code is recycled; hand the caller an owned copy.
+	return append([]CodeEdge(nil), sc.minCode(g)...)
+}
+
+// minCode computes the minimum DFS code of g into sc.code and returns it;
+// the result is valid until the scratch is reused.
+func (sc *minDFSScratch) minCode(g *Graph) []CodeEdge {
 	if g.NumEdges() == 0 {
 		if g.NumNodes() == 1 {
-			return []CodeEdge{{I: 0, J: 0, LI: g.labels[0], LJ: g.labels[0]}}
+			sc.code = append(sc.code[:0], CodeEdge{I: 0, J: 0, LI: g.labels[0], LJ: g.labels[0]})
+			return sc.code
 		}
 		panic("graph: MinDFSCode on empty or edgeless multi-node graph")
 	}
-	if !g.Connected() {
-		panic("graph: MinDFSCode on disconnected graph")
-	}
-
-	sc := minDFSPool.Get().(*minDFSScratch)
-	defer minDFSPool.Put(sc)
-	if sc.edgeIdx == nil {
-		sc.edgeIdx = make(map[Edge]int, len(g.edges))
-	} else {
-		clear(sc.edgeIdx)
-	}
-	edgeIdx := sc.edgeIdx
-	for i, e := range g.edges {
-		edgeIdx[e] = i
-	}
-	labelOf := func(u, v int) string {
-		if !g.edgeLabeled() { // no edge index lookup on unlabeled graphs
-			return ""
-		}
-		return g.EdgeLabelAt(edgeIdx[normEdge(u, v)])
-	}
+	sc.edgeTable(g)
+	eid, off := sc.eid, sc.off
 
 	// Seed: minimal first tuple (0, 1, la, le, lb) over all edges (both
 	// orientations).
@@ -196,7 +229,7 @@ func MinDFSCode(g *Graph) []CodeEdge {
 			}
 			clear(used)
 			inv[o[0]], inv[o[1]] = 0, 1
-			used[edgeIdx[normEdge(o[0], o[1])]] = true
+			used[i] = true
 		}
 	}
 
@@ -219,23 +252,24 @@ func MinDFSCode(g *Graph) []CodeEdge {
 			gv := assign[r]
 			for _, pathV := range rmpath[:len(rmpath)-1] {
 				gw := assign[pathV]
-				if g.HasEdge(gv, gw) && !used[edgeIdx[normEdge(gv, gw)]] {
-					consider(CodeEdge{I: r, J: pathV, LI: g.labels[gv], LE: labelOf(gv, gw), LJ: g.labels[gw]})
+				if i := sc.edgeBetween(g, gv, gw); i >= 0 && !used[i] {
+					consider(CodeEdge{I: r, J: pathV, LI: g.labels[gv], LE: g.EdgeLabelAt(i), LJ: g.labels[gw]})
 				}
 			}
 			// Forward extensions: from any rightmost-path vertex to an
 			// unmapped neighbor.
 			for _, pathV := range rmpath {
 				gu := assign[pathV]
-				for _, gw := range g.adj[gu] {
+				for k, gw := range g.adj[gu] {
 					if inv[gw] == -1 {
-						consider(CodeEdge{I: pathV, J: len(assign), LI: g.labels[gu], LE: labelOf(gu, gw), LJ: g.labels[gw]})
+						consider(CodeEdge{I: pathV, J: len(assign), LI: g.labels[gu], LE: g.EdgeLabelAt(eid[off[gu]+k]), LJ: g.labels[gw]})
 					}
 				}
 			}
 		}
 		if !haveBest {
-			panic("graph: MinDFSCode ran out of extensions on a connected graph")
+			// Every edge reachable from the seed is consumed, yet some remain.
+			panic("graph: MinDFSCode on disconnected graph")
 		}
 
 		// Keep only embeddings realizing the best extension, extended into
@@ -249,13 +283,14 @@ func MinDFSCode(g *Graph) []CodeEdge {
 			if best.forward() {
 				gu := cur.assignRow(e)[best.I]
 				inv := cur.invRow(e)
-				for _, gw := range g.adj[gu] {
-					if inv[gw] == -1 && g.labels[gw] == best.LJ && labelOf(gu, gw) == best.LE {
+				for k, gw := range g.adj[gu] {
+					i := eid[off[gu]+k]
+					if inv[gw] == -1 && g.labels[gw] == best.LJ && g.EdgeLabelAt(i) == best.LE {
 						j := next.appendFrom(cur, e)
 						nas, ninv, nused := next.assignRow(j), next.invRow(j), next.usedRow(j)
 						nas[len(nas)-1] = gw
 						ninv[gw] = len(nas) - 1
-						nused[edgeIdx[normEdge(gu, gw)]] = true
+						nused[i] = true
 					}
 				}
 			} else {
@@ -267,9 +302,9 @@ func MinDFSCode(g *Graph) []CodeEdge {
 				// collide).
 				assign, used := cur.assignRow(e), cur.usedRow(e)
 				gv, gw := assign[best.I], assign[best.J]
-				if g.HasEdge(gv, gw) && !used[edgeIdx[normEdge(gv, gw)]] && labelOf(gv, gw) == best.LE {
+				if i := sc.edgeBetween(g, gv, gw); i >= 0 && !used[i] && g.EdgeLabelAt(i) == best.LE {
 					j := next.appendFrom(cur, e)
-					next.usedRow(j)[edgeIdx[normEdge(gv, gw)]] = true
+					next.usedRow(j)[i] = true
 				}
 			}
 		}
@@ -287,8 +322,11 @@ func MinDFSCode(g *Graph) []CodeEdge {
 		}
 	}
 	sc.code, sc.rmpath = code, rmpath
-	// The scratch-backed code is recycled; hand the caller an owned copy.
-	return append([]CodeEdge(nil), code...)
+	if cur.stride != g.NumNodes() {
+		// The edges are one component, but some node has none of them.
+		panic("graph: MinDFSCode on disconnected graph")
+	}
+	return code
 }
 
 // CanonicalCode returns a string serialization of g's minimum DFS code. Two
@@ -296,20 +334,83 @@ func MinDFSCode(g *Graph) []CodeEdge {
 // labels included). This string plays the role of cam(g) throughout the
 // reproduction.
 func CanonicalCode(g *Graph) string {
-	return EncodeCode(MinDFSCode(g))
+	sc := minDFSPool.Get().(*minDFSScratch)
+	defer minDFSPool.Put(sc)
+	return EncodeCode(sc.minCode(g))
 }
 
-// EncodeCode serializes a DFS code deterministically.
+// codeSpecial reports whether EncodeCode escapes c inside a label: c is one
+// of the code's delimiters or the escape byte itself.
+func codeSpecial(c byte) bool {
+	switch c {
+	case '\\', ',', '(', ')', '[', ']':
+		return true
+	}
+	return false
+}
+
+// EncodeCode serializes a DFS code deterministically: one
+// "(i,j,li,lj)" group per unlabeled tuple and one "(i,j,li,[le],lj)" group
+// per labeled tuple. Inside a label each of the bytes \ , ( ) [ ] is
+// preceded by a backslash, so distinct codes never render alike; a label
+// free of those bytes is written as is.
 func EncodeCode(code []CodeEdge) string {
-	var b strings.Builder
+	// The exact length of a code without escapes: the string keeps no slack
+	// (codes are held as index keys), and only an escaping label grows it.
+	n := 0
 	for _, e := range code {
-		if e.LE == "" {
-			fmt.Fprintf(&b, "(%d,%d,%s,%s)", e.I, e.J, e.LI, e.LJ)
-		} else {
-			fmt.Fprintf(&b, "(%d,%d,%s,[%s],%s)", e.I, e.J, e.LI, e.LE, e.LJ)
+		n += len("(,,,)") + decimalLen(e.I) + decimalLen(e.J) + len(e.LI) + len(e.LJ)
+		if e.LE != "" {
+			n += len("[],") + len(e.LE)
 		}
 	}
+	var b strings.Builder
+	b.Grow(n)
+	var num [20]byte
+	for _, e := range code {
+		b.WriteByte('(')
+		b.Write(strconv.AppendInt(num[:0], int64(e.I), 10))
+		b.WriteByte(',')
+		b.Write(strconv.AppendInt(num[:0], int64(e.J), 10))
+		b.WriteByte(',')
+		writeCodeLabel(&b, e.LI)
+		b.WriteByte(',')
+		if e.LE != "" {
+			b.WriteByte('[')
+			writeCodeLabel(&b, e.LE)
+			b.WriteString("],")
+		}
+		writeCodeLabel(&b, e.LJ)
+		b.WriteByte(')')
+	}
 	return b.String()
+}
+
+// decimalLen returns the length of the decimal form of the non-negative x.
+func decimalLen(x int) int {
+	n := 1
+	for ; x >= 10; x /= 10 {
+		n++
+	}
+	return n
+}
+
+// writeCodeLabel writes one label of a code with a backslash before each
+// of its codeSpecial bytes.
+func writeCodeLabel(b *strings.Builder, l string) {
+	for i := 0; i < len(l); i++ {
+		if codeSpecial(l[i]) {
+			b.WriteString(l[:i])
+			for ; i < len(l); i++ {
+				if codeSpecial(l[i]) {
+					b.WriteByte('\\')
+				}
+				b.WriteByte(l[i])
+			}
+			return
+		}
+	}
+	b.WriteString(l)
 }
 
 // CodeGraph reconstructs a graph from a DFS code. The result is isomorphic to
@@ -337,7 +438,9 @@ func CodeGraph(code []CodeEdge) *Graph {
 // graph it denotes. Used by the miner to prune duplicate DFS-tree branches.
 func IsMinCode(code []CodeEdge) bool {
 	g := CodeGraph(code)
-	minCode := MinDFSCode(g)
+	sc := minDFSPool.Get().(*minDFSScratch)
+	defer minDFSPool.Put(sc)
+	minCode := sc.minCode(g)
 	for i := range code {
 		if code[i] != minCode[i] {
 			return false

@@ -113,3 +113,36 @@ func FuzzCanonicalCode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCanonicalCodeInjective checks the other half of the canonical-form
+// contract, which permutation invariance cannot: two graphs share a code
+// exactly when they are isomorphic (equal sizes and subgraph-isomorphic both
+// ways). The label alphabets include the code's delimiters and its escape
+// byte, in node and in edge labels, so an encoding whose tuple boundaries a
+// label can imitate fails here.
+func FuzzCanonicalCodeInjective(f *testing.F) {
+	// Committed seeds: the two collisions of an unescaped encoding
+	// (A,B–C vs A–B,C; A–[x],[y]–B vs A–[x]–"[y],B"), a backslash pair, and
+	// an isomorphic pair drawn in different node orders.
+	f.Add([]byte{0, 3, 2, 0, 0}, []byte{0, 0, 4, 0, 0})
+	f.Add([]byte{0, 0, 1, 0, 3}, []byte{0, 0, 5, 0, 1})
+	f.Add([]byte{0, 6, 4, 0, 0}, []byte{0, 7, 2, 0, 0})
+	f.Add([]byte{1, 0, 1, 2, 0, 1, 1, 2}, []byte{1, 2, 1, 0, 0, 2, 1, 1})
+
+	labels := []string{"A", "B", "C", "A,B", "B,C", "[y],B", `A\`, `A,B\`}
+	bonds := []string{"", "x", "1", "x],[y", `\`}
+	f.Fuzz(func(t *testing.T, aBytes, bBytes []byte) {
+		a := decodeFuzzGraph(aBytes, 5, labels, bonds)
+		b := decodeFuzzGraph(bBytes, 5, labels, bonds)
+		if a == nil || b == nil {
+			t.Skip("undecodable byte stream")
+		}
+		same := CanonicalCode(a) == CanonicalCode(b)
+		iso := a.NumNodes() == b.NumNodes() && a.NumEdges() == b.NumEdges() &&
+			SubgraphIsomorphic(a, b) && SubgraphIsomorphic(b, a)
+		if same != iso {
+			t.Fatalf("equal codes = %v but isomorphic = %v:\n a %v: %q\n b %v: %q",
+				same, iso, a, CanonicalCode(a), b, CanonicalCode(b))
+		}
+	})
+}

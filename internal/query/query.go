@@ -7,6 +7,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"prague/internal/graph"
@@ -134,7 +135,7 @@ func (q *Query) DeleteEdges(steps []int) error {
 				rest = append(rest, s)
 			}
 		}
-		if _, connected := q.FragmentOf(rest); !connected {
+		if !q.StepsConnected(rest) {
 			return fmt.Errorf("query: deleting %v would disconnect the query", steps)
 		}
 	}
@@ -193,8 +194,7 @@ func (q *Query) CanDelete(step int) bool {
 			rest = append(rest, s)
 		}
 	}
-	_, connected := q.FragmentOf(rest)
-	return connected
+	return q.StepsConnected(rest)
 }
 
 // Size returns |q| = number of edges.
@@ -235,69 +235,112 @@ func (q *Query) NodeLabel(id int) string { return q.nodeLabels[id] }
 // canvas nodes omitted) together with the step labels of its edges in the
 // dense graph's edge order.
 func (q *Query) Graph() (*graph.Graph, []int) {
-	g, steps, _ := q.fragment(q.Steps())
+	steps := q.Steps()
+	var buf [maxStackNodes]int
+	g, _, ok := q.fragment(steps, buf[:0])
+	if !ok {
+		return nil, nil
+	}
 	return g, steps
 }
 
 // FragmentOf materializes the edge-induced subgraph given by the step labels
-// and reports whether it is connected. Unknown step labels are an error
-// expressed as (nil, false).
+// and reports whether it is connected. A disconnected set is not
+// materialized. Unknown step labels are an error expressed as (nil, false).
 func (q *Query) FragmentOf(steps []int) (*graph.Graph, bool) {
-	g, _, ok := q.fragment(steps)
-	if !ok || g == nil {
+	if !q.StepsConnected(steps) {
 		return nil, false
 	}
-	return g, g.Connected()
+	var buf [maxStackNodes]int
+	g, _, ok := q.fragment(steps, buf[:0])
+	return g, ok
 }
 
 // FragmentWithNodes is FragmentOf plus the mapping from the fragment's dense
 // node indices back to the stable canvas node ids (used to highlight MCCS
 // matches on the canvas).
 func (q *Query) FragmentWithNodes(steps []int) (*graph.Graph, []int, bool) {
-	g, _, ok := q.fragment(steps)
-	if !ok || g == nil {
+	if !q.StepsConnected(steps) {
 		return nil, nil, false
 	}
-	if !g.Connected() {
+	g, stable, ok := q.fragment(steps, make([]int, 0, 2*len(steps)))
+	if !ok {
 		return nil, nil, false
-	}
-	// Recompute the dense-index -> stable-id mapping the same way fragment
-	// assigns indices (first appearance in ascending step order).
-	sorted := append([]int(nil), steps...)
-	sort.Ints(sorted)
-	var stable []int
-	seen := map[int]bool{}
-	add := func(id int) {
-		if !seen[id] {
-			seen[id] = true
-			stable = append(stable, id)
-		}
-	}
-	for _, s := range sorted {
-		e := q.edges[s]
-		add(e.A)
-		add(e.B)
 	}
 	return g, stable, true
 }
 
-func (q *Query) fragment(steps []int) (*graph.Graph, []int, bool) {
+// StepsConnected reports whether the edges with the given step labels form
+// one connected fragment, without building it: a union-find over the
+// edges' endpoints, on stack arrays for up to maxStackNodes endpoints. The
+// empty set and sets naming an unknown step are not connected.
+func (q *Query) StepsConnected(steps []int) bool {
+	if len(steps) == 0 {
+		return false
+	}
+	var idBuf, parentBuf [maxStackNodes]int
+	ids, parent := idBuf[:0], parentBuf[:0]
+	if 2*len(steps) > maxStackNodes {
+		ids, parent = make([]int, 0, 2*len(steps)), make([]int, 0, 2*len(steps))
+	}
+	components := 0
+	for _, s := range steps {
+		e, ok := q.edges[s]
+		if !ok {
+			return false
+		}
+		var ends [2]int
+		for i, id := range [2]int{e.A, e.B} {
+			ends[i] = slices.Index(ids, id)
+			if ends[i] < 0 {
+				ends[i] = len(ids)
+				ids = append(ids, id)
+				parent = append(parent, ends[i])
+				components++
+			}
+		}
+		if a, b := findRoot(parent, ends[0]), findRoot(parent, ends[1]); a != b {
+			parent[a] = b
+			components--
+		}
+	}
+	return components == 1
+}
+
+// maxStackNodes bounds the endpoint count StepsConnected and fragment keep
+// in stack arrays; query fragments are a dozen edges or so.
+const maxStackNodes = 64
+
+// findRoot returns the union-find root of x, halving the path on the way.
+func findRoot(parent []int, x int) int {
+	for parent[x] != x {
+		parent[x] = parent[parent[x]]
+		x = parent[x]
+	}
+	return x
+}
+
+// fragment materializes the edge-induced subgraph of the given steps. Dense
+// node indices are assigned in order of first appearance over the steps in
+// ascending order, so equal step sets always yield identical graphs. The
+// stable ids of the dense nodes are appended to stable, in dense order, and
+// returned; ok is false for an unknown step or an empty set.
+func (q *Query) fragment(steps []int, stable []int) (*graph.Graph, []int, bool) {
 	if len(steps) == 0 {
 		return nil, nil, false
 	}
-	sorted := append([]int(nil), steps...)
-	sort.Ints(sorted)
+	sorted := steps
+	if !slices.IsSorted(steps) {
+		sorted = slices.Sorted(slices.Values(steps))
+	}
 	g := graph.New(-1)
-	remap := map[int]int{}
-	nodeOf := func(stable int) int {
-		if v, ok := remap[stable]; ok {
+	nodeOf := func(id int) int {
+		if v := slices.Index(stable, id); v >= 0 {
 			return v
 		}
-		v := g.AddNode(q.nodeLabels[stable])
-		remap[stable] = v
-		return v
+		stable = append(stable, id)
+		return g.AddNode(q.nodeLabels[id])
 	}
-	var order []int
 	for _, s := range sorted {
 		e, ok := q.edges[s]
 		if !ok {
@@ -306,9 +349,8 @@ func (q *Query) fragment(steps []int) (*graph.Graph, []int, bool) {
 		if err := g.AddLabeledEdge(nodeOf(e.A), nodeOf(e.B), e.Label); err != nil {
 			return nil, nil, false
 		}
-		order = append(order, s)
 	}
-	return g, order, true
+	return g, stable, true
 }
 
 // AdjacentSteps returns, for each current edge step, the steps of edges

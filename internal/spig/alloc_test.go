@@ -41,10 +41,11 @@ func TestSpigScratchAllocBudget(t *testing.T) {
 
 	// Warm reconstruction (the modify-then-reformulate action): dropping a
 	// step's SPIG and rebuilding it hits the fragment/code memo for every
-	// subset, so the rebuild costs only the SPIG's own vertex/level
-	// structures — far below the cold construction, which recomputes a
-	// canonical code per connected subset.
-	const budget = 220
+	// connected subset and builds nothing for a disconnected one, so the
+	// rebuild costs only the SPIG's own vertex/level structures: 82
+	// allocations, where building the fragment of each disconnected
+	// rep − t would add 34.
+	const budget = 85
 	if n := testing.AllocsPerRun(20, func() {
 		S.Remove(4)
 		if _, err := S.Construct(q, 4); err != nil {
@@ -52,5 +53,30 @@ func TestSpigScratchAllocBudget(t *testing.T) {
 		}
 	}); n > budget {
 		t.Errorf("warm SPIG reconstruction allocates %.1f/op, budget %d", n, budget)
+	}
+}
+
+// A cold step materializes one fragment and computes one code per
+// realization, and nothing for a dropped subset rep − t that is
+// disconnected. On a tree-shaped query most of them are: the step costs 355
+// allocations, and building each of their fragments would make it 997.
+func TestSpigColdStepAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation budgets are not meaningful under -race")
+	}
+	// A C–N–O tree: a two-edge spine with a two-edge branch off one end
+	// and a three-edge branch off the other.
+	q, S := formulate(t, noIndex{}, []string{"C", "C", "C", "N", "O", "C", "N", "O"},
+		[]edgeSpec{{0, 1}, {1, 2}, {0, 3}, {3, 4}, {2, 5}, {5, 6}, {6, 7}})
+	last := q.LastStep()
+	const budget = 370
+	if n := testing.AllocsPerRun(20, func() {
+		S.Remove(last)
+		clear(S.memo)
+		if _, err := S.Construct(q, last); err != nil {
+			t.Fatal(err)
+		}
+	}); n > budget {
+		t.Errorf("cold SPIG step on a tree allocates %.1f/op, budget %d", n, budget)
 	}
 }

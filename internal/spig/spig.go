@@ -156,6 +156,10 @@ type Set struct {
 	seen    map[string]bool     // next-level dedup scratch
 	keyBuf  []byte              // stepsKey scratch
 	subBuf  []int               // classify's per-parent subset scratch
+
+	// fragments counts the fragments fragAndCode materialized, for the
+	// spig_build span's count of them.
+	fragments int64
 }
 
 // NewSet returns an empty SPIG set bound to the action-aware indexes.
@@ -181,7 +185,7 @@ func (S *Set) stepsKey(steps []int) []byte {
 // fragAndCode returns the fragment induced by the sorted step set and its
 // canonical code, memoized across user actions. computed reports whether the
 // code was computed on this call (for trace accounting). ok is false for a
-// disconnected subset.
+// disconnected subset, which is never materialized.
 func (S *Set) fragAndCode(q *query.Query, steps []int) (frag *graph.Graph, code string, computed, ok bool) {
 	if S.memoQ != q || len(S.memo) > maxFragMemo {
 		S.memoQ = q
@@ -195,6 +199,7 @@ func (S *Set) fragAndCode(q *query.Query, steps []int) (frag *graph.Graph, code 
 	if !connected {
 		return nil, "", false, false
 	}
+	S.fragments++
 	code = graph.CanonicalCode(frag)
 	S.memo[string(key)] = fragMemo{frag: frag, code: code}
 	return frag, code, true, true
@@ -296,7 +301,9 @@ func (S *Set) Construct(q *query.Query, ell int) (*SPIG, error) {
 // aggregate time spent computing canonical codes and classifying vertices
 // against the indexes is attached as canonical_code / index_probe child
 // spans (one per call, not per vertex — SPIG levels visit hundreds of
-// subsets). The construction itself is unaffected by ctx.
+// subsets), and the span itself counts the realizations enumerated (step
+// subsets, every level) and the fragments materialized for them. The
+// construction itself is unaffected by ctx.
 func (S *Set) ConstructCtx(ctx context.Context, q *query.Query, ell int) (*SPIG, error) {
 	sp := trace.SpanFromContext(ctx)
 	if _, ok := q.Edge(ell); !ok {
@@ -342,13 +349,15 @@ func (S *Set) ConstructCtx(ctx context.Context, q *query.Query, ell int) (*SPIG,
 	// from the cross-action memo (the same subsets recur at every step of a
 	// growing query).
 	var canonDur, probeDur time.Duration
-	var canonN, probeN int64
+	var canonN, probeN, realizations int64
+	fragments0 := S.fragments
 	S.arena = S.arena[:0]
 	subsets := S.subsets[:0]
 	first := S.carve(1)
 	first[0] = ell
 	subsets = append(subsets, first)
 	for k := 1; k <= n; k++ {
+		realizations += int64(len(subsets))
 		// Group this level's subsets into isomorphism classes.
 		for _, steps := range subsets {
 			var t0 time.Time
@@ -418,6 +427,8 @@ func (S *Set) ConstructCtx(ctx context.Context, q *query.Query, ell int) (*SPIG,
 	S.subsets = subsets[:0]
 
 	if sp != nil {
+		sp.Add("realizations", realizations)
+		sp.Add("fragments", S.fragments-fragments0)
 		sp.Record(trace.KindCanonical, canonDur, "codes", canonN)
 		sp.Record(trace.KindIndexProbe, probeDur, "vertices", probeN)
 	}
@@ -457,8 +468,10 @@ func (S *Set) classify(q *query.Query, s *SPIG, v *Vertex) {
 
 	for _, rep := range v.Reps {
 		for _, t := range rep {
+			// A disconnected rep − t has no vertex to inherit from; a
+			// connected one is almost always a memo hit.
 			sub := S.without(rep, t)
-			if len(sub) == 0 {
+			if !q.StepsConnected(sub) {
 				continue
 			}
 			_, code, _, ok := S.fragAndCode(q, sub)

@@ -51,7 +51,7 @@ func buildIndexes(t *testing.T, seed int64, n int, alpha float64) (*index.Set, [
 // step, and returns the query and SPIG set.
 type edgeSpec struct{ a, b int } // node ids in the order they were added
 
-func formulate(t *testing.T, idx *index.Set, nodeLabels []string, edges []edgeSpec) (*query.Query, *Set) {
+func formulate(t *testing.T, idx Classifier, nodeLabels []string, edges []edgeSpec) (*query.Query, *Set) {
 	t.Helper()
 	q := query.New()
 	for _, l := range nodeLabels {
