@@ -118,9 +118,7 @@ func TestMetricsGolden(t *testing.T) {
 }
 
 // TestSLOGolden locks the shape of the `slo` command: the rolling-window
-// tables, target/burn lines, rate line, and knob readouts, with all timings
-// normalized. A dedicated service pins the worker count so the knob values
-// are machine-independent.
+// tables, target/burn lines, and rate line, with all timings normalized.
 func TestSLOGolden(t *testing.T) {
 	db, err := prague.GenerateMolecules(40, 42)
 	if err != nil {
@@ -134,8 +132,6 @@ func TestSLOGolden(t *testing.T) {
 		prague.WithSigma(2),
 		prague.WithMetrics(prague.NewMetrics()),
 		prague.WithTracing(true),
-		prague.WithVerifyWorkers(2),
-		prague.WithMaxInFlight(8),
 		prague.WithSLO(time.Second, 0.5),
 		prague.WithSLOWindow(time.Minute),
 	)

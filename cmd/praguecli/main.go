@@ -33,8 +33,8 @@
 //	trace              print the SRT breakdown of the last run and the
 //	                   slowest recorded actions (the slow journal)
 //	slo                print the rolling-window SLO report: per-phase and
-//	                   per-stage latency windows, shed/admit rates, burn
-//	                   rates, and controller knob values
+//	                   per-stage latency windows, shed/admit rates, and
+//	                   burn rates
 //	shards             print per-shard endpoint health of the remote
 //	                   topology (-connect only)
 //	quit
@@ -43,8 +43,7 @@
 // slow-journal admission threshold, and -ops serves /healthz, /metrics
 // (JSON, or Prometheus text with ?format=prom), /slo, /trace/slow, and
 // /debug/pprof on the given address. -slo declares a p99 SRT target and
-// turns the rolling-window SLO telemetry on; -adaptive additionally lets
-// the telemetry-driven controllers move runtime knobs.
+// turns the rolling-window SLO telemetry on.
 package main
 
 import (
@@ -78,7 +77,6 @@ func main() {
 		opsAddr  = flag.String("ops", "", "serve the ops/debug HTTP surface on this address (e.g. 127.0.0.1:6060)")
 		shards   = flag.Int("shards", 1, "hash-partition the database and indexes into this many shards (1 = monolithic)")
 		sloP99   = flag.Duration("slo", 0, "declare a p99 SRT target and enable rolling-window SLO telemetry (the 'slo' command and /slo)")
-		adaptive = flag.Bool("adaptive", false, "let telemetry-driven controllers move runtime knobs (implies SLO telemetry)")
 		connect  = flag.String("connect", "", "comma-separated shardserver endpoints: serve from the remote topology instead of a local database")
 	)
 	flag.Parse()
@@ -132,9 +130,6 @@ func main() {
 	}
 	if *sloP99 > 0 {
 		opts = append(opts, prague.WithSLO(*sloP99, 0))
-	}
-	if *adaptive {
-		opts = append(opts, prague.WithAdaptive(true))
 	}
 	var svc *prague.Service
 	if *connect != "" {

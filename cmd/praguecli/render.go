@@ -49,11 +49,11 @@ func renderPhaseBreakdown(w io.Writer, snap prague.MetricsSnapshot) {
 }
 
 // renderSLO writes the rolling-window SLO report: per-phase and per-stage
-// latency windows, event rates, the declared objectives with their burn
-// rates, and the current controller knob values.
+// latency windows, event rates, and the declared objectives with their burn
+// rates.
 func renderSLO(w io.Writer, rep prague.SLOReport) {
 	if !rep.Enabled {
-		fmt.Fprintln(w, "SLO telemetry is off — start with -slo (a p99 SRT target) or -adaptive")
+		fmt.Fprintln(w, "SLO telemetry is off — start with -slo (a p99 SRT target)")
 		return
 	}
 	fmt.Fprintf(w, "rolling window: %dms\n", rep.WindowMS)
@@ -73,14 +73,6 @@ func renderSLO(w io.Writer, rep prague.SLOReport) {
 			fmt.Fprintf(w, "  %s %d (%.1f/s)", name, r.Count, r.PerSec)
 		}
 		fmt.Fprintf(w, "  shed rate %.3f\n", rep.ShedRate)
-	}
-	if len(rep.Controllers) > 0 {
-		names := sortedKeys(rep.Controllers)
-		fmt.Fprint(w, "knobs:")
-		for _, name := range names {
-			fmt.Fprintf(w, "  %s=%d", name, rep.Controllers[name])
-		}
-		fmt.Fprintln(w)
 	}
 }
 

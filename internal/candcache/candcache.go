@@ -29,7 +29,6 @@ import (
 	"context"
 	"hash/maphash"
 	"sync"
-	"sync/atomic"
 
 	"prague/internal/faultinject"
 	"prague/internal/intset"
@@ -69,7 +68,7 @@ const entryOverhead = 96
 // is valid and behaves as an always-miss cache that never deduplicates.
 type Cache struct {
 	shards      [numShards]shard
-	shardBudget atomic.Int64 // per-shard byte budget; adjustable via SetBudget
+	shardBudget int64 // per-shard byte budget, fixed at New
 	seed        maphash.Seed
 
 	hits      *metrics.Counter
@@ -125,46 +124,12 @@ func New(budget int64, reg *metrics.Registry) *Cache {
 		entries:   counter(metrics.CounterCandEntries),
 		bytes:     counter(metrics.CounterCandBytes),
 	}
-	c.shardBudget.Store(perShardBudget(budget))
+	c.shardBudget = max(budget/numShards, 1)
 	for i := range c.shards {
 		c.shards[i].byKey = map[string]*entry{}
 		c.shards[i].flights = map[string]*flight{}
 	}
 	return c
-}
-
-func perShardBudget(total int64) int64 {
-	per := total / numShards
-	if per < 1 {
-		per = 1
-	}
-	return per
-}
-
-// SetBudget changes the cache's total byte budget at runtime, re-splitting it
-// evenly across shards and immediately evicting LRU entries from any shard
-// now over its slice. This is the knob the adaptive runtime's cache
-// controller turns from hit-rate telemetry. Nil-safe no-op; a budget ≤ 0 is
-// clamped to the minimum (the cache cannot be disabled once created).
-func (c *Cache) SetBudget(total int64) {
-	if c == nil {
-		return
-	}
-	c.shardBudget.Store(perShardBudget(total))
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		c.evictLocked(sh)
-		sh.mu.Unlock()
-	}
-}
-
-// Budget returns the cache's current total byte budget.
-func (c *Cache) Budget() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.shardBudget.Load() * numShards
 }
 
 func (c *Cache) shard(key string) *shard {
@@ -313,7 +278,7 @@ func (c *Cache) Lookup(ctx context.Context, key string) (ids []int, ok, publish 
 // putLocked inserts (or refreshes) an entry; sh.mu is held.
 func (c *Cache) putLocked(sh *shard, key string, ids []int) {
 	size := int64(len(key)) + 8*int64(len(ids)) + entryOverhead
-	if size > c.shardBudget.Load() {
+	if size > c.shardBudget {
 		return
 	}
 	if old, ok := sh.byKey[key]; ok {
@@ -334,7 +299,7 @@ func (c *Cache) putLocked(sh *shard, key string, ids []int) {
 // evictLocked drops LRU entries until the shard fits its budget (always
 // keeping at least one entry); sh.mu is held.
 func (c *Cache) evictLocked(sh *shard) {
-	for sh.bytes > c.shardBudget.Load() && sh.lru.Len() > 1 {
+	for sh.bytes > c.shardBudget && sh.lru.Len() > 1 {
 		back := sh.lru.Back()
 		victim := back.Value.(*entry)
 		sh.lru.Remove(back)

@@ -94,12 +94,9 @@ const (
 	CounterGraphsDeleted  = "graphs_deleted"  // data graphs deleted online
 	CounterStoreEpoch     = "store_epoch"     // current store epoch (gauge-like)
 
-	// SLO / adaptive-runtime names (see prague/internal/slo). One
-	// adapt_<knob> gauge per controller publishes the knob's current value;
-	// adjustments and violation onsets count events.
-	CounterSLOViolations = "slo_violations_total"    // SLO-violation onsets observed by the tracker
-	CounterAdaptAdjust   = "adapt_adjustments_total" // controller knob changes applied
-	GaugeAdaptPrefix     = "adapt_"                  // prefix of per-knob gauges (adapt_max_inflight, ...)
+	// SLO telemetry names (see prague/internal/slo): violation onsets
+	// observed by the tracker.
+	CounterSLOViolations = "slo_violations_total"
 
 	// Histograms (durations).
 	HistSpigBuild    = "spig_build"   // SPIG construction per formulation step

@@ -17,13 +17,12 @@ import (
 
 // admitGlobal reserves service-wide in-flight capacity for one action (an
 // evaluation or a mutation), returning the paired release. Non-blocking:
-// when the bound is full the action is shed with an *OverloadError. The
-// bound is an atomic limit rather than a channel capacity so the adaptive
-// runtime can move it live; two concurrent admits racing the last slot may
-// transiently both shed (under-admission), never over-admit.
+// when the bound is full the action is shed with an *OverloadError. Two
+// concurrent admits racing the last slot may transiently both shed
+// (under-admission), never over-admit.
 func (s *Service) admitGlobal() (release func(), err error) {
 	n := s.inflightN.Add(1)
-	if limit := s.inflightLimit.Load(); limit > 0 && n > limit {
+	if s.inflightLimit > 0 && n > s.inflightLimit {
 		s.inflightN.Add(-1)
 		s.shed("global")
 		return nil, fmt.Errorf("service: %w",

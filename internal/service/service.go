@@ -94,12 +94,10 @@ type Options struct {
 
 	FilterMode core.FilterMode // verify-prefilter arm selection (default FilterAuto)
 
-	// SLO telemetry / adaptive runtime (see prague/internal/slo). The
-	// windowed collector turns on when any of these is set.
-	SLO           slo.Targets   // declared SLO targets (zero: none declared)
-	SLOWindow     time.Duration // rolling-window span (0: slo.DefaultWindow)
-	Adaptive      bool          // apply the telemetry-driven controllers
-	AdaptInterval time.Duration // tracker/controller tick (0: window/8)
+	// SLO telemetry (see prague/internal/slo). The windowed collector
+	// turns on when either is set.
+	SLO       slo.Targets   // declared SLO targets (zero: none declared)
+	SLOWindow time.Duration // rolling-window span (0: slo.DefaultWindow)
 
 	janitorHook func(evicted int) // test observability for janitor sweeps
 }
@@ -230,17 +228,6 @@ func WithSLO(p99SRT time.Duration, maxShedRate float64) Option {
 // slo.DefaultWindow) and enables it even without declared targets.
 func WithSLOWindow(d time.Duration) Option { return func(o *Options) { o.SLOWindow = d } }
 
-// WithAdaptive turns on the telemetry-driven controllers: workpool size,
-// admission MaxInFlight, and candidate-cache byte budget are adjusted from
-// the rolling windows on every tracker tick, each change emitted as an
-// adapt trace span and adapt_* metric. Implies the SLO telemetry.
-func WithAdaptive(on bool) Option { return func(o *Options) { o.Adaptive = on } }
-
-// WithAdaptInterval overrides the tracker/controller tick interval (default
-// one eighth of the rolling window). Benchmarks and tests shorten it so the
-// controllers converge inside a bounded run.
-func WithAdaptInterval(d time.Duration) Option { return func(o *Options) { o.AdaptInterval = d } }
-
 // withJanitorHook registers a callback invoked after every janitor sweep
 // with the number of sessions it evicted (tests).
 func withJanitorHook(fn func(evicted int)) Option {
@@ -261,17 +248,14 @@ type Service struct {
 	ops        *ops.Server      // nil unless WithOpsServer
 
 	// Global admission bound: inflightN counts actions in flight,
-	// inflightLimit is the adjustable cap (0: unlimited). Admission is
-	// non-blocking and lock-free (overload.go); the cap being an atomic —
-	// rather than a channel capacity — is what lets the adaptive runtime's
-	// admission controller move it while the service serves.
+	// inflightLimit is the cap fixed at New (0: unlimited). Admission is
+	// non-blocking and lock-free (mutate.go).
 	inflightN     atomic.Int64
-	inflightLimit atomic.Int64
+	inflightLimit int64
 
-	// SLO telemetry / adaptive runtime (nil unless enabled via options).
-	col         *slo.Collector
-	slotrack    *slo.Tracker
-	controllers []*slo.Controller
+	// SLO telemetry (nil unless enabled via options).
+	col      *slo.Collector
+	slotrack *slo.Tracker
 
 	mu       sync.Mutex
 	sessions map[string]*Session
@@ -280,8 +264,8 @@ type Service struct {
 
 	stopJanitor chan struct{}
 	janitorDone chan struct{}
-	stopAdapt   chan struct{}
-	adaptDone   chan struct{}
+	stopSLO     chan struct{}
+	sloDone     chan struct{}
 }
 
 // NewFromStore builds a service directly over a graph store — the primary
@@ -371,9 +355,7 @@ func New(db []*graph.Graph, idx *index.Set, opts ...Option) (*Service, error) {
 			Registry:      reg,
 		})
 	}
-	if opt.MaxInFlight > 0 {
-		s.inflightLimit.Store(int64(opt.MaxInFlight))
-	}
+	s.inflightLimit = int64(opt.MaxInFlight)
 	s.initSLO() // before ops: /slo reads the tracker
 	if opt.OpsAddr != "" {
 		srv, err := ops.New(opt.OpsAddr, reg, s.tracer, func() error {
@@ -439,9 +421,9 @@ func (s *Service) Close() {
 		close(s.stopJanitor)
 		<-s.janitorDone
 	}
-	if s.stopAdapt != nil {
-		close(s.stopAdapt)
-		<-s.adaptDone
+	if s.stopSLO != nil {
+		close(s.stopSLO)
+		<-s.sloDone
 	}
 	s.pool.Close()
 	s.ops.Close() //nolint:errcheck // shutdown timeout only

@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -18,10 +17,10 @@ import (
 	"prague/internal/trace"
 )
 
-// newAdaptFixture builds a service with SLO telemetry on a fake clock. The
-// adapt interval is set far beyond anything the tests advance, so the
-// background loop never races the manual adaptTick calls below.
-func newAdaptFixture(t *testing.T, adaptive bool) (*Service, *clock.Fake) {
+// newSLOFixture builds a service with SLO telemetry on a fake clock. The
+// 10 s window derives a 1.25 s tick, past anything the tests advance, so the
+// background loop never races the manual sloTick calls below.
+func newSLOFixture(t *testing.T) (*Service, *clock.Fake) {
 	t.Helper()
 	db, idx := smallFixture(t)
 	fake := clock.NewFake(time.Unix(1700000000, 0))
@@ -30,12 +29,9 @@ func newAdaptFixture(t *testing.T, adaptive bool) (*Service, *clock.Fake) {
 		WithMetrics(metrics.NewRegistry()),
 		WithClock(fake),
 		WithVerifyWorkers(2),
-		WithMaxInFlight(4),
 		WithTracing(true),
 		WithSLO(10*time.Millisecond, 0.5),
-		WithSLOWindow(800*time.Millisecond),
-		WithAdaptive(adaptive),
-		WithAdaptInterval(time.Hour),
+		WithSLOWindow(10*time.Second),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -54,113 +50,25 @@ func feed(svc *Service, n int, dur time.Duration, admitted, shed int64) {
 	svc.col.AddRate(slo.RateShed, shed)
 }
 
-// TestAdaptiveControllerDeterminism drives the same synthetic load twice
-// through two identically configured services and requires the controllers
-// to walk the same knob trajectory: the whole control loop is a pure
-// function of windowed telemetry under a fake clock.
-func TestAdaptiveControllerDeterminism(t *testing.T) {
-	run := func() []string {
-		svc, fake := newAdaptFixture(t, true)
-		var traj []string
-		step := func(n int, dur time.Duration, admitted, shed int64) {
-			feed(svc, n, dur, admitted, shed)
-			svc.adaptTick()
-			traj = append(traj, fmt.Sprintf("inflight=%d workers=%d cache=%d",
-				svc.MaxInFlight(), svc.pool.Workers(), svc.cache.Budget()))
-			fake.Advance(100 * time.Millisecond)
-		}
-		step(50, 2*time.Millisecond, 50, 5)    // headroom + shedding: admission grows
-		step(50, 2*time.Millisecond, 50, 5)    // grows again
-		step(300, 30*time.Millisecond, 300, 0) // p99 over target: backs off
-		step(0, 0, 0, 0)                       // thin signal: hold
-		return traj
-	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("trajectory lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("trajectory diverged at step %d:\n%s\nvs\n%s", i, a[i], b[i])
-		}
-	}
-	t.Logf("trajectory: %v", a)
-}
-
-func TestAdaptiveMovesKnobsAndMeters(t *testing.T) {
-	svc, fake := newAdaptFixture(t, true)
-	if svc.MaxInFlight() != 4 {
-		t.Fatalf("initial MaxInFlight = %d", svc.MaxInFlight())
-	}
-	// adapt_* gauges exist (at the initial knob values) before any tick.
-	snap := svc.Snapshot().Counters
-	if snap[metrics.GaugeAdaptPrefix+"max_inflight"] != 4 {
-		t.Fatalf("initial adapt gauge = %d, want 4", snap[metrics.GaugeAdaptPrefix+"max_inflight"])
-	}
-
-	// Headroom plus shedding: the admission controller must grow the bound.
-	feed(svc, 50, 2*time.Millisecond, 50, 10)
-	svc.adaptTick()
-	grown := svc.MaxInFlight()
-	if grown <= 4 {
-		t.Fatalf("admission bound did not grow: %d", grown)
-	}
-
-	// Sustained overload: p99 far beyond target backs the bound off again.
-	fake.Advance(time.Second) // age the fast window out
-	feed(svc, 100, 50*time.Millisecond, 100, 0)
-	svc.adaptTick()
-	if got := svc.MaxInFlight(); got >= grown {
-		t.Fatalf("admission bound did not back off: %d (was %d)", got, grown)
-	}
-
-	snap = svc.Snapshot().Counters
-	if snap[metrics.CounterAdaptAdjust] < 2 {
-		t.Fatalf("adapt_adjustments_total = %d, want ≥ 2", snap[metrics.CounterAdaptAdjust])
-	}
-	if snap[metrics.GaugeAdaptPrefix+"max_inflight"] != int64(svc.MaxInFlight()) {
-		t.Fatalf("adapt gauge %d out of sync with knob %d",
-			snap[metrics.GaugeAdaptPrefix+"max_inflight"], svc.MaxInFlight())
-	}
-
-	// Every adjustment left an adapt span in the journal.
-	found := 0
-	for _, sp := range svc.SlowSpans() {
-		if sp.Kind == trace.KindAdapt.String() {
-			found++
-			if sp.Attrs["controller"] == "" || sp.Attrs["from"] == "" || sp.Attrs["to"] == "" {
-				t.Fatalf("adapt span missing attrs: %+v", sp.Attrs)
-			}
-		}
-	}
-	if int64(found) != snap[metrics.CounterAdaptAdjust] {
-		t.Fatalf("adapt spans = %d, adjustments = %d", found, snap[metrics.CounterAdaptAdjust])
-	}
-}
-
-func TestNonAdaptiveTelemetryHoldsKnobs(t *testing.T) {
-	svc, _ := newAdaptFixture(t, false)
+// TestSLOReportWindowsAndRates checks that what the serving path feeds the
+// windows comes back out of SLOReport: the SRT window, the shed rate, and
+// the sampled worker-utilization source.
+func TestSLOReportWindowsAndRates(t *testing.T) {
+	svc, _ := newSLOFixture(t)
 	feed(svc, 50, 2*time.Millisecond, 50, 25)
-	svc.adaptTick()
-	if got := svc.MaxInFlight(); got != 4 {
-		t.Fatalf("non-adaptive service moved MaxInFlight to %d", got)
-	}
-	if got := svc.Snapshot().Counters[metrics.CounterAdaptAdjust]; got != 0 {
-		t.Fatalf("non-adaptive service metered %d adjustments", got)
-	}
-	// The report is still live: knob readouts and windows populate.
+	svc.sloTick()
 	rep := svc.SLOReport()
 	if !rep.Enabled {
 		t.Fatal("report disabled with SLO telemetry on")
-	}
-	if rep.Controllers["max_inflight"] != 4 {
-		t.Fatalf("report controllers = %v", rep.Controllers)
 	}
 	if d := rep.Phases[slo.PhaseSRT.String()]; d.Count != 50 {
 		t.Fatalf("report SRT window = %+v", d)
 	}
 	if rep.ShedRate != float64(25)/float64(75) {
 		t.Fatalf("report shed rate = %v", rep.ShedRate)
+	}
+	if _, ok := rep.Sources[srcWorkerUtil]; !ok {
+		t.Fatalf("report sources = %v, want %s", rep.Sources, srcWorkerUtil)
 	}
 }
 
@@ -182,10 +90,10 @@ func TestSLOReportDisabledByDefault(t *testing.T) {
 // TestViolationAccounting drives a sustained breach through the service
 // tracker and checks the violation counters and journal spans.
 func TestViolationAccounting(t *testing.T) {
-	svc, fake := newAdaptFixture(t, false)
+	svc, fake := newSLOFixture(t)
 	for tick := 0; tick < 3; tick++ {
 		feed(svc, 100, 50*time.Millisecond, 100, 0)
-		svc.adaptTick()
+		svc.sloTick()
 		fake.Advance(100 * time.Millisecond)
 	}
 	rep := svc.SLOReport()
@@ -209,9 +117,9 @@ func TestViolationAccounting(t *testing.T) {
 	}
 }
 
-// TestRunSpanFilterAndEpochAttrs checks the PR 7 follow-through: every run
-// span carries the engine's filter-chooser explanation and the store epoch
-// the run was pinned to.
+// TestRunSpanFilterAndEpochAttrs checks that every run span carries the
+// engine's filter-chooser explanation and the store epoch the run was
+// pinned to.
 func TestRunSpanFilterAndEpochAttrs(t *testing.T) {
 	db, idx := smallFixture(t)
 	svc, err := New(db, idx, WithSessionTTL(0), WithMetrics(metrics.NewRegistry()), WithTracing(true))
@@ -246,8 +154,9 @@ func TestRunSpanFilterAndEpochAttrs(t *testing.T) {
 }
 
 // TestOpsEndpointsUnderLoad hammers every ops endpoint while sessions
-// formulate, run, and the store mutates — the -race proof that the
-// observability surface reads nothing unsynchronized from the serving path.
+// formulate, run, and the store mutates, and while the SLO tick loop runs
+// on the real clock — the -race proof that the observability surface reads
+// nothing unsynchronized from the serving path.
 func TestOpsEndpointsUnderLoad(t *testing.T) {
 	db, idx := smallFixture(t)
 	svc, err := New(db, idx,
@@ -258,8 +167,6 @@ func TestOpsEndpointsUnderLoad(t *testing.T) {
 		WithMaxInFlight(8),
 		WithSLO(time.Second, 0.9),
 		WithSLOWindow(100*time.Millisecond),
-		WithAdaptive(true),
-		WithAdaptInterval(10*time.Millisecond),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -268,13 +175,19 @@ func TestOpsEndpointsUnderLoad(t *testing.T) {
 	base := "http://" + svc.OpsAddr()
 
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
+	var workers sync.WaitGroup
+	// The readers start once a session has completed one formulate+run, so
+	// the ops surface is read while the serving path is demonstrably live.
+	warmed := make(chan struct{})
+	var warm sync.Once
+	markWarm := func() { warm.Do(func() { close(warmed) }) }
 
 	// Two session workers formulating and running; overloads are expected.
 	for w := 0; w < 2; w++ {
-		wg.Add(1)
+		workers.Add(1)
 		go func(seed int64) {
-			defer wg.Done()
+			defer workers.Done()
+			defer markWarm()
 			r := rand.New(rand.NewSource(seed))
 			for {
 				select {
@@ -287,14 +200,15 @@ func TestOpsEndpointsUnderLoad(t *testing.T) {
 					t.Errorf("session worker: %v", err)
 					return
 				}
+				markWarm()
 			}
 		}(int64(w) + 1)
 	}
 
 	// One mutator inserting and deleting graphs.
-	wg.Add(1)
+	workers.Add(1)
 	go func() {
-		defer wg.Done()
+		defer workers.Done()
 		ctx := context.Background()
 		for i := 0; ; i++ {
 			select {
@@ -320,10 +234,12 @@ func TestOpsEndpointsUnderLoad(t *testing.T) {
 	// Four readers hammering the ops surface.
 	paths := []string{"/healthz", "/metrics", "/metrics?format=prom", "/slo", "/trace/slow"}
 	client := &http.Client{Timeout: 5 * time.Second}
+	var readers sync.WaitGroup
 	for w := 0; w < 4; w++ {
-		wg.Add(1)
+		readers.Add(1)
 		go func(w int) {
-			defer wg.Done()
+			defer readers.Done()
+			<-warmed
 			for i := 0; i < 50; i++ {
 				resp, err := client.Get(base + paths[(w+i)%len(paths)])
 				if err != nil {
@@ -343,16 +259,7 @@ func TestOpsEndpointsUnderLoad(t *testing.T) {
 	}
 
 	// Stop the open-ended workers once every reader has finished its quota.
-	readersDone := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(readersDone)
-	}()
-	time.Sleep(200 * time.Millisecond)
+	readers.Wait()
 	close(stop)
-	select {
-	case <-readersDone:
-	case <-time.After(30 * time.Second):
-		t.Fatal("load workers did not drain")
-	}
+	workers.Wait()
 }

@@ -2,9 +2,8 @@
 // latency histograms per evaluation phase and per degradation-ladder outcome
 // stage, windowed event rates (admitted/shed), an SLO tracker that turns
 // declared targets (p99 SRT, max shed rate) into burn rates and violation
-// spans, and a tiny feedback-controller framework the service uses to turn
-// runtime knobs (workpool size, admission MaxInFlight, candidate-cache byte
-// budget) from nothing but this windowed telemetry.
+// spans. The service serves the result on /slo; nothing in it moves a
+// runtime setting.
 //
 // The collector is built for the hot path: a window is a ring of time slots,
 // each an epoch-tagged set of atomic bucket counters. Observing costs one
@@ -110,9 +109,9 @@ func (r Rate) String() string {
 }
 
 // Window bucketing: 1-2-5 per decade from 1µs to 10s. Finer than the
-// metrics package's decade buckets because windowed p99s drive controller
-// decisions — a 10x-wide containing bucket would make the interpolated p99
-// useless as an error signal.
+// metrics package's decade buckets because windowed p99s drive the burn
+// rates — a 10x-wide containing bucket would make the interpolated p99
+// useless against a target.
 var bounds = func() []time.Duration {
 	var b []time.Duration
 	for base := time.Microsecond; base <= 10*time.Second; base *= 10 {

@@ -240,176 +240,3 @@ func TestTrackerSources(t *testing.T) {
 		t.Fatalf("post-gap util mean = %v, want 1.0", got)
 	}
 }
-
-func TestControllerApplyClampAndMetrics(t *testing.T) {
-	reg := metrics.NewRegistry()
-	tr := trace.New(trace.Options{Enabled: true, Registry: reg})
-	var knob int64 = 10
-	c := &Controller{
-		Knob: Knob{
-			Name: "max_inflight",
-			Min:  2, Max: 16,
-			Get: func() int64 { return knob },
-			Set: func(v int64) { knob = v },
-		},
-		Decide: func(r Report, cur int64) int64 { return cur * 4 },
-	}
-	from, to, changed := c.Apply(Report{}, reg, tr)
-	if !changed || from != 10 || to != 16 || knob != 16 {
-		t.Fatalf("apply = (%d,%d,%v), knob=%d; want clamp to 16", from, to, changed, knob)
-	}
-	if got := reg.Counter(metrics.GaugeAdaptPrefix + "max_inflight").Value(); got != 16 {
-		t.Fatalf("adapt gauge = %d", got)
-	}
-	if got := reg.Counter(metrics.CounterAdaptAdjust).Value(); got != 1 {
-		t.Fatalf("adapt_adjustments_total = %d", got)
-	}
-	// At the clamp ceiling the same decision is a no-op: no second metric.
-	if _, _, changed := c.Apply(Report{}, reg, tr); changed {
-		t.Fatal("no-op decision reported as change")
-	}
-	if got := reg.Counter(metrics.CounterAdaptAdjust).Value(); got != 1 {
-		t.Fatalf("no-op bumped adapt_adjustments_total to %d", got)
-	}
-	// The adjustment span reached the journal pipeline (threshold 0).
-	found := false
-	for _, sp := range tr.SlowSpans() {
-		if sp.Kind == trace.KindAdapt.String() && sp.Attrs["controller"] == "max_inflight" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("no adapt span recorded")
-	}
-}
-
-func report(srt Dist, shed, admitted int64, sources map[string]float64) Report {
-	r := Report{
-		Phases: map[string]Dist{PhaseSRT.String(): srt},
-		Rates: map[string]RateInfo{
-			RateShed.String():     {Count: shed},
-			RateAdmitted.String(): {Count: admitted},
-		},
-		Sources: sources,
-	}
-	if total := shed + admitted; total > 0 {
-		r.ShedRate = float64(shed) / float64(total)
-	}
-	return r
-}
-
-func TestInFlightPolicy(t *testing.T) {
-	p := InFlightPolicy(Targets{P99SRT: 10 * time.Millisecond})
-
-	// Overshooting p99 → multiplicative back-off.
-	r := report(Dist{Count: 100, P99US: 20_000}, 0, 100, nil)
-	if got := p(r, 16); got != 12 {
-		t.Fatalf("overshoot: %d, want 12", got)
-	}
-	// Headroom + shedding → growth.
-	r = report(Dist{Count: 100, P99US: 2_000}, 10, 100, nil)
-	if got := p(r, 16); got != 24 {
-		t.Fatalf("headroom+shed: %d, want 24", got)
-	}
-	// Headroom, no shedding → hold.
-	r = report(Dist{Count: 100, P99US: 2_000}, 0, 100, nil)
-	if got := p(r, 16); got != 16 {
-		t.Fatalf("steady: %d, want 16", got)
-	}
-	// Too little signal → hold even when apparently overshooting.
-	r = report(Dist{Count: 3, P99US: 50_000}, 0, 3, nil)
-	if got := p(r, 16); got != 16 {
-		t.Fatalf("thin signal: %d, want 16", got)
-	}
-}
-
-func TestWorkerPolicy(t *testing.T) {
-	p := WorkerPolicy(Targets{P99SRT: 10 * time.Millisecond}, "util")
-
-	// Saturated and near target → grow by one.
-	r := report(Dist{Count: 100, P99US: 9_000}, 0, 100, map[string]float64{"util": 0.95})
-	if got := p(r, 4); got != 5 {
-		t.Fatalf("saturated: %d, want 5", got)
-	}
-	// Saturated but far under target → hold (efficient, not pressured).
-	r = report(Dist{Count: 100, P99US: 1_000}, 0, 100, map[string]float64{"util": 0.95})
-	if got := p(r, 4); got != 4 {
-		t.Fatalf("efficient: %d, want 4", got)
-	}
-	// Idle → shrink by one.
-	r = report(Dist{Count: 100, P99US: 1_000}, 0, 100, map[string]float64{"util": 0.1})
-	if got := p(r, 4); got != 3 {
-		t.Fatalf("idle: %d, want 3", got)
-	}
-	// No utilization source → hold.
-	r = report(Dist{Count: 100, P99US: 1_000}, 0, 100, nil)
-	if got := p(r, 4); got != 4 {
-		t.Fatalf("sourceless: %d, want 4", got)
-	}
-}
-
-func TestCachePolicy(t *testing.T) {
-	src := CacheSources{Hits: "h", Misses: "m", Evictions: "e", Bytes: "b"}
-	p := CachePolicy(src)
-
-	// Thrashing (poor ratio, evicting) → double.
-	r := report(Dist{}, 0, 0, map[string]float64{"h": 30, "m": 70, "e": 5, "b": 1000})
-	if got := p(r, 1000); got != 2000 {
-		t.Fatalf("thrash: %d, want 2000", got)
-	}
-	// Over-provisioned (near-perfect ratio, tiny residency) → halve.
-	r = report(Dist{}, 0, 0, map[string]float64{"h": 99, "m": 1, "e": 0, "b": 100})
-	if got := p(r, 1000); got != 500 {
-		t.Fatalf("overprovisioned: %d, want 500", got)
-	}
-	// Cold traffic (poor ratio, no evictions) → hold.
-	r = report(Dist{}, 0, 0, map[string]float64{"h": 30, "m": 70, "e": 0, "b": 1000})
-	if got := p(r, 1000); got != 1000 {
-		t.Fatalf("cold: %d, want 1000", got)
-	}
-	// Too little traffic → hold.
-	r = report(Dist{}, 0, 0, map[string]float64{"h": 2, "m": 1, "e": 9, "b": 1000})
-	if got := p(r, 1000); got != 1000 {
-		t.Fatalf("thin: %d, want 1000", got)
-	}
-}
-
-// TestControllerDeterminism drives the same synthetic report sequence twice
-// and requires identical knob trajectories — the controller layer has no
-// hidden clocks or randomness.
-func TestControllerDeterminism(t *testing.T) {
-	run := func() []int64 {
-		var knob int64 = 8
-		c := &Controller{
-			Knob: Knob{Name: "k", Min: 1, Max: 128,
-				Get: func() int64 { return knob },
-				Set: func(v int64) { knob = v }},
-			Decide: InFlightPolicy(Targets{P99SRT: 10 * time.Millisecond}),
-		}
-		seq := []Report{
-			report(Dist{Count: 50, P99US: 2_000}, 5, 50, nil),  // grow
-			report(Dist{Count: 50, P99US: 2_000}, 5, 50, nil),  // grow
-			report(Dist{Count: 50, P99US: 30_000}, 0, 50, nil), // back off
-			report(Dist{Count: 2, P99US: 30_000}, 0, 2, nil),   // hold
-			report(Dist{Count: 50, P99US: 1_000}, 1, 50, nil),  // grow
-		}
-		var traj []int64
-		for _, r := range seq {
-			c.Apply(r, nil, nil)
-			traj = append(traj, knob)
-		}
-		return traj
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("trajectory diverged at %d: %v vs %v", i, a, b)
-		}
-	}
-	want := []int64{12, 18, 14, 14, 21}
-	for i := range want {
-		if a[i] != want[i] {
-			t.Fatalf("trajectory = %v, want %v", a, want)
-		}
-	}
-}

@@ -32,8 +32,7 @@ type Targets struct {
 func (t Targets) zero() bool { return t.P99SRT <= 0 && t.MaxShedRate <= 0 }
 
 // Report is a point-in-time view of the rolling windows plus the SLO
-// evaluation — what /slo serves and what the controllers read. Everything a
-// controller consumes lives here: controllers never touch the service.
+// evaluation — what /slo serves and praguecli slo renders.
 type Report struct {
 	Enabled  bool  `json:"enabled"`
 	WindowMS int64 `json:"window_ms"`
@@ -58,10 +57,6 @@ type Report struct {
 	Violating    bool    `json:"violating"`
 	Violations   int64   `json:"violations_total"`
 	ViolationSec float64 `json:"violation_sec"`
-
-	// Controllers maps controller name to current knob value (filled by the
-	// service layer, which owns the knobs).
-	Controllers map[string]int64 `json:"controllers,omitempty"`
 }
 
 // SRT returns the total-SRT phase distribution.

@@ -58,7 +58,6 @@ const (
 
 	// Synthetic kinds (recorded via Tracer.RecordEvent, not span trees).
 	KindSLOViolation // one SLO-violating tracker tick (slo package)
-	KindAdapt        // one adaptive-controller knob adjustment
 
 	numKinds
 )
@@ -81,7 +80,6 @@ var kindNames = [numKinds]string{
 	KindFilterChoose: "filter_choose",
 	KindShardRPC:     "shard_rpc",
 	KindSLOViolation: "slo_violation",
-	KindAdapt:        "adapt",
 }
 
 func (k Kind) String() string {
@@ -257,8 +255,7 @@ func (t *Tracer) SetSpanObserver(fn func(kind string, d time.Duration)) {
 // RecordEvent records a synthetic, childless root span directly into the
 // finalization pipeline (phase histogram, span observer, slow journal) — for
 // events that are not user actions and have no natural start/end call sites,
-// like SLO violations and adaptive-controller adjustments. No-op on a nil or
-// disabled tracer.
+// like SLO violations. No-op on a nil or disabled tracer.
 func (t *Tracer) RecordEvent(kind Kind, d time.Duration, attrs map[string]string, counts map[string]int64) {
 	if t == nil || !t.enabled.Load() {
 		return

@@ -30,18 +30,12 @@ import (
 // a shared worker goroutine and, with it, the whole fleet's verification
 // capacity.
 type Pool struct {
-	tasks chan func()
-	// quit carries retire tokens to workers when the pool is shrunk; see
-	// Resize. Buffered so Resize never blocks on a busy fleet.
-	quit     chan struct{}
-	target   atomic.Int64 // desired worker count (the concurrency bound)
-	nworkers atomic.Int64 // live worker goroutines
-	busy     atomic.Int64 // workers currently inside a task
-	mu       sync.Mutex   // guards spawn vs Close
-	closed   bool
-	wg       sync.WaitGroup
-	once     sync.Once
-	panics   atomic.Int64
+	tasks   chan func()
+	workers int          // concurrency bound, fixed at New
+	busy    atomic.Int64 // workers currently inside a task
+	wg      sync.WaitGroup
+	once    sync.Once
+	panics  atomic.Int64
 
 	// OnBatch, if set, observes each verification batch routed through the
 	// pool (the batch's candidate count). Set it right after New, before
@@ -66,100 +60,29 @@ func New(n int) *Pool {
 	if n < 1 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{tasks: make(chan func()), quit: make(chan struct{}, 1)}
-	p.target.Store(int64(n))
-	p.mu.Lock()
-	p.spawn(n)
-	p.mu.Unlock()
-	return p
-}
-
-// spawn starts n worker goroutines. Callers hold p.mu.
-func (p *Pool) spawn(n int) {
-	p.nworkers.Add(int64(n))
+	p := &Pool{tasks: make(chan func()), workers: n}
 	p.wg.Add(n)
 	for i := 0; i < n; i++ {
 		go p.worker()
 	}
+	return p
 }
 
 func (p *Pool) worker() {
 	defer p.wg.Done()
-	for {
-		select {
-		case task, ok := <-p.tasks:
-			if !ok {
-				return
-			}
-			p.busy.Add(1)
-			task()
-			p.busy.Add(-1)
-		case <-p.quit:
-			if p.retire() {
-				return
-			}
-		}
+	for task := range p.tasks {
+		p.busy.Add(1)
+		task()
+		p.busy.Add(-1)
 	}
 }
 
-// retire decides whether the worker holding a quit token should exit: only
-// while the live count still exceeds the target (tokens left over from a
-// shrink that a later grow cancelled are dropped). When more than one worker
-// must go, the retiring worker re-arms the token for the next one.
-func (p *Pool) retire() bool {
-	for {
-		cur := p.nworkers.Load()
-		tgt := p.target.Load()
-		if cur <= tgt {
-			return false
-		}
-		if p.nworkers.CompareAndSwap(cur, cur-1) {
-			if cur-1 > tgt {
-				p.nudgeQuit()
-			}
-			return true
-		}
-	}
-}
-
-func (p *Pool) nudgeQuit() {
-	select {
-	case p.quit <- struct{}{}:
-	default:
-	}
-}
-
-// Resize changes the pool's worker count to n (clamped to at least 1).
-// Growing spawns workers immediately; shrinking retires idle workers as they
-// come off tasks, so in-flight candidates are never interrupted. Safe to call
-// concurrently with Filter; a no-op after Close. This is the knob the
-// adaptive runtime's workpool controller turns.
-func (p *Pool) Resize(n int) {
-	if p == nil {
-		return
-	}
-	if n < 1 {
-		n = 1
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return
-	}
-	p.target.Store(int64(n))
-	if grow := n - int(p.nworkers.Load()); grow > 0 {
-		p.spawn(grow)
-	} else if grow < 0 {
-		p.nudgeQuit()
-	}
-}
-
-// Workers returns the pool's concurrency bound (the resize target).
+// Workers returns the pool's concurrency bound, fixed at New.
 func (p *Pool) Workers() int {
 	if p == nil {
 		return 1
 	}
-	return int(p.target.Load())
+	return p.workers
 }
 
 // Busy returns how many workers are currently inside a task. Sampled by the
@@ -209,9 +132,6 @@ func (p *Pool) Close() {
 	if p == nil {
 		return
 	}
-	p.mu.Lock()
-	p.closed = true
-	p.mu.Unlock()
 	p.once.Do(func() { close(p.tasks) })
 	p.wg.Wait()
 }

@@ -122,6 +122,37 @@ func TestFilterNilPool(t *testing.T) {
 	}
 }
 
+func TestNilPoolKnobs(t *testing.T) {
+	var p *Pool
+	if p.Workers() != 1 || p.Busy() != 0 {
+		t.Fatalf("nil pool knobs = (%d, %d), want (1, 0)", p.Workers(), p.Busy())
+	}
+}
+
+// TestBusyGauge checks the busy count the SLO tracker samples as
+// worker_util: it counts a worker while it is inside a task and drops back
+// to zero once the task returns (Close waits for the workers to exit).
+func TestBusyGauge(t *testing.T) {
+	p := New(2)
+	if got := p.Workers(); got != 2 {
+		t.Fatalf("Workers = %d, want 2", got)
+	}
+	if got := p.Busy(); got != 0 {
+		t.Fatalf("idle Busy = %d", got)
+	}
+	block, started := make(chan struct{}), make(chan struct{})
+	p.tasks <- func() { close(started); <-block }
+	<-started
+	if got := p.Busy(); got != 1 {
+		t.Fatalf("Busy = %d with one blocked task", got)
+	}
+	close(block)
+	p.Close()
+	if got := p.Busy(); got != 0 {
+		t.Fatalf("Busy = %d after the task returned", got)
+	}
+}
+
 func TestCloseIdempotent(t *testing.T) {
 	p := New(2)
 	p.Close()

@@ -554,10 +554,10 @@ type SLOTargets = slo.Targets
 
 // SLOReport is a point-in-time view of the rolling telemetry windows plus
 // the SLO evaluation: per-phase and per-outcome-stage latency quantiles,
-// windowed shed/admit rates, burn rates, violation totals, and current
-// controller knob values. Served by the ops server's /slo endpoint and by
-// Service.SLOReport; the zero Report (Enabled false) means the telemetry is
-// off.
+// windowed shed/admit rates, sampled sources (cache counters, worker
+// utilization), burn rates, and violation totals. Served by the ops
+// server's /slo endpoint and by Service.SLOReport; the zero Report (Enabled
+// false) means the telemetry is off.
 type SLOReport = slo.Report
 
 // SLODist is one rolling-window latency distribution inside an SLOReport:
@@ -573,21 +573,9 @@ func WithSLO(p99SRT time.Duration, maxShedRate float64) Option {
 	return service.WithSLO(p99SRT, maxShedRate)
 }
 
-// WithSLOWindow sets the rolling telemetry window (default 10s) and turns
+// WithSLOWindow sets the rolling telemetry window (default 5s) and turns
 // the windowed telemetry on even without declared targets.
 func WithSLOWindow(d time.Duration) Option { return service.WithSLOWindow(d) }
-
-// WithAdaptive lets the telemetry-driven controllers move the service's
-// knobs at runtime: the admission MaxInFlight bound, the verification
-// workpool size, and the candidate-cache byte budget. Controllers read only
-// the windowed SLOReport, so their trajectories are a pure function of the
-// observed telemetry; every adjustment is metered (adapt_* metrics) and
-// journaled as an adapt trace span. Implies the rolling-window telemetry.
-func WithAdaptive(on bool) Option { return service.WithAdaptive(on) }
-
-// WithAdaptInterval sets the controller tick period (default: window/8,
-// floored at 10ms).
-func WithAdaptInterval(d time.Duration) Option { return service.WithAdaptInterval(d) }
 
 // FaultInjector is the deterministic fault injector armed via
 // WithFaultInjection; configure per-site rules with Set.
