@@ -252,7 +252,8 @@ func Stats(db []*graph.Graph) DatasetStats {
 		if g.NumEdges() > s.MaxEdges {
 			s.MaxEdges = g.NumEdges()
 		}
-		for _, l := range g.Labels() {
+		for node := range g.NumNodes() {
+			l := g.Label(node)
 			labels[l] = true
 		}
 		if n := g.NumNodes(); n > 1 {

@@ -37,7 +37,8 @@ func TestMoleculesStatistics(t *testing.T) {
 	counts := map[string]int{}
 	total := 0
 	for _, g := range db {
-		for _, l := range g.Labels() {
+		for node := range g.NumNodes() {
+			l := g.Label(node)
 			counts[l]++
 			total++
 		}

@@ -140,6 +140,7 @@ type minDFSScratch struct {
 	cur, next embSet
 	code      []CodeEdge
 	rmpath    []int
+	names     []string // node -> label string, resolved once per minCode
 }
 
 var minDFSPool = sync.Pool{New: func() any { return new(minDFSScratch) }}
@@ -194,13 +195,22 @@ func MinDFSCode(g *Graph) []CodeEdge {
 func (sc *minDFSScratch) minCode(g *Graph) []CodeEdge {
 	if g.NumEdges() == 0 {
 		if g.NumNodes() == 1 {
-			sc.code = append(sc.code[:0], CodeEdge{I: 0, J: 0, LI: g.labels[0], LJ: g.labels[0]})
+			l := g.Label(0)
+			sc.code = append(sc.code[:0], CodeEdge{I: 0, J: 0, LI: l, LJ: l})
 			return sc.code
 		}
 		panic("graph: MinDFSCode on empty or edgeless multi-node graph")
 	}
 	sc.edgeTable(g)
 	eid, off := sc.eid, sc.off
+	// The code is built from label strings: ids are process-local and must
+	// not decide any order.
+	table := loadLabelNames()
+	labels := sc.names[:0]
+	for _, id := range g.labels {
+		labels = append(labels, table.name(id))
+	}
+	sc.names = labels
 
 	// Seed: minimal first tuple (0, 1, la, le, lb) over all edges (both
 	// orientations).
@@ -208,7 +218,7 @@ func (sc *minDFSScratch) minCode(g *Graph) []CodeEdge {
 	haveFirst := false
 	for i, e := range g.edges {
 		for _, o := range [2][2]int{{e.U, e.V}, {e.V, e.U}} {
-			t := CodeEdge{I: 0, J: 1, LI: g.labels[o[0]], LE: g.EdgeLabelAt(i), LJ: g.labels[o[1]]}
+			t := CodeEdge{I: 0, J: 1, LI: labels[o[0]], LE: g.EdgeLabelAt(i), LJ: labels[o[1]]}
 			if !haveFirst || LessExt(t, first) {
 				first, haveFirst = t, true
 			}
@@ -218,7 +228,7 @@ func (sc *minDFSScratch) minCode(g *Graph) []CodeEdge {
 	cur.reset(2, g.NumNodes(), len(g.edges))
 	for i, e := range g.edges {
 		for _, o := range [2][2]int{{e.U, e.V}, {e.V, e.U}} {
-			if g.labels[o[0]] != first.LI || g.labels[o[1]] != first.LJ || g.EdgeLabelAt(i) != first.LE {
+			if labels[o[0]] != first.LI || labels[o[1]] != first.LJ || g.EdgeLabelAt(i) != first.LE {
 				continue
 			}
 			row := cur.addRow()
@@ -253,7 +263,7 @@ func (sc *minDFSScratch) minCode(g *Graph) []CodeEdge {
 			for _, pathV := range rmpath[:len(rmpath)-1] {
 				gw := assign[pathV]
 				if i := sc.edgeBetween(g, gv, gw); i >= 0 && !used[i] {
-					consider(CodeEdge{I: r, J: pathV, LI: g.labels[gv], LE: g.EdgeLabelAt(i), LJ: g.labels[gw]})
+					consider(CodeEdge{I: r, J: pathV, LI: labels[gv], LE: g.EdgeLabelAt(i), LJ: labels[gw]})
 				}
 			}
 			// Forward extensions: from any rightmost-path vertex to an
@@ -262,7 +272,7 @@ func (sc *minDFSScratch) minCode(g *Graph) []CodeEdge {
 				gu := assign[pathV]
 				for k, gw := range g.adj[gu] {
 					if inv[gw] == -1 {
-						consider(CodeEdge{I: pathV, J: len(assign), LI: g.labels[gu], LE: g.EdgeLabelAt(eid[off[gu]+k]), LJ: g.labels[gw]})
+						consider(CodeEdge{I: pathV, J: len(assign), LI: labels[gu], LE: g.EdgeLabelAt(eid[off[gu]+k]), LJ: labels[gw]})
 					}
 				}
 			}
@@ -285,7 +295,7 @@ func (sc *minDFSScratch) minCode(g *Graph) []CodeEdge {
 				inv := cur.invRow(e)
 				for k, gw := range g.adj[gu] {
 					i := eid[off[gu]+k]
-					if inv[gw] == -1 && g.labels[gw] == best.LJ && g.EdgeLabelAt(i) == best.LE {
+					if inv[gw] == -1 && labels[gw] == best.LJ && g.EdgeLabelAt(i) == best.LE {
 						j := next.appendFrom(cur, e)
 						nas, ninv, nused := next.assignRow(j), next.invRow(j), next.usedRow(j)
 						nas[len(nas)-1] = gw
@@ -421,12 +431,24 @@ func CodeGraph(code []CodeEdge) *Graph {
 		g.AddNode(code[0].LI)
 		return g
 	}
+	// Tuples repeat their nodes' labels, so a label is interned only when
+	// it differs from the node's current one and from the last interned.
+	last, lastID := "", emptyLabel
+	setLabel := func(v int, l string) {
+		if LabelName(g.labels[v]) == l {
+			return
+		}
+		if l != last {
+			last, lastID = l, InternLabel(l)
+		}
+		g.labels[v] = lastID
+	}
 	for _, e := range code {
 		for g.NumNodes() <= max(e.I, e.J) {
-			g.AddNode("")
+			g.AddNodeID(emptyLabel)
 		}
-		g.labels[e.I] = e.LI
-		g.labels[e.J] = e.LJ
+		setLabel(e.I, e.LI)
+		setLabel(e.J, e.LJ)
 		if err := g.AddLabeledEdge(e.I, e.J, e.LE); err != nil {
 			panic(err)
 		}

@@ -343,7 +343,7 @@ func TestEdgeLabelFormSurvivesCopies(t *testing.T) {
 func TestGobDecodesExplicitEmptyLabels(t *testing.T) {
 	g := cycle("C", "C", "N")
 	var buf bytes.Buffer
-	old := gobGraph{ID: 9, Labels: g.Labels(), Edges: g.Edges(), EdgeLabels: []string{"", "", ""}}
+	old := gobGraph{ID: 9, Labels: []string{"C", "C", "N"}, Edges: g.Edges(), EdgeLabels: []string{"", "", ""}}
 	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ type Graph struct {
 	// ID is the database identifier of a data graph (unused for queries).
 	ID int
 
-	labels []string
+	labels []uint32 // interned node labels (see intern.go)
 	adj    [][]int
 	edges  []Edge
 	// edgeLabels is aligned with edges ("" = unlabeled) once any edge
@@ -52,7 +52,10 @@ func New(id int) *Graph {
 }
 
 // AddNode appends a node with the given label and returns its index.
-func (g *Graph) AddNode(label string) int {
+func (g *Graph) AddNode(label string) int { return g.AddNodeID(InternLabel(label)) }
+
+// AddNodeID is AddNode for a label already interned with InternLabel.
+func (g *Graph) AddNodeID(label uint32) int {
 	g.labels = append(g.labels, label)
 	g.adj = append(g.adj, nil)
 	return len(g.labels) - 1
@@ -124,11 +127,7 @@ func (g *Graph) NumEdges() int { return len(g.edges) }
 func (g *Graph) Size() int { return len(g.edges) }
 
 // Label returns the label of node v.
-func (g *Graph) Label(v int) string { return g.labels[v] }
-
-// Labels returns the label slice indexed by node id. The caller must not
-// modify it.
-func (g *Graph) Labels() []string { return g.labels }
+func (g *Graph) Label(v int) string { return LabelName(g.labels[v]) }
 
 // Neighbors returns the adjacency list of node v. The caller must not modify
 // it.
@@ -162,7 +161,7 @@ func (g *Graph) HasEdge(u, v int) bool {
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{ID: g.ID}
-	c.labels = append([]string(nil), g.labels...)
+	c.labels = append([]uint32(nil), g.labels...)
 	c.adj = make([][]int, len(g.adj))
 	for i, a := range g.adj {
 		c.adj[i] = append([]int(nil), a...)
@@ -243,7 +242,7 @@ func (g *Graph) EdgeInducedSubgraph(edges []Edge) (*Graph, []int) {
 		if nv, ok := remap[old]; ok {
 			return nv
 		}
-		nv := sub.AddNode(g.labels[old])
+		nv := sub.AddNodeID(g.labels[old])
 		remap[old] = nv
 		back = append(back, old)
 		return nv
@@ -272,7 +271,7 @@ func (g *Graph) EdgeIndex(u, v int) int {
 // LabelPair returns the pair of node labels of edge e in canonical
 // (lexicographically sorted) order.
 func (g *Graph) LabelPair(e Edge) (string, string) {
-	a, b := g.labels[e.U], g.labels[e.V]
+	a, b := g.Label(e.U), g.Label(e.V)
 	if a > b {
 		a, b = b, a
 	}
@@ -286,14 +285,14 @@ func (g *Graph) String() string {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		fmt.Fprintf(&b, "%s%d-%s%d", g.labels[e.U], e.U, g.labels[e.V], e.V)
+		fmt.Fprintf(&b, "%s%d-%s%d", g.Label(e.U), e.U, g.Label(e.V), e.V)
 	}
 	if len(g.edges) == 0 {
-		for i, l := range g.labels {
+		for i := range g.labels {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			fmt.Fprintf(&b, "%s%d", l, i)
+			fmt.Fprintf(&b, "%s%d", g.Label(i), i)
 		}
 	}
 	return b.String()
@@ -314,7 +313,7 @@ func (g *Graph) Permute(perm []int) (*Graph, error) {
 		seen[p] = true
 	}
 	p := New(g.ID)
-	p.labels = make([]string, n)
+	p.labels = make([]uint32, n)
 	p.adj = make([][]int, n)
 	for i, l := range g.labels {
 		p.labels[perm[i]] = l

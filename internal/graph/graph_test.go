@@ -111,7 +111,7 @@ func TestDeleteEdgeDropsDangling(t *testing.T) {
 		t.Fatalf("got %d nodes / %d edges, want 2/1", sub.NumNodes(), sub.NumEdges())
 	}
 	if sub.Label(0) != "C" || sub.Label(1) != "C" {
-		t.Errorf("wrong labels after deletion: %v", sub.Labels())
+		t.Errorf("wrong labels after deletion: %v", sub)
 	}
 	if _, err := g.DeleteEdge(0, 2); err == nil {
 		t.Error("deleting a non-edge succeeded")

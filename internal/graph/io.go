@@ -26,8 +26,8 @@ func WriteAll(w io.Writer, graphs []*Graph) error {
 		if _, err := fmt.Fprintf(bw, "t # %d\n", g.ID); err != nil {
 			return err
 		}
-		for i, l := range g.labels {
-			if _, err := fmt.Fprintf(bw, "v %d %s\n", i, l); err != nil {
+		for i := range g.labels {
+			if _, err := fmt.Fprintf(bw, "v %d %s\n", i, g.Label(i)); err != nil {
 				return err
 			}
 		}
@@ -111,9 +111,13 @@ type gobGraph struct {
 
 // GobEncode implements gob.GobEncoder.
 func (g *Graph) GobEncode() ([]byte, error) {
+	labels := make([]string, len(g.labels))
+	for i := range labels {
+		labels[i] = g.Label(i)
+	}
 	var buf bytes.Buffer
 	err := gob.NewEncoder(&buf).Encode(gobGraph{
-		ID: g.ID, Labels: g.labels, Edges: g.edges, EdgeLabels: g.edgeLabels,
+		ID: g.ID, Labels: labels, Edges: g.edges, EdgeLabels: g.edgeLabels,
 	})
 	return buf.Bytes(), err
 }

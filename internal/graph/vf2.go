@@ -12,7 +12,8 @@ package graph
 // node is the frontier node (adjacent to one already ordered) with the rarest
 // label. Ties go to the higher query degree, then to the lower index at the
 // root and the node reached first on the frontier. A query with one distinct
-// label skips the count, so its order is by degree alone. Edge labels are
+// label skips the count, so its order is by degree alone. Node labels are
+// compared as interned ids (intern.go), never as strings. Edge labels are
 // compared only when q or g has any.
 //
 // Match state is recycled through a sync.Pool so the per-candidate verify hot
@@ -234,7 +235,7 @@ func (s *vf2State) match(depth int) bool {
 // tryCandidate attempts to extend the mapping with qv -> gv and recurse;
 // returning true stops the search.
 func (s *vf2State) tryCandidate(depth, qv, gv int) bool {
-	if s.mapped[gv] || s.g.Label(gv) != s.q.Label(qv) {
+	if s.mapped[gv] || s.g.labels[gv] != s.q.labels[qv] {
 		return false
 	}
 	if s.g.Degree(gv) < s.q.Degree(qv) {

@@ -91,7 +91,9 @@ func (o *bruteOracle) valid(m []int) bool {
 // dumpGraph renders nodes and labeled edges, for failure messages.
 func dumpGraph(g *Graph) string {
 	var b strings.Builder
-	b.WriteString(strings.Join(g.Labels(), ""))
+	for v := range g.NumNodes() {
+		b.WriteString(g.Label(v))
+	}
 	for i, e := range g.Edges() {
 		fmt.Fprintf(&b, " %d-%d", e.U, e.V)
 		if l := g.EdgeLabelAt(i); l != "" {

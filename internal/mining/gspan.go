@@ -333,7 +333,8 @@ func (m *miner) addZeroSupportPairs(res *Result) {
 	labels := map[string]bool{}
 	edgeLabels := map[string]bool{}
 	for _, g := range m.db {
-		for _, l := range g.Labels() {
+		for node := range g.NumNodes() {
+			l := g.Label(node)
 			labels[l] = true
 		}
 		for i := range g.Edges() {

@@ -29,7 +29,8 @@ func TestBenzene(t *testing.T) {
 	if g.NumNodes() != 6 || g.NumEdges() != 6 {
 		t.Fatal("benzene shape wrong")
 	}
-	for _, l := range g.Labels() {
+	for node := range g.NumNodes() {
+		l := g.Label(node)
 		if l != "C" {
 			t.Fatal("benzene must be all carbon")
 		}

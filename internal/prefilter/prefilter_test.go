@@ -158,7 +158,8 @@ func TestSigMatchesFNV(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		g := randGraph(r, []string{"C", "N", "O", "Hg", "Cl"})
 		var want Sig
-		for _, l := range g.Labels() {
+		for node := range g.NumNodes() {
+			l := g.Label(node)
 			want.LabelMask |= bit(l)
 		}
 		for _, e := range g.Edges() {

@@ -54,7 +54,8 @@ func tripleBit(la, le, lb string) uint64 {
 // SigOf computes g's signature. It does not allocate.
 func SigOf(g *graph.Graph) Sig {
 	s := Sig{Nodes: int32(g.NumNodes()), Edges: int32(g.NumEdges())}
-	for v, l := range g.Labels() {
+	for v := range g.NumNodes() {
+		l := g.Label(v)
 		s.LabelMask |= labelBit(l)
 		if d := int32(g.Degree(v)); d > s.MaxDeg {
 			s.MaxDeg = d

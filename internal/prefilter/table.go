@@ -82,7 +82,8 @@ type vocab struct {
 
 // add assigns columns to g's unseen features, in place.
 func (v *vocab) add(g *graph.Graph) {
-	for _, l := range g.Labels() {
+	for node := range g.NumNodes() {
+		l := g.Label(node)
 		if _, ok := v.labels[l]; !ok {
 			v.labels[l] = v.ncols
 			v.ncols++
@@ -109,7 +110,8 @@ func (v *vocab) grown(g *graph.Graph) *vocab {
 }
 
 func (v *vocab) covers(g *graph.Graph) bool {
-	for _, l := range g.Labels() {
+	for node := range g.NumNodes() {
+		l := g.Label(node)
 		if _, ok := v.labels[l]; !ok {
 			return false
 		}
@@ -124,7 +126,8 @@ func (v *vocab) covers(g *graph.Graph) bool {
 
 // fill counts g's features into counts, which has a slot per column of v.
 func (v *vocab) fill(counts []uint16, g *graph.Graph) {
-	for _, l := range g.Labels() {
+	for node := range g.NumNodes() {
+		l := g.Label(node)
 		addCapped(counts, v.labels[l])
 	}
 	for i := range g.Edges() {
@@ -227,7 +230,8 @@ type Profile struct {
 // without a column, or whose column has no live graph, makes it Unknown.
 func (t *Table) Profile(frag *graph.Graph) Profile {
 	p := Profile{Needs: make([]Need, 0, frag.NumNodes()+frag.NumEdges())}
-	for _, l := range frag.Labels() {
+	for node := range frag.NumNodes() {
+		l := frag.Label(node)
 		c, ok := t.voc.labels[l]
 		if !ok || t.docs[c] == 0 {
 			return Profile{Unknown: true}
@@ -311,7 +315,8 @@ func (t *Table) MinLabelSelectivity(frag *graph.Graph) float64 {
 		return 1
 	}
 	sel := 1.0
-	for _, l := range frag.Labels() {
+	for node := range frag.NumNodes() {
+		l := frag.Label(node)
 		c, ok := t.voc.labels[l]
 		if !ok {
 			return 0

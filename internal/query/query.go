@@ -24,7 +24,9 @@ type Edge struct {
 // Query is the evolving visual query fragment. Node ids are stable across
 // edge deletions (they are canvas object identities, never reused).
 type Query struct {
-	nodeLabels map[int]string
+	// nodeLabels holds each node's label interned once, when it is set, so
+	// materializing a fragment appends ids without hashing a string.
+	nodeLabels map[int]uint32
 	nextNode   int
 	edges      map[int]Edge // step label -> edge
 	nextStep   int
@@ -32,7 +34,7 @@ type Query struct {
 
 // New returns an empty query.
 func New() *Query {
-	return &Query{nodeLabels: map[int]string{}, edges: map[int]Edge{}, nextStep: 1, nextNode: 0}
+	return &Query{nodeLabels: map[int]uint32{}, edges: map[int]Edge{}, nextStep: 1, nextNode: 0}
 }
 
 // AddNode drops a node with the given label onto the canvas and returns its
@@ -40,7 +42,7 @@ func New() *Query {
 func (q *Query) AddNode(label string) int {
 	id := q.nextNode
 	q.nextNode++
-	q.nodeLabels[id] = label
+	q.nodeLabels[id] = graph.InternLabel(label)
 	return id
 }
 
@@ -151,13 +153,15 @@ func (q *Query) DeleteEdges(steps []int) error {
 // assigned fresh step labels (returned in oldSteps/newSteps order), so the
 // caller can update per-edge state (SPIGs) accordingly.
 func (q *Query) RelabelNode(node int, label string) (oldSteps, newSteps []int, err error) {
-	if _, ok := q.nodeLabels[node]; !ok {
+	old, ok := q.nodeLabels[node]
+	if !ok {
 		return nil, nil, fmt.Errorf("query: node %d does not exist", node)
 	}
-	if q.nodeLabels[node] == label {
+	id := graph.InternLabel(label)
+	if old == id {
 		return nil, nil, nil
 	}
-	q.nodeLabels[node] = label
+	q.nodeLabels[node] = id
 	var incident []Edge
 	for s, e := range q.edges {
 		if e.A == node || e.B == node {
@@ -229,7 +233,13 @@ func (q *Query) Edge(step int) (Edge, bool) {
 }
 
 // NodeLabel returns the label of the node with the given stable id.
-func (q *Query) NodeLabel(id int) string { return q.nodeLabels[id] }
+func (q *Query) NodeLabel(id int) string {
+	l, ok := q.nodeLabels[id]
+	if !ok {
+		return ""
+	}
+	return graph.LabelName(l)
+}
 
 // Graph materializes the current query fragment as a dense graph (isolated
 // canvas nodes omitted) together with the step labels of its edges in the
@@ -339,7 +349,7 @@ func (q *Query) fragment(steps []int, stable []int) (*graph.Graph, []int, bool) 
 			return v
 		}
 		stable = append(stable, id)
-		return g.AddNode(q.nodeLabels[id])
+		return g.AddNodeID(q.nodeLabels[id])
 	}
 	for _, s := range sorted {
 		e, ok := q.edges[s]

@@ -79,3 +79,43 @@ func TestPanicIsolationInlinePaths(t *testing.T) {
 		t.Fatalf("pool panic counter = %d, want 1", p.Panics())
 	}
 }
+
+// TestPanicMidChunk panics on one candidate in the middle of a chunk: only
+// that candidate fails, the rest of its chunk is still verified, and the
+// worker that recovered stays in service.
+func TestPanicMidChunk(t *testing.T) {
+	p := New(2)
+	defer p.Close()
+	ids, _ := evens(1000)
+	poisoned := maxChunk / 2 // inside chunk 0, whose size is maxChunk here
+	if chunkSize(len(ids), p.Workers()) != maxChunk {
+		t.Fatalf("chunk size %d, want %d", chunkSize(len(ids), p.Workers()), maxChunk)
+	}
+	got, st, err := p.FilterStats(context.Background(), ids, func(id int) bool {
+		if id == poisoned {
+			panic("poisoned candidate")
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(append([]int(nil), ids[:poisoned]...), ids[poisoned+1:]...)
+	if st.Panics != 1 || !equal(got, want) {
+		t.Fatalf("panics=%d, kept %d of %d (want all but id %d)", st.Panics, len(got), len(ids), poisoned)
+	}
+	// Both workers still serve: two chunks that block until both are
+	// running can only finish if two workers take them.
+	var arrived atomic.Int64
+	both := make(chan struct{})
+	got, err = p.Filter(context.Background(), []int{0, 1}, func(int) bool {
+		if arrived.Add(1) == 2 {
+			close(both)
+		}
+		<-both
+		return true
+	})
+	if err != nil || !equal(got, []int{0, 1}) {
+		t.Fatalf("pool broken after a mid-chunk panic: %v %v", got, err)
+	}
+}

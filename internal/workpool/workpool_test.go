@@ -6,7 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
+
+	"prague/internal/raceflag"
 )
 
 func evens(n int) ([]int, []int) {
@@ -80,31 +81,74 @@ func TestFilterSharedAcrossCallers(t *testing.T) {
 	}
 }
 
+// TestFilterCancellationPromptAndPartial cancels from inside the 50th
+// predicate call. Every worker polls ctx before each candidate, so each can
+// have entered at most one call after the cancel; the batch stops there
+// and returns what it verified.
 func TestFilterCancellationPromptAndPartial(t *testing.T) {
 	p := New(2)
 	defer p.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	ids, _ := evens(10_000)
-	var seen atomic.Int64
-	start := time.Now()
+	var seen, late atomic.Int64
 	got, err := p.Filter(ctx, ids, func(id int) bool {
+		if ctx.Err() != nil {
+			late.Add(1)
+		}
 		if seen.Add(1) == 50 {
 			cancel()
 		}
-		time.Sleep(100 * time.Microsecond) // make each candidate non-trivial
 		return true
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("cancellation took %v, not prompt", elapsed)
-	}
 	if len(got) == 0 {
 		t.Fatal("expected partial results before cancellation")
 	}
+	if n := late.Load(); n > int64(p.Workers()) {
+		t.Fatalf("%d predicate calls began after the cancel, want at most %d", n, p.Workers())
+	}
 	if len(got) == len(ids) {
 		t.Fatal("cancellation did not stop the batch early")
+	}
+}
+
+// TestFilterChunkBoundaries compares the pooled path with filterInline on
+// batch sizes around the chunk cap and on worker counts that route through
+// both paths.
+func TestFilterChunkBoundaries(t *testing.T) {
+	pred := func(id int) bool { return id%3 != 0 }
+	for _, workers := range []int{1, 2, 4} {
+		p := New(workers)
+		for _, n := range []int{0, 1, maxChunk - 1, maxChunk, maxChunk + 1, 1000} {
+			ids, _ := evens(n)
+			var panics atomic.Int64
+			want, _ := filterInline(context.Background(), ids, pred, nil, nil, &panics)
+			got, err := p.Filter(context.Background(), ids, pred)
+			if err != nil || !equal(got, want) {
+				t.Errorf("%d workers, %d ids: got %v (err %v), want %v", workers, n, got, err, want)
+			}
+		}
+		p.Close()
+	}
+}
+
+// TestFilterAllocBudget pins the pool's hand-off cost: a 1 000-id batch
+// allocates per batch and per chunk at most, never per candidate.
+func TestFilterAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation budgets are not meaningful under -race")
+	}
+	p := New(2)
+	defer p.Close()
+	ids, _ := evens(1000)
+	pred := func(int) bool { return true }
+	p.Filter(context.Background(), ids, pred)
+	if n := testing.AllocsPerRun(50, func() {
+		p.Filter(context.Background(), ids, pred)
+	}); n > 64 {
+		t.Errorf("pooled Filter of 1000 ids allocates %.1f/op, budget 64", n)
 	}
 }
 
@@ -141,7 +185,7 @@ func TestBusyGauge(t *testing.T) {
 		t.Fatalf("idle Busy = %d", got)
 	}
 	block, started := make(chan struct{}), make(chan struct{})
-	p.tasks <- func() { close(started); <-block }
+	p.tasks <- task{run: func(int) { close(started); <-block }}
 	<-started
 	if got := p.Busy(); got != 1 {
 		t.Fatalf("Busy = %d with one blocked task", got)

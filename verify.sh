@@ -15,12 +15,12 @@ go build ./...
 go test ./...
 go test -race ./internal/service/ ./internal/core/ ./internal/candcache/ ./internal/clock/ ./internal/difftest/ ./internal/trace/ ./internal/ops/ ./internal/metrics/ ./internal/workpool/ ./internal/faultinject/ ./internal/chaostest/ ./internal/store/ ./internal/graph/ ./internal/spig/ ./internal/intset/ ./internal/slo/ ./internal/rpcstore/ ./internal/prefilter/
 go test -race -run 'TestMutationStressUnderRace|TestMutationChaos' ./internal/store/ ./internal/chaostest/
-# Allocation budgets on the hot paths (pooled VF2, canonical codes, step
-# connectivity, SPIG scratch, bitset intersection, prefilter signatures, the
-# similarity step, the wire codec) — must run WITHOUT -race: the detector's
-# shadow allocations would trip the pinned budgets, so these tests self-skip
-# there.
-go test -run 'AllocBudget' ./internal/graph/ ./internal/query/ ./internal/spig/ ./internal/intset/ ./internal/prefilter/ ./internal/core/ ./internal/rpcstore/
+# Allocation budgets on the hot paths (the pool hand-off, pooled VF2,
+# canonical codes, step connectivity, SPIG scratch, bitset intersection,
+# prefilter signatures, the similarity step, the wire codec) — must run
+# WITHOUT -race: the detector's shadow allocations would trip the pinned
+# budgets, so these tests self-skip there.
+go test -run 'AllocBudget' ./internal/workpool/ ./internal/graph/ ./internal/query/ ./internal/spig/ ./internal/intset/ ./internal/prefilter/ ./internal/core/ ./internal/rpcstore/
 sh scripts/cover.sh
 # Nothing above may write into the tree: a dirty checkout after the gate
 # means a test recorded something.
