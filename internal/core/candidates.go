@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"prague/internal/faultinject"
@@ -206,10 +205,10 @@ func (e *Engine) memo(v *spig.Vertex, ids []int) {
 }
 
 // computeCandidates resolves a vertex's candidate list against an in-process
-// store: per shard (concurrently when the store is partitioned) and then
-// merged by ascending graph id. Shard FSG lists partition the monolithic
-// lists, so the merged result is byte-identical to the single-shard
-// computation.
+// store: shard by shard in the caller's loop, on the engine's one probe
+// scratch, and then merged by ascending graph id. Shard FSG lists partition
+// the monolithic lists, so the merged result is byte-identical to the
+// single-shard computation.
 func (e *Engine) computeCandidates(ctx context.Context, v *spig.Vertex) []int {
 	if sp := trace.SpanFromContext(ctx); sp != nil {
 		t0 := time.Now()
@@ -217,27 +216,15 @@ func (e *Engine) computeCandidates(ctx context.Context, v *spig.Vertex) []int {
 			sp.Record(trace.KindIndexProbe, time.Since(t0), "lists", int64(len(v.Phi)+len(v.Ups)+1))
 		}()
 	}
-	n := e.snap.NumShards()
-	if len(e.probeScratch) < n {
-		e.probeScratch = make([]store.ProbeScratch, n)
-	}
 	p := probeOf(v)
+	n := e.snap.NumShards()
 	if n == 1 {
-		return store.ShardCandidates(e.snap.Shard(0), p, &e.probeScratch[0])
+		return store.ShardCandidates(e.snap.Shard(0), p, &e.probeScratch)
 	}
-	t0 := time.Now()
+	// ShardCandidates returns fresh lists, so one scratch serves every shard.
 	parts := make([][]int, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			parts[i] = store.ShardCandidates(e.snap.Shard(i), p, &e.probeScratch[i])
-		}(i)
-	}
-	wg.Wait()
-	if sp := trace.SpanFromContext(ctx); sp != nil {
-		sp.Record(trace.KindShardEval, time.Since(t0), "shard_probes", int64(n))
+	for i := range parts {
+		parts[i] = store.ShardCandidates(e.snap.Shard(i), p, &e.probeScratch)
 	}
 	return store.MergeSorted(parts)
 }

@@ -217,28 +217,30 @@ func (c *cancelAfter) Err() error {
 	return nil
 }
 
-// TestSimilarSubCandidatesStopsBetweenProbes: on an in-process store, a
-// cancellation between two vertex probes ends Algorithm 4 there; the
-// vertices after it are never probed.
+// TestSimilarSubCandidatesStopsBetweenProbes: on an in-process store,
+// monolithic or sharded, a cancellation between two vertex probes ends
+// Algorithm 4 there; the vertices after it are never probed.
 func TestSimilarSubCandidatesStopsBetweenProbes(t *testing.T) {
 	f := makeFixture(t, 7, 40, 0.3)
-	e, err := New(f.db, f.idx, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := []int{e.AddNode("C"), e.AddNode("C"), e.AddNode("C"), e.AddNode("C")}
-	for k := 1; k < len(n); k++ {
-		if _, err := e.AddEdge(n[k-1], n[k]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.candMemo = nil
-	// Err is polled once before the probes, then before every vertex but
-	// the first: the second poll falls between the first two probes.
-	if err := e.similarSubCandidates(&cancelAfter{Context: context.Background(), n: 2}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if len(e.candMemo) != 1 {
-		t.Errorf("%d vertices probed, want 1: the cancellation must stop the probes", len(e.candMemo))
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
+			e := l.new(t, f)
+			n := []int{e.AddNode("C"), e.AddNode("C"), e.AddNode("C"), e.AddNode("C")}
+			for k := 1; k < len(n); k++ {
+				if _, err := e.AddEdge(n[k-1], n[k]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			e.candMemo = nil
+			// Err is polled once before the probes, then before every vertex
+			// but the first: the second poll falls between the first two
+			// probes.
+			if err := e.similarSubCandidates(&cancelAfter{Context: context.Background(), n: 2}); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if len(e.candMemo) != 1 {
+				t.Errorf("%d vertices probed, want 1: the cancellation must stop the probes", len(e.candMemo))
+			}
+		})
 	}
 }

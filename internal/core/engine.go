@@ -119,10 +119,9 @@ type Engine struct {
 	// answering — serving stale sets would be silently incomplete.
 	stale bool
 
-	// probeScratch holds per-shard bitset scratch for Algorithm 3's NIF
-	// list intersection. Indexed by shard id — computeCandidates runs at
-	// most one goroutine per shard, so rows never race. Lazily sized.
-	probeScratch []store.ProbeScratch
+	// probeScratch is the bitset scratch of Algorithm 3's NIF list
+	// intersection, shared by every shard computeCandidates probes.
+	probeScratch store.ProbeScratch
 
 	// chooser state (chooser.go): the adaptive verify-prefilter.
 	chooserMode FilterMode
@@ -157,9 +156,10 @@ func New(db []*graph.Graph, idx *index.Set, sigma int) (*Engine, error) {
 }
 
 // NewWithStore creates an engine over an already-constructed graph store —
-// monolithic (store.NewMem) or hash-partitioned (store.NewSharded). Sharded
-// evaluation fans candidate maintenance and verification out per shard and
-// merges deterministically, so results are byte-identical across layouts.
+// monolithic (store.NewMem) or hash-partitioned (store.NewSharded). A sharded
+// store's shards are probed one after another in the caller's loop and their
+// lists merged by ascending graph id, so results are byte-identical across
+// layouts; verification parallelism comes from the pool alone.
 func NewWithStore(st store.Store, sigma int) (*Engine, error) {
 	if st == nil {
 		return nil, fmt.Errorf("core: nil store: %w", ErrNilIndex)

@@ -9,6 +9,7 @@ import (
 
 	"prague/internal/candcache"
 	"prague/internal/faultinject"
+	"prague/internal/store"
 	"prague/internal/workpool"
 )
 
@@ -76,60 +77,94 @@ func TestLadderFullStageMatchesOracle(t *testing.T) {
 	assertSoundSubset(t, out.Results, truth)
 }
 
+// layouts are the two in-process store layouts a ladder test runs over: the
+// monolithic store and a 4-shard one, whose verify path is the same single
+// pool batch.
+var layouts = []struct {
+	name string
+	new  func(t *testing.T, fx *fixture) *Engine
+}{
+	{"mono", func(t *testing.T, fx *fixture) *Engine {
+		e, err := New(fx.db, fx.idx, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}},
+	{"shard4", func(t *testing.T, fx *fixture) *Engine {
+		st, err := store.NewSharded(fx.db, fx.idx, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewWithStore(st, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}},
+}
+
 // TestVerifyFaultsTruncateNeverWrong: injected verification errors must
 // produce a flagged, sound subset — and the incomplete set must never be
 // published to the shared cache (a later fault-free run is exact again).
 func TestVerifyFaultsTruncateNeverWrong(t *testing.T) {
 	fx := makeFixture(t, 12, 30, 0.3)
-	cache := candcache.New(1<<20, nil)
-	for seed := int64(0); seed < 6; seed++ {
-		e, err := New(fx.db, fx.idx, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.SetCandidateCache(cache)
-		inj := faultinject.New()
-		ctx := faultinject.With(context.Background(), inj)
-		spec := randomQuerySpec(rand.New(rand.NewSource(seed)), []string{"C", "N", "O", "S"}, 5)
-		formulateCtx(t, ctx, e, spec)
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
+			cache := candcache.New(1<<20, nil)
+			var faults int64
+			for seed := int64(0); seed < 6; seed++ {
+				e := l.new(t, fx)
+				e.SetCandidateCache(cache)
+				inj := faultinject.New()
+				ctx := faultinject.With(context.Background(), inj)
+				spec := randomQuerySpec(rand.New(rand.NewSource(seed)), []string{"C", "N", "O", "S"}, 5)
+				formulateCtx(t, ctx, e, spec)
 
-		inj.Set(faultinject.SiteVerify, faultinject.Rule{Every: 2, Err: true})
-		out, err := e.RunDetailedCtx(ctx)
-		if err != nil {
-			t.Fatalf("seed %d: faulted run errored: %v", seed, err)
-		}
-		qg, _ := e.Query().Graph()
-		sigma := 0
-		if e.SimilarityMode() {
-			sigma = e.Sigma()
-		}
-		truth := oracle(fx.db, qg, sigma)
-		if out.Faults > 0 {
-			if !out.Truncated || out.Stage != StagePartial {
-				t.Fatalf("seed %d: %d faults but outcome %+v", seed, out.Faults, out)
+				inj.Set(faultinject.SiteVerify, faultinject.Rule{Every: 2, Err: true})
+				out, err := e.RunDetailedCtx(ctx)
+				if err != nil {
+					t.Fatalf("seed %d: faulted run errored: %v", seed, err)
+				}
+				qg, _ := e.Query().Graph()
+				sigma := 0
+				if e.SimilarityMode() {
+					sigma = e.Sigma()
+				}
+				truth := oracle(fx.db, qg, sigma)
+				if out.Faults > 0 {
+					if !out.Truncated || out.Stage != StagePartial {
+						t.Fatalf("seed %d: %d faults but outcome %+v", seed, out.Faults, out)
+					}
+					faults += out.Faults
+				}
+				assertSoundSubset(t, out.Results, truth)
+
+				// Heal the faults: the next run must be exact, proving nothing
+				// incomplete was served from or published to the cache. A
+				// faulted containment run may have degraded the session to
+				// similarity mode, so the ground truth is recomputed for the
+				// healed run's mode.
+				inj.Disarm()
+				out2, err := e.RunDetailedCtx(ctx)
+				if err != nil {
+					t.Fatalf("seed %d: healed run errored: %v", seed, err)
+				}
+				sigma = 0
+				if e.SimilarityMode() {
+					sigma = e.Sigma()
+				}
+				truth = oracle(fx.db, qg, sigma)
+				if out2.Truncated || len(out2.Results) != len(truth) {
+					t.Fatalf("seed %d: healed run not exact: %d results, oracle %d, truncated=%v",
+						seed, len(out2.Results), len(truth), out2.Truncated)
+				}
+				assertSoundSubset(t, out2.Results, truth)
 			}
-		}
-		assertSoundSubset(t, out.Results, truth)
-
-		// Heal the faults: the next run must be exact, proving nothing
-		// incomplete was served from or published to the cache. A faulted
-		// containment run may have degraded the session to similarity mode,
-		// so the ground truth is recomputed for the healed run's mode.
-		inj.Disarm()
-		out2, err := e.RunDetailedCtx(ctx)
-		if err != nil {
-			t.Fatalf("seed %d: healed run errored: %v", seed, err)
-		}
-		sigma = 0
-		if e.SimilarityMode() {
-			sigma = e.Sigma()
-		}
-		truth = oracle(fx.db, qg, sigma)
-		if out2.Truncated || len(out2.Results) != len(truth) {
-			t.Fatalf("seed %d: healed run not exact: %d results, oracle %d, truncated=%v",
-				seed, len(out2.Results), len(truth), out2.Truncated)
-		}
-		assertSoundSubset(t, out2.Results, truth)
+			if faults == 0 {
+				t.Fatal("fixture: no verification fault fired on any seed")
+			}
+		})
 	}
 }
 
@@ -137,36 +172,45 @@ func TestVerifyFaultsTruncateNeverWrong(t *testing.T) {
 // the pool, fail only their candidate, and flag the outcome.
 func TestWorkerPanicsTruncate(t *testing.T) {
 	fx := makeFixture(t, 13, 30, 0.3)
-	pool := workpool.New(4)
-	defer pool.Close()
-	e, err := New(fx.db, fx.idx, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.SetPool(pool)
-	inj := faultinject.New()
-	ctx := faultinject.With(context.Background(), inj)
-	spec := randomQuerySpec(rand.New(rand.NewSource(3)), []string{"C", "N", "O", "S"}, 5)
-	formulateCtx(t, ctx, e, spec)
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
+			pool := workpool.New(4)
+			defer pool.Close()
+			var total int64
+			for seed := int64(0); seed < 6; seed++ {
+				e := l.new(t, fx)
+				e.SetPool(pool)
+				inj := faultinject.New()
+				ctx := faultinject.With(context.Background(), inj)
+				spec := randomQuerySpec(rand.New(rand.NewSource(seed)), []string{"C", "N", "O", "S"}, 5)
+				formulateCtx(t, ctx, e, spec)
 
-	inj.Set(faultinject.SiteVerify, faultinject.Rule{Every: 3, Panic: true})
-	out, err := e.RunDetailedCtx(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qg, _ := e.Query().Graph()
-	sigma := 0
-	if e.SimilarityMode() {
-		sigma = e.Sigma()
-	}
-	assertSoundSubset(t, out.Results, oracle(fx.db, qg, sigma))
-	if fired := inj.Fired(faultinject.SiteVerify); fired > 0 {
-		if pool.Panics() != fired {
-			t.Fatalf("pool recovered %d panics, injector fired %d", pool.Panics(), fired)
-		}
-		if !out.Truncated || out.Faults < fired {
-			t.Fatalf("%d panics but outcome %+v", fired, out)
-		}
+				inj.Set(faultinject.SiteVerify, faultinject.Rule{Every: 3, Panic: true})
+				before := pool.Panics()
+				out, err := e.RunDetailedCtx(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				qg, _ := e.Query().Graph()
+				sigma := 0
+				if e.SimilarityMode() {
+					sigma = e.Sigma()
+				}
+				assertSoundSubset(t, out.Results, oracle(fx.db, qg, sigma))
+				if fired := inj.Fired(faultinject.SiteVerify); fired > 0 {
+					if got := pool.Panics() - before; got != fired {
+						t.Fatalf("seed %d: pool recovered %d panics, injector fired %d", seed, got, fired)
+					}
+					if !out.Truncated || out.Faults < fired {
+						t.Fatalf("seed %d: %d panics but outcome %+v", seed, fired, out)
+					}
+					total += fired
+				}
+			}
+			if total == 0 {
+				t.Fatal("fixture: no verification panic fired on any seed")
+			}
+		})
 	}
 }
 

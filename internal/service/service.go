@@ -141,9 +141,11 @@ func WithClock(c clock.Clock) Option { return func(o *Options) { o.Clock = c } }
 func WithStore(st store.Store) Option { return func(o *Options) { o.Store = st } }
 
 // WithShards hash-partitions the database and its action-aware indexes into
-// n shards at construction; candidate enumeration and verification then fan
-// out per shard and merge deterministically, so results are byte-identical
-// to the monolithic layout. n ≤ 1 keeps the monolithic store (the default).
+// n shards at construction; candidate enumeration then evaluates the shards
+// in the caller's loop and merges deterministically, so results are
+// byte-identical to the monolithic layout, and verification parallelism
+// comes from the worker pool alone. n ≤ 1 keeps the monolithic store (the
+// default).
 // Ignored when WithStore supplies a store directly.
 func WithShards(n int) Option { return func(o *Options) { o.Shards = n } }
 

@@ -2,8 +2,9 @@
 // laid out behind the engine: monolithic (Mem — one flat graph slice and one
 // index set) or hash-partitioned (Sharded — N shards, each owning its own
 // A²F/A²I index built concurrently). Every layer above — candidate
-// maintenance, verification fan-out, caching, persistence, the naive-scan
-// oracle — goes through the Store interface, and per-shard results merge
+// maintenance, verification, caching, persistence, the naive-scan oracle —
+// goes through the Store interface. In process, a caller evaluates the
+// shards one after another in its own loop, and the per-shard results merge
 // deterministically (sorted by graph id) so both layouts return
 // byte-identical answers.
 //

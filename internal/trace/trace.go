@@ -52,7 +52,6 @@ const (
 	KindVerifyCand   // one candidate's VF2 (or SimVerify) check
 	KindSimilarEval  // Algorithm 5: similarity result generation
 	KindDegrade      // transparent containment→similarity degradation
-	KindShardEval    // per-shard candidate/verification fan-out
 	KindFilterChoose // adaptive verify-prefilter arm selection + pruning
 	KindShardRPC     // one replica-group call (scatter-gather leg, incl. retries/hedges)
 
@@ -76,7 +75,6 @@ var kindNames = [numKinds]string{
 	KindVerifyCand:   "verify_candidate",
 	KindSimilarEval:  "similar_eval",
 	KindDegrade:      "degrade_similarity",
-	KindShardEval:    "shard_eval",
 	KindFilterChoose: "filter_choose",
 	KindShardRPC:     "shard_rpc",
 	KindSLOViolation: "slo_violation",

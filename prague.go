@@ -311,9 +311,10 @@ func LoadStore(db *Database, dir string) (GraphStore, error) {
 // shards, each owning the FSG id lists of its own graphs; the per-shard
 // index slices are built concurrently. The full fragment vocabulary
 // (classification, DAG structure) is replicated in every shard, so SPIG
-// construction is layout-independent while candidate enumeration and
-// verification fan out per shard. Pass the store to a service via WithStore,
-// or persist it with SaveStore.
+// construction is layout-independent. Candidate enumeration evaluates the
+// shards in the caller's loop and merges their lists; verification runs on
+// the shared worker pool, whose workers alone bound its parallelism. Pass the
+// store to a service via WithStore, or persist it with SaveStore.
 func NewShardedStore(db *Database, ix *Indexes, n int) (GraphStore, error) {
 	if db == nil || db.Len() == 0 {
 		return nil, fmt.Errorf("prague: sharded store: %w", ErrEmptyDatabase)
@@ -426,9 +427,10 @@ func WithSessionTTL(d time.Duration) Option { return service.WithSessionTTL(d) }
 func WithMaxSessions(n int) Option { return service.WithMaxSessions(n) }
 
 // WithShards hash-partitions the database and indexes into n shards at
-// service construction; evaluation fans out per shard and merges
-// deterministically, so results are byte-identical to the default monolithic
-// layout. n ≤ 1 keeps the monolithic store.
+// service construction; candidate enumeration evaluates the shards in the
+// caller's loop and merges deterministically, so results are byte-identical
+// to the default monolithic layout. Verification parallelism comes from the
+// worker pool alone. n ≤ 1 keeps the monolithic store.
 func WithShards(n int) Option { return service.WithShards(n) }
 
 // WithRemoteShards serves sessions from a remote shard-server topology:

@@ -56,7 +56,7 @@ func shardStore(tb testing.TB, db []*graph.Graph, idx *index.Set, n int) store.S
 // BenchmarkShardedRun measures the full formulate+Run pipeline against
 // monolithic, 4-shard, and 8-shard layouts of the same database. The answers
 // are byte-identical by construction; the interesting axis is how the SRT
-// moves as candidate enumeration and verification fan out per shard.
+// moves as candidate enumeration probes and merges more shards.
 func BenchmarkShardedRun(b *testing.B) {
 	f := aidsFixture(b)
 	wq := f.worst[0]

@@ -17,9 +17,9 @@ go test -race ./internal/service/ ./internal/core/ ./internal/candcache/ ./inter
 go test -race -run 'TestMutationStressUnderRace|TestMutationChaos' ./internal/store/ ./internal/chaostest/
 # Allocation budgets on the hot paths (the pool hand-off, pooled VF2,
 # canonical codes, step connectivity, SPIG scratch, bitset intersection,
-# prefilter signatures, the similarity step, the wire codec) — must run
-# WITHOUT -race: the detector's shadow allocations would trip the pinned
-# budgets, so these tests self-skip there.
+# prefilter signatures, the similarity step, the sharded probe, the wire
+# codec) — must run WITHOUT -race: the detector's shadow allocations would
+# trip the pinned budgets, so these tests self-skip there.
 go test -run 'AllocBudget' ./internal/workpool/ ./internal/graph/ ./internal/query/ ./internal/spig/ ./internal/intset/ ./internal/prefilter/ ./internal/core/ ./internal/rpcstore/
 sh scripts/cover.sh
 # Nothing above may write into the tree: a dirty checkout after the gate
@@ -27,3 +27,11 @@ sh scripts/cover.sh
 if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
 	test -z "$(git status --porcelain)"
 fi
+# No benchmark binary or shard server may outlive the gate: a process left
+# running holds a port and a CPU, and skews whatever is measured next.
+for p in pragbench shardserver; do
+	if pgrep -x "$p" >/dev/null; then
+		echo "verify.sh: a $p process is still running" >&2
+		exit 1
+	fi
+done
