@@ -24,6 +24,7 @@ import (
 	"prague/internal/session"
 	"prague/internal/sigma"
 	"prague/internal/spig"
+	"prague/internal/store"
 	"prague/internal/workload"
 )
 
@@ -694,7 +695,11 @@ func cacheFixture(b testing.TB) *cacheBenchFixture {
 // cache budget (≤ 0 disables the cache) and a private metrics registry.
 func newCacheBenchService(tb testing.TB, f *cacheBenchFixture, cacheBytes int64) *service.Service {
 	tb.Helper()
-	svc, err := service.New(f.db, f.idx,
+	st, err := store.NewMem(f.db, f.idx)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	svc, err := service.NewFromStore(st,
 		service.WithSigma(3),
 		service.WithMetrics(metrics.NewRegistry()),
 		service.WithSessionTTL(0),
@@ -878,7 +883,11 @@ func newTraceBenchService(tb testing.TB, f *benchFixture, mode string) *service.
 	if mode != "notrace" {
 		opts = append(opts, service.WithTracing(true))
 	}
-	svc, err := service.New(f.db, f.idx, opts...)
+	st, err := store.NewMem(f.db, f.idx)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	svc, err := service.NewFromStore(st, opts...)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -65,6 +65,16 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
+// newStore wraps db and ix in a monolithic store.
+func newStore(t *testing.T, db *prague.Database, ix *prague.Indexes) prague.GraphStore {
+	t.Helper()
+	st, err := prague.NewStore(db, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // goldenSession runs a fixed workload (three anchored edges, one run) on a
 // tiny generated database and returns the service and session to inspect.
 func goldenSession(t *testing.T) (*prague.Service, *prague.ManagedSession) {
@@ -77,7 +87,7 @@ func goldenSession(t *testing.T) (*prague.Service, *prague.ManagedSession) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := prague.NewService(db, ix,
+	svc, err := prague.NewService(newStore(t, db, ix),
 		prague.WithSigma(2),
 		prague.WithMetrics(prague.NewMetrics()),
 		prague.WithTracing(true),
@@ -128,7 +138,7 @@ func TestSLOGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := prague.NewService(db, ix,
+	svc, err := prague.NewService(newStore(t, db, ix),
 		prague.WithSigma(2),
 		prague.WithMetrics(prague.NewMetrics()),
 		prague.WithTracing(true),

@@ -4,10 +4,10 @@
 // column of the paper's Figure 3 — plus similarity fallback, modification
 // suggestions, and ranked results.
 //
-// The CLI runs on the concurrent session service (prague.NewService): the
-// interactive session is one managed session, so `run` refuses until a
-// pending Modify-or-SimQuery choice is resolved, and `metrics` shows what
-// the service measured so far.
+// The CLI runs on the concurrent session service (prague.NewService) over a
+// store that -shards partitions and -connect dials: the interactive session
+// is one managed session, so `run` refuses until a pending Modify-or-SimQuery
+// choice is resolved, and `metrics` shows what the service measured so far.
 //
 // Usage:
 //
@@ -52,6 +52,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -81,23 +82,32 @@ func main() {
 	)
 	flag.Parse()
 
-	var (
-		db  *prague.Database
-		idx *index.Set
-		err error
-	)
-	if *connect == "" {
-		var graphs []*graph.Graph
-		graphs, err = loadGraphs(*dbPath, *generate)
+	// The store picks the layout; a dialed one closes after the service.
+	var st prague.GraphStore
+	if *connect != "" {
+		endpoints := strings.Split(*connect, ",")
+		for i := range endpoints {
+			endpoints[i] = strings.TrimSpace(endpoints[i])
+		}
+		var err error
+		if st, err = prague.DialStore(context.Background(), endpoints); err != nil {
+			fail(err)
+		}
+		defer st.(io.Closer).Close()
+		fmt.Printf("connected: %d endpoints, %d shards, %d graphs, tag %s\n",
+			len(endpoints), st.NumShards(), st.NumGraphs(), st.CacheTag())
+	} else {
+		graphs, err := loadGraphs(*dbPath, *generate)
 		if err != nil {
 			fail(err)
 		}
-		db, err = prague.NewDatabase(graphs)
+		db, err := prague.NewDatabase(graphs)
 		if err != nil {
 			fail(err)
 		}
 		fmt.Printf("database: %d graphs\n", db.Len())
 
+		var idx *index.Set
 		if *indexDir != "" {
 			idx, err = index.Load(*indexDir)
 		} else {
@@ -107,6 +117,15 @@ func main() {
 			if err == nil {
 				idx, err = index.Build(mined, *alpha, 4)
 			}
+		}
+		if err != nil {
+			fail(err)
+		}
+		if *shards > 1 {
+			st, err = prague.NewShardedStore(db, idx, *shards)
+			fmt.Printf("store: %d shards\n", *shards)
+		} else {
+			st, err = prague.NewStore(db, idx)
 		}
 		if err != nil {
 			fail(err)
@@ -124,32 +143,12 @@ func main() {
 	if *opsAddr != "" {
 		opts = append(opts, prague.WithOpsServer(*opsAddr))
 	}
-	if *shards > 1 {
-		opts = append(opts, prague.WithShards(*shards))
-		fmt.Printf("store: %d shards\n", *shards)
-	}
 	if *sloP99 > 0 {
 		opts = append(opts, prague.WithSLO(*sloP99, 0))
 	}
-	var svc *prague.Service
-	if *connect != "" {
-		endpoints := strings.Split(*connect, ",")
-		for i := range endpoints {
-			endpoints[i] = strings.TrimSpace(endpoints[i])
-		}
-		opts = append(opts, prague.WithRemoteShards(endpoints...))
-		svc, err = prague.NewServiceFromRemote(opts...)
-		if err != nil {
-			fail(err)
-		}
-		st := svc.Store()
-		fmt.Printf("connected: %d endpoints, %d shards, %d graphs, tag %s\n",
-			len(endpoints), st.NumShards(), st.NumGraphs(), st.CacheTag())
-	} else {
-		svc, err = prague.NewService(db, idx, opts...)
-		if err != nil {
-			fail(err)
-		}
+	svc, err := prague.NewService(st, opts...)
+	if err != nil {
+		fail(err)
 	}
 	defer svc.Close()
 	if *opsAddr != "" {

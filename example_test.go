@@ -99,8 +99,8 @@ func ExampleSession_SuggestDeletion() {
 	// suggested deletion is a real edge: true
 }
 
-// ExampleNewService_mutable shows online mutation: a service built on a
-// GraphStore handle grows and shrinks its database while a session keeps
+// ExampleNewService_mutable shows online mutation: a service built over a
+// GraphStore grows and shrinks its database while a session keeps
 // querying. Each mutation publishes a new store epoch; the session's next
 // Run pins it and observes the change.
 func ExampleNewService_mutable() {
@@ -116,7 +116,7 @@ func ExampleNewService_mutable() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	svc, err := prague.NewServiceFromStore(st, prague.WithSigma(2))
+	svc, err := prague.NewService(st, prague.WithSigma(2))
 	if err != nil {
 		log.Fatal(err)
 	}

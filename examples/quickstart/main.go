@@ -1,5 +1,6 @@
 // Quickstart: the full PRAGUE flow in one small program — generate a
-// database, build the action-aware indexes, start a session service,
+// database, build the action-aware indexes, wrap both in a store, start a
+// session service over it,
 // formulate a query edge by edge (each step evaluated during "GUI
 // latency"), and run it with the context-first API.
 package main
@@ -30,9 +31,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// A service multiplexes many concurrent sessions over one (db, indexes)
-	// pair; σ = 2 means results may miss up to two query edges.
-	svc, err := prague.NewService(db, ix, prague.WithSigma(2))
+	// The store holds the database and its indexes; its constructor chooses
+	// the layout (NewShardedStore partitions, DialStore serves remote shard
+	// servers). A service multiplexes many concurrent sessions over it;
+	// σ = 2 means results may miss up to two query edges.
+	st, err := prague.NewStore(db, ix)
+	if err != nil {
+		log.Fatal(err)
+	}
+	svc, err := prague.NewService(st, prague.WithSigma(2))
 	if err != nil {
 		log.Fatal(err)
 	}

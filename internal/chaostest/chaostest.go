@@ -34,6 +34,7 @@ import (
 	"prague/internal/naivescan"
 	"prague/internal/query"
 	"prague/internal/service"
+	"prague/internal/store"
 )
 
 // Config sizes a chaos run. Start from Quick.
@@ -232,7 +233,11 @@ func runSchedule(t *testing.T, cfg Config, fx *Fixture, i int) Totals {
 	if sc.sessionQueue > 0 {
 		opts = append(opts, service.WithSessionQueue(sc.sessionQueue))
 	}
-	svc, err := service.New(fx.DB, fx.Idx, opts...)
+	st, err := store.NewMem(fx.DB, fx.Idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := service.NewFromStore(st, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

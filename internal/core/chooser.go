@@ -230,7 +230,7 @@ func (lg *levelGate) pass(j int, r *prefilter.Row) bool {
 }
 
 // passAny reports whether candidate id survives the gate for any of the n
-// fragments — the level's verification is containsAnyFragment, so a graph
+// fragments — the level's verification is containsAnyGated, so a graph
 // failing every fragment gate cannot be confirmed at this level.
 func (lg *levelGate) passAny(n, id int) bool {
 	r := lg.tab.Row(id)

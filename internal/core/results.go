@@ -6,6 +6,7 @@ import (
 	"prague/internal/graph"
 	"prague/internal/index"
 	"prague/internal/intset"
+	"prague/internal/simverify"
 )
 
 // similarResultsGen implements Algorithm 5 (SimilarResultsGen): produce the
@@ -66,7 +67,7 @@ func (e *Engine) verifyLevel(ctx context.Context, i int, pending []int) ([]int, 
 	// fragments whose features (counts or signature) it can contain.
 	gate := e.levelPrefilter(ctx, frags, pending)
 	return e.filter(ctx, pending, e.verifyPred(ctx, func(id int) bool {
-		return e.containsAnyFragmentGated(frags, gate, id)
+		return e.containsAnyGated(frags, gate, id)
 	}))
 }
 
@@ -194,27 +195,18 @@ func (e *Engine) levelFragments(i int) []*graph.Graph {
 	return frags
 }
 
-// containsAnyFragmentGated is containsAnyFragment with the per-fragment
-// level gate from levelPrefilter: when gate is non-nil, fragment j is only
-// VF2-checked against graphs whose features can contain it. The gate is
-// read-only once built, so concurrent verify workers share it.
-func (e *Engine) containsAnyFragmentGated(frags []*graph.Graph, gate *levelGate, id int) bool {
+// containsAnyGated is simverify.ContainsAny with the per-fragment level gate
+// from levelPrefilter: when gate is non-nil, fragment j is only VF2-checked
+// against graphs whose features can contain it. The gate is read-only once
+// built, so concurrent verify workers share it.
+func (e *Engine) containsAnyGated(frags []*graph.Graph, gate *levelGate, id int) bool {
 	g := e.snap.Graph(id)
 	if gate == nil {
-		return containsAnyFragment(frags, g)
+		return simverify.ContainsAny(frags, g)
 	}
 	r := gate.tab.Row(id)
 	for j, f := range frags {
 		if gate.pass(j, r) && graph.SubgraphIsomorphic(f, g) {
-			return true
-		}
-	}
-	return false
-}
-
-func containsAnyFragment(frags []*graph.Graph, g *graph.Graph) bool {
-	for _, f := range frags {
-		if graph.SubgraphIsomorphic(f, g) {
 			return true
 		}
 	}

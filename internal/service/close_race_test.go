@@ -18,7 +18,7 @@ import (
 func TestRunRacingCloseReturnsTypedError(t *testing.T) {
 	db, idx := smallFixture(t)
 	for round := 0; round < 8; round++ {
-		s, err := New(db, idx)
+		s, err := newMem(db, idx)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,7 +16,7 @@ import (
 func TestAdmissionBounds(t *testing.T) {
 	db, idx := smallFixture(t)
 	reg := metrics.NewRegistry()
-	s, err := New(db, idx, WithMetrics(reg), WithMaxInFlight(2), WithSessionQueue(1))
+	s, err := newMem(db, idx, WithMetrics(reg), WithMaxInFlight(2), WithSessionQueue(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestRetryBacksOffOnOverload(t *testing.T) {
 // waiting on the serializing mutex).
 func TestOverloadedActionsShedNotQueue(t *testing.T) {
 	db, idx := smallFixture(t)
-	s, err := New(db, idx, WithMaxInFlight(1))
+	s, err := newMem(db, idx, WithMaxInFlight(1))
 	if err != nil {
 		t.Fatal(err)
 	}

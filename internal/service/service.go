@@ -19,7 +19,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -30,10 +29,8 @@ import (
 	"prague/internal/core"
 	"prague/internal/faultinject"
 	"prague/internal/graph"
-	"prague/internal/index"
 	"prague/internal/metrics"
 	"prague/internal/ops"
-	"prague/internal/rpcstore"
 	"prague/internal/slo"
 	"prague/internal/store"
 	"prague/internal/trace"
@@ -71,15 +68,6 @@ type Options struct {
 	CandCache     int64
 	Metrics       *metrics.Registry
 	Clock         clock.Clock
-
-	// Store layout: an explicit pre-built store wins; otherwise
-	// RemoteEndpoints dials a remote shard-server topology (the service
-	// owns the dialed store and closes it on Close); otherwise Shards > 1
-	// hash-partitions the database at construction; otherwise the store is
-	// monolithic.
-	Store           store.Store
-	Shards          int
-	RemoteEndpoints []string
 
 	Trace         bool          // record per-action span trees
 	SlowThreshold time.Duration // slow-journal admission threshold
@@ -131,34 +119,6 @@ func WithCandidateCache(bytes int64) Option { return func(o *Options) { o.CandCa
 // WithClock overrides the time source (tests inject a clock.Fake so
 // TTL/idle-eviction behaviour is deterministic).
 func WithClock(c clock.Clock) Option { return func(o *Options) { o.Clock = c } }
-
-// WithStore serves sessions from a pre-built graph store (e.g. a sharded
-// store loaded from its persisted per-shard layout); NewFromStore is the
-// shorthand. The db and idx arguments of New are ignored and deprecated when
-// this option is present. While the service is live, mutate the store through
-// Service.InsertGraph / Service.DeleteGraph rather than directly, so mutations pass
-// admission control and land in the metrics.
-func WithStore(st store.Store) Option { return func(o *Options) { o.Store = st } }
-
-// WithShards hash-partitions the database and its action-aware indexes into
-// n shards at construction; candidate enumeration then evaluates the shards
-// in the caller's loop and merges deterministically, so results are
-// byte-identical to the monolithic layout, and verification parallelism
-// comes from the worker pool alone. n ≤ 1 keeps the monolithic store (the
-// default).
-// Ignored when WithStore supplies a store directly.
-func WithShards(n int) Option { return func(o *Options) { o.Shards = n } }
-
-// WithRemoteShards serves sessions from a remote shard-server topology:
-// New dials every endpoint (rpcstore shard servers over TCP), validates
-// that the replicas agree on layout and epoch, and builds the coordinator
-// store. The engine, candidate cache, and SLO runtime are unchanged — only
-// candidate enumeration and mutation cross the network. The service owns
-// the dialed store and closes it on Close. Ignored when WithStore supplies
-// a store directly.
-func WithRemoteShards(endpoints ...string) Option {
-	return func(o *Options) { o.RemoteEndpoints = endpoints }
-}
 
 // WithTracing enables (or disables) per-action structured tracing: every
 // AddEdge/DeleteEdge/Run records a span tree of its evaluation phases, SRT
@@ -236,22 +196,21 @@ func withJanitorHook(fn func(evicted int)) Option {
 	return func(o *Options) { o.janitorHook = fn }
 }
 
-// Service serves concurrent formulation sessions over one immutable
-// database + index pair. All methods are safe for concurrent use.
+// Service serves concurrent formulation sessions over one graph store. All
+// methods are safe for concurrent use.
 type Service struct {
-	st         store.Store
-	ownedStore io.Closer // set when New dialed the store itself (remote shards)
-	opt        Options
-	pool       *workpool.Pool
-	reg        *metrics.Registry
-	clk        clock.Clock
-	cache      *candcache.Cache // shared across sessions; nil when disabled
-	tracer     *trace.Tracer    // nil when tracing was never requested
-	ops        *ops.Server      // nil unless WithOpsServer
+	st     store.Store
+	opt    Options
+	pool   *workpool.Pool
+	reg    *metrics.Registry
+	clk    clock.Clock
+	cache  *candcache.Cache // shared across sessions; nil when disabled
+	tracer *trace.Tracer    // nil when tracing was never requested
+	ops    *ops.Server      // nil unless WithOpsServer
 
 	// Global admission bound: inflightN counts actions in flight,
-	// inflightLimit is the cap fixed at New (0: unlimited). Admission is
-	// non-blocking and lock-free (mutate.go).
+	// inflightLimit is the cap fixed at construction (0: unlimited).
+	// Admission is non-blocking and lock-free (mutate.go).
 	inflightN     atomic.Int64
 	inflightLimit int64
 
@@ -270,47 +229,24 @@ type Service struct {
 	sloDone     chan struct{}
 }
 
-// NewFromStore builds a service directly over a graph store — the primary
-// construction path: the store is the one handle for the database, its
-// indexes, and online mutation. Monolithic (store.NewMem), hash-partitioned
-// (store.NewSharded), and reloaded (store.LoadMem / store.LoadSharded)
-// stores all serve identically.
+// NewFromStore builds a service over a graph store, the one handle for the
+// database, its indexes, and online mutation. The store constructors choose
+// the layout: monolithic (store.NewMem), hash-partitioned (store.NewSharded),
+// reloaded (store.LoadMem / store.LoadSharded), or remote (rpcstore.Dial) —
+// all serve identically. The service never builds, dials, or closes a store:
+// whoever built it closes it, after Close. While the service is live, mutate
+// the store through Service.InsertGraph / Service.DeleteGraph, so mutations
+// pass admission control and land in the metrics.
 func NewFromStore(st store.Store, opts ...Option) (*Service, error) {
 	if st == nil {
-		return nil, fmt.Errorf("service: nil store: %w", core.ErrNilIndex)
+		return nil, fmt.Errorf("service: nil store: %w", store.ErrEmptyDatabase)
 	}
-	return New(nil, nil, append(append([]Option(nil), opts...), WithStore(st))...)
-}
-
-// New builds a service over the database and indexes, wrapping them in a
-// monolithic store (or a sharded one under WithShards). New is the thin
-// compatibility path; NewFromStore is primary. When WithStore is also
-// passed, db and idx are redundant and ignored — pass them as nil or migrate
-// to NewFromStore.
-func New(db []*graph.Graph, idx *index.Set, opts ...Option) (*Service, error) {
 	opt := Options{Sigma: 3, SessionTTL: 30 * time.Minute, CandCache: DefaultCandCacheBytes}
 	for _, o := range opts {
 		o(&opt)
 	}
 	if opt.Sigma < 0 {
 		return nil, fmt.Errorf("service: σ = %d: %w", opt.Sigma, core.ErrNegativeSigma)
-	}
-	st := opt.Store
-	ownedStore := false
-	if st == nil {
-		var err error
-		switch {
-		case len(opt.RemoteEndpoints) > 0:
-			st, err = rpcstore.Dial(context.Background(), opt.RemoteEndpoints)
-			ownedStore = err == nil
-		case opt.Shards > 1:
-			st, err = store.NewSharded(db, idx, opt.Shards)
-		default:
-			st, err = store.NewMem(db, idx)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("service: %w", err)
-		}
 	}
 	reg := opt.Metrics
 	if reg == nil {
@@ -328,9 +264,6 @@ func New(db []*graph.Graph, idx *index.Set, opts ...Option) (*Service, error) {
 		clk:      clk,
 		cache:    candcache.New(opt.CandCache, reg),
 		sessions: map[string]*Session{},
-	}
-	if ownedStore {
-		s.ownedStore, _ = st.(io.Closer)
 	}
 	// A store that exports its own counters (the remote coordinator's
 	// shard_rpc_* family and endpoint-health gauges) reports into the
@@ -369,7 +302,7 @@ func New(db []*graph.Graph, idx *index.Set, opts ...Option) (*Service, error) {
 			return nil
 		}, s.SLOReport)
 		if err != nil {
-			s.pool.Close()
+			s.Close() // stops the SLO sampler initSLO started, and the pool
 			return nil, fmt.Errorf("service: %w", err)
 		}
 		s.ops = srv
@@ -389,7 +322,7 @@ func New(db []*graph.Graph, idx *index.Set, opts ...Option) (*Service, error) {
 		s.stopJanitor = make(chan struct{})
 		s.janitorDone = make(chan struct{})
 		// The ticker is created here, not in the goroutine, so a test clock
-		// advanced right after New is guaranteed to reach it.
+		// advanced right after construction is guaranteed to reach it.
 		go s.janitor(clk.NewTicker(interval))
 	}
 	return s, nil
@@ -429,9 +362,6 @@ func (s *Service) Close() {
 	}
 	s.pool.Close()
 	s.ops.Close() //nolint:errcheck // shutdown timeout only
-	if s.ownedStore != nil {
-		s.ownedStore.Close() //nolint:errcheck // remote conn teardown
-	}
 }
 
 // Metrics returns the registry the service records into.
@@ -453,12 +383,11 @@ func (s *Service) OpsAddr() string { return s.ops.Addr() }
 // when caching is disabled.
 func (s *Service) CandidateCache() *candcache.Cache { return s.cache }
 
-// Store returns the graph store sessions evaluate against (monolithic
-// unless constructed with WithShards, WithRemoteShards, or WithStore).
+// Store returns the graph store sessions evaluate against.
 func (s *Service) Store() store.Store { return s.st }
 
 // ShardHealth reports per-shard endpoint health when the store serves a
-// remote topology (WithRemoteShards), or nil for in-process stores.
+// remote topology (rpcstore.Dial), or nil for in-process stores.
 func (s *Service) ShardHealth() []store.ShardHealth {
 	if hr, ok := s.st.(store.HealthReporter); ok {
 		return hr.ShardHealthReport()

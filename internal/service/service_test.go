@@ -16,6 +16,7 @@ import (
 	"prague/internal/index"
 	"prague/internal/metrics"
 	"prague/internal/mining"
+	"prague/internal/store"
 )
 
 // buildFixture hand-builds a random connected molecule-like database and
@@ -74,6 +75,15 @@ func smallFixture(tb testing.TB) ([]*graph.Graph, *index.Set) {
 	return smallDB, smallIdx
 }
 
+// newMem builds a service over a monolithic store of db and idx.
+func newMem(db []*graph.Graph, idx *index.Set, opts ...Option) (*Service, error) {
+	st, err := store.NewMem(db, idx)
+	if err != nil {
+		return nil, err
+	}
+	return NewFromStore(st, opts...)
+}
+
 // formulateAndRun drives one full session through the service: a short
 // random connected query, similarity choice when prompted, then Run.
 func formulateAndRun(ctx context.Context, svc *Service, r *rand.Rand) error {
@@ -122,7 +132,7 @@ func formulateAndRun(ctx context.Context, svc *Service, r *rand.Rand) error {
 func TestConcurrentSessions(t *testing.T) {
 	db, idx := smallFixture(t)
 	reg := metrics.NewRegistry()
-	svc, err := New(db, idx, WithSigma(2), WithVerifyWorkers(4), WithMetrics(reg), WithSessionTTL(0))
+	svc, err := newMem(db, idx, WithSigma(2), WithVerifyWorkers(4), WithMetrics(reg), WithSessionTTL(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +182,7 @@ func TestConcurrentSessions(t *testing.T) {
 // goroutines: the per-session mutex must serialize the canvas safely.
 func TestSharedSessionConcurrentUse(t *testing.T) {
 	db, idx := smallFixture(t)
-	svc, err := New(db, idx, WithSigma(2), WithMetrics(metrics.NewRegistry()))
+	svc, err := newMem(db, idx, WithSigma(2), WithMetrics(metrics.NewRegistry()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +223,7 @@ func TestSharedSessionConcurrentUse(t *testing.T) {
 func TestSessionLifecycleAndSentinels(t *testing.T) {
 	db, idx := smallFixture(t)
 	reg := metrics.NewRegistry()
-	svc, err := New(db, idx, WithSigma(1), WithMaxSessions(2), WithMetrics(reg), WithSessionTTL(0))
+	svc, err := newMem(db, idx, WithSigma(1), WithMaxSessions(2), WithMetrics(reg), WithSessionTTL(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +279,7 @@ func TestSessionLifecycleAndSentinels(t *testing.T) {
 
 func TestRunRefusesWhileAwaitingChoice(t *testing.T) {
 	db, idx := smallFixture(t)
-	svc, err := New(db, idx, WithSigma(2), WithMetrics(metrics.NewRegistry()))
+	svc, err := newMem(db, idx, WithSigma(2), WithMetrics(metrics.NewRegistry()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +320,7 @@ func TestIdleEviction(t *testing.T) {
 	reg := metrics.NewRegistry()
 	fake := clock.NewFake(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
 	sweeps := make(chan int, 64)
-	svc, err := New(db, idx, WithSigma(1), WithSessionTTL(time.Minute), WithMetrics(reg),
+	svc, err := newMem(db, idx, WithSigma(1), WithSessionTTL(time.Minute), WithMetrics(reg),
 		WithClock(fake), withJanitorHook(func(n int) { sweeps <- n }))
 	if err != nil {
 		t.Fatal(err)
@@ -373,7 +383,7 @@ func TestEvictIdleDirect(t *testing.T) {
 	fake := clock.NewFake(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
 	// TTL 0 disables the janitor goroutine entirely; EvictIdle then reports
 	// 0 regardless of idleness.
-	svc, err := New(db, idx, WithSigma(1), WithSessionTTL(0), WithMetrics(metrics.NewRegistry()), WithClock(fake))
+	svc, err := newMem(db, idx, WithSigma(1), WithSessionTTL(0), WithMetrics(metrics.NewRegistry()), WithClock(fake))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +416,7 @@ func TestRunCancellationMidVerification(t *testing.T) {
 	// Caching and the verify prefilter are disabled: every run must verify
 	// the full candidate set, so each run's candidate checks are the same.
 	inj := faultinject.New()
-	svc, err := New(db, idx, WithSigma(4), WithVerifyWorkers(4), WithMetrics(metrics.NewRegistry()),
+	svc, err := newMem(db, idx, WithSigma(4), WithVerifyWorkers(4), WithMetrics(metrics.NewRegistry()),
 		WithSessionTTL(0), WithCandidateCache(0), WithFilterChooser(core.FilterProbe), WithFaultInjection(inj))
 	if err != nil {
 		t.Fatal(err)
@@ -532,7 +542,7 @@ func TestRunCancellationMidVerification(t *testing.T) {
 func TestCandidateCacheSharedAcrossSessions(t *testing.T) {
 	db, idx := smallFixture(t)
 	reg := metrics.NewRegistry()
-	svc, err := New(db, idx, WithSigma(2), WithMetrics(reg), WithSessionTTL(0))
+	svc, err := newMem(db, idx, WithSigma(2), WithMetrics(reg), WithSessionTTL(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,7 +615,7 @@ func TestCandidateCacheSharedAcrossSessions(t *testing.T) {
 // sessions still answer correctly (nil-cache paths).
 func TestCandidateCacheDisabled(t *testing.T) {
 	db, idx := smallFixture(t)
-	svc, err := New(db, idx, WithSigma(1), WithMetrics(metrics.NewRegistry()), WithSessionTTL(0), WithCandidateCache(0))
+	svc, err := newMem(db, idx, WithSigma(1), WithMetrics(metrics.NewRegistry()), WithSessionTTL(0), WithCandidateCache(0))
 	if err != nil {
 		t.Fatal(err)
 	}

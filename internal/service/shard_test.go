@@ -10,22 +10,25 @@ import (
 	"prague/internal/store"
 )
 
-// TestWithShards runs a small session fleet against a 4-way sharded service
-// and checks the topology gauges and the store accessor. Result correctness
-// across layouts is difftest's job; this pins the service wiring.
+// TestWithShards runs a small session fleet against a service over a 4-way
+// sharded store and checks the topology gauges and the store accessor.
+// Result correctness across layouts is difftest's job; this pins the service
+// wiring.
 func TestWithShards(t *testing.T) {
 	db, idx := smallFixture(t)
+	st, err := store.NewSharded(db, idx, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	reg := metrics.NewRegistry()
-	svc, err := New(db, idx,
-		WithShards(4), WithSigma(2), WithSessionTTL(0), WithMetrics(reg))
+	svc, err := NewFromStore(st, WithSigma(2), WithSessionTTL(0), WithMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
 
-	st := svc.Store()
-	if st.NumShards() != 4 {
-		t.Fatalf("NumShards = %d", st.NumShards())
+	if svc.Store().NumShards() != 4 {
+		t.Fatalf("NumShards = %d", svc.Store().NumShards())
 	}
 	if got := reg.Counter(metrics.CounterShardCount).Value(); got != 4 {
 		t.Errorf("shard_count gauge = %d", got)
@@ -45,43 +48,33 @@ func TestWithShards(t *testing.T) {
 	}
 }
 
-// TestWithStore injects a pre-built store and checks it is served as-is;
-// a monolithic default service reports one shard.
+// TestWithStore checks that the store a service is handed is served as-is,
+// that a monolithic store reports one shard, and that a nil store fails
+// typed.
 func TestWithStore(t *testing.T) {
 	db, idx := smallFixture(t)
 	pre, err := store.NewSharded(db, idx, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := New(nil, nil, WithStore(pre), WithSessionTTL(0))
+	svc, err := NewFromStore(pre, WithSessionTTL(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
 	if svc.Store() != pre {
-		t.Error("injected store not served")
+		t.Error("the store handed in is not the one served")
 	}
 
-	mono, err := New(db, idx, WithSessionTTL(0))
+	mono, err := newMem(db, idx, WithSessionTTL(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mono.Close()
 	if mono.Store().NumShards() != 1 {
-		t.Errorf("default store has %d shards", mono.Store().NumShards())
+		t.Errorf("monolithic store has %d shards", mono.Store().NumShards())
 	}
-	if _, err := New(nil, idx); !errors.Is(err, store.ErrEmptyDatabase) {
-		t.Errorf("New(empty db) = %v, want ErrEmptyDatabase", err)
-	}
-	for _, n := range []int{0, -2} {
-		s, err := New(db, idx, WithShards(n), WithSessionTTL(0))
-		if err != nil {
-			t.Errorf("WithShards(%d) should fall back to monolithic, got %v", n, err)
-			continue
-		}
-		if s.Store().NumShards() != 1 {
-			t.Errorf("WithShards(%d) produced %d shards", n, s.Store().NumShards())
-		}
-		s.Close()
+	if _, err := NewFromStore(nil); !errors.Is(err, store.ErrEmptyDatabase) {
+		t.Errorf("NewFromStore(nil) = %v, want ErrEmptyDatabase", err)
 	}
 }

@@ -37,8 +37,8 @@ func (o *Options) sloEnabled() bool {
 }
 
 // initSLO builds the collector, tracker, and sources, wires the
-// trace-span bridge, and starts the tick loop. Called once from New, before
-// the ops server (which serves SLOReport) binds.
+// trace-span bridge, and starts the tick loop. Called once from
+// NewFromStore, before the ops server (which serves SLOReport) binds.
 func (s *Service) initSLO() {
 	if !s.opt.sloEnabled() {
 		return
@@ -87,7 +87,8 @@ func (s *Service) initSLO() {
 	s.stopSLO = make(chan struct{})
 	s.sloDone = make(chan struct{})
 	// Ticker created here, not in the goroutine, so a test clock advanced
-	// right after New is guaranteed to reach it (same rule as the janitor).
+	// right after construction is guaranteed to reach it (same rule as the
+	// janitor).
 	go s.sloLoop(s.clk.NewTicker(interval))
 }
 

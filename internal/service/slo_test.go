@@ -6,7 +6,9 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +16,7 @@ import (
 	"prague/internal/clock"
 	"prague/internal/metrics"
 	"prague/internal/slo"
+	"prague/internal/store"
 	"prague/internal/trace"
 )
 
@@ -24,7 +27,7 @@ func newSLOFixture(t *testing.T) (*Service, *clock.Fake) {
 	t.Helper()
 	db, idx := smallFixture(t)
 	fake := clock.NewFake(time.Unix(1700000000, 0))
-	svc, err := New(db, idx,
+	svc, err := newMem(db, idx,
 		WithSessionTTL(0),
 		WithMetrics(metrics.NewRegistry()),
 		WithClock(fake),
@@ -74,7 +77,7 @@ func TestSLOReportWindowsAndRates(t *testing.T) {
 
 func TestSLOReportDisabledByDefault(t *testing.T) {
 	db, idx := smallFixture(t)
-	svc, err := New(db, idx, WithSessionTTL(0), WithMetrics(metrics.NewRegistry()))
+	svc, err := newMem(db, idx, WithSessionTTL(0), WithMetrics(metrics.NewRegistry()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +125,7 @@ func TestViolationAccounting(t *testing.T) {
 // pinned to.
 func TestRunSpanFilterAndEpochAttrs(t *testing.T) {
 	db, idx := smallFixture(t)
-	svc, err := New(db, idx, WithSessionTTL(0), WithMetrics(metrics.NewRegistry()), WithTracing(true))
+	svc, err := newMem(db, idx, WithSessionTTL(0), WithMetrics(metrics.NewRegistry()), WithTracing(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +162,7 @@ func TestRunSpanFilterAndEpochAttrs(t *testing.T) {
 // nothing unsynchronized from the serving path.
 func TestOpsEndpointsUnderLoad(t *testing.T) {
 	db, idx := smallFixture(t)
-	svc, err := New(db, idx,
+	svc, err := newMem(db, idx,
 		WithSessionTTL(0),
 		WithMetrics(metrics.NewRegistry()),
 		WithTracing(true),
@@ -262,4 +265,37 @@ func TestOpsEndpointsUnderLoad(t *testing.T) {
 	readers.Wait()
 	close(stop)
 	workers.Wait()
+}
+
+// TestFailedConstructionStopsSLOSampler: a construction that fails after the
+// SLO sampler started (here the ops listener, on an out-of-range port) must
+// stop the sampler, as Close does. The sampler's exit is polled without a
+// wall-clock sleep: a bounded number of stack dumps with a yield between.
+func TestFailedConstructionStopsSLOSampler(t *testing.T) {
+	db, idx := smallFixture(t)
+	samplers := func() int {
+		buf := make([]byte, 1<<20)
+		return strings.Count(string(buf[:runtime.Stack(buf, true)]), ").sloLoop(")
+	}
+	before := samplers()
+	for i := 0; i < 5; i++ {
+		st, err := store.NewMem(db, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc, err := NewFromStore(st, WithSessionTTL(0), WithMetrics(metrics.NewRegistry()),
+			WithSLOWindow(time.Minute), WithOpsServer("127.0.0.1:99999"))
+		if err == nil {
+			svc.Close()
+			t.Fatal("construction with an unbindable ops address succeeded")
+		}
+	}
+	n := samplers()
+	for poll := 0; poll < 1000 && n > before; poll++ {
+		runtime.Gosched()
+		n = samplers()
+	}
+	if n > before {
+		t.Errorf("%d SLO samplers outlive their failed constructions", n-before)
+	}
 }

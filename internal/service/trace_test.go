@@ -45,7 +45,7 @@ func tracedSession(t *testing.T, svc *Service) *Session {
 func TestServiceTraceReport(t *testing.T) {
 	db, idx := smallFixture(t)
 	reg := metrics.NewRegistry()
-	svc, err := New(db, idx, WithSessionTTL(0), WithMetrics(reg), WithTracing(true))
+	svc, err := newMem(db, idx, WithSessionTTL(0), WithMetrics(reg), WithTracing(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestServiceTraceReport(t *testing.T) {
 
 func TestServiceTracingDisabled(t *testing.T) {
 	db, idx := smallFixture(t)
-	svc, err := New(db, idx, WithSessionTTL(0))
+	svc, err := newMem(db, idx, WithSessionTTL(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestServiceTracingDisabled(t *testing.T) {
 
 func TestServiceSlowThresholdAndJournalSize(t *testing.T) {
 	db, idx := smallFixture(t)
-	svc, err := New(db, idx, WithSessionTTL(0),
+	svc, err := newMem(db, idx, WithSessionTTL(0),
 		WithSlowThreshold(time.Hour), WithSlowJournalSize(4))
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestServiceSlowThresholdAndJournalSize(t *testing.T) {
 
 func TestServiceOpsServer(t *testing.T) {
 	db, idx := smallFixture(t)
-	svc, err := New(db, idx, WithSessionTTL(0),
+	svc, err := newMem(db, idx, WithSessionTTL(0),
 		WithTracing(true), WithOpsServer("127.0.0.1:0"))
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +184,7 @@ func TestServiceOpsServer(t *testing.T) {
 
 func TestTracedFleetRace(t *testing.T) {
 	db, idx := smallFixture(t)
-	svc, err := New(db, idx, WithSessionTTL(0), WithTracing(true))
+	svc, err := newMem(db, idx, WithSessionTTL(0), WithTracing(true))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,12 +42,7 @@ func (v *Verifier) MatchesAtLevel(g *graph.Graph, k int) bool {
 	if k <= 0 {
 		return true
 	}
-	for _, frag := range v.LevelFragments(k) {
-		if graph.SubgraphIsomorphic(frag, g) {
-			return true
-		}
-	}
-	return false
+	return ContainsAny(v.LevelFragments(k), g)
 }
 
 // Distance returns the exact subgraph distance dist(q, g) (Definition 2),

@@ -26,11 +26,14 @@
 //
 // To serve many concurrent users over one database, create a Service instead
 // of bare sessions: it multiplexes id-addressed sessions over a shared
-// bounded verification pool, evicts idle sessions, and records metrics. The
-// primary handle is a GraphStore — build one once, then serve from it:
+// bounded verification pool, evicts idle sessions, and records metrics. A
+// service is built over a GraphStore, and the store constructor alone
+// chooses the layout — NewStore (monolithic), NewShardedStore (hash
+// partitions), LoadStore / LoadShardedStore (persisted), or DialStore
+// (remote shard servers):
 //
 //	st, _ := prague.NewStore(db, ix)             // or NewShardedStore(db, ix, 8)
-//	svc, _ := prague.NewServiceFromStore(st,
+//	svc, _ := prague.NewService(st,
 //		prague.WithSigma(3),
 //		prague.WithVerifyWorkers(8),
 //		prague.WithSessionTTL(15*time.Minute))
@@ -40,6 +43,9 @@
 //	b, _ := ss.AddNode("N")
 //	out, _ := ss.AddEdge(ctx, a, b)
 //	results, err := ss.Run(ctx)   // ErrAwaitingChoice until resolved
+//
+// The service never closes its store: a caller that dialed one closes it
+// after Service.Close.
 //
 // Stores are mutable: Service.InsertGraph and Service.DeleteGraph grow and
 // shrink the database online, maintaining the per-shard index id lists
@@ -271,13 +277,14 @@ func SaveIndexes(ix *Indexes, dir string) error { return ix.Save(dir) }
 // LoadIndexes loads persisted indexes from dir.
 func LoadIndexes(dir string) (*Indexes, error) { return index.Load(dir) }
 
-// GraphStore is the primary serving handle: graph access, action-aware index
-// probes, candidate enumeration, online mutation (InsertGraph/DeleteGraph
-// with incremental index maintenance and epoch snapshots), and persistence.
-// Two layouts ship: the monolithic in-memory store (NewStore) and a
-// hash-partitioned sharded store (NewShardedStore) whose shards own their
-// own A²F/A²I slices and evaluate — and mutate — in parallel. Results are
-// byte-identical across layouts.
+// GraphStore is the handle a Service is built over: graph access,
+// action-aware index probes, candidate enumeration, online mutation
+// (InsertGraph/DeleteGraph with incremental index maintenance and epoch
+// snapshots), and persistence. Its constructor chooses the layout: the
+// monolithic in-memory store (NewStore), a hash-partitioned sharded store
+// (NewShardedStore) whose shards own their own A²F/A²I slices, or a remote
+// shard-server topology (DialStore). Results are byte-identical across
+// layouts.
 type GraphStore = store.Store
 
 // StoreSnapshot is one pinned epoch of a GraphStore: an immutable view of
@@ -286,9 +293,9 @@ type GraphStore = store.Store
 type StoreSnapshot = store.Snapshot
 
 // NewStore wraps a database and its indexes as a monolithic mutable
-// GraphStore — the primary handle to build a service on (NewServiceFromStore)
-// or to mutate online. The store takes ownership; do not mutate db or ix
-// directly afterwards.
+// GraphStore — the handle to build a service on (NewService) or to mutate
+// online. The store takes ownership; do not mutate db or ix directly
+// afterwards.
 func NewStore(db *Database, ix *Indexes) (GraphStore, error) {
 	if db == nil || db.Len() == 0 {
 		return nil, fmt.Errorf("prague: store: %w", ErrEmptyDatabase)
@@ -313,8 +320,8 @@ func LoadStore(db *Database, dir string) (GraphStore, error) {
 // (classification, DAG structure) is replicated in every shard, so SPIG
 // construction is layout-independent. Candidate enumeration evaluates the
 // shards in the caller's loop and merges their lists; verification runs on
-// the shared worker pool, whose workers alone bound its parallelism. Pass the
-// store to a service via WithStore, or persist it with SaveStore.
+// the shared worker pool, whose workers alone bound its parallelism. Build a
+// service over it with NewService, or persist it with SaveStore.
 func NewShardedStore(db *Database, ix *Indexes, n int) (GraphStore, error) {
 	if db == nil || db.Len() == 0 {
 		return nil, fmt.Errorf("prague: sharded store: %w", ErrEmptyDatabase)
@@ -341,25 +348,15 @@ func LoadShardedStore(db *Database, dir string) (GraphStore, error) {
 // DialStore connects to a remote shard-server topology (cmd/shardserver
 // processes) and returns a coordinator-side GraphStore: an action's
 // candidate probes travel as one request per replica group over TCP, with
-// retry, replica failover, and hedged requests; graphs are prefetched and cached client-side; mutations
-// broadcast to every replica in lockstep. Replicas claiming the same shard
-// serve as failover/hedging targets. The returned store also implements
-// io.Closer — close it when done (NewServiceFromStore does not take
-// ownership; prefer WithRemoteShards to let the service own the dial).
-func DialStore(ctx context.Context, endpoints []string, opts ...RemoteOption) (GraphStore, error) {
-	return rpcstore.Dial(ctx, endpoints, opts...)
+// retry, replica failover, and hedged requests; graphs are prefetched and
+// cached client-side; mutations broadcast to every replica in lockstep.
+// Replicas claiming the same shard serve as failover/hedging targets. A
+// service built over the store reports its shard_rpc_* metrics and
+// endpoint-health gauges. The returned store implements io.Closer: the
+// caller that dialed it closes it, after the service over it.
+func DialStore(ctx context.Context, endpoints []string) (GraphStore, error) {
+	return rpcstore.Dial(ctx, endpoints)
 }
-
-// RemoteOption configures DialStore (timeouts, hedging, retries, metrics);
-// see prague/internal/rpcstore for the full set.
-type RemoteOption = rpcstore.DialOption
-
-// WithRemoteHedgeDelay sets how long a remote shard call waits on the
-// primary replica before hedging the request to another (default 2ms).
-func WithRemoteHedgeDelay(d time.Duration) RemoteOption { return rpcstore.WithHedgeDelay(d) }
-
-// WithRemoteCallTimeout bounds one remote wire attempt (default 2s).
-func WithRemoteCallTimeout(d time.Duration) RemoteOption { return rpcstore.WithCallTimeout(d) }
 
 // NewSession starts a single-user PRAGUE session over the database with
 // subgraph distance threshold sigma (how many query edges an approximate
@@ -369,9 +366,9 @@ func NewSession(db *Database, ix *Indexes, sigma int) (*Session, error) {
 }
 
 // Service multiplexes many concurrent, id-addressed formulation sessions
-// over one immutable (database, indexes) pair: a shared bounded verification
-// worker pool, per-session serialization, idle-session eviction, and a
-// metrics registry. See NewService.
+// over one GraphStore: a shared bounded verification worker pool,
+// per-session serialization, idle-session eviction, and a metrics registry.
+// See NewService.
 type Service = service.Service
 
 // ManagedSession is one user's session inside a Service. Unlike the bare
@@ -385,11 +382,12 @@ type SessionInfo = service.Info
 
 // Option configures a Service at construction. Options fall into four
 // groups, each documented under its banner below: serving (WithSigma,
-// WithVerifyWorkers, WithSessionTTL, WithMaxSessions, WithShards,
-// WithStore), caching (WithCandidateCache), robustness (WithMaxInFlight,
-// WithSessionQueue, WithActionDeadline, WithFaultInjection), and
-// observability (WithMetrics, WithTracing, WithSlowThreshold,
-// WithSlowJournalSize, WithOpsServer).
+// WithVerifyWorkers, WithSessionTTL, WithMaxSessions), caching
+// (WithCandidateCache), robustness (WithMaxInFlight, WithSessionQueue,
+// WithActionDeadline, WithFaultInjection), and observability (WithMetrics,
+// WithTracing, WithSlowThreshold, WithOpsServer, WithSLO, WithSLOWindow).
+// The store's layout is not an option: it is chosen where the store is
+// built.
 type Option = service.Option
 
 // Metrics is a registry of counters and latency histograms; its Snapshot
@@ -409,7 +407,7 @@ var DefaultMetrics = metrics.Default
 
 // ---- Serving options ------------------------------------------------------
 //
-// How sessions are matched, scaled, and laid out over the store.
+// How sessions are matched and scaled over the store.
 
 // WithSigma sets the subgraph distance threshold σ for the service's
 // sessions (default 3, the paper's setting).
@@ -426,32 +424,14 @@ func WithSessionTTL(d time.Duration) Option { return service.WithSessionTTL(d) }
 // WithMaxSessions caps concurrently live sessions (default 0: unlimited).
 func WithMaxSessions(n int) Option { return service.WithMaxSessions(n) }
 
-// WithShards hash-partitions the database and indexes into n shards at
-// service construction; candidate enumeration evaluates the shards in the
-// caller's loop and merges deterministically, so results are byte-identical
-// to the default monolithic layout. Verification parallelism comes from the
-// worker pool alone. n ≤ 1 keeps the monolithic store.
-func WithShards(n int) Option { return service.WithShards(n) }
-
-// WithRemoteShards serves sessions from a remote shard-server topology:
-// the service dials every endpoint at construction, validates the replicas
-// agree on layout and epoch, owns the connection (closed on Close), and
-// reports shard_rpc_* metrics and endpoint-health gauges into the service
-// registry. Engine behavior is unchanged — only candidate enumeration and
-// mutation cross the network.
-func WithRemoteShards(endpoints ...string) Option { return service.WithRemoteShards(endpoints...) }
-
-// WithStore serves sessions from a pre-built GraphStore (e.g. a sharded
-// store restored with LoadShardedStore); the database and indexes passed to
-// NewService are then ignored, which is deprecated — call NewServiceFromStore
-// to pass only the store.
-func WithStore(st GraphStore) Option { return service.WithStore(st) }
-
-// FilterMode selects the verify-prefilter arm for WithFilterChooser:
-// FilterAuto (default), FilterProbe, FilterGrafil, or FilterSignature.
+// FilterMode selects a session's verify-prefilter arm (see
+// Session.SetFilterChooser): FilterAuto (default) picks per action between
+// the bare index probe, Grafil-style feature-count filtering, and signature
+// pruning from a small cost model; the other modes pin one arm. Every arm is
+// a sound superset filter, so verified answers are identical.
 type FilterMode = core.FilterMode
 
-// Verify-prefilter modes (see WithFilterChooser).
+// Verify-prefilter modes.
 const (
 	FilterAuto      = core.FilterAuto
 	FilterProbe     = core.FilterProbe
@@ -462,16 +442,6 @@ const (
 // FilterDecision is one chooser outcome: the arm picked, the candidate
 // counts before/after pruning, and the cost-model rationale.
 type FilterDecision = core.FilterDecision
-
-// WithFilterChooser sets how each session prefilters verification
-// candidates. FilterAuto (the default) picks per action between the bare
-// index probe, Grafil-style feature-count filtering, and signature pruning
-// using a small cost model over the query's shape and the pinned epoch's
-// label statistics; the other modes pin one arm. Every arm is a sound
-// superset filter, so final verified answers are identical — only the
-// verification work changes. Decisions are recorded in trace spans, the
-// filter_arm_* / filter_pruned_total metrics, and Session.FilterExplain.
-func WithFilterChooser(m FilterMode) Option { return service.WithFilterChooser(m) }
 
 // ---- Caching options ------------------------------------------------------
 //
@@ -539,10 +509,6 @@ func WithTracing(on bool) Option { return service.WithTracing(on) }
 // slow-action journal (0 journals every traced action). Implies
 // WithTracing(true).
 func WithSlowThreshold(d time.Duration) Option { return service.WithSlowThreshold(d) }
-
-// WithSlowJournalSize keeps the n slowest traced span trees (default 32).
-// Implies WithTracing(true).
-func WithSlowJournalSize(n int) Option { return service.WithSlowJournalSize(n) }
 
 // WithOpsServer serves the live ops/debug surface on addr (host:port; ":0"
 // picks a free port, readable via Service.OpsAddr): GET /healthz, /metrics
@@ -647,32 +613,13 @@ type TracePhase = trace.PhaseStat
 // the ops server's /trace/slow returns).
 type TraceSpan = trace.SpanData
 
-// NewServiceFromStore builds a concurrent session service over a GraphStore —
-// the primary construction path: one handle carries the database, the
-// indexes, and online mutation. Close the service when done; it owns
-// background goroutines.
-func NewServiceFromStore(st GraphStore, opts ...Option) (*Service, error) {
+// NewService builds a concurrent session service over a GraphStore, the one
+// handle for the database, the indexes, and online mutation; a nil store
+// returns ErrEmptyDatabase. Close the service when done: it owns background
+// goroutines. It does not own the store — whoever built the store closes it,
+// after the service.
+func NewService(st GraphStore, opts ...Option) (*Service, error) {
 	return service.NewFromStore(st, opts...)
-}
-
-// NewServiceFromRemote builds a service over a remote shard-server topology:
-// pass WithRemoteShards(endpoints...) plus any other options. The service
-// dials at construction, owns the coordinator store, and closes it on Close.
-func NewServiceFromRemote(opts ...Option) (*Service, error) {
-	return service.New(nil, nil, opts...)
-}
-
-// NewService builds a concurrent session service over the database and
-// indexes, wrapping them in a monolithic GraphStore (or a sharded one under
-// WithShards). It is the thin compatibility path; prefer NewServiceFromStore.
-// Passing WithStore alongside db and ix is deprecated — the store wins and
-// db/ix are ignored; call NewServiceFromStore instead. Close the service
-// when done; it owns background goroutines.
-func NewService(db *Database, ix *Indexes, opts ...Option) (*Service, error) {
-	if db == nil || db.Len() == 0 {
-		return nil, fmt.Errorf("prague: new service: %w", ErrEmptyDatabase)
-	}
-	return service.New(db.graphs, ix, opts...)
 }
 
 // Canned patterns for Session.AddPattern — the drag-and-drop composition

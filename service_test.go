@@ -3,6 +3,8 @@ package prague
 import (
 	"context"
 	"errors"
+	"io"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -39,10 +41,20 @@ func serviceFixture(t *testing.T) (*Database, *Indexes) {
 	return sharedIndexes.db, sharedIndexes.ix
 }
 
-func TestServiceEndToEnd(t *testing.T) {
+// serviceStore builds a monolithic store over the shared fixture.
+func serviceStore(t *testing.T) GraphStore {
+	t.Helper()
 	db, ix := serviceFixture(t)
+	st, err := NewStore(db, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+func TestServiceEndToEnd(t *testing.T) {
 	reg := &Metrics{}
-	svc, err := NewService(db, ix,
+	svc, err := NewService(serviceStore(t),
 		WithSigma(2),
 		WithVerifyWorkers(4),
 		WithSessionTTL(time.Minute),
@@ -105,11 +117,10 @@ func TestServiceEndToEnd(t *testing.T) {
 }
 
 func TestNewServiceValidation(t *testing.T) {
-	db, ix := serviceFixture(t)
-	if _, err := NewService(nil, ix); !errors.Is(err, ErrEmptyDatabase) {
-		t.Errorf("nil database: err = %v, want ErrEmptyDatabase", err)
+	if _, err := NewService(nil); !errors.Is(err, ErrEmptyDatabase) {
+		t.Errorf("nil store: err = %v, want ErrEmptyDatabase", err)
 	}
-	if _, err := NewService(db, ix, WithSigma(-1)); !errors.Is(err, ErrNegativeSigma) {
+	if _, err := NewService(serviceStore(t), WithSigma(-1)); !errors.Is(err, ErrNegativeSigma) {
 		t.Errorf("σ < 0: err = %v, want ErrNegativeSigma", err)
 	}
 }
@@ -130,9 +141,8 @@ func TestDatabaseSentinels(t *testing.T) {
 // ErrOverloaded (and an *OverloadError retry hint), and Retry gives up with
 // the typed error still intact.
 func TestFacadeRobustnessExports(t *testing.T) {
-	db, ix := serviceFixture(t)
 	inj := NewFaultInjector()
-	svc, err := NewService(db, ix,
+	svc, err := NewService(serviceStore(t),
 		WithSigma(2),
 		WithMetrics(NewMetrics()),
 		WithMaxInFlight(1),
@@ -227,8 +237,7 @@ func TestFacadeRobustnessExports(t *testing.T) {
 
 // TestFacadeStoreExports exercises the GraphStore surface through the public
 // API: construction, persistence round-trips (including after mutation),
-// epoch-pinned snapshots, the store-first service constructor, and the
-// WithShards/WithStore compatibility paths on NewService.
+// epoch-pinned snapshots, and a service over a reloaded sharded store.
 func TestFacadeStoreExports(t *testing.T) {
 	db, ix := serviceFixture(t)
 	ctx := context.Background()
@@ -296,7 +305,7 @@ func TestFacadeStoreExports(t *testing.T) {
 	}
 
 	// Store-first service with online mutation.
-	svc, err := NewServiceFromStore(sloaded, WithSigma(2))
+	svc, err := NewService(sloaded, WithSigma(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,22 +320,9 @@ func TestFacadeStoreExports(t *testing.T) {
 	if err := svc.DeleteGraph(ctx, mid); err != nil {
 		t.Fatal(err)
 	}
-
-	// Compatibility paths: WithShards builds the store, WithStore wins over
-	// the (db, ix) pair.
-	compat, err := NewService(db, ix, WithSigma(2), WithShards(2))
-	if err != nil {
-		t.Fatal(err)
+	if svc.Store() != sloaded {
+		t.Error("the service does not serve the store it was built over")
 	}
-	compat.Close()
-	injected, err := NewService(db, ix, WithSigma(2), WithStore(sharded))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if injected.Store() != sharded {
-		t.Error("WithStore did not win over the (db, ix) pair")
-	}
-	injected.Close()
 }
 
 // TestFacadePatternHelpers pins the pattern-composition facade: each helper
@@ -358,5 +354,110 @@ func TestFacadePatternHelpers(t *testing.T) {
 	}
 	if db, err := GenerateBondedMolecules(20, 1); err != nil || db.Len() != 20 {
 		t.Errorf("GenerateBondedMolecules: %v %v", db, err)
+	}
+}
+
+// TestFacadeOptionsTakeEffect shows that each facade option no other root
+// test exercises changes what the service does: the action deadline turns a
+// Run stuck in verification into a flagged degraded answer, the slow
+// threshold keeps fast actions out of the journal (and turns tracing on),
+// and the ops server answers /healthz on the address it bound.
+func TestFacadeOptionsTakeEffect(t *testing.T) {
+	ctx := context.Background()
+	// chain formulates a 6-edge carbon chain, past the fixture's
+	// MaxFragmentSize (5), so the whole query is a non-indexed fragment and
+	// Run must verify its candidates.
+	chain := func(t *testing.T, ss *ManagedSession) {
+		t.Helper()
+		prev, _ := ss.AddNode("C")
+		for i := 0; i < 6; i++ {
+			next, _ := ss.AddNode("C")
+			if _, err := ss.AddEdge(ctx, prev, next); err != nil {
+				t.Fatal(err)
+			}
+			prev = next
+		}
+	}
+	inj := NewFaultInjector()
+	cases := []struct {
+		name  string
+		opts  []Option
+		check func(t *testing.T, svc *Service, ss *ManagedSession)
+	}{
+		{"WithActionDeadline", []Option{
+			WithActionDeadline(100 * time.Millisecond),
+			WithFaultInjection(inj),
+			WithCandidateCache(-1),
+		}, func(t *testing.T, svc *Service, ss *ManagedSession) {
+			chain(t, ss)
+			// Every verification now sleeps a minute unless the action's
+			// budget cancels it.
+			inj.Set(FaultSiteVerify, FaultRule{Every: 1, Latency: time.Minute})
+			defer inj.Disarm()
+			out, err := ss.RunDetailed(ctx)
+			if err != nil {
+				if !errors.Is(err, ErrBudgetExhausted) {
+					t.Fatalf("Run past its deadline: %v", err)
+				}
+				return
+			}
+			if !out.Truncated || out.Stage == StageFull {
+				t.Errorf("Run past its deadline answered unflagged: stage %v truncated %v", out.Stage, out.Truncated)
+			}
+		}},
+		{"WithSlowThreshold", []Option{WithSlowThreshold(time.Hour)},
+			func(t *testing.T, svc *Service, ss *ManagedSession) {
+				chain(t, ss)
+				if _, err := ss.Run(ctx); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ss.TraceReport(); err != nil {
+					t.Errorf("the slow threshold did not turn tracing on: %v", err)
+				}
+				if n := len(svc.SlowSpans()); n != 0 {
+					t.Errorf("%d actions faster than the threshold were journaled", n)
+				}
+			}},
+		{"WithSlowThreshold(0)", []Option{WithSlowThreshold(0)},
+			func(t *testing.T, svc *Service, ss *ManagedSession) {
+				chain(t, ss)
+				if _, err := ss.Run(ctx); err != nil {
+					t.Fatal(err)
+				}
+				if len(svc.SlowSpans()) == 0 {
+					t.Error("a zero threshold journaled nothing")
+				}
+			}},
+		{"WithOpsServer", []Option{WithOpsServer("127.0.0.1:0")},
+			func(t *testing.T, svc *Service, ss *ManagedSession) {
+				addr := svc.OpsAddr()
+				if addr == "" {
+					t.Fatal("no ops address bound")
+				}
+				resp, err := http.Get("http://" + addr + "/healthz")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				body, _ := io.ReadAll(resp.Body)
+				if resp.StatusCode != http.StatusOK || strings.TrimSpace(string(body)) != "ok" {
+					t.Errorf("/healthz = %d %q", resp.StatusCode, body)
+				}
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := append([]Option{WithSigma(2), WithMetrics(NewMetrics()), WithSessionTTL(0)}, tc.opts...)
+			svc, err := NewService(serviceStore(t), opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			ss, err := svc.Create(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.check(t, svc, ss)
+		})
 	}
 }

@@ -12,6 +12,12 @@ fi
 
 go vet ./...
 go build ./...
+# The service is built over a store and knows no layout: it must not reach
+# the remote store's package.
+if go list -deps ./internal/service | grep -qx 'prague/internal/rpcstore'; then
+	echo "verify.sh: internal/service depends on internal/rpcstore" >&2
+	exit 1
+fi
 go test ./...
 go test -race ./internal/service/ ./internal/core/ ./internal/candcache/ ./internal/clock/ ./internal/difftest/ ./internal/trace/ ./internal/ops/ ./internal/metrics/ ./internal/workpool/ ./internal/faultinject/ ./internal/chaostest/ ./internal/store/ ./internal/graph/ ./internal/spig/ ./internal/intset/ ./internal/slo/ ./internal/rpcstore/ ./internal/prefilter/
 go test -race -run 'TestMutationStressUnderRace|TestMutationChaos' ./internal/store/ ./internal/chaostest/
