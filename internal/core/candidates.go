@@ -18,7 +18,9 @@ import (
 // the FSG ids of its indexed subgraphs (Φ ∪ Υ). Results are memoized per
 // vertex: in similarity mode Algorithm 4 revisits the same vertices after
 // every formulation step, and a vertex's fragment list never changes once
-// built (the memo is dropped on modification, when vertices can disappear).
+// built. A vertex's list lives until the vertex is deleted by a modification
+// or the epoch advances, so Run and Modify probe only what formulation has
+// not resolved yet.
 //
 // With a shared cross-session cache injected, the intersection result of a
 // non-indexed (NIF) vertex is additionally published under its canonical
@@ -246,9 +248,10 @@ func (e *Engine) allIds() []int { return e.snap.LiveIDs() }
 // level-i fragment, hence dist ≤ |q|-i) and candidates needing verification
 // (NIF vertices, whose candidate sets are only upper bounds). The result
 // replaces e.sim, whose bitsets are cleared and refilled in place; on error
-// e.sim is left empty. The probes of every level are resolved together (one
-// batch on a remote layout); cancellation is polled before them, between
-// them in process, and between levels.
+// e.sim is left empty. The probes of every level, and of the target whose
+// list Run's distance-0 pass needs, are resolved together (one batch on a
+// remote layout), so a Run after formulation probes nothing; cancellation
+// is polled before them, between them in process, and between levels.
 func (e *Engine) similarSubCandidates(ctx context.Context) error {
 	e.sim = e.sim[:0]
 	n := e.q.Size()
@@ -257,15 +260,24 @@ func (e *Engine) similarSubCandidates(ctx context.Context) error {
 		return err
 	}
 	levels := make([][]*spig.Vertex, 0, n-lo) // levels[j] is level n-1-j
-	var vs []*spig.Vertex
+	size := 1                                 // the target
 	for i := n - 1; i >= lo; i-- {
 		lv := e.spigs.LevelVertices(i)
 		levels = append(levels, lv)
+		size += len(lv)
+	}
+	// The target rides last in the batch: Run's distance-0 pass reads its
+	// list from the memo instead of probing at Run time.
+	vs := make([]*spig.Vertex, 0, size)
+	for _, lv := range levels {
 		vs = append(vs, lv...)
 	}
+	vs = append(vs, e.spigs.Target(e.q))
 	lists, errs := make([][]int, len(vs)), make([]error, len(vs))
 	e.exactSubCandidatesAll(ctx, vs, lists, errs)
-	for _, err := range errs {
+	// Only the levels' errors fail the refresh: a target that could not be
+	// resolved is not memoized, so Run probes it again and reports the error.
+	for _, err := range errs[:len(vs)-1] {
 		if err != nil {
 			return err
 		}

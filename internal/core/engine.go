@@ -94,13 +94,16 @@ type Engine struct {
 	// sim holds Algorithm 4's candidates (similarity mode): sim[d-1] is SPIG
 	// level |q|-d, for d = 1…min(σ, |q|-1). Its bitsets span the pinned
 	// snapshot's id space and keep their buffers across refreshes.
-	sim      []simLevel
-	counts   [2]intset.Bits         // scratch for the union counts over sim
-	rank     ranking                // Algorithm 5's scratch (results.go)
-	candMemo map[*spig.Vertex][]int // per-vertex Algorithm 3 results
-	pool     *workpool.Pool         // shared verification pool (service-injected), or nil
-	cache    *candcache.Cache       // shared cross-session candidate cache, or nil
-	stats    SessionStats
+	sim    []simLevel
+	counts [2]intset.Bits   // scratch for the union counts over sim
+	rank   ranking          // Algorithm 5's scratch (results.go)
+	pool   *workpool.Pool   // shared verification pool (service-injected), or nil
+	cache  *candcache.Cache // shared cross-session candidate cache, or nil
+	stats  SessionStats
+
+	// candMemo holds per-vertex Algorithm 3 results. A vertex's list lives
+	// until the vertex is deleted or the epoch advances (repin).
+	candMemo map[*spig.Vertex][]int
 
 	// Degradation ladder state (ladder.go). runFaults counts candidate
 	// checks dropped by injected errors or recovered panics during the
@@ -168,8 +171,17 @@ func NewWithStore(st store.Store, sigma int) (*Engine, error) {
 		return nil, fmt.Errorf("core: σ = %d: %w", sigma, ErrNegativeSigma)
 	}
 	snap := st.Pin()
-	return &Engine{st: st, sigma: sigma, snap: snap, q: query.New(), spigs: spig.NewSet(snap)}, nil
+	e := &Engine{st: st, sigma: sigma, snap: snap, q: query.New(), spigs: spig.NewSet(snap)}
+	e.spigs.SetDropHook(e.forget)
+	return e, nil
 }
+
+// forget drops a deleted SPIG vertex's candidate list from the memo. A
+// modification removes exactly the vertices it deletes: a surviving vertex
+// keeps its Fragment List, so its memoized list is still the one a fresh
+// probe at this epoch would return, and the refresh after a modification
+// probes only the vertices it never resolved before.
+func (e *Engine) forget(v *spig.Vertex) { delete(e.candMemo, v) }
 
 // repin aligns the action about to run with the store's latest published
 // epoch and returns the pinned snapshot. When the epoch moved since the last

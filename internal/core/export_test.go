@@ -1,5 +1,7 @@
 package core
 
+import "context"
+
 // SimilaritySets returns the per-level Rfree and Rver sets of the engine's
 // similarity window, highest SPIG level first, as sorted id lists.
 func SimilaritySets(e *Engine) (free, ver [][]int) {
@@ -8,4 +10,11 @@ func SimilaritySets(e *Engine) (free, ver [][]int) {
 		ver = append(ver, e.sim[i].ver.AppendTo(nil))
 	}
 	return free, ver
+}
+
+// RefreshWithoutMemo recomputes the engine's candidate state with the
+// per-vertex candidate memo cleared, as the first refresh of an epoch does.
+func RefreshWithoutMemo(e *Engine) (StepOutcome, error) {
+	e.candMemo = nil
+	return e.refresh(context.Background())
 }

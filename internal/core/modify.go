@@ -18,8 +18,9 @@ type Suggestion struct {
 }
 
 // SuggestDeletion recommends the deletable edge whose removal yields the
-// largest exact candidate set, by matching each q' = q - e_i against the
-// (|q|-1)-level of the SPIG set via canonical-code (CAM) equality.
+// largest exact candidate set, by matching each q' = q - e_i, via
+// canonical-code (CAM) equality, against the (|q|-1)-level of the SPIG of its
+// largest step.
 func (e *Engine) SuggestDeletion() (Suggestion, error) {
 	if e.q.Size() <= 1 {
 		return Suggestion{}, fmt.Errorf("core: nothing to suggest on a %d-edge query", e.q.Size())
@@ -39,7 +40,14 @@ func (e *Engine) SuggestDeletion() (Suggestion, error) {
 		if !connected {
 			continue
 		}
-		v := e.spigs.FindByCode(len(rest), graph.CanonicalCode(frag))
+		// q - e_s is the level-|q|-1 vertex of the SPIG of its largest step:
+		// the vertex Target returns once e_s is deleted, so this batch
+		// memoizes exactly the list DeleteEdge's refresh reads. (An
+		// isomorphic vertex of an earlier SPIG may be dropped with e_s.)
+		var v *spig.Vertex
+		if sp := e.spigs.Spig(rest[len(rest)-1]); sp != nil {
+			v = sp.FindByCode(len(rest), graph.CanonicalCode(frag))
+		}
 		if v == nil {
 			continue // cannot happen for a well-formed SPIG set
 		}
@@ -65,7 +73,8 @@ func (e *Engine) SuggestDeletion() (Suggestion, error) {
 // DeleteEdge handles the Modify action (Algorithm 6): remove the edge drawn
 // at the given step (any edge, not necessarily the suggested one), update
 // the SPIG set, and recompute the candidate state. The modified query must
-// stay connected.
+// stay connected. The memo forgets only the deleted vertices (forget), so
+// the recomputation probes only vertices never resolved before.
 func (e *Engine) DeleteEdge(step int) (StepOutcome, error) {
 	return e.DeleteEdgeCtx(context.Background(), step)
 }
@@ -79,7 +88,6 @@ func (e *Engine) DeleteEdgeCtx(ctx context.Context, step int) (StepOutcome, erro
 		return StepOutcome{}, err
 	}
 	e.spigs.DeleteEdge(step)
-	e.candMemo = nil // vertices may have disappeared
 	out, err := e.refresh(ctx)
 	if err != nil {
 		return StepOutcome{}, fmt.Errorf("core: delete edge: %w", err)
@@ -100,7 +108,6 @@ func (e *Engine) DeleteEdges(steps []int) (StepOutcome, error) {
 	for _, s := range steps {
 		e.spigs.DeleteEdge(s)
 	}
-	e.candMemo = nil // vertices may have disappeared
 	out, err := e.refresh(context.Background())
 	if err != nil {
 		return StepOutcome{}, fmt.Errorf("core: delete edges: %w", err)
@@ -128,7 +135,6 @@ func (e *Engine) RelabelNode(node int, label string) (StepOutcome, error) {
 			return StepOutcome{}, err
 		}
 	}
-	e.candMemo = nil // vertices may have disappeared
 	out, err := e.refresh(context.Background())
 	if err != nil {
 		return StepOutcome{}, fmt.Errorf("core: relabel node: %w", err)

@@ -86,6 +86,102 @@ func TestProbeBatchPerReplicaGroup(t *testing.T) {
 	act("run", func() error { _, err := e.Run(); return err })
 }
 
+// TestRunAndModifyReadTheMemo counts shard calls, not time: a Run reads
+// only the lists formulation fetched, in containment and in similarity mode;
+// deleting SuggestDeletion's edge in containment mode reads the list the
+// suggestion fetched; and a similarity-mode deletion sends at most one
+// request per replica group, for the window vertices it never resolved.
+func TestRunAndModifyReadTheMemo(t *testing.T) {
+	db, idx := buildDB(t, 31, 40)
+	c := newCluster(t, db, idx, 4, 2, func(i int) []int { return [][]int{{0, 1}, {2, 3}}[i] })
+	rs, contain, calls := dialEngine(t, c)
+	groups := int64(len(rs.groups))
+	count := func(f func() error) int64 {
+		t.Helper()
+		before := calls.Value()
+		if err := f(); err != nil {
+			t.Fatal(err)
+		}
+		return calls.Value() - before
+	}
+	run := func(e *core.Engine) func() error {
+		return func() error { _, err := e.Run(); return err }
+	}
+	formulate := func(e *core.Engine) []int {
+		n := []int{e.AddNode("C"), e.AddNode("C"), e.AddNode("C"), e.AddNode("N"), e.AddNode("O")}
+		for k := 1; k < 4; k++ {
+			if _, err := e.AddEdge(n[k-1], n[k]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if e.SimilarityMode() || e.AwaitingChoice() {
+			t.Fatal("fixture: C-C-C-N emptied Rq")
+		}
+		return n
+	}
+
+	formulate(contain)
+	if d := count(run(contain)); d != 0 {
+		t.Errorf("containment Run after formulation made %d shard calls, want 0", d)
+	}
+	sg, err := contain.SuggestDeletion()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out core.StepOutcome
+	if d := count(func() error { out, err = contain.DeleteEdge(sg.Step); return err }); d != 0 {
+		t.Errorf("deleting the suggested e%d made %d shard calls, want 0", sg.Step, d)
+	}
+	if out.ExactCount == 0 || contain.SimilarityMode() {
+		t.Fatalf("fixture: deleting the suggested e%d should keep a non-empty Rq, got %+v", sg.Step, out)
+	}
+	if d := count(run(contain)); d != 0 {
+		t.Errorf("containment Run after the deletion made %d shard calls, want 0", d)
+	}
+
+	// On the symmetric path C-C-C-C, q - e1 and q - e3 are one class. The
+	// suggestion still fetches the vertex the deletion's target is: for
+	// q - e1 that is SPIG 3's e2e3, not SPIG 2's e1e2, which e1 takes along.
+	sym, err := core.NewWithStore(rs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := []int{sym.AddNode("C"), sym.AddNode("C"), sym.AddNode("C"), sym.AddNode("C")}
+	for k := 1; k < len(p); k++ {
+		if _, err := sym.AddEdge(p[k-1], p[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sg, err = sym.SuggestDeletion(); err != nil {
+		t.Fatal(err)
+	}
+	if d := count(func() error { out, err = sym.DeleteEdge(sg.Step); return err }); d != 0 {
+		t.Errorf("deleting the suggested e%d of a path made %d shard calls, want 0", sg.Step, d)
+	}
+	if out.ExactCount == 0 || sym.SimilarityMode() {
+		t.Fatalf("fixture: deleting the suggested e%d of C-C-C-C should keep a non-empty Rq, got %+v", sg.Step, out)
+	}
+
+	sim, err := core.NewWithStore(rs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := formulate(sim)
+	sim.ChooseSimilarity()
+	if _, err := sim.AddEdge(n[3], n[4]); err != nil {
+		t.Fatal(err)
+	}
+	if d := count(run(sim)); d != 0 {
+		t.Errorf("similarity Run after formulation made %d shard calls, want 0", d)
+	}
+	if d := count(func() error { _, err := sim.DeleteEdge(1); return err }); d > groups {
+		t.Errorf("similarity DeleteEdge made %d shard calls, more than one per replica group (%d)", d, groups)
+	}
+	if d := count(run(sim)); d != 0 {
+		t.Errorf("similarity Run after the deletion made %d shard calls, want 0", d)
+	}
+}
+
 // TestProbeBatchTrace: a batch is one index_probe span counting its probes,
 // with one shard_rpc child per replica group.
 func TestProbeBatchTrace(t *testing.T) {
@@ -385,29 +481,71 @@ func step(out core.StepOutcome, err error) []any {
 	return []any{out, err}
 }
 
-// TestModificationsSurfaceProbeErrors: with every shard server gone, the
-// multi-edge delete and the relabel must fail typed — not return a zero
-// outcome with a nil error.
-func TestModificationsSurfaceProbeErrors(t *testing.T) {
-	db, idx := buildDB(t, 34, 30)
-	c := newCluster(t, db, idx, 2, 1, allShards(2))
-	_, e, _ := dialEngine(t, c, WithRetries(0), WithCallTimeout(time.Second))
-	n := []int{e.AddNode("C"), e.AddNode("C"), e.AddNode("C"), e.AddNode("C")}
+// formulatePath draws the path C-C-C-N-O edge by edge (steps e1…e4) and
+// returns the outcome of the last edge.
+func formulatePath(t *testing.T, e *core.Engine) core.StepOutcome {
+	t.Helper()
+	var out core.StepOutcome
+	n := []int{e.AddNode("C"), e.AddNode("C"), e.AddNode("C"), e.AddNode("N"), e.AddNode("O")}
 	for k := 1; k < len(n); k++ {
-		if _, err := e.AddEdge(n[k-1], n[k]); err != nil {
+		var err error
+		if out, err = e.AddEdge(n[k-1], n[k]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	e.ChooseSimilarity()
+	return out
+}
+
+// TestModificationsSurfaceProbeErrors: with every shard server gone, a
+// modification whose refresh needs an indexed candidate list the session
+// never fetched fails typed — not with a zero outcome and a nil error. A
+// modification answered wholly from the lists formulation fetched needs no
+// server and returns the outcome it returns with the servers up.
+func TestModificationsSurfaceProbeErrors(t *testing.T) {
+	db, idx := buildDB(t, 34, 30)
+	c := newCluster(t, db, idx, 2, 1, allShards(2))
+	rs, _, _ := dialEngine(t, c, WithRetries(0), WithCallTimeout(time.Second))
+	engine := func() *core.Engine {
+		e, err := core.NewWithStore(rs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out := formulatePath(t, e); !out.NeedsChoice {
+			t.Fatalf("fixture: C-C-C-N-O should empty Rq, got %+v", out)
+		}
+		return e
+	}
+
+	// C-C-C-N-O empties Rq, so its refresh resolved the σ = 1 window (SPIG
+	// level 3) and every earlier step its target. Deleting e4 out of the
+	// awaiting-choice state returns to C-C-C-N, whose list is memoized.
+	up := engine()
+	want := step(up.DeleteEdge(4))
+	if out := want[0].(core.StepOutcome); out.NeedsChoice || out.ExactCount == 0 {
+		t.Fatalf("fixture: deleting e4 should restore a non-empty Rq, got %+v", out)
+	}
+	fromMemo := engine()
+	// A similarity session's window after deleting e1 is level 2 of
+	// C-C-N-O. SPIG 3's C-C-N vertex (e2e3) is frequent, and the session
+	// classified it but never probed it.
+	sims := []*core.Engine{engine(), engine()}
+	for _, e := range sims {
+		e.ChooseSimilarity()
+	}
+	if v := sims[0].Spigs().Spig(3).Level(2); len(v) != 1 || !v[0].Kind.Indexed() {
+		t.Fatal("fixture: SPIG 3's level-2 vertex should be indexed")
+	}
+
 	for _, srv := range c.servers {
 		srv.Close()
 	}
-	// Similarity refreshes probe SPIG level 1, whose single edges are always
-	// indexed: a failed indexed probe has no sound fallback.
-	if _, err := e.DeleteEdges([]int{3}); !errors.Is(err, store.ErrShardUnavailable) {
-		t.Errorf("DeleteEdges with the servers down: err = %v, want ErrShardUnavailable", err)
+	if got := step(fromMemo.DeleteEdge(4)); !reflect.DeepEqual(got, want) {
+		t.Errorf("DeleteEdge answered from the memo with the servers down = %v, want the servers-up %v", got, want)
 	}
-	if _, err := e.RelabelNode(n[2], "N"); !errors.Is(err, store.ErrShardUnavailable) {
-		t.Errorf("RelabelNode with the servers down: err = %v, want ErrShardUnavailable", err)
+	if _, err := sims[0].DeleteEdge(1); !errors.Is(err, store.ErrShardUnavailable) {
+		t.Errorf("similarity DeleteEdge with the servers down: err = %v, want ErrShardUnavailable", err)
+	}
+	if _, err := sims[1].DeleteEdges([]int{1}); !errors.Is(err, store.ErrShardUnavailable) {
+		t.Errorf("similarity DeleteEdges with the servers down: err = %v, want ErrShardUnavailable", err)
 	}
 }

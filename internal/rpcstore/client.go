@@ -656,7 +656,8 @@ func (rs *RemoteStore) callRound(ctx context.Context, sp *trace.Span, order []in
 }
 
 // anyEndpoint round-robins an unsharded op (lookup, graph fetch) over all
-// endpoints with failover.
+// endpoints with failover. The backoff between rounds ends with the caller's
+// context, like call's.
 func (rs *RemoteStore) anyEndpoint(ctx context.Context, req *Msg, checkEpoch bool) (*Msg, error) {
 	start := int(rs.rr.Add(1)) % len(rs.endpoints)
 	var lastErr error
@@ -673,7 +674,13 @@ func (rs *RemoteStore) anyEndpoint(ctx context.Context, req *Msg, checkEpoch boo
 			}
 		}
 		if round < rs.maxRetries {
-			time.Sleep(time.Duration(round+1) * rs.backoff)
+			t := time.NewTimer(time.Duration(round+1) * rs.backoff)
+			select {
+			case <-t.C:
+			case <-ctx.Done():
+				t.Stop()
+				return nil, lastErr
+			}
 		}
 	}
 	return nil, lastErr

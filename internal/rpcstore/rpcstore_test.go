@@ -391,6 +391,37 @@ func TestPartitionIsTypedError(t *testing.T) {
 	}
 }
 
+// TestLookupBackoffEndsWithTheCall: the backoff between a lookup's retry
+// rounds ends with the call's timeout, so an hour-long backoff cannot keep
+// Lookup from degrading to KindNone once the servers are gone.
+func TestLookupBackoffEndsWithTheCall(t *testing.T) {
+	db, idx := buildDB(t, 36, 20)
+	c := newCluster(t, db, idx, 2, 1, allShards(2))
+	rs, err := Dial(context.Background(), c.addrs,
+		WithCallTimeout(100*time.Millisecond), WithRetries(3), WithBackoff(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	sn := rs.Pin()
+	for _, srv := range c.servers {
+		srv.Close()
+	}
+	got := make(chan index.Kind, 1)
+	go func() {
+		k, _ := sn.Lookup("no fragment has this code")
+		got <- k
+	}()
+	select {
+	case k := <-got:
+		if k != index.KindNone {
+			t.Errorf("Lookup with the servers down = %v, want KindNone", k)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Lookup outlived its 100ms call timeout by the backoff")
+	}
+}
+
 func TestHedgingBeatsSlowPrimary(t *testing.T) {
 	db, idx := buildDB(t, 17, 20)
 	inj := faultinject.New()

@@ -152,6 +152,46 @@ func replaySet(t *testing.T, q *query.Query, nodeLabelSeq []string) (*Set, *quer
 	return S2, q2
 }
 
+// vertexSet maps every vertex of the set, across SPIGs and levels, to its
+// Fragment List.
+func vertexSet(S *Set) map[*Vertex]string {
+	vs := map[*Vertex]string{}
+	for _, l := range S.order {
+		for _, lv := range S.spigs[l].levels {
+			for _, v := range lv {
+				vs[v] = fmt.Sprint(v.Kind, v.FreqID, v.DifID, v.Phi, v.Ups)
+			}
+		}
+	}
+	return vs
+}
+
+// checkDropped asserts that DeleteEdge passed its drop hook exactly the
+// vertices that left the set, each once, and that every survivor kept its
+// Fragment List.
+func checkDropped(t *testing.T, trial, step int, before, after map[*Vertex]string, dropped []*Vertex) {
+	t.Helper()
+	seen := map[*Vertex]bool{}
+	for _, v := range dropped {
+		_, was := before[v]
+		_, is := after[v]
+		if seen[v] || !was || is {
+			t.Fatalf("trial %d: delete e%d reported %s (twice %v, before %v, after %v)",
+				trial, step, v.Code, seen[v], was, is)
+		}
+		seen[v] = true
+	}
+	for v, fl := range before {
+		now, is := after[v]
+		switch {
+		case !is && !seen[v]:
+			t.Fatalf("trial %d: delete e%d dropped %s without reporting it", trial, step, v.Code)
+		case is && now != fl:
+			t.Fatalf("trial %d: delete e%d changed %s's Fragment List: %s -> %s", trial, step, v.Code, fl, now)
+		}
+	}
+}
+
 // TestDeleteMatchesReplay is the modification property test: after any
 // sequence of edge adds and connectivity-preserving deletes, the
 // incrementally maintained SPIG set describes exactly the same collection
@@ -168,6 +208,8 @@ func TestDeleteMatchesReplay(t *testing.T) {
 		r := rand.New(rand.NewSource(int64(100 + trial)))
 		q := query.New()
 		S := NewSet(idx)
+		var dropped []*Vertex
+		S.SetDropHook(func(v *Vertex) { dropped = append(dropped, v) })
 		var nodeSeq []string
 		addNode := func() int {
 			l := labels[r.Intn(len(labels))]
@@ -212,7 +254,10 @@ func TestDeleteMatchesReplay(t *testing.T) {
 				if err := q.DeleteEdge(step); err != nil {
 					t.Fatalf("trial %d: delete e%d: %v", trial, step, err)
 				}
+				live0 := vertexSet(S)
+				dropped = dropped[:0]
 				S.DeleteEdge(step)
+				checkDropped(t, trial, step, live0, vertexSet(S), dropped)
 				deletes++
 
 				S2, q2 := replaySet(t, q, nodeSeq)

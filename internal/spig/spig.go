@@ -139,9 +139,10 @@ const maxFragMemo = 1 << 14
 // single formulation session over a single *query.Query and, like the engine
 // that owns it, is not safe for concurrent use.
 type Set struct {
-	spigs map[int]*SPIG
-	order []int // ascending ℓ
-	idx   Classifier
+	spigs    map[int]*SPIG
+	order    []int // ascending ℓ
+	idx      Classifier
+	dropHook func(*Vertex) // told of each vertex DeleteEdge removes, or nil
 
 	// Scratch reused across user actions: one formulation session issues
 	// hundreds of ConstructCtx calls over overlapping step subsets, and the
@@ -501,8 +502,18 @@ func (S *Set) classify(q *query.Query, s *SPIG, v *Vertex) {
 // DeleteEdge updates the SPIG set for the deletion of edge e_d (Algorithm 6
 // lines 12-14): the SPIG S_d is removed entirely, and every vertex
 // realization containing e_d is dropped from the remaining SPIGs (vertices
-// with no surviving realization disappear).
+// with no surviving realization disappear). Every vertex that leaves the set
+// — all of S_d's, and each one whose last realization contained e_d — is
+// passed to the drop hook. A surviving vertex keeps its fragment class and
+// its Fragment List; only its Reps shrink.
 func (S *Set) DeleteEdge(d int) {
+	if sd := S.spigs[d]; sd != nil && S.dropHook != nil {
+		for _, lv := range sd.levels {
+			for _, v := range lv {
+				S.dropHook(v)
+			}
+		}
+	}
 	delete(S.spigs, d)
 	keep := S.order[:0]
 	for _, l := range S.order {
@@ -527,12 +538,19 @@ func (S *Set) DeleteEdge(d int) {
 					survivors = append(survivors, v)
 				} else {
 					delete(s.byCode[k], v.Code)
+					if S.dropHook != nil {
+						S.dropHook(v)
+					}
 				}
 			}
 			s.levels[k] = survivors
 		}
 	}
 }
+
+// SetDropHook installs the function DeleteEdge calls with each vertex it
+// removes from the set (nil for none).
+func (S *Set) SetDropHook(f func(*Vertex)) { S.dropHook = f }
 
 // Remove discards the SPIG for edge ℓ without touching others (used when a
 // formulation step is rolled back entirely).
@@ -572,16 +590,6 @@ func (S *Set) VerticesAtLevel(k int) int {
 		n += len(s.Level(k))
 	}
 	return n
-}
-
-// FindByCode finds a vertex with the given code at level k in any SPIG.
-func (S *Set) FindByCode(k int, code string) *Vertex {
-	for _, l := range S.order {
-		if v := S.spigs[l].FindByCode(k, code); v != nil {
-			return v
-		}
-	}
-	return nil
 }
 
 // Dump renders a human-readable view of the SPIG (its levels, classes,

@@ -439,7 +439,7 @@ func TestLevelOutOfRange(t *testing.T) {
 	if s.FindByCode(0, "x") != nil || s.FindByCode(9, "x") != nil {
 		t.Error("out-of-range FindByCode should be nil")
 	}
-	if S.FindByCode(3, "nope") != nil {
+	if s.FindByCode(1, "nope") != nil {
 		t.Error("missing code found")
 	}
 	if S.VerticesAtLevel(7) != 0 {

@@ -66,8 +66,9 @@ for port in "$PORT1" "$PORT2"; do
 done
 echo "rpcsmoke: servers up"
 
-# A 3-edge path, the suggested-deletion probe batch, a deletion (Modify
-# re-fetches every candidate level in one batch per server) and a Run.
+# A 3-edge path, the suggested-deletion probe batch, a deletion (Modify keeps
+# the surviving vertices' candidate lists and fetches only the ones it never
+# resolved, in one batch per server) and a Run.
 out=$(timeout 120 "$BIN/praguecli" -connect "127.0.0.1:$PORT1,127.0.0.1:$PORT2" <<'EOF'
 node C
 node C

@@ -33,9 +33,10 @@ sh scripts/cover.sh
 if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
 	test -z "$(git status --porcelain)"
 fi
-# No benchmark binary or shard server may outlive the gate: a process left
-# running holds a port and a CPU, and skews whatever is measured next.
-for p in pragbench shardserver; do
+# No benchmark binary, shard server or CLI (scripts/rpcsmoke.sh starts one)
+# may outlive the gate: a process left running holds a port and a CPU, and
+# skews whatever is measured next.
+for p in pragbench shardserver praguecli; do
 	if pgrep -x "$p" >/dev/null; then
 		echo "verify.sh: a $p process is still running" >&2
 		exit 1
