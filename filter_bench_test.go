@@ -12,9 +12,9 @@ import (
 	"prague/internal/workload"
 )
 
-// filterFixture is the adaptive-filter-chooser workload: a database large
-// enough for verification to dominate SRT, and a worst-case similarity query
-// in the regime the chooser exists for — a spread heteroatom "comb" whose
+// filterFixture is the verify-prefilter workload: a database large enough
+// for verification to dominate SRT, and a worst-case similarity query in the
+// regime the count filter exists for — a spread heteroatom "comb" whose
 // sub-patterns never occur in the database, so mining never indexed them
 // (no Υ pruning) and the A²F probe degrades to near-whole-database candidate
 // sets, every one of which fails VF2 the slow way. Count filtering prunes
@@ -79,16 +79,14 @@ func filterFixtureGet(tb testing.TB) *filterFixture {
 	return filterFix
 }
 
-// filterEngine formulates wq on a fresh uncached engine pinned to the given
-// chooser mode (formulation is the untimed prologue; Run is what the
-// benchmarks time).
-func filterEngine(tb testing.TB, f *filterFixture, wq workload.Query, m core.FilterMode) *core.Engine {
+// filterEngine formulates wq on a fresh uncached engine (formulation is the
+// untimed prologue; Run is what the benchmark times).
+func filterEngine(tb testing.TB, f *filterFixture, wq workload.Query) *core.Engine {
 	tb.Helper()
 	e, err := core.New(f.db, f.idx, 3)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	e.SetFilterChooser(m)
 	ids := make([]int, len(wq.NodeLabels))
 	for i, l := range wq.NodeLabels {
 		ids[i] = e.AddNode(l)
@@ -108,28 +106,17 @@ func filterEngine(tb testing.TB, f *filterFixture, wq workload.Query, m core.Fil
 	return e
 }
 
-// BenchmarkFilterChooser compares the worst-case similarity Run with the
-// chooser off (probe arm: no prefilter) and in auto mode.
+// BenchmarkFilterChooser times the worst-case similarity Run, whose levels
+// repeat the nitrogen feature and so meet the count filter.
 func BenchmarkFilterChooser(b *testing.B) {
 	f := filterFixtureGet(b)
-	wq := f.worst
-	for _, v := range []struct {
-		name string
-		mode core.FilterMode
-	}{
-		{"chooser-off", core.FilterProbe},
-		{"chooser-auto", core.FilterAuto},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				e := filterEngine(b, f, wq, v.mode)
-				b.StartTimer()
-				if _, err := e.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e := filterEngine(b, f, f.worst)
+		b.StartTimer()
+		if _, err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -44,11 +44,10 @@ func (e *Engine) exactKey(code string) string {
 func (e *Engine) exactContainment(ctx context.Context, code string, frag *graph.Graph, cands []int) ([]int, error) {
 	verify := func(ctx context.Context) ([]int, error) {
 		before := e.runFaults.Load()
-		// The adaptive prefilter (chooser.go) shrinks the candidate list with
-		// a sound superset filter before isomorphism checks. The verified
-		// result is independent of the arm chosen, so cached entries stay
-		// identical across sessions with different chooser modes.
-		pruned := e.prefilter(ctx, frag, cands)
+		// The count prefilter (chooser.go) may shrink the candidate list
+		// with a sound superset filter before isomorphism checks; the
+		// verified result does not depend on it.
+		pruned, _ := e.countFilter(ctx, []*graph.Graph{frag}, cands)
 		out, err := e.filter(ctx, pruned, e.verifyPred(ctx, func(id int) bool {
 			return graph.SubgraphIsomorphic(frag, e.snap.Graph(id))
 		}))

@@ -1,21 +1,21 @@
 package core
 
-// The adaptive verify-prefilter ("filter chooser"). Per action, a small cost
-// model picks how candidate graphs are screened before the VF2 verifier
-// runs: rely on the A²F/A²I probe alone, add Grafil-style feature-count
-// filtering, or add signature pruning (64-bit label/edge-triple presence
-// masks plus size and degree bounds). No single filter wins on every query —
-// count filtering pays off on fragments with repeated labels, masks on
-// fragments with rare labels, and neither is worth per-candidate work when
-// the probe already returned a handful of ids — so the arm is chosen per
-// query from its shape and the pinned epoch's label statistics. Every arm is
-// a sound superset filter for subgraph containment, so the verified answer
-// set is identical across arms; the choice affects only how much work
-// verification does.
+// The verify prefilter. Before VF2 runs, a candidate list may be screened
+// with Grafil-style feature counts: a graph containing a fragment has at
+// least as many of each node label and labeled edge triple as the fragment.
+// The index probe that produced the list already guarantees that every
+// indexed feature is present, so counting separates candidates only when the
+// fragment needs some feature more than once, or needs one that no live
+// graph has (then no candidate survives). One rule follows (countFilter): a
+// list of at least minPrefilterCands ids is count-filtered when some
+// fragment repeats a feature or uses an unknown one; every other list goes
+// straight to VF2. The filter is a sound superset filter for subgraph
+// containment, so the verified answer set does not depend on it, only the
+// verification work.
 //
-// Both filters read the pinned snapshot's prefilter.Table, which the store
+// The counts are the pinned snapshot's prefilter.Table, which the store
 // owns: built by the first action that needs it, then derived row by row
-// with every mutation, so an epoch advance costs the chooser nothing.
+// with every mutation, so an epoch advance costs the prefilter nothing.
 
 import (
 	"context"
@@ -26,61 +26,29 @@ import (
 	"prague/internal/trace"
 )
 
-// FilterMode configures the chooser.
-type FilterMode int
-
-const (
-	// FilterAuto lets the cost model pick an arm per action (the default).
-	FilterAuto FilterMode = iota
-	// FilterProbe forces the A²F probe arm: no per-candidate prefilter.
-	FilterProbe
-	// FilterGrafil forces Grafil-style feature-count filtering.
-	FilterGrafil
-	// FilterSignature forces signature pruning.
-	FilterSignature
-)
-
-func (m FilterMode) String() string {
-	switch m {
-	case FilterProbe:
-		return "probe"
-	case FilterGrafil:
-		return "grafil"
-	case FilterSignature:
-		return "signature"
-	default:
-		return "auto"
-	}
-}
-
-// FilterArm is the arm a decision landed on.
+// FilterArm is the filter a decision landed on.
 type FilterArm int
 
 const (
-	ArmProbe FilterArm = iota
-	ArmGrafil
-	ArmSignature
+	ArmProbe  FilterArm = iota // no prefilter: the probe's list goes to VF2
+	ArmGrafil                  // feature-count filtering
 )
 
 func (a FilterArm) String() string {
-	switch a {
-	case ArmGrafil:
+	if a == ArmGrafil {
 		return "grafil"
-	case ArmSignature:
-		return "signature"
-	default:
-		return "probe"
 	}
+	return "probe"
 }
 
-// FilterDecision records one chooser outcome, surfaced in trace spans and
+// FilterDecision records one prefilter decision, surfaced in trace spans and
 // Engine.FilterExplain.
 type FilterDecision struct {
 	Arm        FilterArm
 	Candidates int    // candidate count entering the prefilter
 	Kept       int    // candidates surviving it (== Candidates for probe)
 	FragEdges  int    // fragment size the decision was made for
-	Reason     string // one-line cost-model rationale
+	Reason     string // one-line rationale
 }
 
 // minPrefilterCands is the candidate count below which per-candidate
@@ -89,12 +57,8 @@ type FilterDecision struct {
 // straight to the verifier.
 const minPrefilterCands = 24
 
-// SetFilterChooser configures the verify-prefilter mode. FilterAuto (the
-// default) picks an arm per action; the forced modes pin one arm, which the
-// parity tests and benchmarks use for A/B runs.
-func (e *Engine) SetFilterChooser(m FilterMode) { e.chooserMode = m }
-
-// FilterExplain renders the last chooser decision as a one-line explanation.
+// FilterExplain renders the last prefilter decision as a one-line
+// explanation.
 func (e *Engine) FilterExplain() string {
 	d := e.lastChoice
 	if d.Candidates == 0 && d.Reason == "" {
@@ -104,90 +68,21 @@ func (e *Engine) FilterExplain() string {
 		d.Arm, d.Candidates, d.Kept, d.FragEdges, d.Reason)
 }
 
-// SetFilterObserver installs a callback invoked after every chooser decision
-// (the service wires this to its metrics registry). A nil observer disables
-// reporting.
+// SetFilterObserver installs a callback invoked after every prefilter
+// decision (the service wires this to its metrics registry). A nil observer
+// disables reporting.
 func (e *Engine) SetFilterObserver(fn func(FilterDecision)) { e.filterObs = fn }
 
-// chooseArm applies the cost model to a fragment whose candidate count is
-// large enough to prefilter, returning the arm, its reason and — when the
-// arm counts features — the fragment's profile, computed once. The ordering
-// reflects where each filter's power actually comes from on index-probed
-// candidates: a candidate list produced by FSG-list intersection already
-// guarantees every single indexed feature is *present*, so presence masks
-// alone rarely prune further — count multiplicity (Grafil) and size/degree
-// bounds (signature) are what the probe cannot express.
-func (e *Engine) chooseArm(tab *prefilter.Table, frag *graph.Graph) (FilterArm, string, prefilter.Profile) {
-	switch e.chooserMode {
-	case FilterGrafil:
-		return ArmGrafil, "forced", tab.Profile(frag)
-	case FilterSignature:
-		return ArmSignature, "forced", prefilter.Profile{}
-	}
-	p := tab.Profile(frag)
-	if p.Unknown {
-		// A label or triple no live graph has: no candidate can contain the
-		// fragment, and the count check rejects every candidate in O(1).
-		return ArmGrafil, "oov-feature", p
-	}
-	if p.RepeatedFeatures() {
-		// Repeated labels/triples: count requirements prune where presence
-		// (which the index probe already established) cannot.
-		return ArmGrafil, "repeated-features", p
-	}
-	if sel := tab.MinLabelSelectivity(frag); sel <= 0.5 {
-		// A rare label with no multiplicity: the presence mask plus the
-		// size/degree bounds are the cheapest per-candidate check.
-		return ArmSignature, fmt.Sprintf("rare-label(sel=%.2f)", sel), p
-	}
-	// Common labels, no multiplicity: neither filter separates candidates
-	// the probe has not already separated; skip per-candidate overhead.
-	return ArmProbe, "low-power", p
-}
-
-// prefilter screens cands for fragment frag with the chosen arm, returning a
-// sound candidate superset of the verified answer. The returned slice is
-// either cands itself (probe arm) or freshly allocated — cached and memoized
-// inputs are never mutated.
-func (e *Engine) prefilter(ctx context.Context, frag *graph.Graph, cands []int) []int {
-	d := FilterDecision{Candidates: len(cands), Kept: len(cands), FragEdges: frag.NumEdges()}
-	var (
-		tab   *prefilter.Table
-		built bool
-		prof  prefilter.Profile
-	)
+// countReason says why p's counts can prune what the index probe left, or
+// returns "" when they cannot.
+func countReason(p *prefilter.Profile) string {
 	switch {
-	case e.chooserMode == FilterProbe:
-		d.Arm, d.Reason = ArmProbe, "forced"
-	case e.chooserMode == FilterAuto && len(cands) < minPrefilterCands:
-		d.Arm, d.Reason = ArmProbe, fmt.Sprintf("cands=%d<min=%d", len(cands), minPrefilterCands)
-	default:
-		tab, built = e.snap.FilterTable()
-		d.Arm, d.Reason, prof = e.chooseArm(tab, frag)
+	case p.Unknown:
+		return "oov-feature"
+	case p.RepeatedFeatures():
+		return "repeated-features"
 	}
-	if d.Arm == ArmProbe {
-		e.finishChoice(ctx, d, built)
-		return cands
-	}
-	kept := make([]int, 0, len(cands))
-	switch d.Arm {
-	case ArmSignature:
-		qs := prefilter.SigOf(frag)
-		for _, id := range cands {
-			if qs.Admits(tab.Row(id)) {
-				kept = append(kept, id)
-			}
-		}
-	case ArmGrafil:
-		for _, id := range cands {
-			if prof.Admits(tab.Row(id)) {
-				kept = append(kept, id)
-			}
-		}
-	}
-	d.Kept = len(kept)
-	e.finishChoice(ctx, d, built)
-	return kept
+	return ""
 }
 
 // finishChoice publishes a decision: the filter_choose span (with a
@@ -209,92 +104,65 @@ func (e *Engine) finishChoice(ctx context.Context, d FilterDecision, built bool)
 	}
 }
 
-// levelGate is the similarity path's per-level prefilter: one arm chosen for
-// the whole level, with per-fragment query-side state precomputed once so the
-// per-(fragment, candidate) check is allocation-free. The gate is immutable
-// after levelPrefilter returns, so concurrent verify workers share it.
-type levelGate struct {
-	arm   FilterArm
+// countGate is a count filter's per-fragment state: each fragment's
+// profile, computed once, so the per-(fragment, candidate) check is
+// allocation-free. It is immutable once countFilter returns, so concurrent
+// verify workers share it.
+type countGate struct {
 	tab   *prefilter.Table
-	sigs  []prefilter.Sig     // signature arm: per-fragment signatures
-	profs []prefilter.Profile // grafil arm: per-fragment count requirements
+	profs []prefilter.Profile
 }
 
-// pass reports whether a candidate, given by its table row, survives the
-// gate for fragment j.
-func (lg *levelGate) pass(j int, r *prefilter.Row) bool {
-	if lg.arm == ArmGrafil {
-		return lg.profs[j].Admits(r)
-	}
-	return lg.sigs[j].Admits(r)
-}
-
-// passAny reports whether candidate id survives the gate for any of the n
-// fragments — the level's verification is containsAnyGated, so a graph
-// failing every fragment gate cannot be confirmed at this level.
-func (lg *levelGate) passAny(n, id int) bool {
+// passAny reports whether graph id's counts admit any of the fragments: a
+// graph admitting none can contain none.
+func (lg *countGate) passAny(id int) bool {
 	r := lg.tab.Row(id)
-	for j := 0; j < n; j++ {
-		if lg.pass(j, r) {
+	for j := range lg.profs {
+		if lg.profs[j].Admits(r) {
 			return true
 		}
 	}
 	return false
 }
 
-// levelPrefilter chooses an arm for one similarity level and builds its gate:
-// a pending graph only reaches VF2 for fragments whose features it can
-// contain. Returns nil (no gating) when the chooser is off, or — in auto
-// mode — when the pending set is too small to recoup per-candidate work. The
-// decision is recorded like the exact path's (trace span, observer, Explain).
-func (e *Engine) levelPrefilter(ctx context.Context, frags []*graph.Graph, pending []int) *levelGate {
-	if len(frags) == 0 || e.chooserMode == FilterProbe {
-		return nil
+// countFilter applies the rule to ids for frags: one fragment on the exact
+// path, a similarity level's fragments on the other. When ids is long
+// enough and some fragment's counts can prune, it returns the ids whose
+// counts admit at least one fragment, and the gate that spares each kept id
+// VF2 on the fragments it cannot contain. Otherwise it returns ids itself
+// and a nil gate. A kept list is freshly allocated — cached and memoized
+// inputs are never mutated. Every decision on a non-empty list is published.
+func (e *Engine) countFilter(ctx context.Context, frags []*graph.Graph, ids []int) ([]int, *countGate) {
+	if len(frags) == 0 || len(ids) == 0 {
+		return ids, nil
 	}
-	if e.chooserMode == FilterAuto && len(pending) < minPrefilterCands {
-		return nil
+	d := FilterDecision{Candidates: len(ids), Kept: len(ids), FragEdges: frags[0].NumEdges()}
+	if len(ids) < minPrefilterCands {
+		d.Reason = fmt.Sprintf("cands=%d<min=%d", len(ids), minPrefilterCands)
+		e.finishChoice(ctx, d, false)
+		return ids, nil
 	}
 	tab, built := e.snap.FilterTable()
-	lg := &levelGate{tab: tab}
-	var reason string
-	if e.chooserMode == FilterSignature {
-		lg.arm, reason = ArmSignature, "forced"
-	} else {
-		// Every fragment is profiled once. In auto mode, multiplicity or an
-		// out-of-vocabulary feature anywhere makes count filtering the
-		// strongest gate; otherwise the signature's bounds are the cheapest
-		// check that still adds to the probe.
-		lg.profs = make([]prefilter.Profile, len(frags))
-		for i, f := range frags {
-			lg.profs[i] = tab.Profile(f)
-		}
-		lg.arm, reason = ArmGrafil, "forced"
-		if e.chooserMode == FilterAuto {
-			lg.arm, reason = ArmSignature, "bounds"
-			for i := range lg.profs {
-				if p := &lg.profs[i]; p.Unknown || p.RepeatedFeatures() {
-					lg.arm, reason = ArmGrafil, "repeated-features"
-					break
-				}
-			}
+	lg := &countGate{tab: tab, profs: make([]prefilter.Profile, len(frags))}
+	for i, f := range frags {
+		lg.profs[i] = tab.Profile(f)
+		if d.Reason == "" {
+			d.Reason = countReason(&lg.profs[i])
 		}
 	}
-	if lg.arm == ArmSignature {
-		lg.profs = nil
-		lg.sigs = make([]prefilter.Sig, len(frags))
-		for i, f := range frags {
-			lg.sigs[i] = prefilter.SigOf(f)
+	if d.Reason == "" {
+		d.Reason = "no-repeated-features"
+		e.finishChoice(ctx, d, built)
+		return ids, nil
+	}
+	d.Arm = ArmGrafil
+	kept := make([]int, 0, len(ids))
+	for _, id := range ids {
+		if lg.passAny(id) {
+			kept = append(kept, id)
 		}
 	}
-	kept := 0
-	for _, id := range pending {
-		if lg.passAny(len(frags), id) {
-			kept++
-		}
-	}
-	e.finishChoice(ctx, FilterDecision{
-		Arm: lg.arm, Candidates: len(pending), Kept: kept,
-		FragEdges: frags[0].NumEdges(), Reason: reason,
-	}, built)
-	return lg
+	d.Kept = len(kept)
+	e.finishChoice(ctx, d, built)
+	return kept, lg
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -16,9 +15,9 @@ import (
 )
 
 // chooserFuzzFix lazily builds one shared database + index fixture for the
-// chooser fuzz target: mining is far too slow to repeat per fuzz execution,
-// and the chooser's behavior space is covered by varying the query, not the
-// database.
+// prefilter fuzz target: mining is far too slow to repeat per fuzz
+// execution, and the prefilter's behavior space is covered by varying the
+// query, not the database.
 var chooserFuzzFix struct {
 	once sync.Once
 	fx   *fixture
@@ -65,14 +64,13 @@ func chooserFixture(t *testing.T) *fixture {
 	return chooserFuzzFix.fx
 }
 
-// FuzzFilterChooser pins the chooser's core soundness claim: every arm —
-// forced probe, forced Grafil counting, forced signature pruning, and the
-// auto cost model — produces the same final answer set, and that set matches
-// the brute-force oracle. A prefilter that ever dropped a true candidate
-// would surface here as an arm disagreeing with the probe (which filters
-// nothing).
+// FuzzFilterChooser pins the verify prefilter's soundness claim: whatever
+// the prefilter decides for a query's exact and similarity lists, the Run's
+// answers match the brute-force oracle. A count filter that ever dropped a
+// true candidate would surface here as an answer the oracle has and the
+// engine lacks.
 func FuzzFilterChooser(f *testing.F) {
-	for s := int64(0); s < 6; s++ {
+	for s := int64(0); s < 16; s++ {
 		f.Add(s, uint8(s))
 	}
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
@@ -81,8 +79,7 @@ func FuzzFilterChooser(f *testing.F) {
 		labels := []string{"C", "C", "N", "O", "S", "Hg"}
 		bonds := []string{"", "", "1", "2"}
 
-		// Plan a connected query as a replayable script so every mode's
-		// engine formulates the identical fragment.
+		// Draw a random connected query.
 		nn := 2 + int(shape)%4 + r.Intn(2)
 		nodeLabels := make([]string, nn)
 		for i := range nodeLabels {
@@ -103,58 +100,41 @@ func FuzzFilterChooser(f *testing.F) {
 			}
 		}
 
-		runMode := func(m FilterMode) (map[int]int, bool, *graph.Graph) {
-			e, err := New(fx.db, fx.idx, 2)
+		e, err := New(fx.db, fx.idx, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes := make([]int, nn)
+		for i, l := range nodeLabels {
+			nodes[i] = e.AddNode(l)
+		}
+		for _, ep := range edges {
+			out, err := e.AddLabeledEdge(nodes[ep.u], nodes[ep.v], ep.bond)
 			if err != nil {
-				t.Fatal(err)
+				continue // duplicate/self-loop: skipped
 			}
-			e.SetFilterChooser(m)
-			nodes := make([]int, nn)
-			for i, l := range nodeLabels {
-				nodes[i] = e.AddNode(l)
-			}
-			for _, ep := range edges {
-				out, err := e.AddLabeledEdge(nodes[ep.u], nodes[ep.v], ep.bond)
-				if err != nil {
-					continue // duplicate/self-loop: skipped identically by every mode
-				}
-				if out.NeedsChoice {
-					e.ChooseSimilarity()
-				}
-			}
-			if e.AwaitingChoice() {
+			if out.NeedsChoice {
 				e.ChooseSimilarity()
 			}
-			results, err := e.Run()
-			if err != nil {
-				t.Fatalf("mode %v: run: %v", m, err)
-			}
-			_ = e.FilterExplain() // must never panic, decided or not
-			got := map[int]int{}
-			for _, res := range results {
-				got[res.GraphID] = res.Distance
-			}
-			qg, _ := e.Query().Graph()
-			return got, e.SimilarityMode(), qg
 		}
-
-		probe, simMode, qg := runMode(FilterProbe)
-		for _, m := range []FilterMode{FilterGrafil, FilterSignature, FilterAuto} {
-			got, sim, _ := runMode(m)
-			if sim != simMode {
-				t.Fatalf("mode %v: similarity mode %v, probe arm %v", m, sim, simMode)
-			}
-			if !reflect.DeepEqual(got, probe) {
-				t.Fatalf("mode %v answers %v, probe arm answers %v", m, got, probe)
-			}
+		if e.AwaitingChoice() {
+			e.ChooseSimilarity()
 		}
-
-		// The shared answer must also be the oracle's.
+		results, err := e.Run()
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		_ = e.FilterExplain() // must never panic, decided or not
+		got := map[int]int{}
+		for _, res := range results {
+			got[res.GraphID] = res.Distance
+		}
+		qg, _ := e.Query().Graph()
 		live := make([]int, len(fx.db))
 		for i := range live {
 			live[i] = i
 		}
-		checkOracle(t, probe, simMode, qg, live, func(id int) *graph.Graph { return fx.db[id] })
+		checkOracle(t, got, e.SimilarityMode(), qg, live, func(id int) *graph.Graph { return fx.db[id] })
 	})
 }
 
@@ -271,10 +251,10 @@ func (q chooserQuery) formulate(t *testing.T, e *Engine) {
 	}
 }
 
-// TestChooserParityAcrossEpochAdvance: sessions formulate a query, the store
-// then inserts a graph carrying a label no graph had (Hg) and deletes
-// another, and the sessions Run. Every arm must answer like the brute-force
-// oracle at the pinned epoch, and explain its last decision exactly like a
+// TestChooserParityAcrossEpochAdvance: a session formulates a query, the
+// store then inserts a graph carrying a label no graph had (Hg) and deletes
+// another, and the session Runs. It must answer like the brute-force oracle
+// at the pinned epoch, and explain its last prefilter decision exactly like a
 // fresh engine over a fresh store that never saw the old epoch — the table
 // the mutation derived must decide like one built from scratch.
 func TestChooserParityAcrossEpochAdvance(t *testing.T) {
@@ -290,7 +270,6 @@ func TestChooserParityAcrossEpochAdvance(t *testing.T) {
 		{[]string{"C", "C", "O", "Hg"}, [][2]int{{0, 1}, {1, 2}, {1, 3}}},
 		{[]string{"S", "C", "N"}, [][2]int{{0, 1}, {1, 2}}},
 	}
-	modes := []FilterMode{FilterProbe, FilterGrafil, FilterSignature, FilterAuto}
 	const victim = 3
 	advance := func(st store.Store) {
 		t.Helper()
@@ -304,55 +283,46 @@ func TestChooserParityAcrossEpochAdvance(t *testing.T) {
 	for _, topo := range chooserTopologies {
 		for qi, q := range queries {
 			st := chooserTopology(t, topo, fx)
-			engines := make([]*Engine, len(modes))
-			for i, m := range modes {
-				e, err := NewWithStore(st, 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				e.SetFilterChooser(m)
-				q.formulate(t, e)
-				engines[i] = e
+			e, err := NewWithStore(st, 2)
+			if err != nil {
+				t.Fatal(err)
 			}
+			q.formulate(t, e)
 			st.FilterTable() // the old epoch's table exists, so the next is derived
 			advance(st)
 			if _, built := st.FilterTable(); built {
 				t.Fatalf("%s: the epoch advance left the new snapshot without a table", topo)
 			}
+			results, err := e.Run()
+			if err != nil {
+				t.Fatalf("%s q%d: run: %v", topo, qi, err)
+			}
+			if e.Snapshot().Epoch() != st.Epoch() {
+				t.Fatalf("%s q%d: ran at epoch %d, store at %d", topo, qi, e.Snapshot().Epoch(), st.Epoch())
+			}
+			got := map[int]int{}
+			for _, r := range results {
+				got[r.GraphID] = r.Distance
+			}
+			qg, _ := e.Query().Graph()
+			snap := e.Snapshot()
+			checkOracle(t, got, e.SimilarityMode(), qg, snap.LiveIDs(), snap.Graph)
+
 			fresh, err := store.NewMem(fx.db, fx.idx)
 			if err != nil {
 				t.Fatal(err)
 			}
 			advance(fresh)
-			for i, m := range modes {
-				e := engines[i]
-				results, err := e.Run()
-				if err != nil {
-					t.Fatalf("%s q%d %v: run: %v", topo, qi, m, err)
-				}
-				if e.Snapshot().Epoch() != st.Epoch() {
-					t.Fatalf("%s q%d %v: ran at epoch %d, store at %d", topo, qi, m, e.Snapshot().Epoch(), st.Epoch())
-				}
-				got := map[int]int{}
-				for _, r := range results {
-					got[r.GraphID] = r.Distance
-				}
-				qg, _ := e.Query().Graph()
-				snap := e.Snapshot()
-				checkOracle(t, got, e.SimilarityMode(), qg, snap.LiveIDs(), snap.Graph)
-
-				ref, err := NewWithStore(fresh, 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref.SetFilterChooser(m)
-				q.formulate(t, ref)
-				if _, err := ref.Run(); err != nil {
-					t.Fatal(err)
-				}
-				if g, w := e.FilterExplain(), ref.FilterExplain(); g != w {
-					t.Errorf("%s q%d %v: %q, fresh store %q", topo, qi, m, g, w)
-				}
+			ref, err := NewWithStore(fresh, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q.formulate(t, ref)
+			if _, err := ref.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if g, w := e.FilterExplain(), ref.FilterExplain(); g != w {
+				t.Errorf("%s q%d: %q, fresh store %q", topo, qi, g, w)
 			}
 		}
 	}
@@ -361,11 +331,13 @@ func TestChooserParityAcrossEpochAdvance(t *testing.T) {
 // TestNoTableRebuildAfterMutations: the Run that first needs the filter
 // table records one table_build on its filter_choose span. After ten
 // insert+delete pairs the next Run records none, because every mutation
-// derived its snapshot's table from its parent's.
+// derived its snapshot's table from its parent's. The query, Hg between two
+// carbons, repeats a feature and meets at least minPrefilterCands candidates
+// at both epochs, so both Runs count-filter and need the table.
 func TestNoTableRebuildAfterMutations(t *testing.T) {
 	fx := chooserFixture(t)
 	tr := trace.New(trace.Options{Enabled: true})
-	builds := func(e *Engine) (n, decisions int64) {
+	builds := func(e *Engine) (n, counted int64) {
 		t.Helper()
 		ctx, root := tr.StartRoot(context.Background(), trace.KindRun)
 		_, err := e.RunCtx(ctx)
@@ -376,10 +348,12 @@ func TestNoTableRebuildAfterMutations(t *testing.T) {
 		root.Data().Walk(func(s *trace.SpanData) {
 			if s.Kind == trace.KindFilterChoose.String() {
 				n += s.Counts["table_build"]
-				decisions++
+				if _, ok := s.Counts[ArmGrafil.String()]; ok {
+					counted++
+				}
 			}
 		})
-		return n, decisions
+		return n, counted
 	}
 	for _, topo := range []string{"mem", "remote2"} {
 		st := chooserTopology(t, topo, fx)
@@ -387,10 +361,9 @@ func TestNoTableRebuildAfterMutations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.SetFilterChooser(FilterGrafil)
-		chooserQuery{[]string{"C", "Hg"}, [][2]int{{0, 1}}}.formulate(t, e)
-		if n, d := builds(e); n != 1 || d == 0 {
-			t.Fatalf("%s: first Run recorded %d table builds in %d decisions, want 1", topo, n, d)
+		chooserQuery{[]string{"C", "Hg", "C"}, [][2]int{{0, 1}, {1, 2}}}.formulate(t, e)
+		if n, c := builds(e); n != 1 || c == 0 {
+			t.Fatalf("%s: first Run recorded %d table builds in %d count-filter decisions, want 1", topo, n, c)
 		}
 		for k := 0; k < 10; k++ {
 			if _, err := st.InsertGraph(mercuryGraph()); err != nil {
@@ -400,8 +373,8 @@ func TestNoTableRebuildAfterMutations(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if n, d := builds(e); n != 0 || d == 0 {
-			t.Fatalf("%s: Run after 10 insert+delete pairs recorded %d table builds in %d decisions, want 0", topo, n, d)
+		if n, c := builds(e); n != 0 || c == 0 {
+			t.Fatalf("%s: Run after 10 insert+delete pairs recorded %d table builds in %d count-filter decisions, want 0", topo, n, c)
 		}
 	}
 }

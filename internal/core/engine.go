@@ -126,10 +126,9 @@ type Engine struct {
 	// intersection, shared by every shard computeCandidates probes.
 	probeScratch store.ProbeScratch
 
-	// chooser state (chooser.go): the adaptive verify-prefilter.
-	chooserMode FilterMode
-	lastChoice  FilterDecision // most recent chooser decision, for Explain
-	filterObs   func(FilterDecision)
+	// verify-prefilter state (chooser.go).
+	lastChoice FilterDecision // most recent prefilter decision, for Explain
+	filterObs  func(FilterDecision)
 }
 
 // simLevel is one SPIG level i of Algorithm 4's window.

@@ -64,8 +64,8 @@ func (e *Engine) verifyLevel(ctx context.Context, i int, pending []int) ([]int, 
 	}
 	frags := e.levelFragments(i)
 	// Level gate (chooser.go): a pending graph only reaches VF2 for
-	// fragments whose features (counts or signature) it can contain.
-	gate := e.levelPrefilter(ctx, frags, pending)
+	// fragments whose feature counts it can contain.
+	pending, gate := e.countFilter(ctx, frags, pending)
 	return e.filter(ctx, pending, e.verifyPred(ctx, func(id int) bool {
 		return e.containsAnyGated(frags, gate, id)
 	}))
@@ -196,17 +196,17 @@ func (e *Engine) levelFragments(i int) []*graph.Graph {
 }
 
 // containsAnyGated is simverify.ContainsAny with the per-fragment level gate
-// from levelPrefilter: when gate is non-nil, fragment j is only VF2-checked
-// against graphs whose features can contain it. The gate is read-only once
+// from countFilter: when gate is non-nil, fragment j is only VF2-checked
+// against graphs whose feature counts can contain it. The gate is read-only once
 // built, so concurrent verify workers share it.
-func (e *Engine) containsAnyGated(frags []*graph.Graph, gate *levelGate, id int) bool {
+func (e *Engine) containsAnyGated(frags []*graph.Graph, gate *countGate, id int) bool {
 	g := e.snap.Graph(id)
 	if gate == nil {
 		return simverify.ContainsAny(frags, g)
 	}
 	r := gate.tab.Row(id)
 	for j, f := range frags {
-		if gate.pass(j, r) && graph.SubgraphIsomorphic(f, g) {
+		if gate.profs[j].Admits(r) && graph.SubgraphIsomorphic(f, g) {
 			return true
 		}
 	}

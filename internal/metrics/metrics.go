@@ -79,13 +79,12 @@ const (
 	CounterShardEndpointsUp   = "shard_endpoints_healthy" // endpoints whose last call succeeded (gauge-like)
 	CounterShardEndpointsAll  = "shard_endpoints_total"   // endpoints in the dialed topology (gauge-like)
 
-	// Adaptive verify-prefilter counters (core chooser; see
-	// internal/core/chooser.go). One arm counter bumps per chooser decision;
-	// pruned counts candidates removed before reaching the VF2 verifier.
-	CounterFilterArmProbe     = "filter_arm_probe"     // decisions resolved to the bare probe
-	CounterFilterArmGrafil    = "filter_arm_grafil"    // decisions resolved to count filtering
-	CounterFilterArmSignature = "filter_arm_signature" // decisions resolved to signature pruning
-	CounterFilterPruned       = "filter_pruned_total"  // candidates pruned before verification
+	// Verify-prefilter counters (internal/core/chooser.go). One arm counter
+	// bumps per prefilter decision; pruned counts candidates removed before
+	// reaching the VF2 verifier.
+	CounterFilterArmProbe  = "filter_arm_probe"    // decisions that left the list to VF2
+	CounterFilterArmGrafil = "filter_arm_grafil"   // decisions resolved to count filtering
+	CounterFilterPruned    = "filter_pruned_total" // candidates pruned before verification
 
 	// Online mutation counters (Service.InsertGraph / Service.DeleteGraph).
 	// The epoch

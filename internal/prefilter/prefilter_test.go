@@ -1,7 +1,6 @@
 package prefilter
 
 import (
-	"hash/fnv"
 	"math/rand"
 	"testing"
 
@@ -52,8 +51,8 @@ func probeFrags() []*graph.Graph {
 	}
 }
 
-// samePredictions checks that got answers every chooser question about frags
-// the way want does, for every id below n.
+// samePredictions checks that got answers every prefilter question about
+// frags the way want does, for every id below n.
 func samePredictions(t *testing.T, got, want *Table, n int) {
 	t.Helper()
 	for fi, f := range probeFrags() {
@@ -62,17 +61,10 @@ func samePredictions(t *testing.T, got, want *Table, n int) {
 			t.Fatalf("frag %d: unknown/repeated %v/%v, rebuild %v/%v",
 				fi, gp.Unknown, gp.RepeatedFeatures(), wp.Unknown, wp.RepeatedFeatures())
 		}
-		if g, w := got.MinLabelSelectivity(f), want.MinLabelSelectivity(f); g != w {
-			t.Fatalf("frag %d: selectivity %v, rebuild %v", fi, g, w)
-		}
-		qs := SigOf(f)
 		for id := -1; id <= n; id++ {
 			gr, wr := got.Row(id), want.Row(id)
 			if g, w := gp.Admits(gr), wp.Admits(wr); g != w {
 				t.Fatalf("frag %d graph %d: count check %v, rebuild %v", fi, id, g, w)
-			}
-			if g, w := qs.Admits(gr), qs.Admits(wr); g != w {
-				t.Fatalf("frag %d graph %d: signature check %v, rebuild %v", fi, id, g, w)
 			}
 		}
 	}
@@ -135,9 +127,6 @@ func TestDeadColumnIsUnknown(t *testing.T) {
 	if p := without.Profile(q); !p.Unknown {
 		t.Fatalf("Hg after delete: %+v, want Unknown", p)
 	}
-	if s := without.MinLabelSelectivity(q); s != 0 {
-		t.Fatalf("Hg selectivity after delete %v, want 0", s)
-	}
 	if err := without.Diff(base); err != nil {
 		t.Fatal(err)
 	}
@@ -146,39 +135,8 @@ func TestDeadColumnIsUnknown(t *testing.T) {
 	}
 }
 
-// TestSigMatchesFNV pins the inline hash to hash/fnv over the concatenated
-// key, so signatures stay what they were before the hash was inlined.
-func TestSigMatchesFNV(t *testing.T) {
-	bit := func(s string) uint64 {
-		h := fnv.New32a()
-		h.Write([]byte(s))
-		return 1 << (h.Sum32() & 63)
-	}
-	r := rand.New(rand.NewSource(5))
-	for i := 0; i < 50; i++ {
-		g := randGraph(r, []string{"C", "N", "O", "Hg", "Cl"})
-		var want Sig
-		for node := range g.NumNodes() {
-			l := g.Label(node)
-			want.LabelMask |= bit(l)
-		}
-		for _, e := range g.Edges() {
-			la, lb := g.Label(e.U), g.Label(e.V)
-			if lb < la {
-				la, lb = lb, la
-			}
-			want.TripleMask |= bit(la + "\x00" + g.EdgeLabel(e.U, e.V) + "\x00" + lb)
-		}
-		got := SigOf(g)
-		if got.LabelMask != want.LabelMask || got.TripleMask != want.TripleMask {
-			t.Fatalf("graph %d: masks %x/%x, fnv %x/%x", i, got.LabelMask, got.TripleMask, want.LabelMask, want.TripleMask)
-		}
-	}
-}
-
-// The query side of every prefilter check runs once per fragment per action
-// and the data side once per candidate: signatures and both pass checks are
-// pinned at zero allocations.
+// The count check runs once per (fragment, candidate) pair on the verify
+// path: it is pinned at zero allocations.
 func TestPrefilterAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation budgets are not meaningful under -race")
@@ -187,14 +145,105 @@ func TestPrefilterAllocBudget(t *testing.T) {
 	g := path("C", "C", "O", "N", "C")
 	tab := Build([]int{0}, func(int) *graph.Graph { return g })
 	p := tab.Profile(q)
-	qs := SigOf(q)
-	for name, f := range map[string]func(){
-		"SigOf":          func() { qs = SigOf(q) },
-		"Profile.Admits": func() { p.Admits(tab.Row(0)) },
-		"Sig.Admits":     func() { qs.Admits(tab.Row(0)) },
-	} {
-		if n := testing.AllocsPerRun(200, f); n != 0 {
-			t.Errorf("%s allocates %.1f/op, budget 0", name, n)
+	if n := testing.AllocsPerRun(200, func() { p.Admits(tab.Row(0)) }); n != 0 {
+		t.Errorf("Profile.Admits allocates %.1f/op, budget 0", n)
+	}
+}
+
+// features names every node label and edge triple of g.
+func features(g *graph.Graph) map[string]bool {
+	out := map[string]bool{}
+	for node := range g.NumNodes() {
+		out["label "+g.Label(node)] = true
+	}
+	for i := range g.Edges() {
+		k := tripleAt(g, i)
+		out["triple "+k.a+"\x00"+k.e+"\x00"+k.b] = true
+	}
+	return out
+}
+
+// subFragment grows a connected fragment of g from a random node, one edge of
+// g at a time, up to maxEdges edges.
+func subFragment(r *rand.Rand, g *graph.Graph, maxEdges int) *graph.Graph {
+	f := graph.New(-1)
+	start := r.Intn(g.NumNodes())
+	at := map[int]int{start: f.AddNode(g.Label(start))}
+	taken := map[int]bool{}
+	for len(taken) < maxEdges {
+		var next []int
+		for i, e := range g.Edges() {
+			_, inU := at[e.U]
+			_, inV := at[e.V]
+			if !taken[i] && (inU || inV) {
+				next = append(next, i)
+			}
+		}
+		if len(next) == 0 {
+			break
+		}
+		i := next[r.Intn(len(next))]
+		taken[i] = true
+		e := g.Edges()[i]
+		for _, v := range []int{e.U, e.V} {
+			if _, ok := at[v]; !ok {
+				at[v] = f.AddNode(g.Label(v))
+			}
+		}
+		if err := f.AddLabeledEdge(at[e.U], at[e.V], g.EdgeLabelAt(i)); err != nil {
+			panic(err)
 		}
 	}
+	return f
+}
+
+// FuzzProfileAdmits pins the count filter's soundness against VF2 itself:
+// over a table of random graphs, every graph that contains a fragment by
+// subgraph isomorphism has a row its Profile admits, and a fragment using a
+// label or edge triple that no graph has is Unknown and admits no row.
+// Fragments are cut from the graphs (so containment is common) or drawn at
+// random with an occasional label the graphs lack.
+func FuzzProfileAdmits(f *testing.F) {
+	for s := int64(0); s < 8; s++ {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		r := rand.New(rand.NewSource(seed))
+		gs := make([]*graph.Graph, 4+r.Intn(8))
+		ids := make([]int, len(gs))
+		have := map[string]bool{}
+		for i := range gs {
+			gs[i] = randGraph(r, []string{"C", "C", "N", "O"})
+			ids[i] = i
+			for k := range features(gs[i]) {
+				have[k] = true
+			}
+		}
+		tab := Build(ids, func(id int) *graph.Graph { return gs[id] })
+		for k := 0; k < 8; k++ {
+			var frag *graph.Graph
+			if k%2 == 0 {
+				frag = subFragment(r, gs[r.Intn(len(gs))], 1+r.Intn(4))
+			} else {
+				frag = randGraph(r, []string{"C", "N", "O", "Hg"})
+			}
+			oov := false
+			for k := range features(frag) {
+				oov = oov || !have[k]
+			}
+			p := tab.Profile(frag)
+			if p.Unknown != oov {
+				t.Fatalf("fragment %d: Unknown %v, out of vocabulary %v", k, p.Unknown, oov)
+			}
+			for id, g := range gs {
+				admits := p.Admits(tab.Row(id))
+				if oov && admits {
+					t.Fatalf("fragment %d is out of vocabulary, yet graph %d's row admits it", k, id)
+				}
+				if !admits && graph.SubgraphIsomorphic(frag, g) {
+					t.Fatalf("fragment %d: graph %d contains it, its row does not admit it (needs %+v)", k, id, p.Needs)
+				}
+			}
+		}
+	})
 }

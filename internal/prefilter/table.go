@@ -1,3 +1,13 @@
+// Package prefilter holds the verify prefilter's per-graph table: for every
+// live data graph its Grafil-light feature counts (node labels and labeled
+// edge triples). A count check is a sound superset filter for subgraph
+// containment, so the engine can screen candidates with it before VF2 runs.
+//
+// A store owns one Table per published snapshot. The first reader builds it
+// (Build); each later mutation derives its successor's table from its
+// parent's in one row (Insert, Delete), sharing every untouched row. The
+// package imports only graph, so stores on either side of the wire can keep
+// the table without the feature-mining dependencies of internal/grafil.
 package prefilter
 
 import (
@@ -13,10 +23,10 @@ import (
 
 // Table applies Grafil's feature-count principle (count_g(f) ≥ count_q(f)
 // for subgraph containment, the σ=0 case of the paper's bound) with the
-// cheapest one-pass features — node labels and labeled edge triples — next
-// to each graph's Sig. It is immutable: Insert and Delete return successors
-// that share every untouched row, so a mutation writes one row and copies
-// only the list of 64-row chunks and the chunk holding the row.
+// cheapest one-pass features: node labels and labeled edge triples. It is
+// immutable: Insert and Delete return successors that share every untouched
+// row, so a mutation writes one row and copies only the list of 64-row
+// chunks and the chunk holding the row.
 // Per-candidate checks are allocation-free and safe for concurrent use.
 //
 // The vocabulary only grows: a column whose last graph was deleted stays,
@@ -27,7 +37,6 @@ type Table struct {
 	voc  *vocab
 	rows []*chunk // by graph id: rows[id>>chunkBits][id&chunkMask]
 	docs []int32  // per column: live graphs with a nonzero count
-	live int
 }
 
 const (
@@ -56,7 +65,6 @@ func (t *Table) setRow(rows []*chunk, id int, r Row) {
 // counts has one slot per column that existed when the row was made; later
 // columns count zero for it.
 type Row struct {
-	sig    Sig
 	counts []uint16
 }
 
@@ -155,7 +163,7 @@ func Build(ids []int, lookup func(int) *graph.Graph) *Table {
 			maxID = max(maxID, id)
 		}
 	}
-	t := &Table{voc: voc, rows: make([]*chunk, maxID>>chunkBits+1), docs: make([]int32, voc.ncols), live: len(gs)}
+	t := &Table{voc: voc, rows: make([]*chunk, maxID>>chunkBits+1), docs: make([]int32, voc.ncols)}
 	for c := range t.rows {
 		t.rows[c] = new(chunk)
 	}
@@ -165,7 +173,6 @@ func Build(ids []int, lookup func(int) *graph.Graph) *Table {
 	for k, g := range gs {
 		id := live[k]
 		r := &t.rows[id>>chunkBits][id&chunkMask]
-		r.sig = SigOf(g)
 		r.counts = slab[k*nc : (k+1)*nc : (k+1)*nc]
 		voc.fill(r.counts, g)
 		t.countDocs(r, 1)
@@ -189,9 +196,9 @@ func (t *Table) Insert(id int, g *graph.Graph) *Table {
 		t = t.Delete(id)
 	}
 	voc := t.voc.grown(g)
-	r := Row{sig: SigOf(g), counts: make([]uint16, voc.ncols)}
+	r := Row{counts: make([]uint16, voc.ncols)}
 	voc.fill(r.counts, g)
-	nt := &Table{voc: voc, docs: make([]int32, voc.ncols), live: t.live + 1}
+	nt := &Table{voc: voc, docs: make([]int32, voc.ncols)}
 	copy(nt.docs, t.docs)
 	nt.countDocs(&r, 1)
 	nt.setRow(t.rows, id, r)
@@ -205,7 +212,7 @@ func (t *Table) Delete(id int) *Table {
 	if r == nil {
 		return t
 	}
-	nt := &Table{voc: t.voc, docs: append([]int32(nil), t.docs...), live: t.live - 1}
+	nt := &Table{voc: t.voc, docs: append([]int32(nil), t.docs...)}
 	nt.countDocs(r, -1)
 	nt.setRow(t.rows, id, Row{})
 	return nt
@@ -261,8 +268,8 @@ func (p *Profile) bump(col int) {
 }
 
 // RepeatedFeatures reports whether the fragment requires any feature more
-// than once — the regime where count filtering prunes strictly more than a
-// presence mask.
+// than once — the regime where count filtering prunes strictly more than
+// the presence an index probe already guarantees.
 func (p *Profile) RepeatedFeatures() bool {
 	for _, nd := range p.Needs {
 		if nd.Min > 1 {
@@ -287,7 +294,7 @@ func (p *Profile) Admits(r *Row) bool {
 }
 
 // Row returns graph id's row, or nil when id is not live. Fetch it once per
-// candidate and check every fragment's Profile or Sig against it.
+// candidate and check every fragment's Profile against it.
 func (t *Table) Row(id int) *Row {
 	if id < 0 || id>>chunkBits >= len(t.rows) || t.rows[id>>chunkBits] == nil {
 		return nil
@@ -307,35 +314,11 @@ func (r *Row) count(c int) uint16 {
 	return r.counts[c]
 }
 
-// MinLabelSelectivity estimates how selective the fragment's rarest node
-// label is: the fraction of live graphs containing it (0 when no live graph
-// has it, 1 for an empty table).
-func (t *Table) MinLabelSelectivity(frag *graph.Graph) float64 {
-	if t.live == 0 {
-		return 1
-	}
-	sel := 1.0
-	for node := range frag.NumNodes() {
-		l := frag.Label(node)
-		c, ok := t.voc.labels[l]
-		if !ok {
-			return 0
-		}
-		if s := float64(t.docs[c]) / float64(t.live); s < sel {
-			sel = s
-		}
-	}
-	return sel
-}
-
 // Diff reports the first way t disagrees with want as a table over the same
 // live graphs, or nil. Columns are compared by feature, not by number:
 // numbering depends on the order graphs arrived in, and a maintained table
 // keeps columns whose last graph is gone.
 func (t *Table) Diff(want *Table) error {
-	if t.live != want.live {
-		return fmt.Errorf("prefilter: %d live graphs, want %d", t.live, want.live)
-	}
 	got, exp := t.voc.names(), want.voc.names()
 	var names []string
 	for name := range got {
@@ -371,9 +354,6 @@ func (t *Table) Diff(want *Table) error {
 		}
 		if gr == nil {
 			continue
-		}
-		if gr.sig != wr.sig {
-			return fmt.Errorf("prefilter: graph %d: signature %+v, want %+v", id, gr.sig, wr.sig)
 		}
 		for _, name := range names {
 			if g, w := gr.count(col(got, name)), wr.count(col(exp, name)); g != w {

@@ -80,8 +80,6 @@ type Options struct {
 	ActionDeadline time.Duration         // per-action budget; Run degrades, others cancel (0: none)
 	Injector       *faultinject.Injector // deterministic fault injection (nil: none)
 
-	FilterMode core.FilterMode // verify-prefilter arm selection (default FilterAuto)
-
 	// SLO telemetry (see prague/internal/slo). The windowed collector
 	// turns on when either is set.
 	SLO       slo.Targets   // declared SLO targets (zero: none declared)
@@ -162,15 +160,6 @@ func WithSessionQueue(n int) Option { return func(o *Options) { o.SessionQueue =
 // actions are cancelled at the deadline and report a wrapped
 // context.DeadlineExceeded (default 0: no budget).
 func WithActionDeadline(d time.Duration) Option { return func(o *Options) { o.ActionDeadline = d } }
-
-// WithFilterChooser sets the verify-prefilter mode for every session's
-// engine: core.FilterAuto (the default) picks per action between the bare
-// A²F probe, Grafil-style count filtering, and signature pruning from a
-// small cost model; the other modes pin one arm. All arms return identical
-// verified answers — the mode only changes how much work verification does.
-// Decisions surface in the filter_arm_* / filter_pruned_total metrics and
-// trace spans.
-func WithFilterChooser(m core.FilterMode) Option { return func(o *Options) { o.FilterMode = m } }
 
 // WithFaultInjection arms deterministic fault injection on every action the
 // service evaluates (chaos testing; see prague/internal/faultinject). A nil
@@ -421,14 +410,12 @@ func (s *Service) Create(ctx context.Context) (*Session, error) {
 	eng.SetPool(s.pool)
 	eng.SetCandidateCache(s.cache)
 	eng.SetRunBudget(s.opt.ActionDeadline)
-	eng.SetFilterChooser(s.opt.FilterMode)
+	// Every verify-prefilter decision (core/chooser.go) bumps its arm's
+	// counter; filter_pruned_total counts the ids it kept from VF2.
 	eng.SetFilterObserver(func(d core.FilterDecision) {
-		switch d.Arm {
-		case core.ArmGrafil:
+		if d.Arm == core.ArmGrafil {
 			s.reg.Counter(metrics.CounterFilterArmGrafil).Inc()
-		case core.ArmSignature:
-			s.reg.Counter(metrics.CounterFilterArmSignature).Inc()
-		default:
+		} else {
 			s.reg.Counter(metrics.CounterFilterArmProbe).Inc()
 		}
 		if n := d.Candidates - d.Kept; n > 0 {

@@ -413,11 +413,12 @@ func TestRunCancellationMidVerification(t *testing.T) {
 		t.Skip("large fixture")
 	}
 	db, idx := buildFixture(t, 16_000, 23, 0.3, 6)
-	// Caching and the verify prefilter are disabled: every run must verify
-	// the full candidate set, so each run's candidate checks are the same.
+	// Caching is disabled, so every run verifies its candidates afresh; the
+	// count prefilter is deterministic, so each run's candidate checks are
+	// the same.
 	inj := faultinject.New()
 	svc, err := newMem(db, idx, WithSigma(4), WithVerifyWorkers(4), WithMetrics(metrics.NewRegistry()),
-		WithSessionTTL(0), WithCandidateCache(0), WithFilterChooser(core.FilterProbe), WithFaultInjection(inj))
+		WithSessionTTL(0), WithCandidateCache(0), WithFaultInjection(inj))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,7 @@ type Snapshot interface {
 	// of the same store must never collide in a shared candidate cache.
 	CacheTag() string
 	// FilterTable returns the verify prefilter's per-graph table for this
-	// epoch: the signature and Grafil-light counts of every live graph. The
+	// epoch: the Grafil-light feature counts of every live graph. The
 	// first call builds it, once per snapshot, unless the mutation that
 	// published the snapshot derived it from its parent's table; built
 	// reports whether this call paid for the full build.

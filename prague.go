@@ -424,23 +424,9 @@ func WithSessionTTL(d time.Duration) Option { return service.WithSessionTTL(d) }
 // WithMaxSessions caps concurrently live sessions (default 0: unlimited).
 func WithMaxSessions(n int) Option { return service.WithMaxSessions(n) }
 
-// FilterMode selects a session's verify-prefilter arm (see
-// Session.SetFilterChooser): FilterAuto (default) picks per action between
-// the bare index probe, Grafil-style feature-count filtering, and signature
-// pruning from a small cost model; the other modes pin one arm. Every arm is
-// a sound superset filter, so verified answers are identical.
-type FilterMode = core.FilterMode
-
-// Verify-prefilter modes.
-const (
-	FilterAuto      = core.FilterAuto
-	FilterProbe     = core.FilterProbe
-	FilterGrafil    = core.FilterGrafil
-	FilterSignature = core.FilterSignature
-)
-
-// FilterDecision is one chooser outcome: the arm picked, the candidate
-// counts before/after pruning, and the cost-model rationale.
+// FilterDecision is one verify-prefilter outcome: whether the candidate
+// list was count-filtered or went to VF2 as probed, the candidate counts
+// before and after, and the reason.
 type FilterDecision = core.FilterDecision
 
 // ---- Caching options ------------------------------------------------------

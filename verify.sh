@@ -23,7 +23,7 @@ go test -race ./internal/service/ ./internal/core/ ./internal/candcache/ ./inter
 go test -race -run 'TestMutationStressUnderRace|TestMutationChaos' ./internal/store/ ./internal/chaostest/
 # Allocation budgets on the hot paths (the pool hand-off, pooled VF2,
 # canonical codes, step connectivity, SPIG scratch, bitset intersection,
-# prefilter signatures, the similarity step, the sharded probe, the wire
+# the prefilter count check, the similarity step, the sharded probe, the wire
 # codec) — must run WITHOUT -race: the detector's shadow allocations would
 # trip the pinned budgets, so these tests self-skip there.
 go test -run 'AllocBudget' ./internal/workpool/ ./internal/graph/ ./internal/query/ ./internal/spig/ ./internal/intset/ ./internal/prefilter/ ./internal/core/ ./internal/rpcstore/
