@@ -195,9 +195,9 @@ func (e *Engine) levelFragments(i int) []*graph.Graph {
 	return frags
 }
 
-// containsAnyGated is simverify.ContainsAny with the per-fragment level gate
-// from countFilter: when gate is non-nil, fragment j is only VF2-checked
-// against graphs whose feature counts can contain it. The gate is read-only once
+// containsAnyGated is simverify.ContainsAny with the per-fragment gate from
+// countFilter: when gate is non-nil, fragment j is only VF2-checked against
+// graphs whose feature counts can contain it. The gate is read-only once
 // built, so concurrent verify workers share it.
 func (e *Engine) containsAnyGated(frags []*graph.Graph, gate *countGate, id int) bool {
 	g := e.snap.Graph(id)
