@@ -21,8 +21,8 @@ var update = flag.Bool("update", false, "rewrite the golden files")
 // phases, which counters, which columns) is deterministic for a fixed
 // workload; the measured durations are not. Strip them before comparing.
 var (
-	durRe     = regexp.MustCompile(`\b\d+(\.\d+)?(ns|µs|us|ms|h)\b|\b\d+(\.\d+)?m?s\b`)
-	floatRe   = regexp.MustCompile(`\b\d+\.\d+\b`)
+	durRe   = regexp.MustCompile(`\b\d+(\.\d+)?(ns|µs|us|ms|h)\b|\b\d+(\.\d+)?m?s\b`)
+	floatRe = regexp.MustCompile(`\b\d+\.\d+\b`)
 	// A histogram whose samples all read zero prints its timings as a bare
 	// 0, which floatRe leaves alone; the field names say they are timings.
 	msFieldRe = regexp.MustCompile(`("(?:sum|mean|max|p\d+)_ms": )[-+.eE0-9]+`)

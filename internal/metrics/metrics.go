@@ -1,8 +1,12 @@
 // Package metrics provides the observability layer for a PRAGUE service:
-// lock-free atomic counters and exponential-bucket latency histograms,
-// collected in a Registry whose Snapshot is JSON-marshalable. The layer is
+// lock-free atomic counters and 1-2-5 bucket latency histograms, collected
+// in a Registry whose Snapshot is JSON-marshalable. The layer is
 // deliberately dependency-free (no Prometheus client in the container); the
 // snapshot shape is close enough that an exporter is a thin adapter.
+//
+// Every instrument is cumulative. A histogram's Counts taken a window apart
+// subtract to the window's own distribution, which is how prague/internal/slo
+// keeps its rolling windows without a second set of buckets.
 //
 // Metric names used across the system are declared here so that the service,
 // the session simulator, and the command-line tools agree on them.
@@ -12,7 +16,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -51,6 +54,7 @@ const (
 	// The degrade_stage_* family is a histogram-by-counter over the ladder's
 	// discrete stages: one counter per stage, incremented per Run.
 	CounterOverloadShed     = "overload_shed_total"      // actions rejected by admission control
+	CounterAdmitted         = "overload_admitted_total"  // actions admitted past admission control
 	CounterWorkerPanics     = "worker_panics_total"      // predicate panics recovered by the pool
 	CounterRunsTruncated    = "runs_truncated_total"     // Run outcomes flagged Truncated
 	CounterDegradeFull      = "degrade_stage_full"       // Runs answered exactly, inside budget
@@ -104,6 +108,14 @@ const (
 	HistModification = "modification" // query-modification handling time
 	HistMutation     = "mutation"     // store mutation latency (insert or delete)
 
+	// Per-stage SRT: each Run's SRT is also observed into the histogram of
+	// its degradation-ladder outcome, so "p99 of the degraded answers" reads
+	// apart from "p99 of the exact answers".
+	HistSRTExact      = "srt_stage_exact"      // full exact containment answer
+	HistSRTTruncated  = "srt_stage_truncated"  // verified-subset (partial/truncated) answer
+	HistSRTSimilarity = "srt_stage_similarity" // similarity-bound fallback answer
+	HistSRTCached     = "srt_stage_cached"     // last-known-good cached answer
+
 	// HistPhasePrefix prefixes the per-phase histograms fed by trace spans:
 	// one histogram per span kind (phase_spig_build, phase_verify_batch, ...)
 	// with no bookkeeping besides the spans themselves.
@@ -129,25 +141,30 @@ func (c *Counter) Set(v int64) { c.v.Store(v) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// histogram buckets: decades from 1µs to 10s, plus an overflow bucket.
-// bucketBounds[i] is the inclusive upper bound of bucket i.
-const numBounds = 8
-
-var bucketBounds = [numBounds]time.Duration{
-	time.Microsecond,
-	10 * time.Microsecond,
-	100 * time.Microsecond,
-	time.Millisecond,
-	10 * time.Millisecond,
-	100 * time.Millisecond,
-	time.Second,
+// Histogram buckets: 1-2-5 per decade from 1µs to 10s, plus an overflow
+// bucket. bucketBounds[i] is the inclusive upper bound of bucket i. A
+// windowed p99 is compared against a target, so a containing bucket may be
+// at most 2.5x wide.
+var bucketBounds = [...]time.Duration{
+	time.Microsecond, 2 * time.Microsecond, 5 * time.Microsecond,
+	10 * time.Microsecond, 20 * time.Microsecond, 50 * time.Microsecond,
+	100 * time.Microsecond, 200 * time.Microsecond, 500 * time.Microsecond,
+	time.Millisecond, 2 * time.Millisecond, 5 * time.Millisecond,
+	10 * time.Millisecond, 20 * time.Millisecond, 50 * time.Millisecond,
+	100 * time.Millisecond, 200 * time.Millisecond, 500 * time.Millisecond,
+	time.Second, 2 * time.Second, 5 * time.Second,
 	10 * time.Second,
 }
+
+const (
+	numBounds  = len(bucketBounds)
+	numBuckets = numBounds + 1 // the overflow bucket last
+)
 
 // Histogram is a fixed-bucket latency histogram with atomic updates. The
 // zero value is ready to use.
 type Histogram struct {
-	buckets [numBounds + 1]atomic.Int64
+	buckets [numBuckets]atomic.Int64
 	count   atomic.Int64
 	sumNS   atomic.Int64
 	maxNS   atomic.Int64
@@ -173,6 +190,94 @@ func (h *Histogram) Observe(d time.Duration) {
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
+// Counts is a histogram's cumulative state at one instant: the bucket
+// vector, the duration sum and the maximum.
+type Counts struct {
+	Buckets [numBuckets]int64
+	SumNS   int64
+	MaxNS   int64
+}
+
+// Counts loads the cumulative state. Each field is loaded atomically; the
+// observation count is the bucket sum (N), not the separate count field:
+// Observe updates buckets before count, so a count loaded independently
+// could exceed the bucket sum captured here and push a quantile rank past
+// the captured distribution. Deriving it keeps each Counts internally
+// consistent while concurrent Observes land between the loads.
+func (h *Histogram) Counts() Counts {
+	var c Counts
+	for i := range c.Buckets {
+		c.Buckets[i] = h.buckets[i].Load()
+	}
+	c.SumNS = h.sumNS.Load()
+	c.MaxNS = h.maxNS.Load()
+	return c
+}
+
+// N returns the number of observations.
+func (c Counts) N() int64 {
+	var n int64
+	for _, b := range c.Buckets {
+		n += b
+	}
+	return n
+}
+
+// Sub returns what was observed between old and c: the bucket and sum
+// deltas. A maximum cannot be subtracted, so the result's MaxNS is c's
+// maximum capped at the upper bound of the highest non-empty delta bucket —
+// within one bucket of the true maximum in between, and 0 when nothing was
+// observed.
+func (c Counts) Sub(old Counts) Counts {
+	d := Counts{SumNS: c.SumNS - old.SumNS}
+	top := -1
+	for i := range c.Buckets {
+		if d.Buckets[i] = c.Buckets[i] - old.Buckets[i]; d.Buckets[i] > 0 {
+			top = i
+		}
+	}
+	switch {
+	case top < 0:
+	case top < numBounds:
+		d.MaxNS = min(c.MaxNS, int64(bucketBounds[top]))
+	default:
+		d.MaxNS = c.MaxNS
+	}
+	return d
+}
+
+// Quantile estimates the q-quantile by linear interpolation within the
+// containing bucket (the usual Prometheus histogram_quantile estimate),
+// clamped to the maximum: interpolation can overshoot it when the tail
+// bucket is sparse. Zero with no observations.
+func (c Counts) Quantile(q float64) time.Duration {
+	n := c.N()
+	if n == 0 {
+		return 0
+	}
+	rank := q * float64(n)
+	var seen int64
+	for i, b := range c.Buckets {
+		if b == 0 {
+			continue
+		}
+		if float64(seen+b) >= rank {
+			lo := time.Duration(0)
+			if i > 0 {
+				lo = bucketBounds[i-1]
+			}
+			hi := lo * 10
+			if i < numBounds {
+				hi = bucketBounds[i]
+			}
+			frac := min(max((rank-float64(seen))/float64(b), 0), 1)
+			return min(lo+time.Duration(float64(hi-lo)*frac), time.Duration(c.MaxNS))
+		}
+		seen += b
+	}
+	return time.Duration(c.MaxNS)
+}
+
 // HistogramSnapshot is the JSON form of a histogram at a point in time.
 type HistogramSnapshot struct {
 	Count   int64            `json:"count"`
@@ -191,72 +296,28 @@ func bucketLabel(i int) string {
 	return bucketBounds[i].String()
 }
 
+func ms(d time.Duration) float64 { return float64(d) / 1e6 }
+
 func (h *Histogram) snapshot() HistogramSnapshot {
-	// Every field is loaded atomically, and the observation count used for
-	// quantile estimation is derived from the bucket loads themselves rather
-	// than the separate count field: Observe updates buckets before count,
-	// so a count loaded independently could exceed the bucket sum captured
-	// here and push the quantile rank past the captured distribution. The
-	// derived n keeps each snapshot internally consistent even while
-	// concurrent Observes land between the loads.
-	var counts [numBounds + 1]int64
-	var n int64
-	for i := range counts {
-		counts[i] = h.buckets[i].Load()
-		n += counts[i]
-	}
+	c := h.Counts()
 	s := HistogramSnapshot{
-		Count: n,
-		SumMS: float64(h.sumNS.Load()) / 1e6,
-		MaxMS: float64(h.maxNS.Load()) / 1e6,
+		Count: c.N(),
+		SumMS: ms(time.Duration(c.SumNS)),
+		MaxMS: ms(time.Duration(c.MaxNS)),
 	}
-	if n == 0 {
+	if s.Count == 0 {
 		return s
 	}
-	s.MeanMS = s.SumMS / float64(n)
-	s.P50MS = quantile(counts[:], n, 0.50)
-	s.P95MS = quantile(counts[:], n, 0.95)
+	s.MeanMS = s.SumMS / float64(s.Count)
+	s.P50MS = ms(c.Quantile(0.50))
+	s.P95MS = ms(c.Quantile(0.95))
 	s.Buckets = map[string]int64{}
-	for i, c := range counts {
-		if c > 0 {
-			s.Buckets[bucketLabel(i)] = c
+	for i, n := range c.Buckets {
+		if n > 0 {
+			s.Buckets[bucketLabel(i)] = n
 		}
 	}
 	return s
-}
-
-// quantile returns the q-quantile in milliseconds, estimated by linear
-// interpolation within the containing bucket (the usual Prometheus
-// histogram_quantile estimate).
-func quantile(counts []int64, total int64, q float64) float64 {
-	rank := q * float64(total)
-	var seen int64
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		if float64(seen+c) >= rank {
-			lo := 0.0
-			if i > 0 {
-				lo = float64(bucketBounds[i-1]) / 1e6
-			}
-			hi := lo * 10
-			if i < numBounds {
-				hi = float64(bucketBounds[i]) / 1e6
-			} else if hi == 0 {
-				hi = math.Inf(1)
-			}
-			frac := (rank - float64(seen)) / float64(c)
-			if frac < 0 {
-				frac = 0
-			} else if frac > 1 {
-				frac = 1
-			}
-			return lo + (hi-lo)*frac
-		}
-		seen += c
-	}
-	return float64(bucketBounds[numBounds-1]) / 1e6
 }
 
 // Registry is a named collection of counters and histograms. Get-or-create

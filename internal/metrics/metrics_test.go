@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"prague/internal/raceflag"
 )
 
 func TestCounterConcurrent(t *testing.T) {
@@ -41,7 +43,7 @@ func TestCounterConcurrent(t *testing.T) {
 func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	var h Histogram
 	// 90 fast observations, 10 slow ones: p50 must land in the fast
-	// decade, p95 in the slow one.
+	// bucket, p95 in the slow one.
 	for i := 0; i < 90; i++ {
 		h.Observe(5 * time.Microsecond)
 	}
@@ -55,14 +57,60 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	if s.MaxMS != 50 {
 		t.Fatalf("max = %vms, want 50ms", s.MaxMS)
 	}
-	if s.P50MS > 0.01 {
-		t.Fatalf("p50 = %vms, want within the 10µs bucket", s.P50MS)
+	if s.P50MS < 0.002 || s.P50MS > 0.005 {
+		t.Fatalf("p50 = %vms, want within the (2µs, 5µs] bucket", s.P50MS)
 	}
-	if s.P95MS < 10 || s.P95MS > 100 {
-		t.Fatalf("p95 = %vms, want within the 100ms bucket", s.P95MS)
+	if s.P95MS < 20 || s.P95MS > 50 {
+		t.Fatalf("p95 = %vms, want within the (20ms, 50ms] bucket", s.P95MS)
 	}
-	if s.Buckets["10µs"] != 90 || s.Buckets["100ms"] != 10 {
+	if s.Buckets["5µs"] != 90 || s.Buckets["50ms"] != 10 {
 		t.Fatalf("bucket counts = %v", s.Buckets)
+	}
+}
+
+// TestHistogramObserveAllocBudget pins Observe, the one histogram every
+// step and Run reports into, at zero allocations.
+func TestHistogramObserveAllocBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation budgets are not meaningful under -race")
+	}
+	var h Histogram
+	d := time.Duration(0)
+	if n := testing.AllocsPerRun(1000, func() {
+		d = (d*7 + 13*time.Microsecond) % (20 * time.Second)
+		h.Observe(d)
+	}); n != 0 {
+		t.Errorf("Observe allocates %.1f/op, budget 0", n)
+	}
+}
+
+// TestCountsSubWindows checks that Counts taken apart subtract to what was
+// observed in between: exact bucket counts and sum, a maximum within the
+// top bucket, and quantiles from the delta alone.
+func TestCountsSubWindows(t *testing.T) {
+	var h Histogram
+	for i := 0; i < 100; i++ {
+		h.Observe(3 * time.Second) // before the window
+	}
+	old := h.Counts()
+	for i := 0; i < 99; i++ {
+		h.Observe(300 * time.Microsecond)
+	}
+	h.Observe(1500 * time.Microsecond)
+	w := h.Counts().Sub(old)
+	if w.N() != 100 || w.SumNS != int64(99*300*time.Microsecond+1500*time.Microsecond) {
+		t.Fatalf("window n=%d sum=%d, want 100 observations of the window only", w.N(), w.SumNS)
+	}
+	// The all-time max (3s) lies outside the window: the window's max is
+	// capped at its top bucket's bound, (1ms, 2ms].
+	if w.MaxNS != int64(2*time.Millisecond) {
+		t.Fatalf("window max = %v, want 2ms", time.Duration(w.MaxNS))
+	}
+	if p50 := w.Quantile(0.5); p50 <= 200*time.Microsecond || p50 > 500*time.Microsecond {
+		t.Fatalf("window p50 = %v, want within (200µs, 500µs]", p50)
+	}
+	if empty := h.Counts().Sub(h.Counts()); empty.N() != 0 || empty.MaxNS != 0 || empty.Quantile(0.99) != 0 {
+		t.Fatalf("empty window = %+v", empty)
 	}
 }
 

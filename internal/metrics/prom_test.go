@@ -21,15 +21,29 @@ func TestPromNameSanitize(t *testing.T) {
 	}
 }
 
+// TestPromBucketBound parses every bucket label a histogram can emit: each
+// must come back as a finite bound in seconds, strictly ascending, ending in
+// +inf, so the le series stay parseable and ordered.
 func TestPromBucketBound(t *testing.T) {
-	if v, err := promBucketBound("+inf"); err != nil || !math.IsInf(v, 1) {
-		t.Fatalf("+inf bound = %v, %v", v, err)
+	prev := 0.0
+	for i := 0; i < numBuckets; i++ {
+		label := bucketLabel(i)
+		v, err := promBucketBound(label)
+		if err != nil {
+			t.Fatalf("bucket %d label %q: %v", i, label, err)
+		}
+		if v <= prev {
+			t.Fatalf("bucket %d label %q = %vs, not above %vs", i, label, v, prev)
+		}
+		prev = v
 	}
-	if v, err := promBucketBound("100µs"); err != nil || v != 0.0001 {
-		t.Fatalf("100µs bound = %v, %v", v, err)
+	if !math.IsInf(prev, 1) {
+		t.Fatalf("last bucket bound = %v, want +inf", prev)
 	}
-	if v, err := promBucketBound("10s"); err != nil || v != 10 {
-		t.Fatalf("10s bound = %v, %v", v, err)
+	for label, want := range map[string]float64{"2µs": 0.000002, "100µs": 0.0001, "5s": 5, "10s": 10} {
+		if v, err := promBucketBound(label); err != nil || v != want {
+			t.Fatalf("%s bound = %v, %v; want %v", label, v, err, want)
+		}
 	}
 	if _, err := promBucketBound("nonsense"); err == nil {
 		t.Fatal("garbage label parsed")
@@ -41,9 +55,9 @@ func TestWritePrometheusExposition(t *testing.T) {
 	reg.Counter("actions_total").Add(7)
 	reg.Counter("sessions_active").Add(3)
 	h := reg.Histogram("action")
-	h.Observe(50 * time.Microsecond) // 100µs bucket
+	h.Observe(50 * time.Microsecond) // 50µs bucket
 	h.Observe(50 * time.Microsecond)
-	h.Observe(5 * time.Millisecond) // 10ms bucket
+	h.Observe(5 * time.Millisecond) // 5ms bucket
 	h.Observe(time.Minute)          // overflow (+inf) bucket
 
 	var b strings.Builder
@@ -57,8 +71,8 @@ func TestWritePrometheusExposition(t *testing.T) {
 		"# TYPE prague_sessions_active gauge\nprague_sessions_active 3\n",
 		"# TYPE prague_action_seconds histogram\n",
 		// Buckets must be cumulative in le order and expressed in seconds.
-		`prague_action_seconds_bucket{le="0.0001"} 2`,
-		`prague_action_seconds_bucket{le="0.01"} 3`,
+		`prague_action_seconds_bucket{le="5e-05"} 2`,
+		`prague_action_seconds_bucket{le="0.005"} 3`,
 		`prague_action_seconds_bucket{le="+Inf"} 4`,
 		"prague_action_seconds_count 4\n",
 	} {

@@ -87,12 +87,13 @@ func TestMetricsContentNegotiation(t *testing.T) {
 
 func TestSLOEndpoint(t *testing.T) {
 	fc := clock.NewFake(time.Unix(1700000000, 0))
-	col := slo.NewCollector(fc, time.Second)
-	tk := slo.NewTracker(col, slo.Targets{P99SRT: 100 * time.Millisecond}, nil, nil)
-	col.ObservePhase(slo.PhaseSRT, 3*time.Millisecond)
-	col.AddRate(slo.RateAdmitted, 1)
+	reg := metrics.NewRegistry()
+	tk := slo.NewTracker(reg, time.Second, slo.Targets{P99SRT: 100 * time.Millisecond}, nil)
+	tk.Tick(fc.Now())
+	reg.Histogram(metrics.HistSRT).Observe(3 * time.Millisecond)
+	reg.Counter(metrics.CounterAdmitted).Inc()
 
-	s, err := New("127.0.0.1:0", metrics.NewRegistry(), nil, nil,
+	s, err := New("127.0.0.1:0", reg, nil, nil,
 		func() slo.Report { return tk.Report(fc.Now()) })
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +111,7 @@ func TestSLOEndpoint(t *testing.T) {
 	if !rep.Enabled {
 		t.Fatalf("/slo report disabled: %s", body)
 	}
-	if d := rep.Phases[slo.PhaseSRT.String()]; d.Count != 1 {
+	if d := rep.SRT(); d.Count != 1 {
 		t.Fatalf("/slo srt window = %+v", d)
 	}
 	if rep.P99TargetUS != 100_000 {

@@ -12,7 +12,6 @@ import (
 
 	"prague/internal/graph"
 	"prague/internal/metrics"
-	"prague/internal/slo"
 )
 
 // admitGlobal reserves service-wide in-flight capacity for one action (an
@@ -24,11 +23,11 @@ func (s *Service) admitGlobal() (release func(), err error) {
 	n := s.inflightN.Add(1)
 	if s.inflightLimit > 0 && n > s.inflightLimit {
 		s.inflightN.Add(-1)
-		s.shed("global")
+		s.shed()
 		return nil, fmt.Errorf("service: %w",
 			&OverloadError{Scope: "global", RetryAfter: s.retryAfterHint()})
 	}
-	s.col.AddRate(slo.RateAdmitted, 1)
+	s.inst.admitted.Inc()
 	return func() { s.inflightN.Add(-1) }, nil
 }
 

@@ -15,7 +15,6 @@ import (
 
 	"prague/internal/faultinject"
 	"prague/internal/metrics"
-	"prague/internal/slo"
 )
 
 // ErrOverloaded is the sentinel all admission rejections wrap; callers test
@@ -50,11 +49,7 @@ func (s *Service) retryAfterHint() time.Duration {
 }
 
 // shed records one rejected action.
-func (s *Service) shed(scope string) {
-	s.reg.Counter(metrics.CounterOverloadShed).Inc()
-	s.col.AddRate(slo.RateShed, 1)
-	_ = scope
-}
+func (s *Service) shed() { s.reg.Counter(metrics.CounterOverloadShed).Inc() }
 
 // admit reserves per-session and global in-flight capacity for one
 // evaluating action, returning the paired release. Both checks are
@@ -65,7 +60,7 @@ func (ss *Session) admit() (release func(), err error) {
 	if q := s.opt.SessionQueue; q > 0 {
 		if int(ss.pending.Add(1)) > q {
 			ss.pending.Add(-1)
-			s.shed("session")
+			s.shed()
 			return nil, fmt.Errorf("service: session %s: %w",
 				ss.id, &OverloadError{Scope: "session", RetryAfter: s.retryAfterHint()})
 		}

@@ -80,8 +80,8 @@ type Options struct {
 	ActionDeadline time.Duration         // per-action budget; Run degrades, others cancel (0: none)
 	Injector       *faultinject.Injector // deterministic fault injection (nil: none)
 
-	// SLO telemetry (see prague/internal/slo). The windowed collector
-	// turns on when either is set.
+	// SLO telemetry (see prague/internal/slo). The rolling windows turn
+	// on when either is set.
 	SLO       slo.Targets   // declared SLO targets (zero: none declared)
 	SLOWindow time.Duration // rolling-window span (0: slo.DefaultWindow)
 
@@ -168,9 +168,12 @@ func WithFaultInjection(in *faultinject.Injector) Option { return func(o *Option
 
 // WithSLO declares the service-level objectives — a target p99 system
 // response time and a tolerated shed-rate fraction over the rolling window —
-// and turns on the windowed SLO telemetry (phase/stage histograms, rate
+// and turns on the windowed SLO telemetry (phase/stage windows, rate
 // windows, /slo endpoint, burn rates, violation spans in the trace journal).
 // Zero values declare no target on that axis but still enable the windows.
+// The windows read the service's metrics registry: two services recording
+// into the same registry (both on metrics.Default, say) share their /slo
+// windows, as they already share /metrics.
 func WithSLO(p99SRT time.Duration, maxShedRate float64) Option {
 	return func(o *Options) { o.SLO = slo.Targets{P99SRT: p99SRT, MaxShedRate: maxShedRate} }
 }
@@ -203,9 +206,8 @@ type Service struct {
 	inflightN     atomic.Int64
 	inflightLimit int64
 
-	// SLO telemetry (nil unless enabled via options).
-	col      *slo.Collector
-	slotrack *slo.Tracker
+	inst     instruments
+	slotrack *slo.Tracker // nil unless enabled via options
 
 	mu       sync.Mutex
 	sessions map[string]*Session
@@ -252,6 +254,7 @@ func NewFromStore(st store.Store, opts ...Option) (*Service, error) {
 		reg:      reg,
 		clk:      clk,
 		cache:    candcache.New(opt.CandCache, reg),
+		inst:     newInstruments(reg),
 		sessions: map[string]*Session{},
 	}
 	// A store that exports its own counters (the remote coordinator's
@@ -674,7 +677,7 @@ func (ss *Session) DeleteEdge(ctx context.Context, step int) (core.StepOutcome, 
 	if len(st) > 0 {
 		ss.svc.reg.Histogram(metrics.HistModification).Observe(st[len(st)-1])
 	}
-	ss.svc.reg.Counter(metrics.CounterStepsEvaluated).Inc()
+	ss.svc.inst.steps.Inc()
 	return out, nil
 }
 
@@ -740,10 +743,10 @@ func (ss *Session) RunDetailed(ctx context.Context) (core.RunOutcome, error) {
 		return out, err
 	}
 	srt := ss.eng.Stats().RunTime
-	ss.svc.reg.Counter(metrics.CounterRuns).Inc()
-	ss.svc.reg.Histogram(metrics.HistSRT).Observe(srt)
-	ss.svc.col.ObservePhase(slo.PhaseSRT, srt)
-	ss.svc.col.ObserveStage(stageOf(out), srt)
+	inst := &ss.svc.inst
+	inst.runs.Inc()
+	inst.srt.Observe(srt)
+	inst.stageSRT(out).Observe(srt)
 	return out, nil
 }
 
@@ -875,9 +878,8 @@ func (ss *Session) SpigDump() (string, error) {
 // observeStep records one formulation step's measurements. Caller holds
 // ss.mu.
 func (ss *Session) observeStep(out core.StepOutcome) {
-	reg := ss.svc.reg
-	reg.Counter(metrics.CounterStepsEvaluated).Inc()
-	reg.Histogram(metrics.HistSpigBuild).Observe(out.SpigTime)
-	reg.Histogram(metrics.HistStepEval).Observe(out.EvalTime)
-	ss.svc.col.ObservePhase(slo.PhaseSpigBuild, out.SpigTime)
+	inst := &ss.svc.inst
+	inst.steps.Inc()
+	inst.spigBuild.Observe(out.SpigTime)
+	inst.stepEval.Observe(out.EvalTime)
 }

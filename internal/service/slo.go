@@ -1,79 +1,89 @@
-// The service side of the SLO telemetry: construction of the rolling-window
-// collector and tracker, the trace→window bridge, the sampled sources, and
-// the tick loop that drives the tracker. Data flow:
+// The service side of the SLO telemetry: the serving-path instruments, the
+// tracker over the service's registry, its sampled sources, and the tick
+// loop that drives it. Data flow:
 //
-//	serving path ──observe──▶ slo.Collector (rolling windows)
-//	trace spans  ──bridge───▶ slo.Collector (trace-only phases)
-//	cumulative counters ──sample──▶ slo.Tracker (windowed deltas)
-//	                                  │ tick
-//	                                  ▼
-//	                             slo.Report ──▶ /slo, praguecli slo
+//	serving path ──observe──▶ metrics.Registry ◀──observe── trace spans (phase_*)
+//	                               │ sample every window/8
+//	                               ▼
+//	               slo.Tracker (window = now − sample a window ago)
+//	                               │
+//	                               ▼
+//	                          slo.Report ──▶ /slo, praguecli slo
 //
 // The telemetry observes and reports; it moves no runtime setting.
 
 package service
 
 import (
-	"time"
-
 	"prague/internal/clock"
 	"prague/internal/core"
+	"prague/internal/metrics"
 	"prague/internal/slo"
-	"prague/internal/trace"
 )
 
-// Tracker source names (see slo.Tracker.Add*Source).
-const (
-	srcCacheHits      = "candcache_hits"
-	srcCacheMisses    = "candcache_misses"
-	srcCacheEvictions = "candcache_evictions"
-	srcCacheBytes     = "candcache_bytes"
-	srcWorkerUtil     = "worker_util"
-)
+// srcWorkerUtil names the sampled worker-busyness source.
+const srcWorkerUtil = "worker_util"
+
+// instruments are the serving path's per-action metrics, resolved from the
+// registry once at construction: each step and Run makes one observation
+// per measurement and looks nothing up by name.
+type instruments struct {
+	steps, runs, admitted                            *metrics.Counter
+	spigBuild, stepEval, srt                         *metrics.Histogram
+	srtExact, srtTruncated, srtSimilarity, srtCached *metrics.Histogram
+}
+
+func newInstruments(reg *metrics.Registry) instruments {
+	return instruments{
+		steps:         reg.Counter(metrics.CounterStepsEvaluated),
+		runs:          reg.Counter(metrics.CounterRuns),
+		admitted:      reg.Counter(metrics.CounterAdmitted),
+		spigBuild:     reg.Histogram(metrics.HistSpigBuild),
+		stepEval:      reg.Histogram(metrics.HistStepEval),
+		srt:           reg.Histogram(metrics.HistSRT),
+		srtExact:      reg.Histogram(metrics.HistSRTExact),
+		srtTruncated:  reg.Histogram(metrics.HistSRTTruncated),
+		srtSimilarity: reg.Histogram(metrics.HistSRTSimilarity),
+		srtCached:     reg.Histogram(metrics.HistSRTCached),
+	}
+}
+
+// stageSRT returns the SRT histogram of a Run's ladder outcome.
+func (in *instruments) stageSRT(out core.RunOutcome) *metrics.Histogram {
+	switch {
+	case out.Stage == core.StageSimilarity:
+		return in.srtSimilarity
+	case out.Stage == core.StageCachedGood:
+		return in.srtCached
+	case out.Stage == core.StagePartial || out.Truncated:
+		return in.srtTruncated
+	}
+	return in.srtExact
+}
 
 // sloEnabled reports whether any option turned the SLO telemetry on.
 func (o *Options) sloEnabled() bool {
 	return o.SLO != (slo.Targets{}) || o.SLOWindow > 0
 }
 
-// initSLO builds the collector, tracker, and sources, wires the
-// trace-span bridge, and starts the tick loop. Called once from
-// NewFromStore, before the ops server (which serves SLOReport) binds.
+// initSLO builds the tracker and its sources, takes the baseline sample,
+// and starts the tick loop. Called once from NewFromStore, before the ops
+// server (which serves SLOReport) binds.
 func (s *Service) initSLO() {
 	if !s.opt.sloEnabled() {
 		return
 	}
-	s.col = slo.NewCollector(s.clk, s.opt.SLOWindow)
-	s.slotrack = slo.NewTracker(s.col, s.opt.SLO, s.tracer, s.reg)
+	s.slotrack = slo.NewTracker(s.reg, s.opt.SLOWindow, s.opt.SLO, s.tracer)
 
-	// Bridge: phases only the tracer times (index probes, cache fetches,
-	// verification fan-outs) flow into the windows as their span trees
-	// finalize. They populate only while tracing is enabled — the windows
-	// for SPIG build and total SRT are fed directly by the serving path and
-	// are always live.
-	if s.tracer != nil {
-		col := s.col
-		s.tracer.SetSpanObserver(func(kind string, d time.Duration) {
-			switch kind {
-			case trace.KindIndexProbe.String():
-				col.ObservePhase(slo.PhaseIndexProbe, d)
-			case trace.KindCandFetch.String():
-				col.ObservePhase(slo.PhaseCandCache, d)
-			case trace.KindVerifyBatch.String():
-				col.ObservePhase(slo.PhaseVerify, d)
-			}
-		})
-	}
-
-	// Sampled sources: cumulative cache counters (differentiated into
-	// windowed deltas by the tracker) and instantaneous worker busyness
+	// Sampled sources: the cumulative cache counters (differentiated into
+	// windowed deltas) and instantaneous cache bytes and worker busyness
 	// (averaged over the window's ticks).
 	if s.cache != nil {
-		cache := s.cache
-		s.slotrack.AddCounterSource(srcCacheHits, func() int64 { return cache.Stats().Hits })
-		s.slotrack.AddCounterSource(srcCacheMisses, func() int64 { return cache.Stats().Misses })
-		s.slotrack.AddCounterSource(srcCacheEvictions, func() int64 { return cache.Stats().Evictions })
-		s.slotrack.AddGaugeSource(srcCacheBytes, func() float64 { return float64(cache.SizeBytes()) })
+		for _, name := range []string{metrics.CounterCandHits, metrics.CounterCandMisses, metrics.CounterCandEvictions} {
+			s.slotrack.AddCounterSource(name, s.reg.Counter(name).Value)
+		}
+		bytes := s.reg.Counter(metrics.CounterCandBytes)
+		s.slotrack.AddGaugeSource(metrics.CounterCandBytes, func() float64 { return float64(bytes.Value()) })
 	}
 	pool := s.pool
 	s.slotrack.AddGaugeSource(srcWorkerUtil, func() float64 {
@@ -82,14 +92,14 @@ func (s *Service) initSLO() {
 		}
 		return 0
 	})
+	s.sloTick() // the baseline: what the registry held before is outside every window
 
-	interval := max(s.col.Window()/8, 10*time.Millisecond)
 	s.stopSLO = make(chan struct{})
 	s.sloDone = make(chan struct{})
 	// Ticker created here, not in the goroutine, so a test clock advanced
 	// right after construction is guaranteed to reach it (same rule as the
 	// janitor).
-	go s.sloLoop(s.clk.NewTicker(interval))
+	go s.sloLoop(s.clk.NewTicker(s.slotrack.TickInterval()))
 }
 
 func (s *Service) sloLoop(t clock.Ticker) {
@@ -121,20 +131,3 @@ func (s *Service) SLOReport() slo.Report {
 
 // SLOTargets returns the declared targets (zero when none were declared).
 func (s *Service) SLOTargets() slo.Targets { return s.slotrack.Targets() }
-
-// stageOf maps a ladder outcome to its SLO stage window.
-func stageOf(out core.RunOutcome) slo.Stage {
-	switch out.Stage {
-	case core.StageSimilarity:
-		return slo.StageSimilarity
-	case core.StageCachedGood:
-		return slo.StageCached
-	case core.StagePartial:
-		return slo.StageTruncated
-	default:
-		if out.Truncated {
-			return slo.StageTruncated
-		}
-		return slo.StageExact
-	}
-}

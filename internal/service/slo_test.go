@@ -15,7 +15,6 @@ import (
 
 	"prague/internal/clock"
 	"prague/internal/metrics"
-	"prague/internal/slo"
 	"prague/internal/store"
 	"prague/internal/trace"
 )
@@ -43,14 +42,15 @@ func newSLOFixture(t *testing.T) (*Service, *clock.Fake) {
 	return svc, fake
 }
 
-// feed injects one synthetic telemetry round: n SRT observations of dur plus
-// admitted/shed rate events.
+// feed injects one synthetic telemetry round into the instruments the
+// serving path reports into: n SRT observations of dur plus admitted/shed
+// events.
 func feed(svc *Service, n int, dur time.Duration, admitted, shed int64) {
 	for i := 0; i < n; i++ {
-		svc.col.ObservePhase(slo.PhaseSRT, dur)
+		svc.inst.srt.Observe(dur)
 	}
-	svc.col.AddRate(slo.RateAdmitted, admitted)
-	svc.col.AddRate(slo.RateShed, shed)
+	svc.inst.admitted.Add(admitted)
+	svc.reg.Counter(metrics.CounterOverloadShed).Add(shed)
 }
 
 // TestSLOReportWindowsAndRates checks that what the serving path feeds the
@@ -64,7 +64,7 @@ func TestSLOReportWindowsAndRates(t *testing.T) {
 	if !rep.Enabled {
 		t.Fatal("report disabled with SLO telemetry on")
 	}
-	if d := rep.Phases[slo.PhaseSRT.String()]; d.Count != 50 {
+	if d := rep.SRT(); d.Count != 50 {
 		t.Fatalf("report SRT window = %+v", d)
 	}
 	if rep.ShedRate != float64(25)/float64(75) {
@@ -85,7 +85,7 @@ func TestSLOReportDisabledByDefault(t *testing.T) {
 	if rep := svc.SLOReport(); rep.Enabled {
 		t.Fatalf("SLO report enabled without any SLO option: %+v", rep)
 	}
-	if svc.col != nil || svc.slotrack != nil {
+	if svc.slotrack != nil {
 		t.Fatal("SLO telemetry constructed without any SLO option")
 	}
 }

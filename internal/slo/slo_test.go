@@ -1,6 +1,9 @@
 package slo
 
 import (
+	"math"
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -14,119 +17,193 @@ func fakeClock() *clock.Fake {
 	return clock.NewFake(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
 }
 
-func TestCollectorWindowQuantiles(t *testing.T) {
+// bucketOf returns the index of the 1-2-5 bucket (1µs … 10s, then
+// overflow) holding d.
+func bucketOf(d time.Duration) int {
+	i := 0
+	for base := time.Microsecond; base <= time.Second; base *= 10 {
+		for _, m := range []time.Duration{1, 2, 5} {
+			if d <= base*m {
+				return i
+			}
+			i++
+		}
+	}
+	if d <= 10*time.Second {
+		return i
+	}
+	return i + 1
+}
+
+// TestTrackerWindowEquivalence feeds a seeded stream of durations and
+// admit/shed events through the registry, one round per tick, across 45
+// ticks: a slow phase, a fast phase and a full window of silence. After every tick the window
+// must hold exactly the rounds of the last window: the count, the mean and
+// the rates equal an exact reference, and p50/p95/p99/max fall within one
+// 1-2-5 bucket of the sorted durations observed inside the window.
+func TestTrackerWindowEquivalence(t *testing.T) {
 	fc := fakeClock()
-	c := NewCollector(fc, 800*time.Millisecond) // slotDur = 100ms
+	reg := metrics.NewRegistry()
+	tk := NewTracker(reg, 800*time.Millisecond, Targets{}, nil)
+	if tk.TickInterval() != 100*time.Millisecond {
+		t.Fatalf("tick interval = %v, want window/8", tk.TickInterval())
+	}
+	srt := reg.Histogram(metrics.HistSRT)
+	admitted, shed := reg.Counter(metrics.CounterAdmitted), reg.Counter(metrics.CounterOverloadShed)
+	tk.Tick(fc.Now()) // baseline
 
-	for i := 0; i < 95; i++ {
-		c.ObservePhase(PhaseSRT, time.Millisecond)
+	type round struct {
+		durs           []time.Duration
+		admitted, shed int64
 	}
-	for i := 0; i < 5; i++ {
-		c.ObservePhase(PhaseSRT, 600*time.Millisecond)
-	}
+	var rounds []round
+	r := rand.New(rand.NewSource(47))
+	for k := 1; k <= 45; k++ {
+		fc.Advance(tk.TickInterval())
+		// Log-uniform durations up to 5s, then up to 1ms only (the slow
+		// tail expires from the window while the registry's all-time max
+		// stays), then a full window of silence that expires everything.
+		var rd round
+		if k <= 36 {
+			top := 5e6
+			if k > 24 {
+				top = 1e3
+			}
+			for n := r.Intn(40); n > 0; n-- {
+				us := math.Exp(r.Float64() * math.Log(top))
+				rd.durs = append(rd.durs, time.Duration(us)*time.Microsecond)
+			}
+			rd.admitted, rd.shed = int64(r.Intn(10)), int64(r.Intn(3))
+		}
+		for _, d := range rd.durs {
+			srt.Observe(d)
+		}
+		admitted.Add(rd.admitted)
+		shed.Add(rd.shed)
+		rounds = append(rounds, rd)
+		rep := tk.Tick(fc.Now())
 
-	d := c.PhaseDist(PhaseSRT)
-	if d.Count != 100 {
-		t.Fatalf("count = %d, want 100", d.Count)
-	}
-	// p50 must sit in the 1ms bucket (bounds 500µs..1ms), p99 in the
-	// 500ms..1s bucket holding the five-sample tail.
-	if d.P50US < 500 || d.P50US > 1000 {
-		t.Fatalf("p50 = %dµs, want within (500µs, 1ms]", d.P50US)
-	}
-	if d.P99US < 500_000 || d.P99US > 1_000_000 {
-		t.Fatalf("p99 = %dµs, want within (500ms, 1s]", d.P99US)
-	}
-	if d.MaxUS != 600_000 {
-		t.Fatalf("max = %dµs, want 600ms", d.MaxUS)
+		// The window is the last eight rounds: the baseline is the sample
+		// of the tick a full window ago.
+		var ref []time.Duration
+		var wantAdm, wantShed int64
+		for _, prev := range rounds[max(0, len(rounds)-8):] {
+			ref = append(ref, prev.durs...)
+			wantAdm += prev.admitted
+			wantShed += prev.shed
+		}
+		got := rep.SRT()
+		if got.Count != int64(len(ref)) {
+			t.Fatalf("tick %d: count = %d, want %d", k, got.Count, len(ref))
+		}
+		if rep.Rates["admitted"].Count != wantAdm || rep.Rates["shed"].Count != wantShed {
+			t.Fatalf("tick %d: rates = %+v, want admitted %d shed %d", k, rep.Rates, wantAdm, wantShed)
+		}
+		if want := float64(wantAdm) / 0.8; rep.Rates["admitted"].PerSec != want {
+			t.Fatalf("tick %d: admitted/s = %v, want %v", k, rep.Rates["admitted"].PerSec, want)
+		}
+		if len(ref) == 0 {
+			if got != (Dist{}) {
+				t.Fatalf("tick %d: empty window = %+v", k, got)
+			}
+			continue
+		}
+		sort.Slice(ref, func(i, j int) bool { return ref[i] < ref[j] })
+		var sum time.Duration
+		for _, d := range ref {
+			sum += d
+		}
+		if want := int64(sum) / int64(len(ref)) / 1e3; got.MeanUS != want {
+			t.Fatalf("tick %d: mean = %dµs, want %dµs", k, got.MeanUS, want)
+		}
+		exact := func(q float64) time.Duration {
+			return ref[int(math.Ceil(q*float64(len(ref))))-1]
+		}
+		for _, c := range []struct {
+			name  string
+			gotUS int64
+			want  time.Duration
+		}{
+			{"p50", got.P50US, exact(0.50)},
+			{"p95", got.P95US, exact(0.95)},
+			{"p99", got.P99US, exact(0.99)},
+			{"max", got.MaxUS, ref[len(ref)-1]},
+		} {
+			est := time.Duration(c.gotUS) * time.Microsecond
+			if diff := bucketOf(est) - bucketOf(c.want); diff < -1 || diff > 1 {
+				t.Fatalf("tick %d: %s = %v, exact %v: more than one bucket apart", k, c.name, est, c.want)
+			}
+		}
 	}
 }
 
-func TestCollectorWindowExpiry(t *testing.T) {
+// TestTrackerConcurrent observes from many goroutines while the tracker
+// ticks and reports: with the clock frozen nothing leaves the window, so
+// nothing may be lost.
+func TestTrackerConcurrent(t *testing.T) {
 	fc := fakeClock()
-	c := NewCollector(fc, 800*time.Millisecond)
-
-	c.ObservePhase(PhaseSRT, time.Millisecond)
-	c.AddRate(RateShed, 3)
-	if got := c.PhaseDist(PhaseSRT).Count; got != 1 {
-		t.Fatalf("fresh count = %d", got)
-	}
-	if got := c.RateCount(RateShed); got != 3 {
-		t.Fatalf("fresh rate = %d", got)
-	}
-
-	// Half a window later both are still visible; a full window later the
-	// slots have aged out without any observer having to recycle them.
-	fc.Advance(400 * time.Millisecond)
-	if got := c.PhaseDist(PhaseSRT).Count; got != 1 {
-		t.Fatalf("half-window count = %d", got)
-	}
-	fc.Advance(500 * time.Millisecond)
-	if got := c.PhaseDist(PhaseSRT).Count; got != 0 {
-		t.Fatalf("expired count = %d", got)
-	}
-	if got := c.RateCount(RateShed); got != 0 {
-		t.Fatalf("expired rate = %d", got)
-	}
-
-	// Slot reuse: a new observation in the recycled ring slot replaces the
-	// stale counters rather than adding to them.
-	c.ObservePhase(PhaseSRT, 2*time.Millisecond)
-	d := c.PhaseDist(PhaseSRT)
-	if d.Count != 1 || d.MaxUS != 2000 {
-		t.Fatalf("recycled slot dist = %+v", d)
-	}
-}
-
-func TestCollectorDisabledAndNil(t *testing.T) {
-	var nilC *Collector
-	nilC.ObservePhase(PhaseSRT, time.Second) // must not panic
-	nilC.ObserveStage(StageExact, time.Second)
-	nilC.AddRate(RateShed, 1)
-	if nilC.Enabled() || nilC.Window() != 0 {
-		t.Fatal("nil collector must be disabled with zero window")
-	}
-	if d := nilC.PhaseDist(PhaseSRT); d.Count != 0 {
-		t.Fatalf("nil dist = %+v", d)
-	}
-}
-
-func TestCollectorConcurrent(t *testing.T) {
-	fc := fakeClock()
-	c := NewCollector(fc, time.Second)
-	var wg sync.WaitGroup
+	reg := metrics.NewRegistry()
+	tk := NewTracker(reg, time.Second, Targets{}, nil)
+	tk.Tick(fc.Now())
+	verify := reg.Histogram(metrics.HistPhasePrefix + trace.KindVerifyBatch.String())
+	admitted := reg.Counter(metrics.CounterAdmitted)
 	const goroutines, each = 8, 500
+	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				c.ObservePhase(PhaseVerify, time.Duration(i)*time.Microsecond)
-				c.AddRate(RateAdmitted, 1)
+				verify.Observe(time.Duration(i) * time.Microsecond)
+				admitted.Inc()
 			}
 		}()
 	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			tk.Tick(fc.Now())
+			tk.Report(fc.Now())
+		}
+	}()
 	wg.Wait()
-	// No slot rotation happened (fake clock frozen), so nothing may be lost.
-	if d := c.PhaseDist(PhaseVerify); d.Count != goroutines*each {
+	<-done
+	rep := tk.Report(fc.Now())
+	if d := rep.Phases["verify"]; d.Count != goroutines*each {
 		t.Fatalf("count = %d, want %d", d.Count, goroutines*each)
 	}
-	if n := c.RateCount(RateAdmitted); n != goroutines*each {
+	if n := rep.Rates["admitted"].Count; n != goroutines*each {
 		t.Fatalf("rate = %d, want %d", n, goroutines*each)
+	}
+}
+
+func TestTrackerNil(t *testing.T) {
+	var tk *Tracker
+	if r := tk.Tick(fakeClock().Now()); r.Enabled {
+		t.Fatalf("nil tracker tick = %+v", r)
+	}
+	if r := tk.Report(fakeClock().Now()); r.Enabled || r.SRT().Count != 0 {
+		t.Fatalf("nil tracker report = %+v", r)
+	}
+	if tk.Targets() != (Targets{}) {
+		t.Fatal("nil tracker declares targets")
 	}
 }
 
 func TestTrackerBurnAndViolation(t *testing.T) {
 	fc := fakeClock()
-	c := NewCollector(fc, 800*time.Millisecond)
 	reg := metrics.NewRegistry()
 	tr := trace.New(trace.Options{Enabled: true, Registry: reg})
-	tk := NewTracker(c, Targets{P99SRT: 10 * time.Millisecond, MaxShedRate: 0.5}, tr, reg)
+	tk := NewTracker(reg, 800*time.Millisecond, Targets{P99SRT: 10 * time.Millisecond, MaxShedRate: 0.5}, tr)
+	srt := reg.Histogram(metrics.HistSRT)
+	tk.Tick(fc.Now()) // baseline
 
+	fc.Advance(100 * time.Millisecond)
 	for i := 0; i < 50; i++ {
-		c.ObservePhase(PhaseSRT, time.Millisecond)
+		srt.Observe(time.Millisecond)
 	}
-	c.AddRate(RateAdmitted, 50)
+	reg.Counter(metrics.CounterAdmitted).Add(50)
 	r := tk.Tick(fc.Now())
 	if r.Violating || r.Violations != 0 {
 		t.Fatalf("in-SLO tick flagged violating: %+v", r)
@@ -138,7 +215,7 @@ func TestTrackerBurnAndViolation(t *testing.T) {
 	// Push p99 over target: every observation now takes 40ms > 10ms target.
 	fc.Advance(100 * time.Millisecond)
 	for i := 0; i < 100; i++ {
-		c.ObservePhase(PhaseSRT, 40*time.Millisecond)
+		srt.Observe(40 * time.Millisecond)
 	}
 	r = tk.Tick(fc.Now())
 	if !r.Violating || r.Violations != 1 {
@@ -155,7 +232,7 @@ func TestTrackerBurnAndViolation(t *testing.T) {
 	// accumulates violation time.
 	fc.Advance(100 * time.Millisecond)
 	for i := 0; i < 100; i++ {
-		c.ObservePhase(PhaseSRT, 40*time.Millisecond)
+		srt.Observe(40 * time.Millisecond)
 	}
 	r = tk.Tick(fc.Now())
 	if r.Violations != 1 {
@@ -190,11 +267,13 @@ func TestTrackerBurnAndViolation(t *testing.T) {
 
 func TestTrackerShedRateTarget(t *testing.T) {
 	fc := fakeClock()
-	c := NewCollector(fc, 800*time.Millisecond)
-	tk := NewTracker(c, Targets{MaxShedRate: 0.10}, nil, nil)
+	reg := metrics.NewRegistry()
+	tk := NewTracker(reg, 800*time.Millisecond, Targets{MaxShedRate: 0.10}, nil)
+	tk.Tick(fc.Now()) // baseline
 
-	c.AddRate(RateAdmitted, 80)
-	c.AddRate(RateShed, 20)
+	reg.Counter(metrics.CounterAdmitted).Add(80)
+	reg.Counter(metrics.CounterOverloadShed).Add(20)
+	fc.Advance(100 * time.Millisecond)
 	r := tk.Tick(fc.Now())
 	if r.ShedRate != 0.2 {
 		t.Fatalf("shed rate = %v, want 0.2", r.ShedRate)
@@ -206,8 +285,7 @@ func TestTrackerShedRateTarget(t *testing.T) {
 
 func TestTrackerSources(t *testing.T) {
 	fc := fakeClock()
-	c := NewCollector(fc, 800*time.Millisecond)
-	tk := NewTracker(c, Targets{}, nil, nil)
+	tk := NewTracker(metrics.NewRegistry(), 800*time.Millisecond, Targets{}, nil)
 
 	var cum int64
 	gaugeVal := 0.5

@@ -1,6 +1,6 @@
-// The SLO tracker: declared targets evaluated against the collector's
-// rolling windows on a periodic tick. Each tick samples the registered
-// cumulative sources (differentiating them into windowed deltas), computes
+// The SLO tracker: declared targets evaluated against rolling windows of the
+// metrics registry on a periodic tick. Each tick samples the registry's
+// phase, stage and rate instruments and the registered sources, computes
 // burn rates, and — while a target is violated — counts the violation and
 // records a violation span into the trace journal so "when and why were we
 // out of SLO" is answerable from the same surface as "why was that click
@@ -60,91 +60,95 @@ type Report struct {
 }
 
 // SRT returns the total-SRT phase distribution.
-func (r Report) SRT() Dist { return r.Phases[PhaseSRT.String()] }
+func (r Report) SRT() Dist { return r.Phases["srt"] }
 
-const maxSamples = 64 // per-source sample ring (ticks retained)
+// The registry instruments a report windows, under their report names.
+var (
+	phaseHists = [...][2]string{
+		{"spig_build", metrics.HistSpigBuild},
+		{"index_probe", metrics.HistPhasePrefix + trace.KindIndexProbe.String()},
+		{"candcache", metrics.HistPhasePrefix + trace.KindCandFetch.String()},
+		{"verify", metrics.HistPhasePrefix + trace.KindVerifyBatch.String()},
+		{"srt", metrics.HistSRT},
+	}
+	stageHists = [...][2]string{
+		{"exact", metrics.HistSRTExact},
+		{"truncated", metrics.HistSRTTruncated},
+		{"similarity", metrics.HistSRTSimilarity},
+		{"cached", metrics.HistSRTCached},
+	}
+	rateCounters = [...][2]string{
+		{"admitted", metrics.CounterAdmitted},
+		{"shed", metrics.CounterOverloadShed},
+	}
+)
 
-type sourceSample struct {
-	at  time.Time
-	val float64
+// ticksPerWindow is how many samples a window spans: a window's edge is one
+// tick (window/ticksPerWindow) fine.
+const ticksPerWindow = 8
+
+// sampler is any series: Tick samples them all.
+type sampler interface {
+	sample(now time.Time, window time.Duration)
 }
 
-type source struct {
-	name    string
-	counter func() int64   // cumulative; windowed delta reported
-	gauge   func() float64 // sampled; window mean reported
-	ring    []sourceSample // newest last, len ≤ maxSamples
-}
-
-// windowed reduces the ring against the window [now-window, now]: counter
-// sources report newest - oldest-in-window; gauge sources report the mean of
-// in-window samples.
-func (s *source) windowed(now time.Time, window time.Duration) (float64, bool) {
-	cut := now.Add(-window)
-	first := -1
-	for i := range s.ring {
-		if !s.ring[i].at.Before(cut) {
-			first = i
-			break
-		}
-	}
-	if first < 0 {
-		return 0, false
-	}
-	in := s.ring[first:]
-	if len(in) == 0 {
-		return 0, false
-	}
-	if s.counter != nil {
-		// Delta from just before the window when available, so a window
-		// fully covered by samples reports the true in-window delta.
-		base := in[0].val
-		if first > 0 {
-			base = s.ring[first-1].val
-		}
-		return in[len(in)-1].val - base, true
-	}
-	var sum float64
-	for _, smp := range in {
-		sum += smp.val
-	}
-	return sum / float64(len(in)), true
-}
-
-// Tracker evaluates Targets against a Collector. Tick and Report are safe
-// for concurrent use; AddCounterSource/AddGaugeSource must be called before
-// the first Tick (construction-time wiring, like workpool.Pool.OnBatch).
+// Tracker windows the registry and evaluates Targets against the windows.
+// Tick and Report are safe for concurrent use; AddCounterSource /
+// AddGaugeSource must be called before the first Tick (construction-time
+// wiring, like workpool.Pool.OnBatch). The first Tick is the baseline:
+// observations before it fall outside every window.
 type Tracker struct {
-	col     *Collector
+	window  time.Duration
 	targets Targets
-	tracer  *trace.Tracer     // violation spans; nil-safe
-	reg     *metrics.Registry // slo_* metrics; nil keeps the tracker standalone
+	tracer  *trace.Tracer // violation spans; nil-safe
 	violCtr *metrics.Counter
 
+	phases, stages []*series[metrics.Counts]
+	rates          []*series[int64]
+
 	mu          sync.Mutex
-	sources     []*source
+	all         []sampler
+	counters    []*series[int64]
+	gauges      []*series[float64]
 	violations  int64
 	violationNS int64 // cumulative nanoseconds spent violating
 	violSince   time.Time
 	lastTick    time.Time
 }
 
-// NewTracker wires a tracker over col. tracer and reg may be nil.
-func NewTracker(col *Collector, t Targets, tracer *trace.Tracer, reg *metrics.Registry) *Tracker {
-	counter := func(name string) *metrics.Counter {
-		if reg == nil {
-			return &metrics.Counter{}
-		}
-		return reg.Counter(name)
+// NewTracker windows reg's phase, stage and rate instruments over a rolling
+// window (≤ 0: DefaultWindow; at least 80ms, so a tick covers ≥ 10ms) and
+// evaluates t against them. tracer may be nil.
+func NewTracker(reg *metrics.Registry, window time.Duration, t Targets, tracer *trace.Tracer) *Tracker {
+	if window <= 0 {
+		window = DefaultWindow
 	}
-	return &Tracker{
-		col:     col,
+	tk := &Tracker{
+		window:  max(window, 80*time.Millisecond),
 		targets: t,
 		tracer:  tracer,
-		reg:     reg,
-		violCtr: counter(metrics.CounterSLOViolations),
+		violCtr: reg.Counter(metrics.CounterSLOViolations),
 	}
+	hists := func(names [][2]string) []*series[metrics.Counts] {
+		out := make([]*series[metrics.Counts], len(names))
+		for i, n := range names {
+			out[i] = &series[metrics.Counts]{name: n[0], read: reg.Histogram(n[1]).Counts}
+			tk.all = append(tk.all, out[i])
+		}
+		return out
+	}
+	tk.phases, tk.stages = hists(phaseHists[:]), hists(stageHists[:])
+	for _, n := range rateCounters {
+		s := &series[int64]{name: n[0], read: reg.Counter(n[1]).Value}
+		tk.rates = append(tk.rates, s)
+		tk.all = append(tk.all, s)
+	}
+	return tk
 }
+
+// TickInterval is the sampling period Tick expects: a window spans
+// ticksPerWindow of them.
+func (tk *Tracker) TickInterval() time.Duration { return tk.window / ticksPerWindow }
 
 // Targets returns the declared targets.
 func (tk *Tracker) Targets() Targets {
@@ -158,15 +162,17 @@ func (tk *Tracker) Targets() Targets {
 // report exposes its windowed delta under name.
 func (tk *Tracker) AddCounterSource(name string, fn func() int64) {
 	tk.mu.Lock()
-	tk.sources = append(tk.sources, &source{name: name, counter: fn})
+	s := &series[int64]{name: name, read: fn}
+	tk.counters, tk.all = append(tk.counters, s), append(tk.all, s)
 	tk.mu.Unlock()
 }
 
 // AddGaugeSource registers an instantaneous gauge to sample each tick; the
-// report exposes its window mean under name.
+// report exposes the mean of its in-window samples under name.
 func (tk *Tracker) AddGaugeSource(name string, fn func() float64) {
 	tk.mu.Lock()
-	tk.sources = append(tk.sources, &source{name: name, gauge: fn})
+	s := &series[float64]{name: name, read: fn}
+	tk.gauges, tk.all = append(tk.gauges, s), append(tk.all, s)
 	tk.mu.Unlock()
 }
 
@@ -180,17 +186,8 @@ func (tk *Tracker) Tick(now time.Time) Report {
 		return Report{}
 	}
 	tk.mu.Lock()
-	for _, s := range tk.sources {
-		var v float64
-		if s.counter != nil {
-			v = float64(s.counter())
-		} else {
-			v = s.gauge()
-		}
-		s.ring = append(s.ring, sourceSample{at: now, val: v})
-		if len(s.ring) > maxSamples {
-			s.ring = s.ring[len(s.ring)-maxSamples:]
-		}
+	for _, s := range tk.all {
+		s.sample(now, tk.window)
 	}
 	tk.mu.Unlock()
 
@@ -262,43 +259,39 @@ func (tk *Tracker) Report(now time.Time) Report {
 }
 
 func (tk *Tracker) buildReport(now time.Time) Report {
-	col := tk.col
 	r := Report{
-		Enabled:  col.Enabled(),
-		WindowMS: col.Window().Milliseconds(),
-		Phases:   make(map[string]Dist, int(numPhases)),
-		Stages:   make(map[string]Dist, int(numStages)),
-		Rates:    make(map[string]RateInfo, int(numRates)),
+		Enabled:  true,
+		WindowMS: tk.window.Milliseconds(),
+		Phases:   make(map[string]Dist, len(tk.phases)),
+		Stages:   make(map[string]Dist, len(tk.stages)),
+		Rates:    make(map[string]RateInfo, len(tk.rates)),
 		Sources:  map[string]float64{},
 	}
-	for p := Phase(0); p < numPhases; p++ {
-		r.Phases[p.String()] = col.PhaseDist(p)
-	}
-	for s := Stage(0); s < numStages; s++ {
-		r.Stages[s.String()] = col.StageDist(s)
-	}
-	winSec := col.Window().Seconds()
-	for rt := Rate(0); rt < numRates; rt++ {
-		n := col.RateCount(rt)
-		info := RateInfo{Count: n}
-		if winSec > 0 {
-			info.PerSec = float64(n) / winSec
-		}
-		r.Rates[rt.String()] = info
-	}
-	admitted := r.Rates[RateAdmitted.String()].Count
-	shed := r.Rates[RateShed.String()].Count
-	if total := admitted + shed; total > 0 {
-		r.ShedRate = float64(shed) / float64(total)
-	}
-
+	delta := func(s *series[int64]) int64 { return s.read() - s.base(now, tk.window) }
 	tk.mu.Lock()
-	for _, s := range tk.sources {
-		if v, ok := s.windowed(now, col.Window()); ok {
+	for _, s := range tk.phases {
+		r.Phases[s.name] = distOf(s.read().Sub(s.base(now, tk.window)))
+	}
+	for _, s := range tk.stages {
+		r.Stages[s.name] = distOf(s.read().Sub(s.base(now, tk.window)))
+	}
+	for _, s := range tk.rates {
+		n := delta(s)
+		r.Rates[s.name] = RateInfo{Count: n, PerSec: float64(n) / tk.window.Seconds()}
+	}
+	for _, s := range tk.counters {
+		r.Sources[s.name] = float64(delta(s))
+	}
+	for _, s := range tk.gauges {
+		if v, ok := windowMean(s, now, tk.window); ok {
 			r.Sources[s.name] = v
 		}
 	}
 	tk.mu.Unlock()
+	admitted, shed := r.Rates["admitted"].Count, r.Rates["shed"].Count
+	if total := admitted + shed; total > 0 {
+		r.ShedRate = float64(shed) / float64(total)
+	}
 
 	r.P99TargetUS = tk.targets.P99SRT.Microseconds()
 	r.MaxShedRate = tk.targets.MaxShedRate
@@ -312,4 +305,21 @@ func (tk *Tracker) buildReport(now time.Time) Report {
 	r.Violating = (r.P99TargetUS > 0 && srt.Count > 0 && srt.P99US > r.P99TargetUS) ||
 		(r.MaxShedRate > 0 && r.ShedRate > r.MaxShedRate)
 	return r
+}
+
+// windowMean averages a gauge's samples taken inside the window.
+func windowMean(s *series[float64], now time.Time, window time.Duration) (float64, bool) {
+	cut := now.Add(-window)
+	var sum float64
+	var n int
+	for _, smp := range s.ring {
+		if !smp.at.Before(cut) {
+			sum += smp.v
+			n++
+		}
+	}
+	if n == 0 {
+		return 0, false
+	}
+	return sum / float64(n), true
 }

@@ -523,6 +523,9 @@ type SLODist = slo.Dist
 // may be zero to declare no target on that axis). The tracker computes burn
 // rates every tick and records an slo_violation span into the slow-action
 // journal while out of objective. Implies the rolling-window telemetry.
+// The windows read the service's metrics registry: two services recording
+// into the same registry (both on the default one, say) share their /slo
+// windows, as they already share /metrics.
 func WithSLO(p99SRT time.Duration, maxShedRate float64) Option {
 	return service.WithSLO(p99SRT, maxShedRate)
 }

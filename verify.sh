@@ -10,6 +10,12 @@ if [ "${1:-}" = "covreport" ]; then
 	exec sh scripts/cover.sh
 fi
 
+# Formatting is part of the gate: gofmt must list no file.
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "verify.sh: gofmt -l lists: $unformatted" >&2
+	exit 1
+fi
 go vet ./...
 go build ./...
 # The service is built over a store and knows no layout: it must not reach
@@ -24,9 +30,10 @@ go test -race -run 'TestMutationStressUnderRace|TestMutationChaos' ./internal/st
 # Allocation budgets on the hot paths (the pool hand-off, pooled VF2,
 # canonical codes, step connectivity, SPIG scratch, bitset intersection,
 # the prefilter count check, the similarity step, the sharded probe, the wire
-# codec) — must run WITHOUT -race: the detector's shadow allocations would
-# trip the pinned budgets, so these tests self-skip there.
-go test -run 'AllocBudget' ./internal/workpool/ ./internal/graph/ ./internal/query/ ./internal/spig/ ./internal/intset/ ./internal/prefilter/ ./internal/core/ ./internal/rpcstore/
+# codec, the latency histogram every step and Run observes into) — must run
+# WITHOUT -race: the detector's shadow allocations would trip the pinned
+# budgets, so these tests self-skip there.
+go test -run 'AllocBudget' ./internal/workpool/ ./internal/graph/ ./internal/query/ ./internal/spig/ ./internal/intset/ ./internal/prefilter/ ./internal/core/ ./internal/rpcstore/ ./internal/metrics/
 sh scripts/cover.sh
 # Nothing above may write into the tree: a dirty checkout after the gate
 # means a test recorded something.
