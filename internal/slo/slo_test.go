@@ -137,6 +137,87 @@ func TestTrackerWindowEquivalence(t *testing.T) {
 	}
 }
 
+// TestCollectorWindowQuantiles checks the quantiles the tracker collects
+// over one window of registry observations: a 95-sample body at 1ms and a
+// five-sample tail at 600ms.
+func TestCollectorWindowQuantiles(t *testing.T) {
+	fc := fakeClock()
+	reg := metrics.NewRegistry()
+	tk := NewTracker(reg, 800*time.Millisecond, Targets{}, nil)
+	tk.Tick(fc.Now()) // baseline
+	srt := reg.Histogram(metrics.HistSRT)
+	for i := 0; i < 95; i++ {
+		srt.Observe(time.Millisecond)
+	}
+	for i := 0; i < 5; i++ {
+		srt.Observe(600 * time.Millisecond)
+	}
+
+	d := tk.Report(fc.Now()).SRT()
+	if d.Count != 100 {
+		t.Fatalf("count = %d, want 100", d.Count)
+	}
+	// p50 must sit in the 1ms bucket (bounds 500µs..1ms), p99 in the
+	// 500ms..1s bucket holding the five-sample tail.
+	if d.P50US < 500 || d.P50US > 1000 {
+		t.Fatalf("p50 = %dµs, want within (500µs, 1ms]", d.P50US)
+	}
+	if d.P99US < 500_000 || d.P99US > 1_000_000 {
+		t.Fatalf("p99 = %dµs, want within (500ms, 1s]", d.P99US)
+	}
+	if d.MaxUS != 600_000 {
+		t.Fatalf("max = %dµs, want 600ms", d.MaxUS)
+	}
+}
+
+// TestCollectorWindowExpiry checks that an observation and a shed count
+// stay in the window for half a window and leave it a full window after the
+// tick that sampled them, and that a later observation is windowed alone.
+func TestCollectorWindowExpiry(t *testing.T) {
+	fc := fakeClock()
+	reg := metrics.NewRegistry()
+	tk := NewTracker(reg, 800*time.Millisecond, Targets{}, nil)
+	tk.Tick(fc.Now()) // baseline
+	srt := reg.Histogram(metrics.HistSRT)
+	advance := func(d time.Duration) {
+		for end := fc.Now().Add(d); fc.Now().Before(end); {
+			fc.Advance(tk.TickInterval())
+			tk.Tick(fc.Now())
+		}
+	}
+
+	srt.Observe(time.Millisecond)
+	reg.Counter(metrics.CounterOverloadShed).Add(3)
+	rep := tk.Report(fc.Now())
+	if got := rep.SRT().Count; got != 1 {
+		t.Fatalf("fresh count = %d", got)
+	}
+	if got := rep.Rates["shed"].Count; got != 3 {
+		t.Fatalf("fresh rate = %d", got)
+	}
+
+	advance(400 * time.Millisecond)
+	if got := tk.Report(fc.Now()).SRT().Count; got != 1 {
+		t.Fatalf("half-window count = %d", got)
+	}
+	advance(500 * time.Millisecond)
+	rep = tk.Report(fc.Now())
+	if got := rep.SRT().Count; got != 0 {
+		t.Fatalf("expired count = %d", got)
+	}
+	if got := rep.Rates["shed"].Count; got != 0 {
+		t.Fatalf("expired rate = %d", got)
+	}
+
+	// A new observation is windowed on its own: the expired one adds
+	// neither to the count nor to the max.
+	srt.Observe(2 * time.Millisecond)
+	d := tk.Report(fc.Now()).SRT()
+	if d.Count != 1 || d.MaxUS != 2000 {
+		t.Fatalf("fresh dist after expiry = %+v", d)
+	}
+}
+
 // TestTrackerConcurrent observes from many goroutines while the tracker
 // ticks and reports: with the clock frozen nothing leaves the window, so
 // nothing may be lost.
