@@ -35,8 +35,8 @@ func TestConcurrentSessionsShareIndexes(t *testing.T) {
 	if err := prague.SaveIndexes(ix, dir); err != nil {
 		t.Fatal(err)
 	}
-	// Use the loaded (lazy, disk-backed) variant: it has the most shared
-	// mutable state.
+	// Use the loaded variant, so the sessions read what came back from
+	// disk.
 	loaded, err := prague.LoadIndexes(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,13 @@
 package chaostest
 
-import "testing"
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"prague/internal/difftest"
+	"prague/internal/query"
+)
 
 // TestChaosQuick is the acceptance gate: 50 seeded fault schedules, each a
 // multi-session scripted workload under injected verification errors,
@@ -59,5 +66,44 @@ func TestMutationChaos(t *testing.T) {
 	}
 	if tot.MutatedRuns == 0 {
 		t.Error("no run ever pinned a post-mutation epoch — mutation never interleaved with evaluation")
+	}
+}
+
+// TestSessionMixShares checks the sessions' weight tables draw their op
+// shares: against a fragment where every action is possible, half the
+// actions are adds, a fifth deletions, and the rest checked Runs, of which a
+// burst schedule spends a third on bursts. Mutations come from the mutator,
+// never from a session.
+func TestSessionMixShares(t *testing.T) {
+	q := query.New()
+	for i := 0; i < 4; i++ {
+		q.AddNode("C")
+	}
+	for i := 0; i < 3; i++ { // a path: both end edges are deletable
+		if _, err := q.AddEdge(i, i+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const draws = 20000
+	for _, tc := range []struct {
+		mix  difftest.Mix
+		want map[difftest.Kind]float64
+	}{
+		{sessionMix, map[difftest.Kind]float64{difftest.Add: 0.5, difftest.Delete: 0.2, difftest.Check: 0.3}},
+		{burstMix, map[difftest.Kind]float64{difftest.Add: 0.5, difftest.Delete: 0.2, difftest.Burst: 0.1, difftest.Check: 0.2}},
+	} {
+		sc := difftest.NewScript(rand.New(rand.NewSource(1)), tc.mix)
+		for i := 0; i < 4; i++ {
+			sc.Node()
+		}
+		got := map[difftest.Kind]float64{}
+		for i := 0; i < draws; i++ {
+			got[sc.Next(q).Kind] += 1.0 / draws
+		}
+		for kind := difftest.Skip; kind <= difftest.Check; kind++ {
+			if math.Abs(got[kind]-tc.want[kind]) > 0.02 {
+				t.Errorf("mix %+v: kind %d drawn at share %.3f, want %.2f", tc.mix, kind, got[kind], tc.want[kind])
+			}
+		}
 	}
 }

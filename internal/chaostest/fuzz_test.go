@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"prague/internal/core"
+	"prague/internal/difftest"
 	"prague/internal/faultinject"
 )
 
@@ -51,12 +52,12 @@ func FuzzDegradationLadder(f *testing.F) {
 		// existing one, which is always structurally valid.
 		r := rand.New(rand.NewSource(seed))
 		ctx := context.Background()
-		nodes := []int{e.AddNode(nodeLabels[r.Intn(len(nodeLabels))])}
+		nodes := []int{e.AddNode(difftest.NodeLabels[r.Intn(len(difftest.NodeLabels))])}
 		for k := 2 + r.Intn(3); k > 0; k-- {
 			u := nodes[r.Intn(len(nodes))]
-			v := e.AddNode(nodeLabels[r.Intn(len(nodeLabels))])
+			v := e.AddNode(difftest.NodeLabels[r.Intn(len(difftest.NodeLabels))])
 			nodes = append(nodes, v)
-			out, err := e.AddLabeledEdgeCtx(ctx, u, v, edgeLabels[r.Intn(len(edgeLabels))])
+			out, err := e.AddLabeledEdgeCtx(ctx, u, v, difftest.EdgeLabels[r.Intn(len(difftest.EdgeLabels))])
 			if err != nil {
 				t.Fatalf("formulation add: %v", err)
 			}

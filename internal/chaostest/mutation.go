@@ -13,39 +13,21 @@
 package chaostest
 
 import (
-	"context"
-	"errors"
-	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
-	"prague/internal/core"
 	"prague/internal/faultinject"
-	"prague/internal/graph"
 	"prague/internal/metrics"
-	"prague/internal/naivescan"
 	"prague/internal/service"
 	"prague/internal/store"
 )
 
-// MutationConfig sizes a mutation chaos run. Start from QuickMutation.
-type MutationConfig struct {
-	Seed      int64
-	Schedules int // seeded schedules (one service + mutator each)
-	Sessions  int // concurrent query sessions per schedule
-	Steps     int // scripted operations per session
-	DBSize    int // initial data graphs per database
-	Sigma     int // subgraph distance threshold
-	Mutations int // online mutations streamed per schedule
-}
-
 // QuickMutation is the configuration run under plain `go test` (and `-race`
 // in the verification gate). Schedules alternate monolithic and 4-way
 // sharded stores.
-func QuickMutation() MutationConfig {
-	return MutationConfig{Seed: 13, Schedules: 6, Sessions: 3, Steps: 8, DBSize: 36, Sigma: 2, Mutations: 24}
+func QuickMutation() Config {
+	return Config{Seed: 13, Schedules: 6, Sessions: 3, Steps: 8, DBSize: 36, Sigma: 2, Mutations: 24}
 }
 
 // MutationTotals aggregates what the mutation chaos observed, so callers can
@@ -56,88 +38,22 @@ type MutationTotals struct {
 	Mutations   int64 // mutations the mutator committed
 }
 
-// epochHistory maps every published epoch to the live database at that
-// epoch. The mutator is the only writer; checked Runs look their pinned
-// epoch up (with a short wait — a Run can pin a fresh epoch before the
-// mutator finishes recording it).
-type epochHistory struct {
-	mu   sync.Mutex
-	cond *sync.Cond // signals each record; waitGet blocks on it, no polling
-	dbs  map[uint64][]*graph.Graph
-}
-
-func (h *epochHistory) record(epoch uint64, db []*graph.Graph) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.dbs[epoch] = db
-	if h.cond != nil {
-		h.cond.Broadcast()
-	}
-}
-
-func (h *epochHistory) waitGet(epoch uint64) ([]*graph.Graph, bool) {
-	// Bounded by a timer goroutine rather than a sleep-poll loop: the waiter
-	// wakes the instant the mutator records the epoch.
-	timeout := time.AfterFunc(2*time.Second, func() {
-		h.mu.Lock()
-		h.cond.Broadcast()
-		h.mu.Unlock()
-	})
-	defer timeout.Stop()
-	deadline := time.Now().Add(2 * time.Second)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for {
-		if db, ok := h.dbs[epoch]; ok {
-			return db, ok
-		}
-		if time.Now().After(deadline) {
-			return nil, false
-		}
-		h.cond.Wait()
-	}
-}
-
-// liveGraphs snapshots the store's current live database in id order.
-func liveGraphs(st store.Store) []*graph.Graph {
-	ids := st.LiveIDs()
-	db := make([]*graph.Graph, 0, len(ids))
-	for _, id := range ids {
-		db = append(db, st.Graph(id))
-	}
-	return db
-}
-
 // RunMutation executes cfg.Schedules mutation chaos schedules as subtests
 // and returns the aggregate totals. Any epoch-consistency violation fails t.
-func RunMutation(t *testing.T, cfg MutationConfig) MutationTotals {
+func RunMutation(t *testing.T, cfg Config) MutationTotals {
 	t.Helper()
-	fixtures := []*Fixture{
-		BuildFixture(t, cfg.Seed, cfg.DBSize),
-		BuildFixture(t, cfg.Seed+7919, cfg.DBSize),
-	}
-	var mu sync.Mutex
 	var tot MutationTotals
-	for i := 0; i < cfg.Schedules; i++ {
-		i := i
-		fx := fixtures[i%len(fixtures)]
-		t.Run(fmt.Sprintf("mutation-schedule-%02d", i), func(t *testing.T) {
-			st := runMutationSchedule(t, cfg, fx, i)
-			mu.Lock()
-			tot.Runs += st.Runs
-			tot.MutatedRuns += st.MutatedRuns
-			tot.Mutations += st.Mutations
-			mu.Unlock()
-		})
-	}
+	eachSchedule(t, cfg, "mutation-schedule", func(t *testing.T, fx *Fixture, i int) {
+		runMutationSchedule(t, cfg, fx, i, &tot)
+	})
 	return tot
 }
 
-// runMutationSchedule builds one service over a mutable store, streams
+// runMutationSchedule builds one service over a mutable store and streams
 // mutations through it while scripted sessions evaluate, then requires every
 // session to converge to a StageFull answer matching the final epoch's
 // oracle.
-func runMutationSchedule(t *testing.T, cfg MutationConfig, fx *Fixture, i int) MutationTotals {
+func runMutationSchedule(t *testing.T, cfg Config, fx *Fixture, i int, tot *MutationTotals) {
 	t.Helper()
 	r := rand.New(rand.NewSource(cfg.Seed*1000 + int64(i)))
 
@@ -156,21 +72,24 @@ func runMutationSchedule(t *testing.T, cfg MutationConfig, fx *Fixture, i int) M
 
 	// Half the schedules stretch each Run with injected verification latency
 	// (no errors — answers stay exact) so mutations land mid-evaluation.
-	inj := faultinject.New()
+	sc := schedule{rules: map[faultinject.Site]faultinject.Rule{}, cacheBytes: 1 << 20}
 	if r.Intn(2) == 0 {
-		inj.Set(faultinject.SiteVerify, faultinject.Rule{
+		sc.rules[faultinject.SiteVerify] = faultinject.Rule{
 			Every: 1 + r.Intn(2), Latency: time.Duration(100+r.Intn(400)) * time.Microsecond,
-		})
+		}
 	}
-	cacheBytes := int64(1 << 20)
 	if r.Intn(3) == 0 {
-		cacheBytes = 0
+		sc.cacheBytes = 0
+	}
+	inj := faultinject.New()
+	for site, rule := range sc.rules {
+		inj.Set(site, rule)
 	}
 	svc, err := service.NewFromStore(st,
 		service.WithSigma(cfg.Sigma),
 		service.WithVerifyWorkers(2),
 		service.WithMetrics(metrics.NewRegistry()),
-		service.WithCandidateCache(cacheBytes),
+		service.WithCandidateCache(sc.cacheBytes),
 		service.WithFaultInjection(inj),
 	)
 	if err != nil {
@@ -178,280 +97,13 @@ func runMutationSchedule(t *testing.T, cfg MutationConfig, fx *Fixture, i int) M
 	}
 	defer svc.Close()
 
-	hist := &epochHistory{dbs: map[uint64][]*graph.Graph{}}
-	hist.cond = sync.NewCond(&hist.mu)
-	hist.record(0, liveGraphs(st))
-
-	var tot MutationTotals
-	drivers := make([]*mutDriver, cfg.Sessions)
-	for s := range drivers {
-		drivers[s] = newMutDriver(t, svc, hist, cfg.Sigma,
-			rand.New(rand.NewSource(cfg.Seed*1_000_000+int64(i)*1000+int64(s))))
-	}
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() { // the mutator: the only writer of store epochs
-			defer wg.Done()
-			ctx := context.Background()
-			mr := rand.New(rand.NewSource(cfg.Seed*31 + int64(i)))
-			for m := 0; m < cfg.Mutations; m++ {
-				live := st.LiveIDs()
-				if mr.Intn(2) == 0 || len(live) <= cfg.DBSize/2 {
-					g := makeGraph(mr)
-					if _, err := svc.InsertGraph(ctx, g); err != nil {
-						t.Errorf("mutator: insert: %v", err)
-						return
-					}
-				} else {
-					id := live[mr.Intn(len(live))]
-					if err := svc.DeleteGraph(ctx, id); err != nil {
-						t.Errorf("mutator: delete %d: %v", id, err)
-						return
-					}
-				}
-				hist.record(st.Epoch(), liveGraphs(st))
-				tot.Mutations++
-				time.Sleep(time.Duration(mr.Intn(400)) * time.Microsecond)
-			}
-		}()
-		for _, d := range drivers {
-			d := d
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				d.drive(cfg.Steps)
-			}()
-		}
-		wg.Wait()
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Minute):
-		t.Fatalf("mutation schedule %d: deadlock — workload did not finish within the watchdog", i)
-	}
-	if t.Failed() {
-		return MutationTotals{}
-	}
-
-	// Convergence: mutation has stopped, so every session's next exact Run
-	// must pin the final epoch and match its oracle.
-	inj.Disarm()
-	for _, d := range drivers {
-		d.assertConverged(st.Epoch())
-	}
-	for _, d := range drivers {
-		tot.Runs += d.runs
-		tot.MutatedRuns += d.mutatedRuns
-	}
-	return tot
-}
-
-// makeGraph builds one connected random molecule-like graph for online
-// insertion (same family as BuildFixture's generator).
-func makeGraph(r *rand.Rand) *graph.Graph {
-	nodes := 4 + r.Intn(6)
-	g := graph.New(0)
-	for v := 0; v < nodes; v++ {
-		g.AddNode(nodeLabels[r.Intn(len(nodeLabels))])
-	}
-	for v := 1; v < nodes; v++ {
-		g.MustAddEdge(v, r.Intn(v))
-	}
-	for k := 0; k < r.Intn(3); k++ {
-		u, v := r.Intn(nodes), r.Intn(nodes)
-		if u != v && !g.HasEdge(u, v) {
-			g.MustAddEdge(u, v)
-		}
-	}
-	return g
-}
-
-// mutDriver scripts one session against a mutating database. Unlike the
-// fault-chaos driver it needs no mirror reconciliation — no error faults are
-// armed — but every checked Run is held to the epoch-consistency contract.
-type mutDriver struct {
-	t     *testing.T
-	svc   *service.Service
-	sess  *service.Session
-	hist  *epochHistory
-	r     *rand.Rand
-	sigma int
-
-	nodes []int
-	edges [][2]int // endpoints of drawn edges, for anchored adds
-
-	lastEpoch   uint64
-	runs        int64
-	mutatedRuns int64
-}
-
-func newMutDriver(t *testing.T, svc *service.Service, hist *epochHistory, sigma int, r *rand.Rand) *mutDriver {
-	t.Helper()
-	sess, err := svc.Create(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := &mutDriver{t: t, svc: svc, sess: sess, hist: hist, r: r, sigma: sigma}
-	d.addNode()
-	d.addNode()
-	return d
-}
-
-func (d *mutDriver) addNode() int {
-	id, err := d.sess.AddNode(nodeLabels[d.r.Intn(len(nodeLabels))])
-	if err != nil {
-		d.t.Errorf("session %s: AddNode: %v", d.sess.ID(), err)
-		return -1
-	}
-	d.nodes = append(d.nodes, id)
-	return id
-}
-
-func (d *mutDriver) resolveChoice(ctx context.Context) {
-	if _, err := d.sess.ChooseSimilarity(ctx); err != nil {
-		d.t.Errorf("session %s: ChooseSimilarity: %v", d.sess.ID(), err)
-	}
-}
-
-// drive alternates anchored edge adds with checked Runs while the mutator
-// streams database changes underneath.
-func (d *mutDriver) drive(steps int) {
-	ctx := context.Background()
-	for k := 0; k < steps && !d.t.Failed(); k++ {
-		if d.r.Intn(3) > 0 || len(d.edges) == 0 {
-			d.opAdd(ctx)
-		} else {
-			d.checkedRun(ctx)
-		}
-	}
-	d.checkedRun(ctx)
-}
-
-// opAdd draws one structurally valid edge: anchored at an endpoint already
-// in the fragment, usually to a fresh node.
-func (d *mutDriver) opAdd(ctx context.Context) {
-	var u int
-	if len(d.edges) == 0 {
-		u = d.nodes[d.r.Intn(len(d.nodes))]
-	} else {
-		e := d.edges[d.r.Intn(len(d.edges))]
-		u = e[d.r.Intn(2)]
-	}
-	v := d.addNode()
-	if v < 0 {
-		return
-	}
-	out, err := d.sess.AddLabeledEdge(ctx, u, v, edgeLabels[d.r.Intn(len(edgeLabels))])
-	if err != nil {
-		d.t.Errorf("session %s: AddEdge: %v", d.sess.ID(), err)
-		return
-	}
-	d.edges = append(d.edges, [2]int{u, v})
-	if out.NeedsChoice {
-		d.resolveChoice(ctx)
-	}
-}
-
-// checkedRun is the epoch-consistency invariant: the Run pinned exactly one
-// epoch, epochs never move backwards within a session, and the answer is the
-// ladder contract evaluated against that epoch's recorded database — never a
-// blend of two epochs.
-func (d *mutDriver) checkedRun(ctx context.Context) {
-	out, err := d.sess.RunDetailed(ctx)
-	d.runs++
-	if err != nil {
-		if errors.Is(err, core.ErrAwaitingChoice) {
-			d.resolveChoice(ctx)
-			return
-		}
-		if errors.Is(err, core.ErrEmptyQuery) {
-			return
-		}
-		d.t.Errorf("session %s: Run: %v", d.sess.ID(), err)
-		return
-	}
-	if out.Epoch < d.lastEpoch {
-		d.t.Errorf("session %s: epoch moved backwards: %d after %d", d.sess.ID(), out.Epoch, d.lastEpoch)
-		return
-	}
-	d.lastEpoch = out.Epoch
-	if out.Epoch > 0 {
-		d.mutatedRuns++
-	}
-	db, ok := d.hist.waitGet(out.Epoch)
+	w := workload{svc: svc, st: st, fx: fx, mix: sessionMix,
+		typed: sc.typed(), mutations: cfg.Mutations, disarm: inj.Disarm}
+	got, ok := w.run(t, cfg, i, sc)
 	if !ok {
-		d.t.Errorf("session %s: Run pinned epoch %d, which the mutator never published", d.sess.ID(), out.Epoch)
 		return
 	}
-	d.checkAgainst(out, db, "chaos")
-}
-
-// checkAgainst verifies one Run outcome against the oracle over the pinned
-// epoch's database, reusing the ladder contract checker.
-func (d *mutDriver) checkAgainst(out core.RunOutcome, db []*graph.Graph, phase string) {
-	info, err := d.sess.Describe()
-	if err != nil {
-		d.t.Errorf("session %s: Describe after Run: %v", d.sess.ID(), err)
-		return
-	}
-	qg, err := d.sess.QueryGraph()
-	if err != nil || qg == nil {
-		d.t.Errorf("session %s: QueryGraph after Run: graph=%v err=%v", d.sess.ID(), qg, err)
-		return
-	}
-	oracle, err := naivescan.New(db, 1)
-	if err != nil {
-		d.t.Errorf("session %s: oracle over epoch database: %v", d.sess.ID(), err)
-		return
-	}
-	CheckOutcome(d.t, &Fixture{DB: db, Oracle: oracle},
-		fmt.Sprintf("session %s (%s, epoch %d)", d.sess.ID(), phase, out.Epoch),
-		out, info.SimilarityMode, qg, d.sigma)
-}
-
-// assertConverged: with mutation stopped, the session must produce a
-// StageFull answer pinned to the final epoch and matching its oracle.
-func (d *mutDriver) assertConverged(finalEpoch uint64) {
-	ctx := context.Background()
-	info, err := d.sess.Describe()
-	if err != nil {
-		d.t.Errorf("session %s: Describe in convergence: %v", d.sess.ID(), err)
-		return
-	}
-	if info.QuerySize == 0 {
-		return
-	}
-	if info.AwaitingChoice {
-		d.resolveChoice(ctx)
-	}
-	for attempt := 0; attempt < 8; attempt++ {
-		out, err := d.sess.RunDetailed(ctx)
-		if err != nil {
-			if errors.Is(err, core.ErrAwaitingChoice) {
-				d.resolveChoice(ctx)
-				continue
-			}
-			d.t.Errorf("session %s: convergence Run: %v", d.sess.ID(), err)
-			return
-		}
-		if out.Stage != core.StageFull {
-			continue
-		}
-		if out.Epoch != finalEpoch {
-			d.t.Errorf("session %s: convergence Run pinned epoch %d, store is at %d", d.sess.ID(), out.Epoch, finalEpoch)
-			return
-		}
-		db, ok := d.hist.waitGet(finalEpoch)
-		if !ok {
-			d.t.Errorf("session %s: final epoch %d never recorded", d.sess.ID(), finalEpoch)
-			return
-		}
-		d.checkAgainst(out, db, "convergence")
-		return
-	}
-	d.t.Errorf("session %s: never produced a StageFull answer after mutation stopped", d.sess.ID())
+	tot.Runs += got.runs
+	tot.MutatedRuns += got.mutatedRuns
+	tot.Mutations += got.mutations
 }

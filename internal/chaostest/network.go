@@ -15,45 +15,33 @@
 //     live past a slow replica),
 //   - every Run answer is complete, flagged Truncated with sound bounds, or
 //     a typed error (a partitioned shard surfaces as ErrShardUnavailable,
-//     never as a silently wrong answer),
+//     never as a silently wrong answer); latency-only schedules accept no
+//     error at all,
 //   - a schedule with one healthy replica per shard degrades nothing: the
 //     client fails over and every answer stays StageFull,
 //   - after all injectors are disarmed, every session answers exactly again,
-//   - under mutation, server replicas stay in lockstep with the coordinator.
+//   - server replicas end every schedule in lockstep with the coordinator.
 package chaostest
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
 	"prague/internal/faultinject"
-	"prague/internal/graph"
 	"prague/internal/metrics"
 	"prague/internal/rpcstore"
 	"prague/internal/service"
 	"prague/internal/store"
 )
 
-// NetworkConfig sizes a network chaos run. Start from QuickNetwork.
-type NetworkConfig struct {
-	Seed      int64
-	Schedules int // seeded partition schedules (one topology each)
-	Sessions  int // concurrent query sessions per schedule
-	Steps     int // scripted operations per session
-	DBSize    int // data graphs per database
-	Sigma     int // subgraph distance threshold
-	Mutations int // online mutations streamed per mutating schedule
-}
-
 // QuickNetwork is the configuration run under plain `go test` (and `-race`
 // in the verification gate): 50 seeded partition schedules cycling six
 // network fault families.
-func QuickNetwork() NetworkConfig {
-	return NetworkConfig{Seed: 29, Schedules: 50, Sessions: 3, Steps: 8, DBSize: 36, Sigma: 2, Mutations: 12}
+func QuickNetwork() Config {
+	return Config{Seed: 29, Schedules: 50, Sessions: 3, Steps: 8, DBSize: 36, Sigma: 2, Mutations: 12}
 }
 
 // NetworkTotals aggregates what the network chaos observed, so callers can
@@ -198,50 +186,22 @@ func (c *netCluster) close() {
 	}
 }
 
-// disarmAll silences the coordinator-side injector and every server's.
-func (c *netCluster) disarmAll(svcInj *faultinject.Injector) {
-	svcInj.Disarm()
-	for _, inj := range c.injs {
-		inj.Disarm()
-	}
-}
-
 // RunNetwork executes cfg.Schedules network chaos schedules as subtests and
 // returns the aggregate totals. Any invariant violation fails t.
-func RunNetwork(t *testing.T, cfg NetworkConfig) NetworkTotals {
+func RunNetwork(t *testing.T, cfg Config) NetworkTotals {
 	t.Helper()
-	fixtures := []*Fixture{
-		BuildFixture(t, cfg.Seed, cfg.DBSize),
-		BuildFixture(t, cfg.Seed+7919, cfg.DBSize),
-	}
-	var mu sync.Mutex
 	var tot NetworkTotals
-	for i := 0; i < cfg.Schedules; i++ {
-		i := i
-		fx := fixtures[i%len(fixtures)]
-		t.Run(fmt.Sprintf("network-schedule-%02d", i), func(t *testing.T) {
-			st := runNetworkSchedule(t, cfg, fx, i)
-			mu.Lock()
-			tot.Runs += st.Runs
-			tot.Degraded += st.Degraded
-			tot.MutatedRuns += st.MutatedRuns
-			tot.Mutations += st.Mutations
-			tot.FaultsFired += st.FaultsFired
-			tot.Hedged += st.Hedged
-			tot.HedgeWins += st.HedgeWins
-			tot.Retries += st.Retries
-			tot.RPCErrors += st.RPCErrors
-			tot.StaleEpoch += st.StaleEpoch
-			mu.Unlock()
-		})
-	}
+	eachSchedule(t, cfg, "network-schedule", func(t *testing.T, fx *Fixture, i int) {
+		runNetworkSchedule(t, cfg, fx, i, &tot)
+	})
 	return tot
 }
 
 // runNetworkSchedule boots one topology, arms one network fault scenario,
-// drives the scripted workload under the watchdog, then disarms everything
-// and requires exact recovery (and, under mutation, replica lockstep).
-func runNetworkSchedule(t *testing.T, cfg NetworkConfig, fx *Fixture, i int) NetworkTotals {
+// drives the scripted workload (with the mutator on netMutate), disarms
+// everything and requires exact recovery — and, under mutation, replica
+// lockstep.
+func runNetworkSchedule(t *testing.T, cfg Config, fx *Fixture, i int, tot *NetworkTotals) {
 	t.Helper()
 	r := rand.New(rand.NewSource(cfg.Seed*1000 + int64(i)))
 	sc := genNetSchedule(i, r)
@@ -273,179 +233,21 @@ func runNetworkSchedule(t *testing.T, cfg NetworkConfig, fx *Fixture, i int) Net
 	}
 	defer svc.Close()
 
-	var tot NetworkTotals
+	w := workload{svc: svc, st: cl.remote, fx: fx, mix: sessionMix,
+		typed: failing(append([]map[faultinject.Site]faultinject.Rule{sc.client}, sc.servers[:]...)...)}
 	if sc.kind == netMutate {
-		tot = driveNetMutation(t, cfg, cl, svc, i, inj)
-	} else {
-		tot = driveNetImmutable(t, cfg, fx, cl, svc, sc, i, inj)
+		w.mutations = cfg.Mutations
 	}
-	if t.Failed() {
-		return NetworkTotals{}
-	}
-
-	snap := reg.Snapshot()
-	tot.Hedged = snap.Counters[metrics.CounterShardRPCHedged]
-	tot.HedgeWins = snap.Counters[metrics.CounterShardRPCHedgeWins]
-	tot.Retries = snap.Counters[metrics.CounterShardRPCRetries]
-	tot.RPCErrors = snap.Counters[metrics.CounterShardRPCErrors]
-	tot.StaleEpoch = snap.Counters[metrics.CounterShardRPCStaleEpoch]
-	tot.FaultsFired = inj.Fired(faultinject.SiteRPCConn)
-	for _, sinj := range cl.injs {
-		tot.FaultsFired += sinj.Fired(faultinject.SiteRPCServe) + sinj.Fired(faultinject.SiteRPCEpoch)
-	}
-
-	// Scenario-specific guarantees on top of the generic contract.
-	switch sc.kind {
-	case netSlowShard:
-		// Hedging liveness: the healthy replica must have been raced at
-		// least once, and racing it must keep every answer exact — a slow
-		// replica is a latency problem, never a correctness one.
-		if tot.Hedged == 0 {
-			t.Errorf("schedule %d (%v): slow replicas armed but no hedge request fired", i, sc)
-		}
-		if tot.Degraded != 0 || tot.RPCErrors != 0 {
-			t.Errorf("schedule %d (%v): slow replicas degraded answers (degraded=%d rpcErrors=%d); hedging should have absorbed them",
-				i, sc, tot.Degraded, tot.RPCErrors)
-		}
-	case netFailover:
-		// With one healthy replica per shard, failover must keep every call
-		// answerable: no call may exhaust its endpoints, and no Run may
-		// degrade below StageFull.
-		if tot.Degraded != 0 || tot.RPCErrors != 0 {
-			t.Errorf("schedule %d (%v): replica failover leaked failures (degraded=%d rpcErrors=%d)",
-				i, sc, tot.Degraded, tot.RPCErrors)
-		}
-		fired := int64(0)
+	w.disarm = func() {
+		inj.Disarm()
 		for _, sinj := range cl.injs {
-			fired += sinj.Fired(faultinject.SiteRPCServe)
-		}
-		if fired == 0 {
-			t.Errorf("schedule %d (%v): dead replicas armed but never hit — failover not exercised", i, sc)
+			sinj.Disarm()
 		}
 	}
-	return tot
-}
-
-// driveNetImmutable runs the fault-chaos driver workload (mirrored sessions,
-// checked runs against the immutable fixture oracle) over the remote store,
-// then disarms every injector and asserts exact recovery.
-func driveNetImmutable(t *testing.T, cfg NetworkConfig, fx *Fixture, cl *netCluster,
-	svc *service.Service, sc netSchedule, i int, inj *faultinject.Injector) NetworkTotals {
-	t.Helper()
-	drivers := make([]*driver, cfg.Sessions)
-	for s := range drivers {
-		drivers[s] = newDriver(t, fx, svc, cfg.Sigma,
-			rand.New(rand.NewSource(cfg.Seed*1_000_000+int64(i)*1000+int64(s))))
+	got, ok := w.run(t, cfg, i, sc)
+	if !ok {
+		return
 	}
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var wg sync.WaitGroup
-		for _, d := range drivers {
-			d := d
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				d.drive(cfg.Steps, false)
-			}()
-		}
-		wg.Wait()
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Minute):
-		t.Fatalf("network schedule %d (%v): deadlock — workload did not finish within the watchdog", i, sc)
-	}
-	if t.Failed() {
-		return NetworkTotals{}
-	}
-
-	// Recovery: with the network healed, every session must answer exactly
-	// again — a partition must leave no lasting damage behind.
-	cl.disarmAll(inj)
-	for _, d := range drivers {
-		d.assertMirror("after network chaos")
-		d.assertExactRecovery()
-	}
-
-	var tot NetworkTotals
-	for _, d := range drivers {
-		tot.Runs += d.runs
-		tot.Degraded += d.degraded
-	}
-	return tot
-}
-
-// driveNetMutation streams online mutations through the coordinator's
-// lockstep broadcast while sessions evaluate over the chaotic network, holds
-// every Run to the pinned-epoch oracle, then requires convergence and
-// replica lockstep. The mutation schedules arm latency-only faults, so every
-// mutation must commit — a broadcast that drops a replica is a test failure,
-// not a tolerated degradation.
-func driveNetMutation(t *testing.T, cfg NetworkConfig, cl *netCluster, svc *service.Service, i int, inj *faultinject.Injector) NetworkTotals {
-	t.Helper()
-	hist := &epochHistory{dbs: map[uint64][]*graph.Graph{}}
-	hist.cond = sync.NewCond(&hist.mu)
-	hist.record(cl.remote.Epoch(), liveGraphs(cl.remote))
-
-	var tot NetworkTotals
-	drivers := make([]*mutDriver, cfg.Sessions)
-	for s := range drivers {
-		drivers[s] = newMutDriver(t, svc, hist, cfg.Sigma,
-			rand.New(rand.NewSource(cfg.Seed*1_000_000+int64(i)*1000+int64(s))))
-	}
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() { // the mutator: the only writer of remote store epochs
-			defer wg.Done()
-			ctx := context.Background()
-			mr := rand.New(rand.NewSource(cfg.Seed*31 + int64(i)))
-			for m := 0; m < cfg.Mutations; m++ {
-				live := cl.remote.LiveIDs()
-				if mr.Intn(2) == 0 || len(live) <= cfg.DBSize/2 {
-					g := makeGraph(mr)
-					if _, err := svc.InsertGraph(ctx, g); err != nil {
-						t.Errorf("network mutator: insert: %v", err)
-						return
-					}
-				} else {
-					id := live[mr.Intn(len(live))]
-					if err := svc.DeleteGraph(ctx, id); err != nil {
-						t.Errorf("network mutator: delete %d: %v", id, err)
-						return
-					}
-				}
-				hist.record(cl.remote.Epoch(), liveGraphs(cl.remote))
-				tot.Mutations++
-				time.Sleep(time.Duration(mr.Intn(400)) * time.Microsecond)
-			}
-		}()
-		for _, d := range drivers {
-			d := d
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				d.drive(cfg.Steps)
-			}()
-		}
-		wg.Wait()
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Minute):
-		t.Fatalf("network schedule %d: deadlock — mutating workload did not finish within the watchdog", i)
-	}
-	if t.Failed() {
-		return NetworkTotals{}
-	}
-
-	cl.disarmAll(inj)
-
 	// Lockstep: after the stream, every server replica must hold exactly the
 	// coordinator's state — same epoch, same content-derived cache tag.
 	for j, rep := range cl.reps {
@@ -455,14 +257,65 @@ func driveNetMutation(t *testing.T, cfg NetworkConfig, cl *netCluster, svc *serv
 		}
 	}
 
-	// Convergence: mutation stopped, so every session must produce a
-	// StageFull answer pinned to the final epoch matching its oracle.
-	for _, d := range drivers {
-		d.assertConverged(cl.remote.Epoch())
+	snap := reg.Snapshot()
+	st := NetworkTotals{
+		Runs:        got.runs,
+		Degraded:    got.degraded,
+		MutatedRuns: got.mutatedRuns,
+		Mutations:   got.mutations,
+		FaultsFired: inj.Fired(faultinject.SiteRPCConn),
+		Hedged:      snap.Counters[metrics.CounterShardRPCHedged],
+		HedgeWins:   snap.Counters[metrics.CounterShardRPCHedgeWins],
+		Retries:     snap.Counters[metrics.CounterShardRPCRetries],
+		RPCErrors:   snap.Counters[metrics.CounterShardRPCErrors],
+		StaleEpoch:  snap.Counters[metrics.CounterShardRPCStaleEpoch],
 	}
-	for _, d := range drivers {
-		tot.Runs += d.runs
-		tot.MutatedRuns += d.mutatedRuns
+	for _, sinj := range cl.injs {
+		st.FaultsFired += sinj.Fired(faultinject.SiteRPCServe) + sinj.Fired(faultinject.SiteRPCEpoch)
 	}
-	return tot
+
+	// Scenario-specific guarantees on top of the generic contract.
+	switch sc.kind {
+	case netSlowShard:
+		// Hedging liveness: the healthy replica must have been raced at
+		// least once, and racing it must keep every answer exact — a slow
+		// replica is a latency problem, never a correctness one.
+		if st.Hedged == 0 {
+			t.Errorf("schedule %d (%v): slow replicas armed but no hedge request fired", i, sc)
+		}
+		if st.Degraded != 0 || st.RPCErrors != 0 {
+			t.Errorf("schedule %d (%v): slow replicas degraded answers (degraded=%d rpcErrors=%d); hedging should have absorbed them",
+				i, sc, st.Degraded, st.RPCErrors)
+		}
+	case netFailover:
+		// With one healthy replica per shard, failover must keep every call
+		// answerable: no call may exhaust its endpoints, and no Run may
+		// degrade below StageFull.
+		if st.Degraded != 0 || st.RPCErrors != 0 {
+			t.Errorf("schedule %d (%v): replica failover leaked failures (degraded=%d rpcErrors=%d)",
+				i, sc, st.Degraded, st.RPCErrors)
+		}
+		fired := int64(0)
+		for _, sinj := range cl.injs {
+			fired += sinj.Fired(faultinject.SiteRPCServe)
+		}
+		if fired == 0 {
+			t.Errorf("schedule %d (%v): dead replicas armed but never hit — failover not exercised", i, sc)
+		}
+	}
+	tot.add(st)
+}
+
+// add folds one schedule's totals into the run's.
+func (t *NetworkTotals) add(o NetworkTotals) {
+	t.Runs += o.Runs
+	t.Degraded += o.Degraded
+	t.MutatedRuns += o.MutatedRuns
+	t.Mutations += o.Mutations
+	t.FaultsFired += o.FaultsFired
+	t.Hedged += o.Hedged
+	t.HedgeWins += o.HedgeWins
+	t.Retries += o.Retries
+	t.RPCErrors += o.RPCErrors
+	t.StaleEpoch += o.StaleEpoch
 }

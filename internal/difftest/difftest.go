@@ -10,17 +10,31 @@
 // ids, same distances, same order): sharding is a layout choice and the
 // network is a transport choice — never a semantic one.
 //
-// The two variants are deliberately allowed to diverge in *mode*: a cached
-// NIF candidate list published by an earlier script can be a different sound
-// superset than the one the uncached engine derives (Φ/Υ inheritance depends
-// on formulation order), so the empty-Rq prompt may fire for one variant and
-// not the other. Each variant therefore resolves its own choices and is
-// checked against the oracle matching its own final mode — containment or
-// similarity. What must never differ is the verified answer.
+// The mutation suite is the same runner with online mutation in its op mix:
+// every InsertGraph/DeleteGraph is applied to the monolithic store, the
+// sharded store and the RemoteStore (which broadcasts it to two independent
+// server-side replicas) in lockstep, asserting they assign the same ids and
+// publish the same epochs. The oracle re-enumerates the sharded store's live
+// graphs on every query, so an insert that lands in the wrong shard, a
+// delete that leaves a stale id in an index list, a cache entry surviving an
+// epoch change, or a replica that diverged under the broadcast all surface
+// as an oracle mismatch.
+//
+// Cached and uncached variants are deliberately allowed to diverge in
+// *mode*: a cached NIF candidate list published by an earlier script can be
+// a different sound superset than the one an uncached engine derives (Φ/Υ
+// inheritance depends on formulation order), so the empty-Rq prompt may fire
+// for one variant and not another. Each variant therefore resolves its own
+// choices and is checked against the oracle matching its own final mode —
+// containment or similarity. What must never differ is the verified answer.
 //
 // The cache is shared across all scripts of a database, so later scripts
 // exercise genuine cross-session reuse (hits on entries a previous script
 // published), not just a warm private cache.
+//
+// The generators here — the label vocabulary, RandomGraph, RandomDatabase,
+// Mutation and the Script op generator — are shared with the chaos harness,
+// so both replay the same kinds of canvas actions.
 package difftest
 
 import (
@@ -30,9 +44,6 @@ import (
 
 	"prague/internal/candcache"
 	"prague/internal/core"
-	"prague/internal/graph"
-	"prague/internal/index"
-	"prague/internal/mining"
 	"prague/internal/naivescan"
 	"prague/internal/rpcstore"
 	"prague/internal/store"
@@ -63,18 +74,54 @@ func Full() Config {
 
 // Run executes the differential suite and returns how many comparison cases
 // it checked. Any divergence from the oracle fails tb immediately.
-func Run(tb testing.TB, cfg Config) int {
+func Run(tb testing.TB, cfg Config) int { return run(tb, cfg, plainSuite) }
+
+// RunMutation executes the mutation differential suite and returns how many
+// comparison cases it checked. It is Run with online InsertGraph/DeleteGraph
+// spliced into every script: any divergence — between variants, between the
+// stores' epochs or assigned ids, or from the live oracle — fails tb.
+func RunMutation(tb testing.TB, cfg Config) int { return run(tb, cfg, mutationSuite) }
+
+// suite is what tells the plain and the mutation suites apart: a seed
+// offset, the op mix, and the fewest actions a script draws (up to five
+// more are drawn at random).
+type suite struct {
+	seed     int64
+	mix      Mix
+	minSteps int
+}
+
+var (
+	plainSuite    = suite{mix: Mix{Add: 6, Delete: 2, Check: 2}, minSteps: 5}
+	mutationSuite = suite{seed: 104729, mix: Mix{Add: 5, Delete: 2, Mutate: 3, Check: 2}, minSteps: 6}
+)
+
+func run(tb testing.TB, cfg Config, su suite) int {
 	tb.Helper()
-	total := 0
+	total, mutations := 0, 0
 	for d := 0; d < cfg.Databases; d++ {
-		seed := cfg.Seed + int64(d)*7919
-		db, idx := randomDatabase(tb, seed, cfg.DBSize)
-		sharded, err := store.NewSharded(db, idx, 4)
-		if err != nil {
-			tb.Fatal(err)
+		seed := cfg.Seed + su.seed + int64(d)*7919
+		db, idx := RandomDatabase(tb, seed, cfg.DBSize)
+		// Four stores from the same inputs, mutated in lockstep: the
+		// monolithic one, the 4-way sharded one, and the two replicas the
+		// loopback servers serve, each answering half the sharded layout to
+		// force genuine scatter-gather.
+		var stores [4]store.Store
+		for i := range stores {
+			var err error
+			if i == 0 {
+				stores[i], err = store.NewMem(db, idx)
+			} else {
+				stores[i], err = store.NewSharded(db, idx, 4)
+			}
+			if err != nil {
+				tb.Fatal(err)
+			}
 		}
-		// The oracle scans the sharded store's graphs (in shard order), so a
-		// wrong shard assignment would poison the ground truth and fail loudly.
+		mono, sharded, reps := stores[0], stores[1], stores[2:]
+		// The oracle scans the sharded store's live graphs (in shard order),
+		// so a wrong shard assignment or a stale delete poisons the ground
+		// truth and fails loudly.
 		oracle, err := naivescan.NewFromStore(sharded, cfg.OracleWorkers)
 		if err != nil {
 			tb.Fatal(err)
@@ -83,81 +130,44 @@ func Run(tb testing.TB, cfg Config) int {
 		if cache == nil {
 			tb.Fatalf("difftest: cache budget %d produced no cache", cfg.CacheBytes)
 		}
-		// The plain suite never mutates, so both loopback servers can wrap
-		// the same sharded store; each serves half the layout to force
-		// genuine scatter-gather.
-		remote, stop := bootRemote(tb, []store.Store{sharded, sharded}, [][]int{{0, 1}, {2, 3}})
-		h := &harness{tb: tb, db: db, idx: idx, st: sharded, remote: remote, oracle: oracle, cache: cache, sigma: cfg.Sigma}
+		remote, stop := bootRemote(tb, reps)
+		h := &harness{tb: tb, mono: mono, st: sharded, remote: remote, oracle: oracle, cache: cache, sigma: cfg.Sigma}
 		for s := 0; s < cfg.Scripts; s++ {
-			h.runScript(rand.New(rand.NewSource(seed + int64(s) + 1)))
+			h.runScript(rand.New(rand.NewSource(seed+int64(s)+1)), su)
+		}
+		if mono.Epoch() != sharded.Epoch() || remote.Epoch() != sharded.Epoch() {
+			tb.Fatalf("difftest: db %d: final epochs diverged: mono %d, sharded %d, remote %d",
+				d, mono.Epoch(), sharded.Epoch(), remote.Epoch())
+		}
+		for i, rep := range reps {
+			if rep.Epoch() != sharded.Epoch() || rep.CacheTag() != sharded.CacheTag() {
+				tb.Fatalf("difftest: db %d: server replica %d diverged: (%d, %s) vs (%d, %s)",
+					d, i, rep.Epoch(), rep.CacheTag(), sharded.Epoch(), sharded.CacheTag())
+			}
 		}
 		stop()
 		if got := cache.Stats(); got.Hits+got.Coalesced == 0 && cfg.Scripts > 3 {
 			tb.Fatalf("difftest: db %d: %d scripts shared no cache entries (%+v) — the cached variant is not exercising the cache", d, cfg.Scripts, got)
 		}
 		total += h.cases
+		mutations += h.mutations
+	}
+	if su.mix.Mutate > 0 && mutations == 0 {
+		tb.Fatal("difftest: mutation suite applied zero mutations — the scripts are not exercising InsertGraph/DeleteGraph")
 	}
 	return total
 }
 
-var (
-	nodeLabels = []string{"C", "C", "C", "N", "O", "S"}
-	edgeLabels = []string{"", "", "", "1", "2"}
-)
-
-// randomDatabase builds a connected random molecule-like database and mines
-// its action-aware indexes.
-func randomDatabase(tb testing.TB, seed int64, n int) ([]*graph.Graph, *index.Set) {
-	tb.Helper()
-	r := rand.New(rand.NewSource(seed))
-	db := make([]*graph.Graph, 0, n)
-	for i := 0; i < n; i++ {
-		db = append(db, randomGraph(r, i))
-	}
-	res, err := mining.Mine(db, mining.Options{MinSupportRatio: 0.3, MaxSize: 6})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	idx, err := index.Build(res, 0.3, 3)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return db, idx
-}
-
-// randomGraph builds one connected random molecule-like graph: a random
-// spanning tree plus a few extra edges, labels drawn from the shared
-// vocabulary. Shared by database generation and the mutation suite's online
-// inserts, so inserted graphs look like the mined population.
-func randomGraph(r *rand.Rand, id int) *graph.Graph {
-	nodes := 4 + r.Intn(6)
-	g := graph.New(id)
-	for v := 0; v < nodes; v++ {
-		g.AddNode(nodeLabels[r.Intn(len(nodeLabels))])
-	}
-	for v := 1; v < nodes; v++ {
-		g.MustAddEdge(v, r.Intn(v))
-	}
-	for k := 0; k < r.Intn(3); k++ {
-		u, v := r.Intn(nodes), r.Intn(nodes)
-		if u != v && !g.HasEdge(u, v) {
-			g.MustAddEdge(u, v)
-		}
-	}
-	return g
-}
-
 type harness struct {
-	tb     testing.TB
-	db     []*graph.Graph
-	idx    *index.Set
-	st     store.Store // 4-way sharded layout of (db, idx)
-	mono   store.Store // monolithic twin, mutated in lockstep (mutation suite)
-	remote store.Store // coordinator over loopback shard servers
-	oracle *naivescan.Engine
-	cache  *candcache.Cache
-	sigma  int
-	cases  int
+	tb        testing.TB
+	mono      store.Store // monolithic layout of the database
+	st        store.Store // 4-way sharded layout of the same database
+	remote    store.Store // coordinator over loopback shard servers
+	oracle    *naivescan.Engine
+	cache     *candcache.Cache
+	sigma     int
+	cases     int
+	mutations int
 }
 
 // Variant layout: indices 0-3 alternate uncached/cached over the monolithic
@@ -168,14 +178,14 @@ var variantNames = [5]string{"cache-off", "cache-on", "shard-off", "shard-on", "
 
 func twinOf(i int) int { return i - 2 }
 
-// bootRemote starts one loopback shard server per replica store (each
-// answering probes for its slice of the 4-shard layout), dials a
-// coordinator over them, and returns it with a teardown func. The plain
-// suite passes the same immutable sharded store as every replica; the
-// mutation suite passes independent replicas so lockstep mutation broadcast
+// bootRemote starts one loopback shard server per replica of the 4-shard
+// layout — the first answering shards 0 and 1, the second 2 and 3 — dials a
+// coordinator over them, and returns it with a teardown func. The replicas
+// are independent stores, so the coordinator's lockstep mutation broadcast
 // is exercised for real.
-func bootRemote(tb testing.TB, reps []store.Store, serve [][]int) (store.Store, func()) {
+func bootRemote(tb testing.TB, reps []store.Store) (store.Store, func()) {
 	tb.Helper()
+	serve := [2][]int{{0, 1}, {2, 3}}
 	servers := make([]*rpcstore.Server, 0, len(reps))
 	addrs := make([]string, 0, len(reps))
 	for i, st := range reps {
@@ -198,25 +208,21 @@ func bootRemote(tb testing.TB, reps []store.Store, serve [][]int) (store.Store, 
 	}
 }
 
-// runScript drives one random edit script through both engine variants in
-// lockstep. Structural validity (duplicate edges, disconnecting deletes) is
-// identical across variants because both hold the same query graph, so both
-// must accept or reject every operation together.
-func (h *harness) runScript(r *rand.Rand) {
+// engines builds the five variants over the harness's stores. Structural
+// validity (duplicate edges, disconnecting deletes) is identical across
+// variants because all hold the same query graph, so all must accept or
+// reject every action together.
+func (h *harness) engines() [5]*core.Engine {
 	var engines [5]*core.Engine
 	for i := range engines {
-		var (
-			e   *core.Engine
-			err error
-		)
+		src := h.mono
 		switch {
-		case i < 2:
-			e, err = core.New(h.db, h.idx, h.sigma)
-		case i < 4:
-			e, err = core.NewWithStore(h.st, h.sigma)
-		default:
-			e, err = core.NewWithStore(h.remote, h.sigma)
+		case i == 4:
+			src = h.remote
+		case i >= 2:
+			src = h.st
 		}
+		e, err := core.NewWithStore(src, h.sigma)
 		if err != nil {
 			h.tb.Fatal(err)
 		}
@@ -228,78 +234,87 @@ func (h *harness) runScript(r *rand.Rand) {
 		}
 		engines[i] = e
 	}
-	off := engines[0]
+	return engines
+}
 
-	var nodes []int
-	addNode := func() int {
-		label := nodeLabels[r.Intn(len(nodeLabels))]
-		id := off.AddNode(label)
+// runScript drives one random edit script — formulation actions, checks,
+// and, when the mix says so, online mutations — through the five engine
+// variants in lockstep. Every engine repins the store's current epoch on its
+// next action, so a check after a mutation compares all five against the
+// post-mutation ground truth.
+func (h *harness) runScript(r *rand.Rand, su suite) {
+	engines := h.engines()
+	q := engines[0].Query()
+	sc := NewScript(r, su.mix)
+	addNode := func(label string) int {
+		id := engines[0].AddNode(label)
 		for _, e := range engines[1:] {
 			if got := e.AddNode(label); got != id {
 				h.tb.Fatalf("difftest: node ids diverged: %d vs %d", got, id)
 			}
 		}
-		nodes = append(nodes, id)
 		return id
 	}
-	addNode()
-	addNode()
+	addNode(sc.Node())
+	addNode(sc.Node())
 
-	steps := 5 + r.Intn(6)
+	steps := su.minSteps + r.Intn(6)
 	for k := 0; k < steps; k++ {
-		switch op := r.Intn(10); {
-		case op < 6 || off.Query().Size() == 0: // add an edge
-			var u int
-			if off.Query().Size() == 0 {
-				u = nodes[r.Intn(len(nodes))]
-			} else {
-				// Anchor at a node already in the fragment so the add is
-				// usually valid.
-				st := off.Query().Steps()
-				qe, _ := off.Query().Edge(st[r.Intn(len(st))])
-				if r.Intn(2) == 0 {
-					u = qe.A
-				} else {
-					u = qe.B
+		switch op := sc.Next(q); op.Kind {
+		case Add:
+			if op.Fresh != "" {
+				if id := addNode(op.Fresh); id != op.V {
+					h.tb.Fatalf("difftest: fresh node got id %d, script drew %d", id, op.V)
 				}
 			}
-			var v int
-			if r.Intn(3) == 0 && len(nodes) > 2 {
-				v = nodes[r.Intn(len(nodes))]
-			} else {
-				v = addNode()
-			}
-			bond := edgeLabels[r.Intn(len(edgeLabels))]
-			h.applyBoth(engines, "add", func(e *core.Engine) (core.StepOutcome, error) {
-				return e.AddLabeledEdge(u, v, bond)
+			h.applyAll(engines, "add", func(e *core.Engine) (core.StepOutcome, error) {
+				return e.AddLabeledEdge(op.U, op.V, op.Bond)
 			})
-		case op < 8: // delete one deletable edge
-			if off.Query().Size() < 2 {
-				continue
-			}
-			var deletable []int
-			for _, s := range off.Query().Steps() {
-				if off.Query().CanDelete(s) {
-					deletable = append(deletable, s)
-				}
-			}
-			if len(deletable) == 0 {
-				continue
-			}
-			step := deletable[r.Intn(len(deletable))]
-			h.applyBoth(engines, "delete", func(e *core.Engine) (core.StepOutcome, error) {
-				return e.DeleteEdge(step)
+		case Delete:
+			h.applyAll(engines, "delete", func(e *core.Engine) (core.StepOutcome, error) {
+				return e.DeleteEdge(op.Step)
 			})
-		default: // mid-script differential check
+		case Mutate:
+			h.mutate(r)
+		case Check:
 			h.check(engines)
 		}
 	}
 	h.check(engines)
 }
 
-// applyBoth applies one formulation action to both variants, requires them
+// mutate applies one random online mutation to every store in lockstep and
+// asserts they stay indistinguishable: same assigned id on insert, same
+// acceptance on delete, same epoch afterwards. Inserts clone the graph so
+// no store observes another's ownership.
+func (h *harness) mutate(r *rand.Rand) {
+	stores := [3]store.Store{h.mono, h.remote, h.st}
+	names := [3]string{"mono", "remote", "sharded"}
+	g, del := Mutation(r, h.st.LiveIDs(), 2)
+	var ids [3]int
+	for i, st := range stores {
+		var err error
+		if g != nil {
+			ids[i], err = st.InsertGraph(g.Clone())
+		} else {
+			err = st.DeleteGraph(del)
+		}
+		if err != nil {
+			h.tb.Fatalf("difftest: %s mutation (delete %d): %v", names[i], del, err)
+		}
+	}
+	if ids[0] != ids[2] || ids[1] != ids[2] {
+		h.tb.Fatalf("difftest: insert ids diverged: mono %d, remote %d, sharded %d", ids[0], ids[1], ids[2])
+	}
+	if me, re, se := h.mono.Epoch(), h.remote.Epoch(), h.st.Epoch(); me != se || re != se {
+		h.tb.Fatalf("difftest: epochs diverged after mutation: mono %d, sharded %d, remote %d", me, se, re)
+	}
+	h.mutations++
+}
+
+// applyAll applies one formulation action to every variant, requires them
 // to agree on acceptance, and resolves the empty-Rq choice per variant.
-func (h *harness) applyBoth(engines [5]*core.Engine, what string, action func(e *core.Engine) (core.StepOutcome, error)) {
+func (h *harness) applyAll(engines [5]*core.Engine, what string, action func(e *core.Engine) (core.StepOutcome, error)) {
 	var errs [5]error
 	for i, e := range engines {
 		out, err := action(e)
@@ -316,8 +331,8 @@ func (h *harness) applyBoth(engines [5]*core.Engine, what string, action func(e 
 	}
 }
 
-// check runs both variants and compares each against the oracle that matches
-// its own final mode. Queries that emptied completely are skipped.
+// check runs every variant and compares each against the oracle that
+// matches its own final mode. Queries that emptied completely are skipped.
 func (h *harness) check(engines [5]*core.Engine) {
 	var (
 		results [5][]core.Result
@@ -336,29 +351,26 @@ func (h *harness) check(engines [5]*core.Engine) {
 			h.tb.Fatalf("difftest: %s: run: %v", variantNames[i], err)
 		}
 		qg, _ := e.Query().Graph()
+		var want []core.Result
 		if e.SimilarityMode() {
-			want, _ := h.oracle.Similarity(qg, h.sigma)
-			if len(got) != len(want) {
-				h.tb.Fatalf("difftest: %s: similarity result count %d, oracle %d\nquery: %v\ngot:  %v\nwant: %v",
-					variantNames[i], len(got), len(want), qg, got, want)
-			}
-			for j := range want {
-				if got[j].GraphID != want[j].GraphID || got[j].Distance != want[j].Distance {
-					h.tb.Fatalf("difftest: %s: similarity result %d is (%d,%d), oracle (%d,%d)\nquery: %v",
-						variantNames[i], j, got[j].GraphID, got[j].Distance, want[j].GraphID, want[j].Distance, qg)
-				}
+			res, _ := h.oracle.Similarity(qg, h.sigma)
+			for _, w := range res {
+				want = append(want, core.Result(w))
 			}
 		} else {
-			want, _ := h.oracle.Containment(qg)
-			if len(got) != len(want) {
-				h.tb.Fatalf("difftest: %s: containment result count %d, oracle %d\nquery: %v\ngot:  %v\nwant: %v",
-					variantNames[i], len(got), len(want), qg, got, want)
+			ids, _ := h.oracle.Containment(qg)
+			for _, id := range ids {
+				want = append(want, core.Result{GraphID: id})
 			}
-			for j := range want {
-				if got[j].GraphID != want[j] || got[j].Distance != 0 {
-					h.tb.Fatalf("difftest: %s: containment result %d is (%d,%d), oracle id %d\nquery: %v",
-						variantNames[i], j, got[j].GraphID, got[j].Distance, want[j], qg)
-				}
+		}
+		if len(got) != len(want) {
+			h.tb.Fatalf("difftest: %s: result count %d, oracle %d (similarity=%v)\nquery: %v\ngot:  %v\nwant: %v",
+				variantNames[i], len(got), len(want), e.SimilarityMode(), qg, got, want)
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				h.tb.Fatalf("difftest: %s: result %d is %+v, oracle %+v (similarity=%v)\nquery: %v",
+					variantNames[i], j, got[j], want[j], e.SimilarityMode(), qg)
 			}
 		}
 		results[i], simMode[i], ran[i] = got, e.SimilarityMode(), true

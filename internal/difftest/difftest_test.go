@@ -16,12 +16,13 @@ func TestDifferentialQuick(t *testing.T) {
 	t.Logf("differential: %d cases checked against the naivescan oracle", cases)
 }
 
-// TestDifferentialMutationQuick drives random edit scripts through all four
+// TestDifferentialMutationQuick drives random edit scripts through all five
 // engine variants while the database itself mutates online: every
-// InsertGraph/DeleteGraph is applied to the monolithic and sharded stores in
-// lockstep, and every check compares against a live naivescan oracle that
-// re-enumerates the sharded store's graphs — so stale index lists, cache
-// entries outliving an epoch, or layout-dependent mutation behavior all fail.
+// InsertGraph/DeleteGraph is applied to the monolithic, sharded and remote
+// stores in lockstep, and every check compares against a live naivescan
+// oracle that re-enumerates the sharded store's graphs — so stale index
+// lists, cache entries outliving an epoch, or layout-dependent mutation
+// behavior all fail.
 func TestDifferentialMutationQuick(t *testing.T) {
 	cfg := Quick()
 	if testing.Short() {

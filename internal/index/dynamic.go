@@ -29,17 +29,13 @@ import (
 	"prague/internal/mining"
 )
 
-// Seal force-loads every DF cluster and materializes every entry's memoized
-// FSG list, making the set fully memory-resident. A sealed set never lazily
-// writes entry state again, which is what makes copy-on-write surgery safe:
-// snapshots sharing untouched entry pointers only ever read them. Sealing is
-// idempotent; mutating methods call it defensively.
+// Seal materializes every entry's memoized FSG list. A sealed set never
+// lazily writes entry state again, which is what makes copy-on-write surgery
+// safe: snapshots sharing untouched entry pointers only ever read them.
+// Sealing is idempotent; mutating methods call it defensively.
 func (s *Set) Seal() {
 	s.A2F.mu.Lock()
 	defer s.A2F.mu.Unlock()
-	for _, e := range s.A2F.entries {
-		s.A2F.ensureLoaded(e)
-	}
 	for i := range s.A2F.entries {
 		s.A2F.fsgIdsLocked(i)
 	}

@@ -47,19 +47,17 @@ func (k Kind) String() string {
 // A2F is the action-aware frequent index. Vertices form a DAG: an edge
 // f' -> f exists iff f' ⊂ f and |f| = |f'|+1. Each vertex stores only
 // delId(f) = fsgIds(f) minus the union of its children's FSG ids; full id
-// lists are reconstructed (and memoized) on demand, loading DF clusters
-// lazily from disk when the index has been persisted.
+// lists are reconstructed (and memoized) on demand.
 type A2F struct {
 	beta    int
 	entries []*a2fEntry
 	byCode  map[string]int
 
 	clusters  []*cluster // DF-index: fragment clusters for |f| > beta
-	store     *dfStore   // nil until persisted/loaded; then clusters load lazily
 	numGraphs int
 
-	// mu guards the lazy parts (per-entry fsgIds memoization and DF
-	// cluster loading) so concurrent sessions can share one index.
+	// mu guards the per-entry fsgIds memoization so concurrent sessions
+	// can share one index.
 	mu sync.Mutex
 }
 
@@ -81,8 +79,6 @@ type a2fEntry struct {
 type cluster struct {
 	Root    int   // entry id of the root fragment (size β+1)
 	Members []int // entry ids, including the root
-	loaded  bool
-	bytes   int64 // serialized size, for reporting
 }
 
 // A2I is the action-aware infrequent index: DIFs in ascending size order,
@@ -205,7 +201,7 @@ func Build(res *mining.Result, alpha float64, beta int) (*Set, error) {
 		if !ok {
 			ci = len(a2f.clusters)
 			clusterOf[root] = ci
-			a2f.clusters = append(a2f.clusters, &cluster{Root: root, loaded: true})
+			a2f.clusters = append(a2f.clusters, &cluster{Root: root})
 		}
 		a2f.clusters[ci].Members = append(a2f.clusters[ci].Members, i)
 		a2f.entries[i].Cluster = ci
@@ -269,10 +265,9 @@ func (f *A2F) FragmentSize(id int) int { return f.entries[id].Size }
 func (f *A2F) Children(id int) []int { return f.entries[id].Children }
 
 // FSGIds reconstructs the full FSG identifier list of entry id from the
-// delta encoding, memoizing the result. Entries living in a persisted DF
-// cluster are loaded from disk on first touch. Safe for concurrent use: the
-// lazy reconstruction is serialized, and the returned slice is never
-// mutated afterwards (callers must treat it as read-only).
+// delta encoding, memoizing the result. Safe for concurrent use: the lazy
+// reconstruction is serialized, and the returned slice is never mutated
+// afterwards (callers must treat it as read-only).
 func (f *A2F) FSGIds(id int) []int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -284,7 +279,6 @@ func (f *A2F) fsgIdsLocked(id int) []int {
 	if e.fsgIds != nil {
 		return e.fsgIds
 	}
-	f.ensureLoaded(e)
 	set := map[int]bool{}
 	for _, d := range e.DelIds {
 		set[d] = true
@@ -301,22 +295,6 @@ func (f *A2F) fsgIdsLocked(id int) []int {
 	sort.Ints(ids)
 	e.fsgIds = ids
 	return ids
-}
-
-func (f *A2F) ensureLoaded(e *a2fEntry) {
-	if e.Cluster < 0 || f.store == nil {
-		return
-	}
-	c := f.clusters[e.Cluster]
-	if c.loaded {
-		return
-	}
-	if err := f.store.loadCluster(f, e.Cluster); err != nil {
-		// A persisted index with an unreadable backing file is a
-		// programming/deployment error surfaced at Load time; here it
-		// means the file vanished mid-run.
-		panic(fmt.Sprintf("index: DF cluster %d unreadable: %v", e.Cluster, err))
-	}
 }
 
 // NumEntries returns the number of DIFs.

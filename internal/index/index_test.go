@@ -183,8 +183,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if loaded.A2F.NumEntries() != set.A2F.NumEntries() || loaded.A2I.NumEntries() != set.A2I.NumEntries() {
 		t.Fatal("entry counts changed")
 	}
-	// Lazy DF loading: reconstruct every fragment's ids and compare to the
-	// miner's ground truth.
+	// DF clusters load with the set: reconstruct every fragment's ids and
+	// compare to the miner's ground truth.
 	for _, f := range res.Frequent {
 		id, ok := loaded.A2F.IDByCode(f.Code)
 		if !ok {

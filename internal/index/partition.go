@@ -44,14 +44,6 @@ func PartitionSets(s *Set, n int, shardOf func(graphID int) int) ([]*Set, Partit
 	}
 
 	t0 := time.Now()
-	// A persisted set keeps DF-cluster payloads on disk; the split needs
-	// every DelIds list, so load them all up front.
-	s.A2F.mu.Lock()
-	for _, e := range s.A2F.entries {
-		s.A2F.ensureLoaded(e)
-	}
-	s.A2F.mu.Unlock()
-
 	// Sequential single pass: split each entry's delta list and each DIF's
 	// FSG list into per-shard sub-lists. Global lists are ascending, and the
 	// split preserves order, so every sub-list stays sorted.
@@ -132,7 +124,6 @@ func buildShardSet(src *Set, delIds, difIds [][]int, numGraphs int) *Set {
 		a2f.clusters = append(a2f.clusters, &cluster{
 			Root:    c.Root,
 			Members: append([]int(nil), c.Members...),
-			loaded:  true,
 		})
 	}
 	for i := range a2f.entries {

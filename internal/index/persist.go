@@ -12,9 +12,12 @@ import (
 )
 
 // Persistence layout mirrors the paper's memory/disk split: the MF-index,
-// the A²I-index and all DAG structure load eagerly; the DF-index fragment
-// clusters live in a separate data file and are loaded per cluster on first
-// access (the "disk-resident" component of A²F).
+// the A²I-index and all DAG structure live in a2f.gob and a2i.gob; the
+// DF-index fragment clusters (the "disk-resident" component of A²F) live in
+// a separate data file, one gob stream per cluster at a recorded offset.
+// Load reads every cluster: every store seals its sets at construction, so
+// a DF cluster is always needed in memory, and a damaged file must fail the
+// load as an error rather than a later lookup.
 
 const (
 	metaFile = "a2f.gob"
@@ -60,11 +63,6 @@ type wireDIF struct {
 	FSGIds  []int
 }
 
-type dfStore struct {
-	path    string
-	offsets []int64
-}
-
 // Save persists the index set into dir (created if needed).
 func (s *Set) Save(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -90,7 +88,6 @@ func (s *Set) Save(dir string) error {
 		if err := gob.NewEncoder(cw).Encode(wc); err != nil {
 			return fmt.Errorf("index: encoding DF cluster %d: %w", ci, err)
 		}
-		c.bytes = cw.n
 		pos += cw.n
 	}
 
@@ -125,18 +122,21 @@ func (s *Set) Save(dir string) error {
 	return writeGob(filepath.Join(dir, a2iFile), difs)
 }
 
-// Load reads a persisted index set from dir. DF clusters are left on disk
-// and loaded lazily on first access.
+// Load reads a persisted index set from dir, DF clusters included. A
+// missing, truncated or inconsistent file is an error.
 func Load(dir string) (*Set, error) {
 	var meta wireMeta
 	if err := readGob(filepath.Join(dir, metaFile), &meta); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("index: %s: %w", metaFile, err)
+	}
+	if len(meta.ClusterOffsets) != len(meta.ClusterRoots) {
+		return nil, fmt.Errorf("index: %s: %d cluster offsets for %d clusters",
+			metaFile, len(meta.ClusterOffsets), len(meta.ClusterRoots))
 	}
 	a2f := &A2F{
 		beta:      meta.Beta,
 		byCode:    make(map[string]int, len(meta.Entries)),
 		numGraphs: meta.NumGraphs,
-		store:     &dfStore{path: filepath.Join(dir, dfFile), offsets: meta.ClusterOffsets},
 	}
 	for _, we := range meta.Entries {
 		a2f.entries = append(a2f.entries, &a2fEntry{
@@ -147,7 +147,7 @@ func Load(dir string) (*Set, error) {
 		a2f.byCode[we.Code] = we.ID
 	}
 	for ci, root := range meta.ClusterRoots {
-		c := &cluster{Root: root, loaded: false}
+		c := &cluster{Root: root}
 		for _, e := range a2f.entries {
 			if e.Cluster == ci {
 				c.Members = append(c.Members, e.ID)
@@ -155,10 +155,13 @@ func Load(dir string) (*Set, error) {
 		}
 		a2f.clusters = append(a2f.clusters, c)
 	}
+	if err := loadClusters(filepath.Join(dir, dfFile), a2f, meta.ClusterOffsets); err != nil {
+		return nil, fmt.Errorf("index: %s: %w", dfFile, err)
+	}
 
 	var difs []wireDIF
 	if err := readGob(filepath.Join(dir, a2iFile), &difs); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("index: %s: %w", a2iFile, err)
 	}
 	a2i := &A2I{byCode: map[string]int{}}
 	for _, d := range difs {
@@ -170,25 +173,31 @@ func Load(dir string) (*Set, error) {
 	return &Set{A2F: a2f, A2I: a2i, Alpha: meta.Alpha, Beta: meta.Beta, NumGraphs: meta.NumGraphs}, nil
 }
 
-func (st *dfStore) loadCluster(f *A2F, ci int) error {
-	file, err := os.Open(st.path)
+// loadClusters reads every DF cluster from the data file at its offset into
+// the entries it names.
+func loadClusters(path string, f *A2F, offsets []int64) error {
+	file, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer file.Close()
-	if _, err := file.Seek(st.offsets[ci], io.SeekStart); err != nil {
-		return err
+	for ci, off := range offsets {
+		if _, err := file.Seek(off, io.SeekStart); err != nil {
+			return err
+		}
+		var wc wireCluster
+		if err := gob.NewDecoder(file).Decode(&wc); err != nil {
+			return fmt.Errorf("cluster %d: %w", ci, err)
+		}
+		for _, we := range wc.Entries {
+			if we.ID < 0 || we.ID >= len(f.entries) {
+				return fmt.Errorf("cluster %d: entry %d of %d", ci, we.ID, len(f.entries))
+			}
+			e := f.entries[we.ID]
+			e.DelIds = we.DelIds
+			e.Graph = we.Graph
+		}
 	}
-	var wc wireCluster
-	if err := gob.NewDecoder(file).Decode(&wc); err != nil {
-		return err
-	}
-	for _, we := range wc.Entries {
-		e := f.entries[we.ID]
-		e.DelIds = we.DelIds
-		e.Graph = we.Graph
-	}
-	f.clusters[ci].loaded = true
 	return nil
 }
 

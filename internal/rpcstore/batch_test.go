@@ -432,7 +432,7 @@ func TestOutOfRangeCandidateIDsRejected(t *testing.T) {
 	db, idx := buildDB(t, 35, 30)
 	c := newCluster(t, db, idx, 2, 1, allShards(2))
 	rs, err := Dial(context.Background(), []string{corruptingProxy(t, c.addrs[0], len(db))},
-		WithRetries(0), WithCallTimeout(10*time.Second))
+		withRetries(0), WithCallTimeout(10*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +504,7 @@ func formulatePath(t *testing.T, e *core.Engine) core.StepOutcome {
 func TestModificationsSurfaceProbeErrors(t *testing.T) {
 	db, idx := buildDB(t, 34, 30)
 	c := newCluster(t, db, idx, 2, 1, allShards(2))
-	rs, _, _ := dialEngine(t, c, WithRetries(0), WithCallTimeout(time.Second))
+	rs, _, _ := dialEngine(t, c, withRetries(0), WithCallTimeout(time.Second))
 	engine := func() *core.Engine {
 		e, err := core.NewWithStore(rs, 1)
 		if err != nil {

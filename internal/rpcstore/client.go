@@ -20,7 +20,8 @@ import (
 	"prague/internal/trace"
 )
 
-// Dial defaults; every knob has a DialOption.
+// Dial defaults. The call timeout is a DialOption; the connect timeout,
+// retry rounds, backoff and hedge delay are fixed.
 const (
 	defaultCallTimeout = 2 * time.Second
 	defaultDialTimeout = 2 * time.Second
@@ -57,42 +58,6 @@ func WithCallTimeout(d time.Duration) DialOption {
 	return func(rs *RemoteStore) {
 		if d > 0 {
 			rs.callTimeout = d
-		}
-	}
-}
-
-// WithDialTimeout bounds one TCP connect (default 2s).
-func WithDialTimeout(d time.Duration) DialOption {
-	return func(rs *RemoteStore) {
-		if d > 0 {
-			rs.dialTimeout = d
-		}
-	}
-}
-
-// WithHedgeDelay sets how long a group call waits on the primary endpoint
-// before hedging to a replica (default 2ms). Zero or negative disables
-// hedging; failover on a failed primary still happens.
-func WithHedgeDelay(d time.Duration) DialOption {
-	return func(rs *RemoteStore) { rs.hedgeDelay = d }
-}
-
-// WithRetries sets how many backoff retry rounds a group call may take
-// after the first round fails on every endpoint (default 2).
-func WithRetries(n int) DialOption {
-	return func(rs *RemoteStore) {
-		if n >= 0 {
-			rs.maxRetries = n
-		}
-	}
-}
-
-// WithBackoff sets the base backoff between retry rounds; round r sleeps
-// r × backoff (default 2ms).
-func WithBackoff(d time.Duration) DialOption {
-	return func(rs *RemoteStore) {
-		if d > 0 {
-			rs.backoff = d
 		}
 	}
 }
@@ -585,9 +550,9 @@ func (rs *RemoteStore) call(ctx context.Context, g replicaGroup, req *Msg, check
 }
 
 type attemptResult struct {
-	ep    int
-	reply *Msg
-	err   error
+	reply  *Msg
+	err    error
+	hedged bool // the hedge timer launched this attempt
 }
 
 // callRound tries the ordered endpoints once each: the primary first, a
@@ -609,14 +574,14 @@ func (rs *RemoteStore) callRound(ctx context.Context, sp *trace.Span, order []in
 		return nil, lastErr
 	}
 	results := make(chan attemptResult, len(order))
-	launch := func(ep int) {
+	launch := func(ep int, hedged bool) {
 		go func() {
 			reply, err := rs.attempt(ctx, ep, req, checkEpoch)
-			results <- attemptResult{ep: ep, reply: reply, err: err}
+			results <- attemptResult{reply: reply, err: err, hedged: hedged}
 		}()
 	}
 	launched := 1
-	launch(order[0])
+	launch(order[0], false)
 	hedge := time.NewTimer(rs.hedgeDelay)
 	defer hedge.Stop()
 	var lastErr error
@@ -625,7 +590,9 @@ func (rs *RemoteStore) callRound(ctx context.Context, sp *trace.Span, order []in
 		case r := <-results:
 			done++
 			if r.err == nil {
-				if r.ep != order[0] {
+				// Only an attempt the hedge timer launched is a hedge win;
+				// a failover after a failed primary is not.
+				if r.hedged {
 					rs.inc(metrics.CounterShardRPCHedgeWins)
 					sp.Add("hedge_wins", 1)
 				}
@@ -638,14 +605,14 @@ func (rs *RemoteStore) callRound(ctx context.Context, sp *trace.Span, order []in
 			if launched < len(order) && ctx.Err() == nil {
 				// Failover: the endpoint answered with a failure, so the
 				// next replica gets tried immediately, not on the timer.
-				launch(order[launched])
+				launch(order[launched], false)
 				launched++
 			}
 		case <-hedge.C:
 			if launched < len(order) {
 				rs.inc(metrics.CounterShardRPCHedged)
 				sp.Add("hedged", 1)
-				launch(order[launched])
+				launch(order[launched], true)
 				launched++
 			}
 		case <-ctx.Done():

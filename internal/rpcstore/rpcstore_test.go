@@ -22,6 +22,33 @@ var (
 	tEdgeLabels = []string{"", "", "", "1", "2"}
 )
 
+// Test hooks for the client's retry and hedge timing; Dial keeps its
+// defaults (2s connect, 2ms hedge delay, 2 retry rounds, 2ms backoff).
+
+// withDialTimeout bounds one TCP connect.
+func withDialTimeout(d time.Duration) DialOption {
+	return func(rs *RemoteStore) { rs.dialTimeout = d }
+}
+
+// withHedgeDelay sets how long a group call waits on the primary endpoint
+// before hedging to a replica. Zero disables hedging; failover on a failed
+// primary still happens.
+func withHedgeDelay(d time.Duration) DialOption {
+	return func(rs *RemoteStore) { rs.hedgeDelay = d }
+}
+
+// withRetries sets how many backoff retry rounds a group call may take
+// after the first round fails on every endpoint.
+func withRetries(n int) DialOption {
+	return func(rs *RemoteStore) { rs.maxRetries = n }
+}
+
+// withBackoff sets the base backoff between retry rounds; round r sleeps
+// r × backoff.
+func withBackoff(d time.Duration) DialOption {
+	return func(rs *RemoteStore) { rs.backoff = d }
+}
+
 func buildDB(tb testing.TB, seed int64, n int) ([]*graph.Graph, *index.Set) {
 	tb.Helper()
 	r := rand.New(rand.NewSource(seed))
@@ -125,7 +152,7 @@ func TestDialValidatesTopology(t *testing.T) {
 
 	t.Run("unreachable", func(t *testing.T) {
 		_, err := Dial(context.Background(), []string{"127.0.0.1:1"},
-			WithDialTimeout(100*time.Millisecond))
+			withDialTimeout(100*time.Millisecond))
 		if err == nil {
 			t.Error("dial to a dead port succeeded")
 		}
@@ -291,7 +318,7 @@ func TestStaleEpochBeyondRingIsTyped(t *testing.T) {
 		return []ServerOption{WithPinRing(2)}
 	})
 	rs, err := Dial(context.Background(), c.addrs,
-		WithRetries(1), WithBackoff(time.Millisecond))
+		withRetries(1), withBackoff(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,8 +356,8 @@ func TestFailoverToReplica(t *testing.T) {
 	inj.Disarm()
 	reg := metrics.NewRegistry()
 	rs, err := Dial(context.Background(), c.addrs,
-		WithClientMetrics(reg), WithHedgeDelay(time.Millisecond),
-		WithRetries(2), WithBackoff(time.Millisecond))
+		WithClientMetrics(reg), withHedgeDelay(time.Millisecond),
+		withRetries(2), withBackoff(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +393,7 @@ func TestPartitionIsTypedError(t *testing.T) {
 		return []ServerOption{WithServerInjector(inj)}
 	})
 	rs, err := Dial(context.Background(), c.addrs,
-		WithRetries(1), WithBackoff(time.Millisecond), WithCallTimeout(200*time.Millisecond))
+		withRetries(1), withBackoff(time.Millisecond), WithCallTimeout(200*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +425,7 @@ func TestLookupBackoffEndsWithTheCall(t *testing.T) {
 	db, idx := buildDB(t, 36, 20)
 	c := newCluster(t, db, idx, 2, 1, allShards(2))
 	rs, err := Dial(context.Background(), c.addrs,
-		WithCallTimeout(100*time.Millisecond), WithRetries(3), WithBackoff(time.Hour))
+		WithCallTimeout(100*time.Millisecond), withRetries(3), withBackoff(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +461,7 @@ func TestHedgingBeatsSlowPrimary(t *testing.T) {
 	})
 	reg := metrics.NewRegistry()
 	rs, err := Dial(context.Background(), c.addrs,
-		WithClientMetrics(reg), WithHedgeDelay(2*time.Millisecond),
+		WithClientMetrics(reg), withHedgeDelay(2*time.Millisecond),
 		WithCallTimeout(5*time.Second))
 	if err != nil {
 		t.Fatal(err)
@@ -459,6 +486,52 @@ func TestHedgingBeatsSlowPrimary(t *testing.T) {
 	}
 }
 
+// TestHedgeWinsCountOnlyHedges: shard_rpc_hedge_wins counts calls answered
+// by an attempt the hedge timer launched. A failover after a fast primary
+// failure answers from the replica too, but it is no hedge win.
+func TestHedgeWinsCountOnlyHedges(t *testing.T) {
+	db, idx := buildDB(t, 17, 20)
+	for _, tc := range []struct {
+		name       string
+		primary    faultinject.Rule
+		hedgeDelay time.Duration
+		wins       int64
+	}{
+		{"fast-failure-then-failover", faultinject.Rule{Every: 1, Err: true}, 5 * time.Second, 0},
+		{"slow-primary-beaten-by-hedge", faultinject.Rule{Every: 1, Latency: 300 * time.Millisecond}, 2 * time.Millisecond, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inj := faultinject.New()
+			inj.Disarm()
+			c := newCluster(t, db, idx, 1, 2, allShards(1), func(i int) []ServerOption {
+				if i == 0 {
+					return []ServerOption{WithServerInjector(inj)}
+				}
+				return nil
+			})
+			reg := metrics.NewRegistry()
+			rs, err := Dial(context.Background(), c.addrs,
+				WithClientMetrics(reg), withHedgeDelay(tc.hedgeDelay), WithCallTimeout(5*time.Second))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rs.Close()
+			inj.Rearm()
+			inj.Set(faultinject.SiteRPCServe, tc.primary)
+
+			if _, err := probeOne(rs.Pin(), store.Probe{Kind: index.KindNone}); err != nil {
+				t.Fatal(err)
+			}
+			if got := reg.Snapshot().Counters[metrics.CounterShardRPCHedgeWins]; got != tc.wins {
+				t.Errorf("hedge wins = %d, want %d", got, tc.wins)
+			}
+			if inj.Fired(faultinject.SiteRPCServe) == 0 {
+				t.Error("the primary's fault never fired")
+			}
+		})
+	}
+}
+
 func TestStaleEpochReplyDetected(t *testing.T) {
 	db, idx := buildDB(t, 18, 16)
 	inj := faultinject.New()
@@ -468,7 +541,7 @@ func TestStaleEpochReplyDetected(t *testing.T) {
 	})
 	reg := metrics.NewRegistry()
 	rs, err := Dial(context.Background(), c.addrs,
-		WithClientMetrics(reg), WithRetries(1), WithBackoff(time.Millisecond))
+		WithClientMetrics(reg), withRetries(1), withBackoff(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,11 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 
 	"prague/internal/graph"
+	"prague/internal/index"
 	"prague/internal/intset"
 	"prague/internal/prefilter"
 )
@@ -427,6 +429,57 @@ func TestLoadShardedRejectsWrongSlots(t *testing.T) {
 	bad[3] = nil // live slot missing
 	if _, err := LoadSharded(bad, dir); !errors.Is(err, ErrManifestMismatch) {
 		t.Errorf("missing live slot = %v, want ErrManifestMismatch", err)
+	}
+}
+
+// TestLoadTruncatedFileFails truncates each file of a persisted index set
+// to three bytes: index.Load, LoadMem and LoadSharded must each return an
+// error, and none may panic.
+func TestLoadTruncatedFileFails(t *testing.T) {
+	db := testDB(t, 6, 35)
+	idx := buildIndex(t, db, 0.2, 2)
+	if idx.A2F.NumClusters() == 0 {
+		t.Fatal("fixture index has no DF cluster, so df.dat would be empty")
+	}
+	mono, err := NewMem(db, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := NewSharded(db, idx, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range []string{"a2f.gob", "df.dat", "a2i.gob"} {
+		t.Run(file, func(t *testing.T) {
+			monoDir, shardedDir := t.TempDir(), t.TempDir()
+			if err := mono.Save(monoDir); err != nil {
+				t.Fatal(err)
+			}
+			if err := sharded.Save(shardedDir); err != nil {
+				t.Fatal(err)
+			}
+			for _, path := range []string{filepath.Join(monoDir, file), filepath.Join(shardDir(shardedDir, 0), file)} {
+				if err := os.Truncate(path, 3); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for name, load := range map[string]func() error{
+				"index.Load":  func() error { _, err := index.Load(monoDir); return err },
+				"LoadMem":     func() error { _, err := LoadMem(db, monoDir); return err },
+				"LoadSharded": func() error { _, err := LoadSharded(db, shardedDir); return err },
+			} {
+				func() {
+					defer func() {
+						if p := recover(); p != nil {
+							t.Errorf("%s panicked on a truncated %s: %v", name, file, p)
+						}
+					}()
+					if err := load(); err == nil {
+						t.Errorf("%s accepted a truncated %s", name, file)
+					}
+				}()
+			}
+		})
 	}
 }
 

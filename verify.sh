@@ -17,6 +17,9 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 go vet ./...
+# The slow-tagged differential sweep drives Run and RunMutation; vet it so
+# it keeps compiling although plain `go test` never builds it.
+go vet -tags slow ./internal/difftest/
 go build ./...
 # The service is built over a store and knows no layout: it must not reach
 # the remote store's package.
