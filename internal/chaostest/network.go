@@ -233,8 +233,7 @@ func runNetworkSchedule(t *testing.T, cfg Config, fx *Fixture, i int, tot *Netwo
 	}
 	defer svc.Close()
 
-	w := workload{svc: svc, st: cl.remote, fx: fx, mix: sessionMix,
-		typed: failing(append([]map[faultinject.Site]faultinject.Rule{sc.client}, sc.servers[:]...)...)}
+	w := workload{svc: svc, st: cl.remote, fx: fx, mix: sessionMix, typed: failing(sc.client) || failing(sc.servers[:]...)}
 	if sc.kind == netMutate {
 		w.mutations = cfg.Mutations
 	}
