@@ -17,17 +17,25 @@
 // so partial results never enter the cache; one of the waiters simply
 // becomes the next leader.
 //
-// Because the underlying database is immutable, there is no invalidation:
-// entries are evicted only by the byte-budgeted LRU policy. Stored slices
-// are owned by the cache and deeply immutable; callers must not mutate what
-// Get/Do return (the engine already treats candidate lists as read-only —
-// index FSG lists are shared the same way).
+// The database mutates online, so every entry records the Version it was
+// computed at: the store snapshot's epoch and CacheTag. A lookup serves an
+// entry only at the caller's own version. An entry from an older version is
+// not dropped: Do hands it to the caller's carry function, which rolls it
+// forward over the mutations since (the snapshot's bounded history), and
+// republishes the result at the caller's version; only a version the carry
+// cannot reach is recomputed. An entry is never replaced by one computed at
+// an older epoch, so sessions still pinned to an old epoch cannot drag the
+// cache back. Entries leave by the byte-budgeted LRU policy alone. Stored
+// slices are owned by the cache and deeply immutable; callers must not
+// mutate what Get/Do return (the engine already treats candidate lists as
+// read-only — index FSG lists are shared the same way).
 package candcache
 
 import (
 	"container/list"
 	"context"
 	"hash/maphash"
+	"strings"
 	"sync"
 
 	"prague/internal/faultinject"
@@ -46,14 +54,30 @@ const (
 	KeyContainment = "exact"
 )
 
-// Key builds a cache key from a computation kind, a store-layout tag, and a
-// fragment's canonical code. The tag (store.Store.CacheTag) namespaces
-// entries by database layout: a monolithic store and a sharded store — or
-// two stores with different shard counts — can share one cache without one
-// layout ever serving another's entries.
+// Key builds a cache key from a computation kind, a store's CacheTag, and a
+// fragment's canonical code. Only the tag's layout token (the part before
+// its first ':', "m" or "s<N>") enters the key: a monolithic store and a
+// sharded store — or two stores with different shard counts — share one
+// cache without one layout ever serving another's entries, while the rest
+// of the tag, which changes with every mutation, belongs to the entry's
+// Version instead.
 func Key(kind, tag, code string) string {
-	return kind + ":" + tag + ":" + code
+	layout, _, _ := strings.Cut(tag, ":")
+	return kind + ":" + layout + ":" + code
 }
+
+// Version is the store state an entry was computed against: the pinned
+// snapshot's epoch and CacheTag.
+type Version struct {
+	Epoch uint64
+	Tag   string
+}
+
+// Carry rolls ids, an entry computed at version from, forward to the
+// caller's version, returning a fresh slice (ids is the cache's and must not
+// be mutated). An error — from not knowing the mutations since from, or a
+// failed check — makes Do compute the entry from scratch instead.
+type Carry func(ctx context.Context, from Version, ids []int) ([]int, error)
 
 // numShards spreads keys over independently locked LRUs so concurrent
 // sessions rarely contend on one mutex.
@@ -74,6 +98,7 @@ type Cache struct {
 	hits      *metrics.Counter
 	misses    *metrics.Counter
 	coalesced *metrics.Counter
+	carried   *metrics.Counter
 	evictions *metrics.Counter
 	entries   *metrics.Counter // level gauge: live entries
 	bytes     *metrics.Counter // level gauge: resident bytes
@@ -89,6 +114,7 @@ type shard struct {
 
 type entry struct {
 	key  string
+	ver  Version
 	ids  []int
 	size int64
 	elem *list.Element
@@ -120,6 +146,7 @@ func New(budget int64, reg *metrics.Registry) *Cache {
 		hits:      counter(metrics.CounterCandHits),
 		misses:    counter(metrics.CounterCandMisses),
 		coalesced: counter(metrics.CounterCandCoalesced),
+		carried:   counter(metrics.CounterCandCarried),
 		evictions: counter(metrics.CounterCandEvictions),
 		entries:   counter(metrics.CounterCandEntries),
 		bytes:     counter(metrics.CounterCandBytes),
@@ -136,15 +163,16 @@ func (c *Cache) shard(key string) *shard {
 	return &c.shards[maphash.String(c.seed, key)%numShards]
 }
 
-// Get returns the cached id set for key, if resident. The returned slice is
-// owned by the cache and must not be mutated.
-func (c *Cache) Get(key string) ([]int, bool) {
+// Get returns the id set cached for key at version at, if resident. The
+// returned slice is owned by the cache and must not be mutated.
+func (c *Cache) Get(key string, at Version) ([]int, bool) {
 	if c == nil {
 		return nil, false
 	}
 	sh := c.shard(key)
 	sh.mu.Lock()
 	e, ok := sh.byKey[key]
+	ok = ok && e.ver == at
 	if ok {
 		sh.lru.MoveToFront(e.elem)
 	}
@@ -157,30 +185,34 @@ func (c *Cache) Get(key string) ([]int, bool) {
 	return e.ids, true
 }
 
-// Put stores an id set under key (cloning it, so the caller keeps ownership
-// of its slice) and evicts least-recently-used entries until the shard fits
-// its budget. An entry larger than the whole shard budget is not stored.
-func (c *Cache) Put(key string, ids []int) {
+// Put stores an id set computed at version at under key (cloning it, so the
+// caller keeps ownership of its slice) and evicts least-recently-used
+// entries until the shard fits its budget. An entry larger than the whole
+// shard budget is not stored, and neither is one older than the resident
+// entry.
+func (c *Cache) Put(key string, at Version, ids []int) {
 	if c == nil {
 		return
 	}
 	sh := c.shard(key)
 	sh.mu.Lock()
-	c.putLocked(sh, key, ids)
+	c.putLocked(sh, key, at, ids)
 	sh.mu.Unlock()
 }
 
-// Do returns the id set for key, computing it at most once across all
-// concurrent callers: a resident key returns immediately (hit); a key being
-// computed by another goroutine blocks until that leader publishes
-// (coalesced); otherwise the caller becomes the leader, runs compute, and
-// publishes the result (miss). compute's error — typically a wrapped
-// ctx.Err() from a cancelled verification — is returned to the leader with
-// whatever partial value compute produced, and nothing is published; one
-// blocked waiter then takes over as the next leader. A waiter whose own ctx
-// is done stops waiting and returns ctx.Err(). On a nil cache Do simply runs
-// compute.
-func (c *Cache) Do(ctx context.Context, key string, compute func(ctx context.Context) ([]int, error)) ([]int, error) {
+// Do returns the id set for key at version at, computing it at most once
+// across all concurrent callers: an entry resident at at returns immediately
+// (hit); a key being computed by another goroutine blocks until that leader
+// publishes (coalesced); otherwise the caller becomes the leader. A leader
+// that finds an entry from an older epoch rolls it forward with carry
+// (carried); one that finds none, or whose carry fails or is nil, runs
+// compute (miss). Either way the result is published at at. compute's error
+// — typically a wrapped ctx.Err() from a cancelled verification — is
+// returned to the leader with whatever partial value compute produced, and
+// nothing is published; one blocked waiter then takes over as the next
+// leader. A waiter whose own ctx is done stops waiting and returns
+// ctx.Err(). On a nil cache Do simply runs compute.
+func (c *Cache) Do(ctx context.Context, key string, at Version, carry Carry, compute func(ctx context.Context) ([]int, error)) ([]int, error) {
 	if c == nil {
 		return compute(ctx)
 	}
@@ -195,16 +227,18 @@ func (c *Cache) Do(ctx context.Context, key string, compute func(ctx context.Con
 		return compute(trace.ContextWithSpan(ctx, sp))
 	}
 	// Traced sessions see every cache interaction as a cand_fetch span whose
-	// single outcome count (hit / miss / coalesced) mirrors the counters;
-	// the leader's compute runs under the span, so verification work nests
-	// beneath the fetch that triggered it.
+	// single outcome count (hit / miss / coalesced / carried) mirrors the
+	// counters; the leader's carry or compute runs under the span, so
+	// verification work nests beneath the fetch that triggered it.
 	sp := trace.SpanFromContext(ctx).Child(trace.KindCandFetch)
 	sp.SetAttr("key", key)
+	defer sp.End()
 	sh := c.shard(key)
 	waited := false
 	for {
 		sh.mu.Lock()
-		if e, ok := sh.byKey[key]; ok {
+		e, resident := sh.byKey[key]
+		if resident && e.ver == at {
 			sh.lru.MoveToFront(e.elem)
 			sh.mu.Unlock()
 			if waited {
@@ -214,7 +248,6 @@ func (c *Cache) Do(ctx context.Context, key string, compute func(ctx context.Con
 				c.hits.Inc()
 				sp.Add("hit", 1)
 			}
-			sp.End()
 			return e.ids, nil
 		}
 		if f, ok := sh.flights[key]; ok {
@@ -225,7 +258,6 @@ func (c *Cache) Do(ctx context.Context, key string, compute func(ctx context.Con
 				continue
 			case <-ctx.Done():
 				sp.Add("wait_cancelled", 1)
-				sp.End()
 				return nil, ctx.Err()
 			}
 		}
@@ -233,18 +265,30 @@ func (c *Cache) Do(ctx context.Context, key string, compute func(ctx context.Con
 		sh.flights[key] = f
 		sh.mu.Unlock()
 
-		c.misses.Inc()
-		sp.Add("miss", 1)
-		ids, err := compute(trace.ContextWithSpan(ctx, sp))
+		lctx := trace.ContextWithSpan(ctx, sp)
+		var ids []int
+		var err error
+		carried := false
+		if resident && carry != nil && e.ver.Epoch < at.Epoch {
+			ids, err = carry(lctx, e.ver, e.ids)
+			carried = err == nil
+		}
+		if carried {
+			c.carried.Inc()
+			sp.Add("carried", 1)
+		} else {
+			c.misses.Inc()
+			sp.Add("miss", 1)
+			ids, err = compute(lctx)
+		}
 
 		sh.mu.Lock()
 		delete(sh.flights, key)
 		if err == nil {
-			c.putLocked(sh, key, ids)
+			c.putLocked(sh, key, at, ids)
 		}
 		sh.mu.Unlock()
 		close(f.done)
-		sp.End()
 		return ids, err
 	}
 }
@@ -254,9 +298,10 @@ func (c *Cache) Do(ctx context.Context, key string, compute func(ctx context.Con
 // It is traced and fault-injected as Do is: a cand_fetch span counts the hit
 // or miss, and a firing SiteCache fault bypasses the cache, so neither ok nor
 // publish is set and the caller must not Put what it computes. Unlike Do,
-// misses are not coalesced: concurrent callers that miss one key each compute
-// it. A nil cache reports a miss that is not to be published.
-func (c *Cache) Lookup(ctx context.Context, key string) (ids []int, ok, publish bool) {
+// misses are not coalesced, and an entry at another version is a miss, never
+// carried: concurrent callers that miss one key each compute it. A nil cache
+// reports a miss that is not to be published.
+func (c *Cache) Lookup(ctx context.Context, key string, at Version) (ids []int, ok, publish bool) {
 	if c == nil {
 		return nil, false, false
 	}
@@ -267,7 +312,7 @@ func (c *Cache) Lookup(ctx context.Context, key string) (ids []int, ok, publish 
 		sp.Add("fault_bypass", 1)
 		return nil, false, false
 	}
-	if ids, ok = c.Get(key); ok {
+	if ids, ok = c.Get(key, at); ok {
 		sp.Add("hit", 1)
 		return ids, true, false
 	}
@@ -276,18 +321,23 @@ func (c *Cache) Lookup(ctx context.Context, key string) (ids []int, ok, publish 
 }
 
 // putLocked inserts (or refreshes) an entry; sh.mu is held.
-func (c *Cache) putLocked(sh *shard, key string, ids []int) {
+func (c *Cache) putLocked(sh *shard, key string, at Version, ids []int) {
 	size := int64(len(key)) + 8*int64(len(ids)) + entryOverhead
 	if size > c.shardBudget {
 		return
 	}
 	if old, ok := sh.byKey[key]; ok {
-		// Racing leaders (a retried waiter after an eviction) may publish
-		// twice; the sets are equal by construction, so keep the old entry.
-		sh.lru.MoveToFront(old.elem)
-		return
+		if old.ver == at || old.ver.Epoch > at.Epoch {
+			// Racing leaders (a retried waiter after an eviction) may
+			// publish one version twice, and the sets are equal by
+			// construction; a session pinned to an older epoch must not
+			// replace a newer entry. Keep the old one either way.
+			sh.lru.MoveToFront(old.elem)
+			return
+		}
+		c.removeLocked(sh, old)
 	}
-	e := &entry{key: key, ids: intset.Clone(ids), size: size}
+	e := &entry{key: key, ver: at, ids: intset.Clone(ids), size: size}
 	e.elem = sh.lru.PushFront(e)
 	sh.byKey[key] = e
 	sh.bytes += size
@@ -300,15 +350,18 @@ func (c *Cache) putLocked(sh *shard, key string, ids []int) {
 // keeping at least one entry); sh.mu is held.
 func (c *Cache) evictLocked(sh *shard) {
 	for sh.bytes > c.shardBudget && sh.lru.Len() > 1 {
-		back := sh.lru.Back()
-		victim := back.Value.(*entry)
-		sh.lru.Remove(back)
-		delete(sh.byKey, victim.key)
-		sh.bytes -= victim.size
+		c.removeLocked(sh, sh.lru.Back().Value.(*entry))
 		c.evictions.Inc()
-		c.entries.Add(-1)
-		c.bytes.Add(-victim.size)
 	}
+}
+
+// removeLocked drops one resident entry; sh.mu is held.
+func (c *Cache) removeLocked(sh *shard, e *entry) {
+	sh.lru.Remove(e.elem)
+	delete(sh.byKey, e.key)
+	sh.bytes -= e.size
+	c.entries.Add(-1)
+	c.bytes.Add(-e.size)
 }
 
 // Len returns the number of resident entries.
@@ -346,16 +399,18 @@ type Stats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
 	Coalesced int64 `json:"coalesced"`
+	Carried   int64 `json:"carried"`
 	Evictions int64 `json:"evictions"`
 	Entries   int64 `json:"entries"`
 	Bytes     int64 `json:"bytes"`
 }
 
-// HitRatio returns hits / (hits + misses), counting coalesced waits as hits
-// (they were served without recomputation). Zero traffic reports 0.
+// HitRatio returns the share of lookups served without computing anything:
+// hits and coalesced waits over every lookup. A carry did work (its delta),
+// so it counts among the lookups but not the hits. Zero traffic reports 0.
 func (s Stats) HitRatio() float64 {
 	served := s.Hits + s.Coalesced
-	if total := served + s.Misses; total > 0 {
+	if total := served + s.Carried + s.Misses; total > 0 {
 		return float64(served) / float64(total)
 	}
 	return 0
@@ -370,6 +425,7 @@ func (c *Cache) Stats() Stats {
 		Hits:      c.hits.Value(),
 		Misses:    c.misses.Value(),
 		Coalesced: c.coalesced.Value(),
+		Carried:   c.carried.Value(),
 		Evictions: c.evictions.Value(),
 		Entries:   c.entries.Value(),
 		Bytes:     c.bytes.Value(),

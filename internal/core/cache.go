@@ -2,19 +2,23 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 
 	"prague/internal/candcache"
 	"prague/internal/graph"
+	"prague/internal/intset"
+	"prague/internal/spig"
 )
 
 // SetCandidateCache injects the shared cross-session candidate cache
 // (typically owned by a service multiplexing many sessions over one
-// immutable database). A nil cache restores uncached evaluation. Cached
-// slices are immutable; the engine never mutates candidate lists it did not
-// allocate, so sharing is safe.
+// database). A nil cache restores uncached evaluation. Cached slices are
+// immutable; the engine never mutates candidate lists it did not allocate,
+// so sharing is safe.
 //
-// Keys are namespaced by the store's layout tag (candcache.Key), so sessions
+// Keys are namespaced by the store's layout (candcache.Key), so sessions
 // over different layouts of the same database — monolithic next to a sharded
 // store, or stores with different shard counts — can share one cache without
 // their entries ever colliding.
@@ -22,16 +26,47 @@ func (e *Engine) SetCandidateCache(c *candcache.Cache) { e.cache = c }
 
 // candKey names a fragment's Algorithm 3 candidate id set in the shared
 // cache; exactKey names its verified containment set. Both are keyed by the
-// fragment's minimum-DFS canonical code plus the pinned snapshot's CacheTag
-// (layout, content fingerprint, and epoch), which identifies the computation
-// completely: a mutation publishes a new epoch, so entries computed against
-// different store states can never alias.
+// fragment's minimum-DFS canonical code and the store's layout, and stay put
+// across mutations: the pinned snapshot's epoch and CacheTag (layout,
+// content fingerprint and epoch) travel as the entry's version instead
+// (version), so an entry computed before a mutation is carried forward by
+// the mutation's delta (carryContainment, carryCandidates) rather than
+// dropped, and entries from different store states still never alias.
 func (e *Engine) candKey(code string) string {
 	return candcache.Key(candcache.KeyCandidates, e.snap.CacheTag(), code)
 }
 
 func (e *Engine) exactKey(code string) string {
 	return candcache.Key(candcache.KeyContainment, e.snap.CacheTag(), code)
+}
+
+// version is the cache version of the pinned snapshot.
+func (e *Engine) version() candcache.Version {
+	return candcache.Version{Epoch: e.snap.Epoch(), Tag: e.snap.CacheTag()}
+}
+
+// errNotInHistory: a cache entry's version is not in the pinned snapshot's
+// mutation history, so it cannot be carried and is recomputed.
+var errNotInHistory = errors.New("core: cache entry version not in the snapshot's history")
+
+// delta returns what changed between version from and the pinned snapshot:
+// the inserted ids still live at the pin (ascending, since inserted ids only
+// grow) and the deleted ids (ascending). Every inserted id exceeds every id
+// live at from, so it can be appended to a list computed there.
+func (e *Engine) delta(from candcache.Version) (ins, del []int, err error) {
+	ms, ok := e.snap.Since(from.Epoch, from.Tag)
+	if !ok {
+		return nil, nil, errNotInHistory
+	}
+	for _, m := range ms {
+		if m.Insert {
+			ins = append(ins, m.ID)
+		} else {
+			del = append(del, m.ID)
+		}
+	}
+	slices.Sort(del)
+	return intset.Diff(ins, del), del, nil
 }
 
 // exactContainment returns the ids of data graphs containing frag, verified
@@ -43,23 +78,11 @@ func (e *Engine) exactKey(code string) string {
 // partial prefix plus ctx.Err() and publishes nothing.
 func (e *Engine) exactContainment(ctx context.Context, code string, frag *graph.Graph, cands []int) ([]int, error) {
 	verify := func(ctx context.Context) ([]int, error) {
-		before := e.runFaults.Load()
 		// The count prefilter (chooser.go) may shrink the candidate list
 		// with a sound superset filter before isomorphism checks; the
 		// verified result does not depend on it.
 		pruned, _ := e.countFilter(ctx, []*graph.Graph{frag}, cands)
-		out, err := e.filter(ctx, pruned, e.verifyPred(ctx, func(id int) bool {
-			return graph.SubgraphIsomorphic(frag, e.snap.Graph(id))
-		}))
-		if err == nil {
-			// Faulted checks (injected errors, recovered panics) dropped
-			// candidates: surface a typed error so the set is treated as a
-			// subset — and, below, so cache.Do never publishes it.
-			if n := e.runFaults.Load() - before; n > 0 {
-				err = fmt.Errorf("core: %d candidate checks faulted: %w", n, ErrVerifyFaults)
-			}
-		}
-		return out, err
+		return e.containing(ctx, frag, pruned)
 	}
 	if e.cache == nil {
 		return verify(ctx)
@@ -67,5 +90,68 @@ func (e *Engine) exactContainment(ctx context.Context, code string, frag *graph.
 	if code == "" {
 		code = graph.CanonicalCode(frag)
 	}
-	return e.cache.Do(ctx, e.exactKey(code), verify)
+	return e.cache.Do(ctx, e.exactKey(code), e.version(), e.carryContainment(frag), verify)
+}
+
+// containing verifies which of ids contain frag on the verification pool.
+// Faulted checks (injected errors, recovered panics) drop candidates, so
+// they surface as a typed error: the set is then a subset, and cache.Do
+// never publishes it.
+func (e *Engine) containing(ctx context.Context, frag *graph.Graph, ids []int) ([]int, error) {
+	before := e.runFaults.Load()
+	out, err := e.filter(ctx, ids, e.verifyPred(ctx, func(id int) bool {
+		return graph.SubgraphIsomorphic(frag, e.snap.Graph(id))
+	}))
+	if n := e.runFaults.Load() - before; err == nil && n > 0 {
+		err = fmt.Errorf("core: %d candidate checks faulted: %w", n, ErrVerifyFaults)
+	}
+	return out, err
+}
+
+// carryContainment rolls frag's verified containment set forward to the
+// pinned snapshot: deleted ids leave it, and an inserted id still live at
+// the pin joins iff it contains frag (one isomorphism check per insert).
+func (e *Engine) carryContainment(frag *graph.Graph) candcache.Carry {
+	return func(ctx context.Context, from candcache.Version, ids []int) ([]int, error) {
+		ins, del, err := e.delta(from)
+		if err != nil {
+			return nil, err
+		}
+		joined, err := e.containing(ctx, frag, ins)
+		if err != nil {
+			return nil, err
+		}
+		return append(intset.Diff(ids, del), joined...), nil
+	}
+}
+
+// carryCandidates rolls NIF vertex v's Algorithm 3 candidate list forward to
+// the pinned snapshot: deleted ids leave it, and an inserted id still live at
+// the pin joins iff it is in every Υ and Φ list of v at the pin — exactly
+// what recomputing the intersection would add. It reads the in-process
+// shard indexes, so only in-process layouts carry candidate lists.
+func (e *Engine) carryCandidates(v *spig.Vertex) candcache.Carry {
+	return func(_ context.Context, from candcache.Version, ids []int) ([]int, error) {
+		ins, del, err := e.delta(from)
+		if err != nil {
+			return nil, err
+		}
+		out := intset.Diff(ids, del)
+	next:
+		for _, id := range ins {
+			idx := e.snap.Shard(e.snap.ShardOf(id)).Index()
+			for _, u := range v.Ups {
+				if !intset.Contains(idx.A2I.FSGIds(u), id) {
+					continue next
+				}
+			}
+			for _, p := range v.Phi {
+				if !intset.Contains(idx.A2F.FSGIds(p), id) {
+					continue next
+				}
+			}
+			out = append(out, id)
+		}
+		return out, nil
+	}
 }

@@ -25,7 +25,9 @@ import (
 // With a shared cross-session cache injected, the intersection result of a
 // non-indexed (NIF) vertex is additionally published under its canonical
 // code, so concurrent sessions formulating overlapping fragments intersect
-// each list once service-wide. Indexed vertices bypass the cache: their
+// each list once service-wide; in process, a list published before a
+// mutation is carried forward over it (carryCandidates) rather than
+// intersected again. Indexed vertices bypass the cache: their
 // candidate list is the index's own FSG list, already an O(1) lookup.
 // Cached NIF lists are sound candidate supersets; every consumer verifies
 // them (Rq verification in Run, Rver in SimilarResultsGen), so a list
@@ -99,7 +101,7 @@ func (e *Engine) localCandidates(ctx context.Context, v *spig.Vertex) ([]int, er
 		cctx := trace.ContextWithSpan(context.Background(), trace.SpanFromContext(ctx))
 		cctx = faultinject.With(cctx, faultinject.FromContext(ctx))
 		var err error
-		ids, err = e.cache.Do(cctx, e.candKey(v.Code),
+		ids, err = e.cache.Do(cctx, e.candKey(v.Code), e.version(), e.carryCandidates(v),
 			func(ctx context.Context) ([]int, error) { return e.computeCandidates(ctx, v), nil })
 		if err != nil {
 			return nil, err
@@ -117,7 +119,9 @@ func (e *Engine) localCandidates(ctx context.Context, v *spig.Vertex) ([]int, er
 // the cache. The cache is consulted with Lookup rather than Do, so each
 // lookup is still a cand_fetch span and still meets the cache fault hook,
 // but a miss is fetched by the batch: concurrent sessions that miss one
-// fragment each probe it rather than wait for one fetch. When a shard group
+// fragment each probe it rather than wait for one fetch. The coordinator
+// holds no index lists to carry a list with, so a cached list hits only at
+// the pinned snapshot's own version. When a shard group
 // cannot answer, an indexed vertex gets the wrapped error and a NIF vertex
 // the degraded superset ProbeAll returns, which is used for this action
 // only: it is neither memoized nor published, so the next action probes
@@ -127,6 +131,7 @@ func (e *Engine) probeRemote(ctx context.Context, pr store.Prober, vs []*spig.Ve
 		probes []store.Probe
 		probed []*spig.Vertex         // the vertex of each probe
 		keys   []string               // the cache key each probe's list is published under, "" for none
+		ver    = e.version()          // the version cached lists are looked up and published at
 		at     = make([]int, len(vs)) // vs index -> probe index, -1 if answered here
 	)
 	for i, v := range vs {
@@ -153,7 +158,7 @@ func (e *Engine) probeRemote(ctx context.Context, pr store.Prober, vs []*spig.Ve
 			}
 			if e.cache != nil {
 				ck := e.candKey(v.Code)
-				ids, hit, publish := e.cache.Lookup(ctx, ck)
+				ids, hit, publish := e.cache.Lookup(ctx, ck, ver)
 				if hit {
 					e.memo(v, ids)
 					lists[i] = ids
@@ -180,7 +185,7 @@ func (e *Engine) probeRemote(ctx context.Context, pr store.Prober, vs []*spig.Ve
 		case err == nil:
 			e.memo(v, got[k])
 			if keys[k] != "" {
-				e.cache.Put(keys[k], got[k])
+				e.cache.Put(keys[k], ver, got[k])
 			}
 		case !probes[k].Kind.Indexed():
 			sp.Add("shard_probe_fallback", 1)

@@ -16,9 +16,11 @@
 // server-side replicas) in lockstep, asserting they assign the same ids and
 // publish the same epochs. The oracle re-enumerates the sharded store's live
 // graphs on every query, so an insert that lands in the wrong shard, a
-// delete that leaves a stale id in an index list, a cache entry surviving an
-// epoch change, or a replica that diverged under the broadcast all surface
-// as an oracle mismatch.
+// delete that leaves a stale id in an index list, a cache entry carried
+// wrongly across an epoch change, or a replica that diverged under the
+// broadcast all surface as an oracle mismatch. The cache-on variants must
+// carry at least one entry across a mutation, so the carry path stays
+// covered.
 //
 // Cached and uncached variants are deliberately allowed to diverge in
 // *mode*: a cached NIF candidate list published by an earlier script can be
@@ -98,7 +100,7 @@ var (
 
 func run(tb testing.TB, cfg Config, su suite) int {
 	tb.Helper()
-	total, mutations := 0, 0
+	total, mutations, carried := 0, 0, int64(0)
 	for d := 0; d < cfg.Databases; d++ {
 		seed := cfg.Seed + su.seed + int64(d)*7919
 		db, idx := RandomDatabase(tb, seed, cfg.DBSize)
@@ -151,9 +153,16 @@ func run(tb testing.TB, cfg Config, su suite) int {
 		}
 		total += h.cases
 		mutations += h.mutations
+		carried += cache.Stats().Carried
 	}
 	if su.mix.Mutate > 0 && mutations == 0 {
 		tb.Fatal("difftest: mutation suite applied zero mutations — the scripts are not exercising InsertGraph/DeleteGraph")
+	}
+	if su.mix.Mutate > 0 && carried == 0 {
+		tb.Fatal("difftest: the cache-on variants carried no entry across a mutation — the lockstep is not covering the carry path")
+	}
+	if su.mix.Mutate > 0 {
+		tb.Logf("difftest: %d mutations, %d cache entries carried", mutations, carried)
 	}
 	return total
 }

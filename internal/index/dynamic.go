@@ -43,8 +43,15 @@ func (s *Set) Seal() {
 
 // sizeOrder returns entry ids sorted by fragment size (ties by id), the
 // top-down traversal order of the DAG: every parent (maximal proper subgraph,
-// size-1 smaller) precedes its children.
+// size-1 smaller) precedes its children. The vocabulary is frozen, so the
+// order is sorted once per vocabulary and shared with copy-on-write
+// descendants. The returned slice must not be mutated.
 func (f *A2F) sizeOrder() []int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.order != nil {
+		return f.order
+	}
 	order := make([]int, len(f.entries))
 	for i := range order {
 		order[i] = i
@@ -56,6 +63,7 @@ func (f *A2F) sizeOrder() []int {
 		}
 		return ea.ID < eb.ID
 	})
+	f.order = order
 	return order
 }
 
@@ -159,6 +167,7 @@ func (s *Set) ApplyInsert(gid int, a2fIDs, a2iIDs []int) *Set {
 		byCode:    f.byCode,
 		clusters:  f.clusters,
 		numGraphs: f.numGraphs + 1,
+		order:     f.sizeOrder(),
 	}
 	copy(nf.entries, f.entries)
 	containedF := make(map[int]bool, len(a2fIDs))
@@ -215,6 +224,7 @@ func (s *Set) ApplyDelete(gid int) (_ *Set, a2fIDs, a2iIDs []int) {
 		byCode:    f.byCode,
 		clusters:  f.clusters,
 		numGraphs: f.numGraphs - 1,
+		order:     f.sizeOrder(),
 	}
 	copy(nf.entries, f.entries)
 	for i, old := range f.entries {

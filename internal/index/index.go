@@ -55,6 +55,7 @@ type A2F struct {
 
 	clusters  []*cluster // DF-index: fragment clusters for |f| > beta
 	numGraphs int
+	order     []int // sizeOrder, sorted once per vocabulary (dynamic.go)
 
 	// mu guards the per-entry fsgIds memoization so concurrent sessions
 	// can share one index.

@@ -37,12 +37,13 @@ const (
 
 	// Candidate-cache counters (see prague/internal/candcache). The last two
 	// are level gauges tracking resident entries and bytes.
-	CounterCandHits      = "candcache_hits"      // lookups served from a resident entry
-	CounterCandMisses    = "candcache_misses"    // lookups that had to compute (singleflight leaders)
-	CounterCandCoalesced = "candcache_coalesced" // waiters served by another session's computation
-	CounterCandEvictions = "candcache_evictions" // entries dropped by the byte-budgeted LRU
-	CounterCandEntries   = "candcache_entries"   // resident entries (gauge-like)
-	CounterCandBytes     = "candcache_bytes"     // resident bytes (gauge-like)
+	CounterCandHits      = "candcache_hits"          // lookups served from a resident entry
+	CounterCandMisses    = "candcache_misses"        // lookups that had to compute (singleflight leaders)
+	CounterCandCoalesced = "candcache_coalesced"     // waiters served by another session's computation
+	CounterCandCarried   = "candcache_carried_total" // entries rolled forward over mutations instead of recomputed
+	CounterCandEvictions = "candcache_evictions"     // entries dropped by the byte-budgeted LRU
+	CounterCandEntries   = "candcache_entries"       // resident entries (gauge-like)
+	CounterCandBytes     = "candcache_bytes"         // resident bytes (gauge-like)
 
 	// Tracing self-observability (see prague/internal/trace). The journal
 	// length is a level gauge; the other two count events.

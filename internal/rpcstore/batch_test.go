@@ -273,7 +273,7 @@ func TestProbeBatchSharedCache(t *testing.T) {
 				t.Errorf("edge %d: first session's NIF target recorded cand_fetch %v, want one miss", k, missed)
 			}
 			key := candcache.Key(candcache.KeyCandidates, rs.CacheTag(), target.Code)
-			if _, ok := cache.Get(key); !ok {
+			if _, ok := cache.Get(key, candcache.Version{Epoch: rs.Epoch(), Tag: rs.CacheTag()}); !ok {
 				t.Errorf("edge %d: the fetched NIF list was not published", k)
 			}
 		}

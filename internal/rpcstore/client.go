@@ -197,7 +197,7 @@ func Dial(ctx context.Context, endpoints []string, opts ...DialOption) (*RemoteS
 		rs.Close()
 		return nil, fmt.Errorf("rpcstore: dial: prefetch graphs: %w", err)
 	}
-	rs.publishMirror(h0.Epoch, h0.Tag, h0.NumGraphs, live, nil)
+	rs.publishMirror(h0.Epoch, h0.Tag, h0.NumGraphs, live, nil, nil)
 	rs.updateHealthGauges()
 	if reg := rs.reg.Load(); reg != nil {
 		reg.Counter(metrics.CounterShardEndpointsAll).Set(int64(len(endpoints)))
@@ -207,12 +207,14 @@ func Dial(ctx context.Context, endpoints []string, opts ...DialOption) (*RemoteS
 
 // publishMirror installs a new epoch view (Dial, and each mutation). tab is
 // the view's filter table when the mutation derived it from its parent's;
-// nil leaves it to be built by the view's first reader.
-func (rs *RemoteStore) publishMirror(epoch uint64, tag string, numGraphs int, live []int, tab *prefilter.Table) {
+// nil leaves it to be built by the view's first reader. hist is the view's
+// mutation history: the broadcasts this coordinator made, none at Dial.
+func (rs *RemoteStore) publishMirror(epoch uint64, tag string, numGraphs int, live []int, tab *prefilter.Table, hist store.History) {
 	sn := &remoteSnap{
 		rs:        rs,
 		epoch:     epoch,
 		tag:       tag,
+		hist:      hist,
 		numGraphs: numGraphs,
 		live:      live,
 		shardIDs:  make([][]int, rs.numShards),
@@ -304,6 +306,10 @@ func (rs *RemoteStore) Shard(i int) store.Shard              { return rs.Pin().S
 func (rs *RemoteStore) ShardOf(graphID int) int              { return store.AssignShard(graphID, rs.numShards) }
 func (rs *RemoteStore) CacheTag() string                     { return rs.Pin().CacheTag() }
 
+func (rs *RemoteStore) Since(epoch uint64, tag string) ([]store.Mutation, bool) {
+	return rs.Pin().Since(epoch, tag)
+}
+
 func (rs *RemoteStore) FilterTable() (*prefilter.Table, bool) { return rs.Pin().FilterTable() }
 
 // Save is unsupported: replicas persist their own layouts server-side.
@@ -351,7 +357,8 @@ func (rs *RemoteStore) InsertGraph(g *graph.Graph) (int, error) {
 	if t := sn.filter.Peek(); t != nil {
 		tab = t.Insert(wantID, g)
 	}
-	rs.publishMirror(sn.epoch+1, tag, sn.numGraphs+1, live, tab)
+	rs.publishMirror(sn.epoch+1, tag, sn.numGraphs+1, live, tab,
+		sn.hist.Add(store.Mutation{Epoch: sn.epoch, Tag: sn.tag, Insert: true, ID: wantID}))
 	return wantID, nil
 }
 
@@ -381,7 +388,8 @@ func (rs *RemoteStore) DeleteGraph(id int) error {
 	if t := sn.filter.Peek(); t != nil {
 		tab = t.Delete(id)
 	}
-	rs.publishMirror(sn.epoch+1, tag, sn.numGraphs, live, tab)
+	rs.publishMirror(sn.epoch+1, tag, sn.numGraphs, live, tab,
+		sn.hist.Add(store.Mutation{Epoch: sn.epoch, Tag: sn.tag, ID: id}))
 	return nil
 }
 
@@ -716,6 +724,7 @@ type remoteSnap struct {
 	rs        *RemoteStore
 	epoch     uint64
 	tag       string
+	hist      store.History
 	numGraphs int
 	live      []int
 	shardIDs  [][]int // live ids split by shard assignment
@@ -729,6 +738,15 @@ func (sn *remoteSnap) NumGraphs() int   { return sn.numGraphs }
 func (sn *remoteSnap) LiveIDs() []int   { return sn.live }
 func (sn *remoteSnap) NumShards() int   { return sn.rs.numShards }
 func (sn *remoteSnap) CacheTag() string { return sn.tag }
+
+// Since answers from the broadcasts this coordinator made: it is the
+// topology's sole mutator, so they are every mutation since Dial.
+func (sn *remoteSnap) Since(epoch uint64, tag string) ([]store.Mutation, bool) {
+	if epoch == sn.epoch {
+		return nil, tag == sn.tag
+	}
+	return sn.hist.Since(epoch, tag)
+}
 
 // FilterTable is built from the client-side graph cache, which Dial filled
 // with every live graph: no RPC.

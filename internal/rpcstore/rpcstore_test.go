@@ -309,6 +309,13 @@ func TestMutationLockstep(t *testing.T) {
 		if st.Epoch() != final.Epoch() {
 			t.Fatalf("replica %d at epoch %d, coordinator at %d", i, st.Epoch(), final.Epoch())
 		}
+		// The mirror remembers the broadcasts as the replicas remember the
+		// mutations they applied, so cache entries carry the same way.
+		got, ok := final.Since(before.Epoch(), before.CacheTag())
+		want, _ := st.Since(before.Epoch(), before.CacheTag())
+		if !ok || len(got) != 2 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("mirror history %+v (%v), replica %d history %+v", got, ok, i, want)
+		}
 	}
 }
 

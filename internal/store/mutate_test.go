@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -641,4 +642,67 @@ func TestFilterTableLazy(t *testing.T) {
 		t.Fatal("the delete published its snapshot without a derived table")
 	}
 	checkIncrementalAgainstRebuild(t, st)
+}
+
+// TestSinceHistory pins the mutation history the candidate cache carries
+// entries over: a snapshot answers Since for its own version (nothing
+// changed) and for each of its last HistoryLen predecessors (the mutations
+// since, oldest first), and refuses a version from another lineage, a later
+// epoch, or further back than the bound. A pinned snapshot keeps answering
+// for its own epoch while the store moves on.
+func TestSinceHistory(t *testing.T) {
+	db := testDB(t, 31, 12)
+	build := func() Store {
+		st, err := NewSharded(db, buildIndex(t, db, 0.25, 2), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	a, other := build(), build()
+	e0, t0 := a.Epoch(), a.CacheTag()
+	if ms, ok := a.Since(e0, t0); !ok || len(ms) != 0 {
+		t.Fatalf("own version: %v, %v; want nothing changed", ms, ok)
+	}
+	id, err := a.InsertGraph(extraGraph(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := a.Pin()
+	e1, t1 := a.Epoch(), a.CacheTag()
+	if err := a.DeleteGraph(0); err != nil {
+		t.Fatal(err)
+	}
+	want := []Mutation{{Epoch: e0, Tag: t0, Insert: true, ID: id}, {Epoch: e1, Tag: t1, ID: 0}}
+	if ms, ok := a.Since(e0, t0); !ok || !reflect.DeepEqual(ms, want) {
+		t.Fatalf("Since(%d) = %+v, %v; want %+v", e0, ms, ok, want)
+	}
+	if ms, ok := pinned.Since(e0, t0); !ok || !reflect.DeepEqual(ms, want[:1]) {
+		t.Fatalf("pinned Since(%d) = %+v, %v; want %+v", e0, ms, ok, want[:1])
+	}
+	if _, err := other.InsertGraph(extraGraph(4)); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []struct {
+		epoch uint64
+		tag   string
+	}{{e0, "bogus"}, {other.Epoch(), other.CacheTag()}, {a.Epoch() + 1, a.CacheTag()}} {
+		if ms, ok := a.Since(v.epoch, v.tag); ok {
+			t.Fatalf("Since(%d, %q) = %+v, want a version outside the history", v.epoch, v.tag, ms)
+		}
+	}
+	var tags []string // the tag of each version from e1 on
+	for k := 0; k < HistoryLen; k++ {
+		tags = append(tags, a.CacheTag())
+		if _, err := a.InsertGraph(extraGraph(int64(10 + k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := a.Since(e1, t1); ok {
+		t.Fatalf("Since reached %d mutations back, past the bound %d", HistoryLen+1, HistoryLen)
+	}
+	oldest := a.Epoch() - HistoryLen
+	if ms, ok := a.Since(oldest, tags[oldest-e1-1]); !ok || len(ms) != HistoryLen {
+		t.Fatalf("the oldest remembered version: %d mutations, %v; want %d", len(ms), ok, HistoryLen)
+	}
 }

@@ -46,8 +46,9 @@ import (
 type snap struct {
 	epoch  uint64
 	kind   string         // layout token: "m" or "s<N>"
-	fp     string         // content fingerprint, fixed per store lineage
+	fp     string         // content fingerprint, rolled over every mutation (rollFp)
 	tag    string         // CacheTag: kind:fp@epoch
+	hist   History        // the mutations that led here (Since)
 	graphs []*graph.Graph // slot table; nil = tombstone
 	live   []int          // ascending non-deleted ids
 	shards []*shardSnap
@@ -78,6 +79,13 @@ func (s *snap) NumShards() int            { return len(s.shards) }
 func (s *snap) Shard(i int) Shard         { return s.shards[i] }
 func (s *snap) ShardOf(graphID int) int   { return shardOf(graphID, len(s.shards)) }
 func (s *snap) CacheTag() string          { return s.tag }
+
+func (s *snap) Since(epoch uint64, tag string) ([]Mutation, bool) {
+	if epoch == s.epoch {
+		return nil, tag == s.tag
+	}
+	return s.hist.Since(epoch, tag)
+}
 
 func (s *snap) FilterTable() (*prefilter.Table, bool) { return s.filter.Get(s.live, s.Graph) }
 
@@ -116,6 +124,10 @@ func (b *base) NumShards() int                       { return b.cur.Load().NumSh
 func (b *base) Shard(i int) Shard                    { return b.cur.Load().Shard(i) }
 func (b *base) ShardOf(graphID int) int              { return b.cur.Load().ShardOf(graphID) }
 func (b *base) CacheTag() string                     { return b.cur.Load().CacheTag() }
+
+func (b *base) Since(epoch uint64, tag string) ([]Mutation, bool) {
+	return b.cur.Load().Since(epoch, tag)
+}
 
 func (b *base) FilterTable() (*prefilter.Table, bool) { return b.cur.Load().FilterTable() }
 
@@ -166,13 +178,17 @@ func newSnap(kind string, graphs []*graph.Graph, shards []*shardSnap, minSup int
 	return s
 }
 
-// clone prepares a mutable successor: fresh support/mask/shard-table slices,
-// everything else inherited until the mutation overwrites it.
-func (s *snap) clone() *snap {
+// clone prepares the mutable successor that one mutation (op 'i' inserting
+// g as id, or 'd' deleting id) publishes: the next epoch, the fingerprint
+// rolled over the mutation, the history extended by it, fresh
+// support/mask/shard-table slices, and everything else inherited until the
+// mutation overwrites it.
+func (s *snap) clone(op byte, id int, g *graph.Graph) *snap {
 	ns := &snap{
 		epoch:  s.epoch + 1,
 		kind:   s.kind,
-		fp:     s.fp,
+		fp:     rollFp(s.fp, op, id, g),
+		hist:   s.hist.Add(Mutation{Epoch: s.epoch, Tag: s.tag, Insert: op == 'i', ID: id}),
 		graphs: s.graphs,
 		live:   s.live,
 		minSup: s.minSup,
@@ -222,9 +238,7 @@ func (b *base) InsertGraph(g *graph.Graph) (int, error) {
 	set := cur.shards[si].set
 	cA2F, cA2I := set.ContainedIn(g)
 
-	ns := cur.clone()
-	ns.fp = rollFp(cur.fp, 'i', id, g)
-	ns.tag = makeTag(ns.kind, ns.fp, ns.epoch)
+	ns := cur.clone('i', id, g)
 	ns.graphs = append(append(make([]*graph.Graph, 0, len(cur.graphs)+1), cur.graphs...), g)
 	ns.live = append(append(make([]int, 0, len(cur.live)+1), cur.live...), id)
 	old := cur.shards[si]
@@ -263,9 +277,7 @@ func (b *base) DeleteGraph(id int) error {
 	si := cur.ShardOf(id)
 	set, remF, remI := cur.shards[si].set.ApplyDelete(id)
 
-	ns := cur.clone()
-	ns.fp = rollFp(cur.fp, 'd', id, nil)
-	ns.tag = makeTag(ns.kind, ns.fp, ns.epoch)
+	ns := cur.clone('d', id, nil)
 	ns.graphs = append([]*graph.Graph(nil), cur.graphs...)
 	ns.graphs[id] = nil
 	ns.live = intset.Diff(cur.live, []int{id})
@@ -302,9 +314,9 @@ func minSupportOf(alpha float64, numGraphs int) int {
 // stores with different contents (e.g. a layout reloaded over a different
 // database) can never alias, while a faithful reload of the same content
 // reproduces the same fingerprint and keeps sharing cache entries. It is
-// computed once at construction; subsequent divergence within one store
-// lineage is captured by the epoch in the tag. Callers must have sealed the
-// shard sets first (DumpLists materializes list memos).
+// computed once at construction; every mutation after that rolls it forward
+// (rollFp). Callers must have sealed the shard sets first (DumpLists
+// materializes list memos).
 func fingerprint(kind string, graphs []*graph.Graph, shards []*shardSnap) string {
 	h := fnv.New64a()
 	write := func(vs ...int) {

@@ -91,12 +91,58 @@ type Snapshot interface {
 	// against different layouts, different databases, or different epochs
 	// of the same store must never collide in a shared candidate cache.
 	CacheTag() string
+	// Since returns the mutations that led from the version (epoch, tag) to
+	// this snapshot, oldest first: none when the version is the snapshot's
+	// own. ok is false when the version is neither the snapshot's own nor
+	// in its bounded history (another lineage, a later epoch, or more than
+	// HistoryLen mutations back).
+	Since(epoch uint64, tag string) (ms []Mutation, ok bool)
 	// FilterTable returns the verify prefilter's per-graph table for this
 	// epoch: the Grafil-light feature counts of every live graph. The
 	// first call builds it, once per snapshot, unless the mutation that
 	// published the snapshot derived it from its parent's table; built
 	// reports whether this call paid for the full build.
 	FilterTable() (tab *prefilter.Table, built bool)
+}
+
+// HistoryLen bounds how many mutations a snapshot remembers (Since). It is
+// a constant, so a snapshot's history costs the same however long the store
+// has been mutating.
+const HistoryLen = 64
+
+// Mutation is one published change to a store: the version it was applied
+// to (that snapshot's epoch and CacheTag) and the graph id it inserted or
+// deleted. The mutation published epoch Epoch+1.
+type Mutation struct {
+	Epoch  uint64
+	Tag    string
+	Insert bool // an InsertGraph; otherwise a DeleteGraph
+	ID     int
+}
+
+// History is the bounded record of the mutations that led to a snapshot,
+// oldest first, with consecutive epochs. It is immutable once published.
+type History []Mutation
+
+// Add returns the history extended by m, keeping the newest HistoryLen
+// mutations. h itself is not modified.
+func (h History) Add(m Mutation) History {
+	h = h[max(len(h)-HistoryLen+1, 0):]
+	return append(append(make(History, 0, len(h)+1), h...), m)
+}
+
+// Since returns the suffix of h starting at the mutation applied to version
+// (epoch, tag), or ok false when that version is not in h. Callers check
+// the snapshot's own version first: h holds only the versions before it.
+func (h History) Since(epoch uint64, tag string) ([]Mutation, bool) {
+	if len(h) == 0 || epoch < h[0].Epoch || epoch-h[0].Epoch >= uint64(len(h)) {
+		return nil, false
+	}
+	i := epoch - h[0].Epoch
+	if h[i].Tag != tag {
+		return nil, false
+	}
+	return h[i:], true
 }
 
 // Store is the engine's handle on one database + index layout. Reads served

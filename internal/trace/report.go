@@ -36,6 +36,7 @@ type RunReport struct {
 	CacheHits      int64 `json:"cache_hits"`
 	CacheMisses    int64 `json:"cache_misses"`
 	CacheCoalesced int64 `json:"cache_coalesced"`
+	CacheCarried   int64 `json:"cache_carried"`
 
 	// Degraded reports a transparent containment→similarity fallback.
 	Degraded bool `json:"degraded,omitempty"`
@@ -73,6 +74,7 @@ func BuildReport(root *SpanData) RunReport {
 			r.CacheHits += s.Counts["hit"]
 			r.CacheMisses += s.Counts["miss"]
 			r.CacheCoalesced += s.Counts["coalesced"]
+			r.CacheCarried += s.Counts["carried"]
 		case KindDegrade.String():
 			r.Degraded = true
 		}
@@ -113,7 +115,7 @@ func (r RunReport) Render() string {
 	}
 	fmt.Fprintf(&b, "  candidates: %d checked, %d kept, %d pruned\n",
 		r.CandidatesChecked, r.CandidatesKept, r.CandidatesPruned)
-	fmt.Fprintf(&b, "  candcache: %d hits, %d misses, %d coalesced\n",
-		r.CacheHits, r.CacheMisses, r.CacheCoalesced)
+	fmt.Fprintf(&b, "  candcache: %d hits, %d misses, %d coalesced, %d carried\n",
+		r.CacheHits, r.CacheMisses, r.CacheCoalesced, r.CacheCarried)
 	return b.String()
 }

@@ -47,7 +47,7 @@ const (
 	KindCanonical    // minimum-DFS canonical code computation
 	KindIndexProbe   // A²F/A²I lookups and FSG-list intersection
 	KindStepEval     // candidate-set maintenance after an action
-	KindCandFetch    // shared candidate-cache lookup (hit/miss/coalesced)
+	KindCandFetch    // shared candidate-cache lookup (hit/miss/coalesced/carried)
 	KindVerifyBatch  // one verification fan-out through the workpool
 	KindVerifyCand   // one candidate's VF2 (or SimVerify) check
 	KindSimilarEval  // Algorithm 5: similarity result generation

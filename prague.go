@@ -270,8 +270,8 @@ func BuildIndexes(db *Database, opt IndexOptions) (*Indexes, error) {
 	return index.Build(res, opt.Alpha, opt.Beta)
 }
 
-// SaveIndexes persists the indexes into dir; the DF-index component is laid
-// out for lazy, cluster-at-a-time loading.
+// SaveIndexes persists the indexes into dir. The DF-index component is
+// written cluster by cluster; LoadIndexes reads every cluster back at load.
 func SaveIndexes(ix *Indexes, dir string) error { return ix.Save(dir) }
 
 // LoadIndexes loads persisted indexes from dir.
