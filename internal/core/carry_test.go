@@ -58,10 +58,8 @@ func checkCarry(t *testing.T, st store.Store, r *rand.Rand) {
 			*list = append(*list, e)
 		}
 	}
-	next := 0 // mutation counter, seeds the inserted graphs
 	insert := func() int {
-		next++
-		id, err := st.InsertGraph(carryGraph(r, next))
+		id, err := st.InsertGraph(carryGraph(r))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +94,7 @@ func checkCarry(t *testing.T, st store.Store, r *rand.Rand) {
 			}
 		}
 		before := cache.Stats()
-		compareCarried(t, step, cached, plain, cache)
+		compareCarried(t, step, cached, plain)
 		after := cache.Stats()
 		if kind == 2 && after.Carried != before.Carried {
 			t.Fatalf("step %d: %d entries carried across a gap longer than the history", step, after.Carried-before.Carried)
@@ -113,7 +111,7 @@ func checkCarry(t *testing.T, st store.Store, r *rand.Rand) {
 // only when every session holding its fragment agrees on the fragment's
 // Φ and Υ: a cached list is computed from one session's Φ/Υ and carried
 // with another's, and only when they agree is it one recomputation.
-func compareCarried(t *testing.T, step int, cached, plain []*Engine, cache *candcache.Cache) {
+func compareCarried(t *testing.T, step int, cached, plain []*Engine) {
 	t.Helper()
 	ctx := context.Background()
 	lists := map[string][]*spig.Vertex{} // code -> the NIF vertices with it
@@ -180,10 +178,11 @@ func nifVertices(e *Engine) []*spig.Vertex {
 }
 
 // carryGraph draws a small random connected molecule over the fixture's
-// labels, so inserts join some fragments' lists and miss others.
-func carryGraph(r *rand.Rand, id int) *graph.Graph {
+// labels, so inserts join some fragments' lists and miss others. The store
+// assigns its id.
+func carryGraph(r *rand.Rand) *graph.Graph {
 	labels := []string{"C", "C", "C", "N", "O"}
-	g := graph.New(id)
+	g := graph.New(0)
 	n := 3 + r.Intn(5)
 	for v := 0; v < n; v++ {
 		g.AddNode(labels[r.Intn(len(labels))])
