@@ -89,7 +89,7 @@ func TestShardedProbeAllocBudget(t *testing.T) {
 	// Measured: 4 (13 with a goroutine per shard and a WaitGroup).
 	const budget = 4
 	if a := testing.AllocsPerRun(50, func() {
-		delete(e.candMemo, nif)
+		delete(e.candMemo[0], nif.Code)
 		if _, err := e.localCandidates(ctx, nif); err != nil {
 			t.Fatal(err)
 		}

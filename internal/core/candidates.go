@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"time"
 
 	"prague/internal/faultinject"
@@ -16,11 +15,11 @@ import (
 // identifiers of the query fragment represented by SPIG vertex v — directly
 // from A²F/A²I when the fragment is indexed, otherwise the intersection of
 // the FSG ids of its indexed subgraphs (Φ ∪ Υ). Results are memoized per
-// vertex: in similarity mode Algorithm 4 revisits the same vertices after
-// every formulation step, and a vertex's fragment list never changes once
-// built. A vertex's list lives until the vertex is deleted by a modification
-// or the epoch advances, so Run and Modify probe only what formulation has
-// not resolved yet.
+// fragment class (classMemo) for the life of the pinned epoch: in similarity
+// mode Algorithm 4 revisits the same classes after every formulation step,
+// and a modification only removes vertices, so Run and Modify probe only
+// what formulation has not resolved yet — even when a deletion makes an
+// isomorphic vertex of another SPIG its level's representative.
 //
 // With a shared cross-session cache injected, the intersection result of a
 // non-indexed (NIF) vertex is additionally published under its canonical
@@ -40,20 +39,57 @@ import (
 func (e *Engine) exactSubCandidates(ctx context.Context, v *spig.Vertex) ([]int, error) {
 	var ids [1][]int
 	var errs [1]error
-	e.exactSubCandidatesAll(ctx, []*spig.Vertex{v}, ids[:], errs[:])
+	e.exactSubCandidatesAll(ctx, []*spig.Vertex{v}, 0, ids[:], errs[:])
 	return ids[0], errs[0]
+}
+
+// classMemo holds Algorithm 3 lists per fragment class: a vertex's canonical
+// code, in [1] when the vertex was classified as indexed and in [0] when it
+// is a NIF. Within one pinned epoch a class has one sound list. An indexed
+// code names exactly one index entry — the A²F and A²I vocabularies are
+// disjoint and frozen, so indexedness also fixes the kind — whose id list is
+// exact whatever the entry's current mask. A NIF list is a verified
+// superset, and any NIF vertex's superset serves every other. Indexedness
+// must be part of the key: vertices keep the kind of the epoch they were
+// built in (spig.Set.SetClassifier), so after an epoch advance one session
+// can hold a frequent and a NIF vertex of one code, and the NIF superset must
+// never be served as the frequent vertex's exact, verification-free list.
+// (Two string-keyed maps are the cheapest lookup every window vertex of every
+// step pays.)
+type classMemo [2]map[string][]int
+
+// slot is the classMemo map of v's class.
+func slot(v *spig.Vertex) int {
+	if v.Kind.Indexed() {
+		return 1
+	}
+	return 0
+}
+
+func (m *classMemo) get(v *spig.Vertex) ([]int, bool) {
+	ids, ok := m[slot(v)][v.Code]
+	return ids, ok
+}
+
+func (m *classMemo) put(v *spig.Vertex, ids []int) {
+	i := slot(v)
+	if m[i] == nil {
+		m[i] = map[string][]int{}
+	}
+	m[i][v.Code] = ids
 }
 
 // exactSubCandidatesAll is exactSubCandidates over every vertex one action
 // needs: vertex vs[i]'s list and probe error go to lists[i] and errs[i]. It
 // is the one place that tells the layouts apart. On a remote layout the
 // vertices travel together (probeRemote), so an action costs one request per
-// replica group rather than one per vertex and shard. In process they are
-// resolved one at a time, polling cancellation between them; the first error
-// ends the batch and is also the error of every vertex after it.
-func (e *Engine) exactSubCandidatesAll(ctx context.Context, vs []*spig.Vertex, lists [][]int, errs []error) {
+// replica group rather than one per vertex and shard; the vertices of SPIG
+// level ride (0 for none) go along when a request is sent anyway. In process
+// they are resolved one at a time, polling cancellation between them; the
+// first error ends the batch and is also the error of every vertex after it.
+func (e *Engine) exactSubCandidatesAll(ctx context.Context, vs []*spig.Vertex, ride int, lists [][]int, errs []error) {
 	if pr, ok := e.snap.(store.Prober); ok {
-		e.probeRemote(ctx, pr, vs, lists, errs)
+		e.probeRemote(ctx, pr, vs, ride, lists, errs)
 		return
 	}
 	var err error
@@ -73,7 +109,7 @@ func (e *Engine) localCandidates(ctx context.Context, v *spig.Vertex) ([]int, er
 	if v == nil {
 		return nil, nil
 	}
-	if ids, ok := e.candMemo[v]; ok {
+	if ids, ok := e.candMemo.get(v); ok {
 		return ids, nil
 	}
 	if !v.Kind.Indexed() {
@@ -107,45 +143,49 @@ func (e *Engine) localCandidates(ctx context.Context, v *spig.Vertex) ([]int, er
 			return nil, err
 		}
 	}
-	e.memo(v, ids)
+	e.candMemo.put(v, ids)
 	return ids, nil
 }
 
 // probeRemote is Algorithm 3 for several vertices on a snapshot whose shards
-// live in other processes. Memoized vertices, NIF vertices the shared cache
+// live in other processes. Memoized classes, NIF vertices the shared cache
 // holds, and NIF vertices the index fault hook degrades are answered on the
 // coordinator; the rest go out in one store.Prober batch, recorded as one
-// index_probe span. Fetched lists are memoized, and NIF ones published to
-// the cache. The cache is consulted with Lookup rather than Do, so each
-// lookup is still a cand_fetch span and still meets the cache fault hook,
-// but a miss is fetched by the batch: concurrent sessions that miss one
-// fragment each probe it rather than wait for one fetch. The coordinator
-// holds no index lists to carry a list with, so a cached list hits only at
-// the pinned snapshot's own version. When a shard group
+// index_probe span, with one probe per class. Fetched lists are memoized, and
+// NIF ones published to the cache. The cache is consulted with Lookup rather
+// than Do, so each lookup is still a cand_fetch span and still meets the
+// cache fault hook, but a miss is fetched by the batch: concurrent sessions
+// that miss one fragment each probe it rather than wait for one fetch. The
+// coordinator holds no index lists to carry a list with, so a cached list
+// hits only at the pinned snapshot's own version. When a shard group
 // cannot answer, an indexed vertex gets the wrapped error and a NIF vertex
 // the degraded superset ProbeAll returns, which is used for this action
 // only: it is neither memoized nor published, so the next action probes
 // again.
-func (e *Engine) probeRemote(ctx context.Context, pr store.Prober, vs []*spig.Vertex, lists [][]int, errs []error) {
+//
+// When the batch goes out, the unresolved classes of SPIG level ride join
+// it as riders: a deletion moves the similarity window down onto that level,
+// and a rider fetched now saves the deletion its round trip. Riders are
+// resolved like any other vertex, but no one waits for them: a rider that
+// faults or fails is simply not memoized. With nothing else to send, no
+// rider is sent either.
+func (e *Engine) probeRemote(ctx context.Context, pr store.Prober, vs []*spig.Vertex, ride int, lists [][]int, errs []error) {
 	var (
 		probes []store.Probe
-		probed []*spig.Vertex         // the vertex of each probe
-		keys   []string               // the cache key each probe's list is published under, "" for none
-		ver    = e.version()          // the version cached lists are looked up and published at
-		at     = make([]int, len(vs)) // vs index -> probe index, -1 if answered here
+		probed []*spig.Vertex              // the vertex of each probe
+		keys   []string                    // the cache key each probe's list is published under, "" for none
+		batch  = [2]map[string]int{{}, {}} // class -> probe index, as in classMemo
+		ver    = e.version()               // the version cached lists are looked up and published at
+		at     = make([]int, len(vs))      // vs index -> probe index, -1 if answered here
 	)
-	for i, v := range vs {
-		at[i] = -1
-		if v == nil {
-			continue
+	// resolve answers v on the coordinator or adds its class to the batch,
+	// returning its list or its probe index (-1 if answered here).
+	resolve := func(v *spig.Vertex) ([]int, int) {
+		if ids, ok := e.candMemo.get(v); ok {
+			return ids, -1
 		}
-		if ids, ok := e.candMemo[v]; ok {
-			lists[i] = ids
-			continue
-		}
-		if k := slices.Index(probed, v); k >= 0 {
-			at[i] = k // two deletion candidates with one fragment class
-			continue
+		if k, ok := batch[slot(v)][v.Code]; ok {
+			return nil, k // two vertices of one fragment class
 		}
 		key := ""
 		if !v.Kind.Indexed() {
@@ -153,41 +193,55 @@ func (e *Engine) probeRemote(ctx context.Context, pr store.Prober, vs []*spig.Ve
 			// in-process path of localCandidates.
 			if err := faultinject.Hit(ctx, faultinject.SiteIndex); err != nil {
 				trace.SpanFromContext(ctx).Add("index_fault_fallback", 1)
-				lists[i] = e.allIds()
-				continue
+				return e.allIds(), -1
 			}
 			if e.cache != nil {
 				ck := e.candKey(v.Code)
 				ids, hit, publish := e.cache.Lookup(ctx, ck, ver)
 				if hit {
-					e.memo(v, ids)
-					lists[i] = ids
-					continue
+					e.candMemo.put(v, ids)
+					return ids, -1
 				}
 				if publish {
 					key = ck
 				}
 			}
 		}
-		at[i] = len(probes)
+		batch[slot(v)][v.Code] = len(probes)
 		probes = append(probes, probeOf(v))
 		probed = append(probed, v)
 		keys = append(keys, key)
+		return nil, len(probes) - 1
+	}
+	for i, v := range vs {
+		at[i] = -1
+		if v != nil {
+			lists[i], at[i] = resolve(v)
+		}
 	}
 	if len(probes) == 0 {
 		return
 	}
+	asked := len(probes)
+	if ride > 0 {
+		for _, v := range e.spigs.LevelVertices(ride) {
+			resolve(v)
+		}
+	}
 	pctx, sp := trace.StartChild(ctx, trace.KindIndexProbe)
 	sp.Add("probes", int64(len(probes)))
+	if r := len(probes) - asked; r > 0 {
+		sp.Add("riders", int64(r))
+	}
 	got, err := pr.ProbeAll(pctx, probes)
 	for k, v := range probed {
 		switch {
 		case err == nil:
-			e.memo(v, got[k])
+			e.candMemo.put(v, got[k])
 			if keys[k] != "" {
 				e.cache.Put(keys[k], ver, got[k])
 			}
-		case !probes[k].Kind.Indexed():
+		case k < asked && !probes[k].Kind.Indexed():
 			sp.Add("shard_probe_fallback", 1)
 		}
 	}
@@ -202,13 +256,6 @@ func (e *Engine) probeRemote(ctx context.Context, pr store.Prober, vs []*spig.Ve
 		}
 		lists[i] = got[k]
 	}
-}
-
-func (e *Engine) memo(v *spig.Vertex, ids []int) {
-	if e.candMemo == nil {
-		e.candMemo = map[*spig.Vertex][]int{}
-	}
-	e.candMemo[v] = ids
 }
 
 // computeCandidates resolves a vertex's candidate list against an in-process
@@ -256,11 +303,19 @@ func (e *Engine) allIds() []int { return e.snap.LiveIDs() }
 // e.sim is left empty. The probes of every level, and of the target whose
 // list Run's distance-0 pass needs, are resolved together (one batch on a
 // remote layout), so a Run after formulation probes nothing; cancellation
-// is polled before them, between them in process, and between levels.
+// is polled before them, between them in process, and between levels. On a
+// remote layout the level below the window rides along with the batch: it
+// is the one level a single-edge deletion adds to the window (whose target,
+// q − e, is already a level-(|q|-1) vertex), so that deletion probes
+// nothing either.
 func (e *Engine) similarSubCandidates(ctx context.Context) error {
 	e.sim = e.sim[:0]
 	n := e.q.Size()
 	lo := max(n-e.sigma, 1)
+	ride := 0
+	if e.sigma > 0 && lo > 1 {
+		ride = lo - 1
+	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -279,7 +334,7 @@ func (e *Engine) similarSubCandidates(ctx context.Context) error {
 	}
 	vs = append(vs, e.spigs.Target(e.q))
 	lists, errs := make([][]int, len(vs)), make([]error, len(vs))
-	e.exactSubCandidatesAll(ctx, vs, lists, errs)
+	e.exactSubCandidatesAll(ctx, vs, ride, lists, errs)
 	// Only the levels' errors fail the refresh: a target that could not be
 	// resolved is not memoized, so Run probes it again and reports the error.
 	for _, err := range errs[:len(vs)-1] {

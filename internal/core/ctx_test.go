@@ -231,15 +231,15 @@ func TestSimilarSubCandidatesStopsBetweenProbes(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			e.candMemo = nil
+			e.candMemo = classMemo{}
 			// Err is polled once before the probes, then before every vertex
 			// but the first: the second poll falls between the first two
 			// probes.
 			if err := e.similarSubCandidates(&cancelAfter{Context: context.Background(), n: 2}); !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
-			if len(e.candMemo) != 1 {
-				t.Errorf("%d vertices probed, want 1: the cancellation must stop the probes", len(e.candMemo))
+			if n := len(e.candMemo[0]) + len(e.candMemo[1]); n != 1 {
+				t.Errorf("%d vertices probed, want 1: the cancellation must stop the probes", n)
 			}
 		})
 	}

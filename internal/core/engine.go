@@ -101,9 +101,11 @@ type Engine struct {
 	cache  *candcache.Cache // shared cross-session candidate cache, or nil
 	stats  SessionStats
 
-	// candMemo holds per-vertex Algorithm 3 results. A vertex's list lives
-	// until the vertex is deleted or the epoch advances (repin).
-	candMemo map[*spig.Vertex][]int
+	// candMemo holds Algorithm 3 results per fragment class. A
+	// class's list lives until the epoch advances (repin): a modification
+	// leaves it in place, so any vertex of the class — a survivor in another
+	// SPIG included — reads it.
+	candMemo classMemo
 
 	// Degradation ladder state (ladder.go). runFaults counts candidate
 	// checks dropped by injected errors or recovered panics during the
@@ -170,22 +172,13 @@ func NewWithStore(st store.Store, sigma int) (*Engine, error) {
 		return nil, fmt.Errorf("core: σ = %d: %w", sigma, ErrNegativeSigma)
 	}
 	snap := st.Pin()
-	e := &Engine{st: st, sigma: sigma, snap: snap, q: query.New(), spigs: spig.NewSet(snap)}
-	e.spigs.SetDropHook(e.forget)
-	return e, nil
+	return &Engine{st: st, sigma: sigma, snap: snap, q: query.New(), spigs: spig.NewSet(snap)}, nil
 }
-
-// forget drops a deleted SPIG vertex's candidate list from the memo. A
-// modification removes exactly the vertices it deletes: a surviving vertex
-// keeps its Fragment List, so its memoized list is still the one a fresh
-// probe at this epoch would return, and the refresh after a modification
-// probes only the vertices it never resolved before.
-func (e *Engine) forget(v *spig.Vertex) { delete(e.candMemo, v) }
 
 // repin aligns the action about to run with the store's latest published
 // epoch and returns the pinned snapshot. When the epoch moved since the last
 // action, everything derived from the old epoch is invalidated: the SPIG
-// classifier is rebound, the per-vertex candidate memo is dropped, and the
+// classifier is rebound, the per-class candidate memo is dropped, and the
 // candidate sets are marked stale so the next evaluation recomputes them.
 // Within one action the snapshot never changes — that is the single-epoch
 // guarantee concurrent mutations are measured against.
@@ -196,7 +189,7 @@ func (e *Engine) repin() store.Snapshot {
 	}
 	e.snap = ns
 	e.spigs.SetClassifier(ns)
-	e.candMemo = nil
+	e.candMemo = classMemo{}
 	if e.q.Size() > 0 {
 		e.stale = true // rq/sim were computed against an older epoch
 	}

@@ -13,8 +13,8 @@ func SimilaritySets(e *Engine) (free, ver [][]int) {
 }
 
 // RefreshWithoutMemo recomputes the engine's candidate state with the
-// per-vertex candidate memo cleared, as the first refresh of an epoch does.
+// per-class candidate memo cleared, as the first refresh of an epoch does.
 func RefreshWithoutMemo(e *Engine) (StepOutcome, error) {
-	e.candMemo = nil
+	e.candMemo = classMemo{}
 	return e.refresh(context.Background())
 }

@@ -42,8 +42,7 @@ func (e *Engine) SuggestDeletion() (Suggestion, error) {
 		}
 		// q - e_s is the level-|q|-1 vertex of the SPIG of its largest step:
 		// the vertex Target returns once e_s is deleted, so this batch
-		// memoizes exactly the list DeleteEdge's refresh reads. (An
-		// isomorphic vertex of an earlier SPIG may be dropped with e_s.)
+		// memoizes the class DeleteEdge's refresh reads.
 		var v *spig.Vertex
 		if sp := e.spigs.Spig(rest[len(rest)-1]); sp != nil {
 			v = sp.FindByCode(len(rest), graph.CanonicalCode(frag))
@@ -55,7 +54,7 @@ func (e *Engine) SuggestDeletion() (Suggestion, error) {
 	}
 	best := Suggestion{Step: -1, Candidates: -1}
 	lists, errs := make([][]int, len(vs)), make([]error, len(vs))
-	e.exactSubCandidatesAll(context.Background(), vs, lists, errs)
+	e.exactSubCandidatesAll(context.Background(), vs, 0, lists, errs)
 	for i, s := range cands {
 		if errs[i] != nil {
 			continue // an unreachable shard disqualifies this edge, not the whole suggestion
@@ -73,8 +72,10 @@ func (e *Engine) SuggestDeletion() (Suggestion, error) {
 // DeleteEdge handles the Modify action (Algorithm 6): remove the edge drawn
 // at the given step (any edge, not necessarily the suggested one), update
 // the SPIG set, and recompute the candidate state. The modified query must
-// stay connected. The memo forgets only the deleted vertices (forget), so
-// the recomputation probes only vertices never resolved before.
+// stay connected. The candidate memo is kept per fragment class, so the
+// recomputation probes only classes never resolved at this epoch; on a
+// remote layout a similarity-mode deletion finds even the window's new
+// bottom level resolved (similarSubCandidates' riders).
 func (e *Engine) DeleteEdge(step int) (StepOutcome, error) {
 	return e.DeleteEdgeCtx(context.Background(), step)
 }

@@ -40,7 +40,8 @@ func dialEngine(t *testing.T, c *cluster, opts ...DialOption) (*RemoteStore, *co
 // that each own half of a 4-shard layout: every action that probes sends one
 // request per replica group, and none sends more than two per group (a
 // containment step that empties Rq probes the target, then the similarity
-// levels).
+// levels). A similarity-mode single-edge deletion sends none: the window
+// level it moves onto rode along with the last step's batch.
 func TestProbeBatchPerReplicaGroup(t *testing.T) {
 	db, idx := buildDB(t, 31, 40)
 	c := newCluster(t, db, idx, 4, 2, func(i int) []int { return [][]int{{0, 1}, {2, 3}}[i] })
@@ -80,8 +81,8 @@ func TestProbeBatchPerReplicaGroup(t *testing.T) {
 	if d := act("similarity add", add(n[3], n[4])); d != groups {
 		t.Errorf("similarity-mode AddEdge made %d shard calls, want %d", d, groups)
 	}
-	if d := act("delete", func() error { _, err := e.DeleteEdge(1); return err }); d != groups {
-		t.Errorf("DeleteEdge made %d shard calls, want %d", d, groups)
+	if d := act("delete", func() error { _, err := e.DeleteEdge(1); return err }); d != 0 {
+		t.Errorf("similarity-mode DeleteEdge made %d shard calls, want 0", d)
 	}
 	act("run", func() error { _, err := e.Run(); return err })
 }
@@ -89,13 +90,13 @@ func TestProbeBatchPerReplicaGroup(t *testing.T) {
 // TestRunAndModifyReadTheMemo counts shard calls, not time: a Run reads
 // only the lists formulation fetched, in containment and in similarity mode;
 // deleting SuggestDeletion's edge in containment mode reads the list the
-// suggestion fetched; and a similarity-mode deletion sends at most one
-// request per replica group, for the window vertices it never resolved.
+// suggestion fetched; and a similarity-mode single-edge deletion, of the
+// suggested edge or another, reads what the last step's batch fetched: its
+// new target was in the window, and the window's new bottom level rode along.
 func TestRunAndModifyReadTheMemo(t *testing.T) {
 	db, idx := buildDB(t, 31, 40)
 	c := newCluster(t, db, idx, 4, 2, func(i int) []int { return [][]int{{0, 1}, {2, 3}}[i] })
 	rs, contain, calls := dialEngine(t, c)
-	groups := int64(len(rs.groups))
 	count := func(f func() error) int64 {
 		t.Helper()
 		before := calls.Value()
@@ -162,23 +163,32 @@ func TestRunAndModifyReadTheMemo(t *testing.T) {
 		t.Fatalf("fixture: deleting the suggested e%d of C-C-C-C should keep a non-empty Rq, got %+v", sg.Step, out)
 	}
 
-	sim, err := core.NewWithStore(rs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := formulate(sim)
-	sim.ChooseSimilarity()
-	if _, err := sim.AddEdge(n[3], n[4]); err != nil {
-		t.Fatal(err)
-	}
-	if d := count(run(sim)); d != 0 {
-		t.Errorf("similarity Run after formulation made %d shard calls, want 0", d)
-	}
-	if d := count(func() error { _, err := sim.DeleteEdge(1); return err }); d > groups {
-		t.Errorf("similarity DeleteEdge made %d shard calls, more than one per replica group (%d)", d, groups)
-	}
-	if d := count(run(sim)); d != 0 {
-		t.Errorf("similarity Run after the deletion made %d shard calls, want 0", d)
+	for _, suggested := range []bool{false, true} {
+		sim, err := core.NewWithStore(rs, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := formulate(sim)
+		sim.ChooseSimilarity()
+		if _, err := sim.AddEdge(n[3], n[4]); err != nil {
+			t.Fatal(err)
+		}
+		if d := count(run(sim)); d != 0 {
+			t.Errorf("similarity Run after formulation made %d shard calls, want 0", d)
+		}
+		del := 1
+		if suggested {
+			if d := count(func() error { sg, err = sim.SuggestDeletion(); return err }); d != 0 {
+				t.Errorf("similarity SuggestDeletion made %d shard calls, want 0", d)
+			}
+			del = sg.Step
+		}
+		if d := count(func() error { _, err := sim.DeleteEdge(del); return err }); d != 0 {
+			t.Errorf("similarity DeleteEdge(%d) (suggested %v) made %d shard calls, want 0", del, suggested, d)
+		}
+		if d := count(run(sim)); d != 0 {
+			t.Errorf("similarity Run after the deletion made %d shard calls, want 0", d)
+		}
 	}
 }
 
@@ -499,8 +509,10 @@ func formulatePath(t *testing.T, e *core.Engine) core.StepOutcome {
 // TestModificationsSurfaceProbeErrors: with every shard server gone, a
 // modification whose refresh needs an indexed candidate list the session
 // never fetched fails typed — not with a zero outcome and a nil error. A
-// modification answered wholly from the lists formulation fetched needs no
-// server and returns the outcome it returns with the servers up.
+// modification answered wholly from the lists formulation fetched — a
+// containment deletion back to a resolved target, or a similarity-mode
+// single-edge deletion — needs no server and returns the outcome it returns
+// with the servers up.
 func TestModificationsSurfaceProbeErrors(t *testing.T) {
 	db, idx := buildDB(t, 34, 30)
 	c := newCluster(t, db, idx, 2, 1, allShards(2))
@@ -525,15 +537,18 @@ func TestModificationsSurfaceProbeErrors(t *testing.T) {
 		t.Fatalf("fixture: deleting e4 should restore a non-empty Rq, got %+v", out)
 	}
 	fromMemo := engine()
-	// A similarity session's window after deleting e1 is level 2 of
-	// C-C-N-O. SPIG 3's C-C-N vertex (e2e3) is frequent, and the session
-	// classified it but never probed it.
-	sims := []*core.Engine{engine(), engine()}
+	// The σ = 1 window of C-C-N-O is level 2, which rode along with e4's
+	// batch, and its target C-C-N-O was level 3 of that window.
+	sims := []*core.Engine{engine(), engine(), engine()}
 	for _, e := range sims {
 		e.ChooseSimilarity()
 	}
-	if v := sims[0].Spigs().Spig(3).Level(2); len(v) != 1 || !v[0].Kind.Indexed() {
-		t.Fatal("fixture: SPIG 3's level-2 vertex should be indexed")
+	wantSim := step(sims[0].DeleteEdge(1))
+	// Deleting e1 and e2 leaves C-N-O, whose window is level 1. SPIG 3's
+	// C-N vertex (e3) is indexed, and the session classified it but never
+	// probed it.
+	if v := sims[0].Spigs().Spig(3).Level(1); len(v) != 1 || !v[0].Kind.Indexed() {
+		t.Fatal("fixture: SPIG 3's level-1 vertex should be indexed")
 	}
 
 	for _, srv := range c.servers {
@@ -542,10 +557,10 @@ func TestModificationsSurfaceProbeErrors(t *testing.T) {
 	if got := step(fromMemo.DeleteEdge(4)); !reflect.DeepEqual(got, want) {
 		t.Errorf("DeleteEdge answered from the memo with the servers down = %v, want the servers-up %v", got, want)
 	}
-	if _, err := sims[0].DeleteEdge(1); !errors.Is(err, store.ErrShardUnavailable) {
-		t.Errorf("similarity DeleteEdge with the servers down: err = %v, want ErrShardUnavailable", err)
+	if got := step(sims[1].DeleteEdge(1)); !reflect.DeepEqual(got, wantSim) {
+		t.Errorf("similarity DeleteEdge answered from the memo with the servers down = %v, want the servers-up %v", got, wantSim)
 	}
-	if _, err := sims[1].DeleteEdges([]int{1}); !errors.Is(err, store.ErrShardUnavailable) {
+	if _, err := sims[2].DeleteEdges([]int{1, 2}); !errors.Is(err, store.ErrShardUnavailable) {
 		t.Errorf("similarity DeleteEdges with the servers down: err = %v, want ErrShardUnavailable", err)
 	}
 }

@@ -93,6 +93,11 @@ type RemoteStore struct {
 	mirror atomic.Pointer[remoteMirror]
 	mutMu  sync.Mutex // serializes mutation broadcasts
 
+	// life ends when Close is called: a mutation's retry backoff, which has
+	// no caller context to end with, ends with it.
+	life context.Context
+	stop context.CancelFunc
+
 	graphMu sync.RWMutex
 	graphs  map[int]*graph.Graph
 
@@ -133,6 +138,7 @@ func Dial(ctx context.Context, endpoints []string, opts ...DialOption) (*RemoteS
 		maxRetries:  defaultRetries,
 		graphs:      map[int]*graph.Graph{},
 	}
+	rs.life, rs.stop = context.WithCancel(context.Background())
 	for _, o := range opts {
 		o(rs)
 	}
@@ -279,8 +285,10 @@ func (rs *RemoteStore) ShardHealthReport() []store.ShardHealth {
 // Endpoints returns the dialed endpoint addresses.
 func (rs *RemoteStore) Endpoints() []string { return append([]string(nil), rs.endpoints...) }
 
-// Close tears down every pooled connection. The store is unusable after.
+// Close tears down every pooled connection and ends any mutation's retry
+// backoff. The store is unusable after.
 func (rs *RemoteStore) Close() error {
+	rs.stop()
 	for _, p := range rs.pools {
 		if p != nil {
 			p.closeAll()
@@ -397,15 +405,21 @@ func (rs *RemoteStore) DeleteGraph(id int) error {
 // and stale-epoch failures with backoff. A codeEpochConflict reply whose
 // epoch equals the expected post-mutation epoch means a previous attempt
 // already landed (the reply to it was lost) — idempotent success, verified
-// against the deterministic id.
+// against the deterministic id. The backoff ends with the store (Close).
 func (rs *RemoteStore) mutateEndpoint(ep int, req *Msg, wantID int) (*Msg, error) {
 	attempts := (rs.maxRetries + 1) * 3 // mutations retry harder than reads
 	var lastErr error
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
-			time.Sleep(time.Duration(a) * rs.backoff)
+			t := time.NewTimer(time.Duration(a) * rs.backoff)
+			select {
+			case <-t.C:
+			case <-rs.life.Done():
+				t.Stop()
+				return nil, fmt.Errorf("rpcstore: store closed during retry backoff: %w", lastErr)
+			}
 		}
-		reply, err := rs.attempt(context.Background(), ep, req, false)
+		reply, err := rs.attempt(rs.life, ep, req, false)
 		if err == nil {
 			if reply.GraphID != wantID {
 				return nil, fmt.Errorf("rpcstore: replica diverged: assigned id %d, want %d: %w",

@@ -456,6 +456,44 @@ func TestLookupBackoffEndsWithTheCall(t *testing.T) {
 	}
 }
 
+// TestCloseEndsMutationBackoff: Close cuts a mutation's retry backoff
+// short, so an insert against a gone server returns, typed, within
+// milliseconds of Close rather than after an hour-long backoff.
+func TestCloseEndsMutationBackoff(t *testing.T) {
+	db, idx := buildDB(t, 37, 20)
+	c := newCluster(t, db, idx, 1, 1, allShards(1))
+	reg := metrics.NewRegistry()
+	rs, err := Dial(context.Background(), c.addrs, withBackoff(time.Hour), WithClientMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	c.servers[0].Close()
+	attempts := reg.Counter(metrics.CounterShardRPCAttempts)
+	before := attempts.Value()
+	done := make(chan error, 1)
+	go func() {
+		_, err := rs.InsertGraph(db[0].Clone())
+		done <- err
+	}()
+	for attempts.Value() == before {
+		time.Sleep(time.Millisecond)
+	}
+	t0 := time.Now()
+	rs.Close()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("InsertGraph against a closed server succeeded")
+		}
+		if d := time.Since(t0); d > time.Second {
+			t.Errorf("InsertGraph returned %v after Close", d)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("InsertGraph outlived Close by its retry backoff")
+	}
+}
+
 func TestHedgingBeatsSlowPrimary(t *testing.T) {
 	db, idx := buildDB(t, 17, 20)
 	inj := faultinject.New()

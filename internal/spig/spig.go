@@ -139,10 +139,9 @@ const maxFragMemo = 1 << 14
 // single formulation session over a single *query.Query and, like the engine
 // that owns it, is not safe for concurrent use.
 type Set struct {
-	spigs    map[int]*SPIG
-	order    []int // ascending ℓ
-	idx      Classifier
-	dropHook func(*Vertex) // told of each vertex DeleteEdge removes, or nil
+	spigs map[int]*SPIG
+	order []int // ascending ℓ
+	idx   Classifier
 
 	// Scratch reused across user actions: one formulation session issues
 	// hundreds of ConstructCtx calls over overlapping step subsets, and the
@@ -502,18 +501,9 @@ func (S *Set) classify(q *query.Query, s *SPIG, v *Vertex) {
 // DeleteEdge updates the SPIG set for the deletion of edge e_d (Algorithm 6
 // lines 12-14): the SPIG S_d is removed entirely, and every vertex
 // realization containing e_d is dropped from the remaining SPIGs (vertices
-// with no surviving realization disappear). Every vertex that leaves the set
-// — all of S_d's, and each one whose last realization contained e_d — is
-// passed to the drop hook. A surviving vertex keeps its fragment class and
-// its Fragment List; only its Reps shrink.
+// with no surviving realization disappear). A surviving vertex keeps its
+// fragment class and its Fragment List; only its Reps shrink.
 func (S *Set) DeleteEdge(d int) {
-	if sd := S.spigs[d]; sd != nil && S.dropHook != nil {
-		for _, lv := range sd.levels {
-			for _, v := range lv {
-				S.dropHook(v)
-			}
-		}
-	}
 	delete(S.spigs, d)
 	keep := S.order[:0]
 	for _, l := range S.order {
@@ -538,19 +528,12 @@ func (S *Set) DeleteEdge(d int) {
 					survivors = append(survivors, v)
 				} else {
 					delete(s.byCode[k], v.Code)
-					if S.dropHook != nil {
-						S.dropHook(v)
-					}
 				}
 			}
 			s.levels[k] = survivors
 		}
 	}
 }
-
-// SetDropHook installs the function DeleteEdge calls with each vertex it
-// removes from the set (nil for none).
-func (S *Set) SetDropHook(f func(*Vertex)) { S.dropHook = f }
 
 // Remove discards the SPIG for edge ℓ without touching others (used when a
 // formulation step is rolled back entirely).
@@ -566,8 +549,13 @@ func (S *Set) Remove(ell int) {
 }
 
 // LevelVertices returns the vertices at level k across every SPIG in S,
-// deduplicated by canonical code (isomorphic classes in different SPIGs have
-// identical fragment lists).
+// deduplicated by canonical code: the first SPIG's vertex stands for its
+// class. Isomorphic vertices need not have identical Fragment Lists — after
+// an epoch advance, vertices keep the classification of the epoch they were
+// built in (SetClassifier) — but any one of them is a sound representative:
+// an indexed vertex's entry id list is the class's exact FSG list at every
+// epoch, and a NIF vertex's intersection is a superset that is verified
+// before it answers anything.
 func (S *Set) LevelVertices(k int) []*Vertex {
 	seen := map[string]bool{}
 	var out []*Vertex

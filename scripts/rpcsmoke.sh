@@ -67,8 +67,11 @@ done
 echo "rpcsmoke: servers up"
 
 # A 3-edge path, the suggested-deletion probe batch, a deletion (Modify keeps
-# the surviving vertices' candidate lists and fetches only the ones it never
-# resolved, in one batch per server) and a Run.
+# the memoized candidate lists of every fragment class) and a Run. Then the
+# session turns to similarity search, grows to 5 edges (σ = 3, so the window
+# is levels 4…2 and level 1 rides along with the step's batch) and deletes
+# e1: that deletion reads only memoized lists, so the metrics printed around
+# it show the same shard_rpc_calls.
 out=$(timeout 120 "$BIN/praguecli" -connect "127.0.0.1:$PORT1,127.0.0.1:$PORT2" <<'EOF'
 node C
 node C
@@ -79,6 +82,16 @@ edge 1 2
 edge 2 3
 suggest
 delete 3
+run
+sim
+edge 2 3
+node N
+edge 3 4
+node C
+edge 4 5
+metrics
+delete 1
+metrics
 run
 shards
 quit
@@ -101,5 +114,20 @@ check "step 0: status=(frequent|infrequent|similar)"
 check "[0-9]+ results \(SRT "
 check "shard 0: 1/1 endpoints healthy"
 check "shard 1: 1/1 endpoints healthy"
+
+# The two metrics snapshots bracket the similarity-mode deletion.
+calls=$(echo "$out" | grep -Eo '"shard_rpc_calls": *[0-9]+' | grep -Eo '[0-9]+$' || true)
+if [ "$(echo "$calls" | grep -c .)" -ne 2 ]; then
+  echo "rpcsmoke: FAIL — want 2 shard_rpc_calls readings, got: $calls"
+  exit 1
+fi
+if [ "$(echo "$calls" | sort -u | grep -c .)" -ne 1 ]; then
+  echo "rpcsmoke: FAIL — the similarity-mode deletion made shard calls:" $calls
+  exit 1
+fi
+if [ "$(echo "$out" | grep -Ec "status=similar")" -lt 4 ]; then
+  echo "rpcsmoke: FAIL — the session never reached similarity mode"
+  exit 1
+fi
 
 echo "rpcsmoke: PASS"
