@@ -101,10 +101,10 @@ type Engine struct {
 	cache  *candcache.Cache // shared cross-session candidate cache, or nil
 	stats  SessionStats
 
-	// candMemo holds Algorithm 3 results per fragment class. A
-	// class's list lives until the epoch advances (repin): a modification
-	// leaves it in place, so any vertex of the class — a survivor in another
-	// SPIG included — reads it.
+	// candMemo holds Algorithm 3 results per fragment class. A class's list
+	// lives until the epoch advances (repin): a modification leaves it in
+	// place, so any vertex of the class — a survivor in another SPIG
+	// included — reads it.
 	candMemo classMemo
 
 	// Degradation ladder state (ladder.go). runFaults counts candidate
