@@ -264,6 +264,10 @@ func (e *Engine) AddLabeledEdgeCtx(ctx context.Context, u, v int, label string) 
 	_, cerr := e.spigs.ConstructCtx(sctx, e.q, step)
 	ssp.End()
 	if cerr != nil {
+		// Undraw the edge (the newest one is always deletable), so the
+		// query and the SPIG set stay in step: a 65th live edge
+		// (spig.ErrTooManyEdges) leaves the session as it was.
+		_ = e.q.DeleteEdge(step)
 		return StepOutcome{}, cerr
 	}
 	spigTime := time.Since(t0)

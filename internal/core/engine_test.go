@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"prague/internal/index"
 	"prague/internal/intset"
 	"prague/internal/mining"
+	"prague/internal/spig"
 )
 
 // fixture bundles a database and its indexes.
@@ -509,5 +511,41 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 	if e.Stats().RunTime <= 0 {
 		t.Error("SRT not recorded")
+	}
+}
+
+// TestSixtyFifthEdgeUndrawn draws a 64-edge path, then a 65th edge: the
+// engine refuses it with spig.ErrTooManyEdges and undraws it, and once an
+// edge is deleted the same edge draws and the query's target vertex is
+// there.
+func TestSixtyFifthEdgeUndrawn(t *testing.T) {
+	fx := makeFixture(t, 3, 20, 0.3)
+	e, err := New(fx.db, fx.idx, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := e.AddNode("C")
+	for i := 0; i < spig.MaxLiveEdges; i++ {
+		next := e.AddNode("C")
+		if _, err := e.AddEdge(prev, next); err != nil {
+			t.Fatal(err)
+		}
+		prev = next
+	}
+	over := e.AddNode("C")
+	if _, err := e.AddEdge(prev, over); !errors.Is(err, spig.ErrTooManyEdges) {
+		t.Fatalf("65th live edge: err = %v, want spig.ErrTooManyEdges", err)
+	}
+	if n := e.Query().Size(); n != spig.MaxLiveEdges {
+		t.Fatalf("the refused edge stayed drawn: %d edges", n)
+	}
+	if _, err := e.DeleteEdge(e.Query().Steps()[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.AddEdge(prev, over); err != nil {
+		t.Fatalf("the edge after a deletion: %v", err)
+	}
+	if e.Spigs().Target(e.Query()) == nil {
+		t.Fatal("no target vertex for the 64-edge query")
 	}
 }

@@ -52,7 +52,7 @@ func (e *Engine) Explain(graphID int) (*Match, error) {
 				if len(v.Reps) == 0 {
 					continue
 				}
-				rep := v.Reps[0]
+				rep := e.spigs.Steps(v.Reps[0])
 				frag, stable, ok := e.q.FragmentWithNodes(rep)
 				if !ok {
 					continue
@@ -68,7 +68,7 @@ func (e *Engine) Explain(graphID int) (*Match, error) {
 				return &Match{
 					GraphID:      graphID,
 					Distance:     n - i,
-					MatchedSteps: intset.Clone(rep),
+					MatchedSteps: rep,
 					MissingSteps: intset.Diff(allSteps, rep),
 					NodeMap:      nodeMap,
 				}, nil

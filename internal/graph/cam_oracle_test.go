@@ -10,10 +10,9 @@ import (
 // lower triangle of the adjacency matrix row by row with vertex labels on
 // the diagonal. The production canonical form in this package is the
 // minimum DFS code (canonical.go) because it falls out of the gSpan miner;
-// CAMCode is the literal construction, used as an independent
-// cross-validation oracle (two complete canonical forms must induce the
-// same equivalence classes) and available to callers who want the paper's
-// exact formulation.
+// CAMCode is the literal construction, kept with the tests as an
+// independent cross-validation oracle: two complete canonical forms must
+// induce the same equivalence classes.
 //
 // The search is branch-and-bound over vertex orderings: positions are
 // filled greedily with the maximal next matrix row (label first, then

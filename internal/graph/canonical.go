@@ -10,8 +10,8 @@ import (
 // adjacency matrix). We use the minimum DFS code of gSpan instead — also a
 // complete canonical form (two graphs are isomorphic iff their minimum DFS
 // codes are equal) and the natural choice here because the miner is
-// gSpan-based. See DESIGN.md for the substitution note; CAMCode in cam.go is
-// the literal construction, used for cross-validation. The string form
+// gSpan-based. See DESIGN.md for the substitution note; CAMCode in
+// cam_oracle_test.go is the literal construction, used for cross-validation. The string form
 // (EncodeCode) is as complete as the code itself only because labels are
 // escaped: a backslash precedes each of \ , ( ) [ ] inside a label, so no
 // label can imitate a tuple boundary.

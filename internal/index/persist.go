@@ -2,6 +2,7 @@ package index
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -24,6 +25,13 @@ const (
 	dfFile   = "df.dat"
 	a2iFile  = "a2i.gob"
 )
+
+// ErrInconsistent is wrapped by Load's error for a file that decodes but
+// names an id out of range: an entry id that is not its position, a DAG
+// link, cluster or cluster root outside the entries, or a graph id list
+// that is not strictly ascending from 0. CheckGraphIDs wraps it for a graph
+// id outside the database's slot table.
+var ErrInconsistent = errors.New("index: inconsistent persisted index")
 
 type wireEntry struct {
 	ID       int
@@ -133,6 +141,9 @@ func Load(dir string) (*Set, error) {
 		return nil, fmt.Errorf("index: %s: %d cluster offsets for %d clusters",
 			metaFile, len(meta.ClusterOffsets), len(meta.ClusterRoots))
 	}
+	if err := checkMeta(&meta); err != nil {
+		return nil, fmt.Errorf("index: %s: %w", metaFile, err)
+	}
 	a2f := &A2F{
 		beta:      meta.Beta,
 		byCode:    make(map[string]int, len(meta.Entries)),
@@ -158,19 +169,84 @@ func Load(dir string) (*Set, error) {
 	if err := loadClusters(filepath.Join(dir, dfFile), a2f, meta.ClusterOffsets); err != nil {
 		return nil, fmt.Errorf("index: %s: %w", dfFile, err)
 	}
+	for _, e := range a2f.entries {
+		if err := checkIDs(e.DelIds); err != nil {
+			return nil, fmt.Errorf("index: entry %d delIds: %w", e.ID, err)
+		}
+	}
 
 	var difs []wireDIF
 	if err := readGob(filepath.Join(dir, a2iFile), &difs); err != nil {
 		return nil, fmt.Errorf("index: %s: %w", a2iFile, err)
 	}
 	a2i := &A2I{byCode: map[string]int{}}
-	for _, d := range difs {
+	for i, d := range difs {
+		if err := checkIDs(d.FSGIds); err != nil {
+			return nil, fmt.Errorf("index: %s: DIF %d fsgIds: %w", a2iFile, i, err)
+		}
 		a2i.byCode[d.Code] = len(a2i.entries)
 		a2i.entries = append(a2i.entries, &mining.Fragment{
 			Code: d.Code, Graph: d.Graph, Support: d.Support, FSGIds: d.FSGIds,
 		})
 	}
 	return &Set{A2F: a2f, A2I: a2i, Alpha: meta.Alpha, Beta: meta.Beta, NumGraphs: meta.NumGraphs}, nil
+}
+
+// checkMeta checks that every id the metadata names is in range: entry ids
+// equal their positions, and DAG links, clusters and cluster roots point
+// inside the entries.
+func checkMeta(meta *wireMeta) error {
+	n := len(meta.Entries)
+	for i, root := range meta.ClusterRoots {
+		if root < 0 || root >= n {
+			return fmt.Errorf("cluster %d root %d of %d entries: %w", i, root, n, ErrInconsistent)
+		}
+	}
+	for i, we := range meta.Entries {
+		if we.ID != i {
+			return fmt.Errorf("entry %d has id %d: %w", i, we.ID, ErrInconsistent)
+		}
+		if we.Cluster < -1 || we.Cluster >= len(meta.ClusterRoots) {
+			return fmt.Errorf("entry %d cluster %d of %d: %w", i, we.Cluster, len(meta.ClusterRoots), ErrInconsistent)
+		}
+		for _, links := range [][]int{we.Parents, we.Children} {
+			for _, id := range links {
+				if id < 0 || id >= n {
+					return fmt.Errorf("entry %d links entry %d of %d: %w", i, id, n, ErrInconsistent)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// checkIDs checks that a graph id list is strictly ascending from 0.
+func checkIDs(ids []int) error {
+	for i, id := range ids {
+		if id < 0 || (i > 0 && id <= ids[i-1]) {
+			return fmt.Errorf("id %d at %d: %w", id, i, ErrInconsistent)
+		}
+	}
+	return nil
+}
+
+// CheckGraphIDs reports, wrapping ErrInconsistent, a stored graph id
+// outside [0, slots): the database's slot table. Load cannot check this
+// bound itself: NumGraphs counts live graphs (a shard's, after
+// partitioning), while ids are slots of the whole database, deleted ones
+// included.
+func (s *Set) CheckGraphIDs(slots int) error {
+	for _, e := range s.A2F.entries {
+		if n := len(e.DelIds); n > 0 && e.DelIds[n-1] >= slots {
+			return fmt.Errorf("index: entry %d names graph %d of %d: %w", e.ID, e.DelIds[n-1], slots, ErrInconsistent)
+		}
+	}
+	for i, d := range s.A2I.entries {
+		if n := len(d.FSGIds); n > 0 && d.FSGIds[n-1] >= slots {
+			return fmt.Errorf("index: DIF %d names graph %d of %d: %w", i, d.FSGIds[n-1], slots, ErrInconsistent)
+		}
+	}
+	return nil
 }
 
 // loadClusters reads every DF cluster from the data file at its offset into

@@ -49,7 +49,10 @@ func fuzzIndexes() *index.Set {
 // FuzzSPIGAddDelete checks the modification invariant of Section 6: drawing
 // one more edge and immediately deleting it must restore the SPIG set
 // exactly (the newest step has the largest id, so only its own SPIG may
-// reference it — add-then-delete is a perfect undo). The byte stream encodes
+// reference it — add-then-delete is a perfect undo). After every action each
+// vertex's code must be its fragment's canonical code and each level's class
+// set that of a fresh rebuild (checkAgainstRebuild); the next edge drawn
+// reuses the deleted edge's slot. The byte stream encodes
 // the base query formulation and the extra edge.
 func FuzzSPIGAddDelete(f *testing.F) {
 	// Committed seeds: a path extended by a leaf, a triangle closure, and a
@@ -91,6 +94,7 @@ func FuzzSPIGAddDelete(f *testing.F) {
 			if _, err := S.Construct(q, step); err != nil {
 				t.Fatalf("construct step %d: %v", step, err)
 			}
+			checkAgainstRebuild(t, q, S)
 			edges++
 		}
 		if edges == 0 {
@@ -106,10 +110,12 @@ func FuzzSPIGAddDelete(f *testing.F) {
 		if _, err := S.Construct(q, step); err != nil {
 			t.Fatalf("construct extra step %d: %v", step, err)
 		}
+		checkAgainstRebuild(t, q, S)
 		if err := q.DeleteEdge(step); err != nil {
 			t.Fatalf("deleting the newest edge must always be allowed: %v", err)
 		}
 		S.DeleteEdge(step)
+		checkAgainstRebuild(t, q, S)
 
 		if after := S.Dump(); after != before {
 			t.Fatalf("SPIG set not restored by add-then-delete of step %d:\n--- before ---\n%s\n--- after ---\n%s", step, before, after)

@@ -72,7 +72,7 @@ func setSignature(t *testing.T, S *Set, q *query.Query) map[int]map[string]*leve
 					t.Errorf("level %d code %q classified two ways:\n  %s\n  %s", k, v.Code, entry.class, cs)
 				}
 				for _, rep := range v.Reps {
-					key := repIdentity(t, q, rep)
+					key := repIdentity(t, q, S.Steps(rep))
 					if entry.reps[key] {
 						t.Errorf("level %d code %q: realization %s appears in more than one SPIG", k, v.Code, key)
 					}

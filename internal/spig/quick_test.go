@@ -10,17 +10,22 @@ import (
 )
 
 // TestQuickSpigInvariants drives random query shapes and formulation orders
-// through SPIG construction and checks the structural invariants of §V:
+// through SPIG construction — half of them ring-rich, with at least three
+// independent cycles — and checks the structural invariants of §V:
 //   - the SPIG set covers exactly the connected subgraph classes of q per level;
 //   - every realization lives in the SPIG of its largest edge label;
-//   - N(k) ≤ C(n, k) (Lemma 1).
+//   - N(k) ≤ C(n, k) (Lemma 1);
+//   - every vertex's code is its own fragment's canonical code.
 func TestQuickSpigInvariants(t *testing.T) {
 	idx, _ := buildIndexes(t, 97, 15, 0.3)
 
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		labels := []string{"C", "N", "O"}
-		// Random connected query, 3..6 edges, drawn in random valid order.
+		// Random connected query, 3..6 edges, drawn in random valid order;
+		// a cyclic one grows to 4..6 nodes, then closes rings until it has
+		// at least 3 cycles.
+		cyclic, ringNodes := r.Intn(2) == 0, 4+r.Intn(3)
 		q := query.New()
 		nodes := []int{q.AddNode(labels[r.Intn(len(labels))]), q.AddNode(labels[r.Intn(len(labels))])}
 		S := NewSet(idx)
@@ -32,7 +37,8 @@ func TestQuickSpigInvariants(t *testing.T) {
 			return false
 		}
 		target := 3 + r.Intn(4)
-		for q.Size() < target {
+		cycles := func() int { return q.Size() - len(nodes) + 1 }
+		for q.Size() < target || (cyclic && cycles() < 3) {
 			var u int
 			st := q.Steps()
 			qe, _ := q.Edge(st[r.Intn(len(st))])
@@ -42,7 +48,7 @@ func TestQuickSpigInvariants(t *testing.T) {
 				u = qe.B
 			}
 			var v int
-			if r.Intn(3) == 0 {
+			if r.Intn(3) == 0 || (cyclic && len(nodes) >= ringNodes) {
 				v = nodes[r.Intn(len(nodes))]
 			} else {
 				v = q.AddNode(labels[r.Intn(len(labels))])
@@ -84,14 +90,24 @@ func TestQuickSpigInvariants(t *testing.T) {
 				return false
 			}
 		}
+		for _, l := range S.Labels() {
+			s := S.Spig(l)
+			for k := 1; k <= s.MaxLevel(); k++ {
+				for _, v := range s.Level(k) {
+					if v.Code != graph.CanonicalCode(v.Frag) {
+						return false
+					}
+				}
+			}
+		}
 		// Max-label partition: every realization's largest step equals its
 		// SPIG's label.
 		for _, l := range S.Labels() {
 			s := S.Spig(l)
 			for k := 1; k <= s.MaxLevel(); k++ {
 				for _, v := range s.Level(k) {
-					for _, rep := range v.Reps {
-						if rep[len(rep)-1] != l {
+					for _, m := range v.Reps {
+						if rep := S.Steps(m); rep[len(rep)-1] != l {
 							return false
 						}
 					}

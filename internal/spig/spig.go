@@ -14,16 +14,24 @@
 //
 //   - A vertex is an isomorphism class: distinct edge subsets with the same
 //     canonical code collapse into one vertex (the paper's "unique vertexes"),
-//     and the vertex keeps every realizing edge-label set so that query
+//     and the vertex keeps every realizing edge set so that query
 //     modification (Algorithm 6) can drop exactly the realizations containing
 //     a deleted edge.
+//
+// A realization is a uint64 edge mask over the Set's slots, one slot per live
+// query edge, so a query holds at most MaxLiveEdges live edges. Each class's
+// canonical code is computed once per session: a realization first met is
+// materialized, bucketed by an isomorphism invariant, and settled by VF2
+// against the bucket's classes; only a class new to the session runs
+// MinDFSCode.
 package spig
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -42,9 +50,10 @@ type Vertex struct {
 	Code      string // cam(g): canonical code of the fragment
 	Frag      *graph.Graph
 
-	// Reps holds every edge-label set (sorted step labels) realizing this
-	// class — the Edge Lists L_E(g) of the paper.
-	Reps [][]int
+	// Reps holds every realization of this class — the Edge Lists L_E(g)
+	// of the paper — as edge masks over the owning Set's slots, in
+	// enumeration order; Set.Steps names a mask's step labels.
+	Reps []uint64
 
 	// Fragment List (Definition 4). Kind tells which case applies.
 	Kind   index.Kind
@@ -54,20 +63,10 @@ type Vertex struct {
 	Ups    []int // DIF subgraph id set Υ(g) (all DIF subgraphs)
 }
 
-// ContainsStep reports whether every realization of the vertex uses the
-// given edge step; AnyRepWithout returns a realization avoiding it, if any.
-func (v *Vertex) ContainsStep(step int) bool {
-	for _, rep := range v.Reps {
-		if !intset.Contains(rep, step) {
-			return false
-		}
-	}
-	return true
-}
-
 // SPIG is the spindle-shaped graph of one formulation step.
 type SPIG struct {
 	L      int // the new edge's step label
+	set    *Set
 	levels [][]*Vertex
 	byCode []map[string]*Vertex
 }
@@ -121,19 +120,41 @@ type Classifier interface {
 	Lookup(code string) (index.Kind, int)
 }
 
-// fragMemo caches the materialized fragment and canonical code of one step
-// subset. Step labels are never reused by a Query (deletes and relabels
-// allocate fresh steps), so a step set identifies an immutable fragment and
-// entries never go stale — deleted steps simply become unreachable keys.
-type fragMemo struct {
-	frag *graph.Graph
-	code string
+// MaxLiveEdges bounds the live edges of a Set's query: every realization is
+// a uint64 mask with one bit per live edge.
+const MaxLiveEdges = 64
+
+// ErrTooManyEdges is wrapped by the error Construct returns when the new
+// edge would be the query's 65th live edge. The Set is left as it was.
+var ErrTooManyEdges = errors.New("spig: a query holds at most 64 live edges")
+
+// slot is one live query edge as the Set sees it. Node labels are fixed for
+// a slot's lifetime: relabeling a node re-draws its edges under new steps.
+type slot struct {
+	step   int
+	a, b   int    // endpoint canvas node ids
+	la, lb uint32 // their interned labels
+	le     uint32 // interned edge label
+	label  string // edge label ("" = unlabeled)
 }
 
-// maxFragMemo bounds the cross-action fragment memo; past it the memo is
-// reset wholesale (long editing sessions with many deletes/relabels would
-// otherwise accumulate unreachable entries).
-const maxFragMemo = 1 << 14
+// class is one isomorphism class met in the session: the fragment of its
+// first realization and its canonical code. gen and v cache the class's
+// vertex in the SPIG under construction (valid while gen equals Set.gen).
+type class struct {
+	frag *graph.Graph
+	code string
+	gen  uint64
+	v    *Vertex
+}
+
+// nodeAcc accumulates one fragment node's share of the invariant.
+type nodeAcc struct {
+	id  int    // canvas node id
+	lab uint32 // interned label
+	deg uint64
+	nb  uint64 // commutative sum of hashed (neighbour colour, edge label)
+}
 
 // Set is the SPIG set S maintained across formulation steps. A Set serves a
 // single formulation session over a single *query.Query and, like the engine
@@ -143,23 +164,33 @@ type Set struct {
 	order []int // ascending ℓ
 	idx   Classifier
 
-	// Scratch reused across user actions: one formulation session issues
-	// hundreds of ConstructCtx calls over overlapping step subsets, and the
-	// same subsets recur every time the query grows by an edge. All scratch
-	// is invisible in results — vertices own their Reps and the memo's
-	// fragments are immutable.
-	memoQ   *query.Query        // query the memo was built against
-	memo    map[string]fragMemo // stepsKey -> fragment + canonical code
-	subsets [][]int             // current-level subset scratch
-	nextSub [][]int             // next-level subset scratch
-	arena   []int               // backing storage carved into subset slices
-	seen    map[string]bool     // next-level dedup scratch
-	keyBuf  []byte              // stepsKey scratch
-	subBuf  []int               // classify's per-parent subset scratch
+	// Session state. Slot order is step order: a new edge takes the slot
+	// above every used one, and when none is left compact renumbers the
+	// used slots from 0, rewriting every mask. Deleting an edge frees its
+	// slot and evicts the memo entries holding it, so a reused slot never
+	// aliases a stale fragment. The class table outlives deletions: it maps
+	// graphs, not edges.
+	q       *query.Query
+	slots   [MaxLiveEdges]slot
+	adj     [MaxLiveEdges]uint64 // slots whose edges share an endpoint
+	used    uint64
+	memo    map[uint64]*class   // realization mask -> its class
+	classes map[uint64][]*class // invariant -> the session's classes with it
 
-	// fragments counts the fragments fragAndCode materialized, for the
-	// spig_build span's count of them.
+	// Construction scratch, reused across user actions.
+	gen       uint64 // construction counter, for class.gen
+	cur, next []uint64
+	seen      map[uint64]struct{} // next-level dedup
+	nodes     []nodeAcc
+	ends      [][3]uint32 // fragment's edges: node, node, edge label
+
+	// Work counters for the spig_build span: realizations materialized,
+	// canonical codes computed and the time spent on them (timed only when
+	// traced is set).
+	traced    bool
 	fragments int64
+	codes     int64
+	codeTime  time.Duration
 }
 
 // NewSet returns an empty SPIG set bound to the action-aware indexes.
@@ -167,89 +198,237 @@ func NewSet(idx Classifier) *Set {
 	return &Set{spigs: map[int]*SPIG{}, idx: idx}
 }
 
-// stepsKey renders a sorted step set into the reusable key buffer. The
-// returned slice is valid until the next call; map lookups on string(key)
-// do not allocate.
-func (S *Set) stepsKey(steps []int) []byte {
-	b := S.keyBuf[:0]
-	for i, s := range steps {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, int64(s), 10)
+// bind makes the slots track q's live edges up to step ell: it drops every
+// edge q no longer has as DeleteEdge would, then gives each edge drawn since
+// the last bind a slot above every used one. The first bind ties the Set to
+// q for good.
+func (S *Set) bind(q *query.Query, ell int) error {
+	switch S.q {
+	case q:
+	case nil:
+		S.q = q
+		S.memo = map[uint64]*class{}
+		S.classes = map[uint64][]*class{}
+		S.seen = map[uint64]struct{}{}
+	default:
+		return errors.New("spig: the set serves another query")
 	}
-	S.keyBuf = b
-	return b
+	for r := S.used; r != 0; r &= r - 1 {
+		st := S.slots[bits.TrailingZeros64(r)].step
+		if _, ok := q.Edge(st); !ok {
+			S.DeleteEdge(st)
+		}
+	}
+	// Steps are allocated in increasing order and every live step up to
+	// the highest slotted one is slotted, so the new edges are the live
+	// steps in (last, ell].
+	top, last := bits.Len64(S.used), 0
+	if top > 0 {
+		last = S.slots[top-1].step
+	}
+	steps := q.Steps()
+	fresh := steps[sort.SearchInts(steps, last+1):sort.SearchInts(steps, ell+1)]
+	if live := bits.OnesCount64(S.used) + len(fresh); live > MaxLiveEdges {
+		return fmt.Errorf("spig: e%d would be live edge %d: %w", fresh[len(fresh)-1], live, ErrTooManyEdges)
+	}
+	if top+len(fresh) > MaxLiveEdges {
+		S.compact()
+		top = bits.Len64(S.used)
+	}
+	for _, st := range fresh {
+		e, _ := q.Edge(st)
+		S.slots[top] = slot{
+			step: st, a: e.A, b: e.B,
+			la: graph.InternLabel(q.NodeLabel(e.A)), lb: graph.InternLabel(q.NodeLabel(e.B)),
+			le: graph.InternLabel(e.Label), label: e.Label,
+		}
+		bit := uint64(1) << top
+		S.adj[top] = 0
+		for r := S.used; r != 0; r &= r - 1 {
+			o := bits.TrailingZeros64(r)
+			if os := &S.slots[o]; os.a == e.A || os.a == e.B || os.b == e.A || os.b == e.B {
+				S.adj[o] |= bit
+				S.adj[top] |= uint64(1) << o
+			}
+		}
+		S.used |= bit
+		top++
+	}
+	return nil
 }
 
-// fragAndCode returns the fragment induced by the sorted step set and its
-// canonical code, memoized across user actions. computed reports whether the
-// code was computed on this call (for trace accounting). ok is false for a
-// disconnected subset, which is never materialized.
-func (S *Set) fragAndCode(q *query.Query, steps []int) (frag *graph.Graph, code string, computed, ok bool) {
-	if S.memoQ != q || len(S.memo) > maxFragMemo {
-		S.memoQ = q
-		S.memo = make(map[string]fragMemo)
+// slotOf returns the slot holding the given step, or -1.
+func (S *Set) slotOf(step int) int {
+	for r := S.used; r != 0; r &= r - 1 {
+		if i := bits.TrailingZeros64(r); S.slots[i].step == step {
+			return i
+		}
 	}
-	key := S.stepsKey(steps)
-	if m, hit := S.memo[string(key)]; hit {
-		return m.frag, m.code, false, true
+	return -1
+}
+
+// free releases slot i and evicts the memo entries whose mask holds it.
+func (S *Set) free(i int) {
+	bit := uint64(1) << i
+	S.used &^= bit
+	for r := S.adj[i]; r != 0; r &= r - 1 {
+		S.adj[bits.TrailingZeros64(r)] &^= bit
 	}
-	frag, connected := q.FragmentOf(steps)
-	if !connected {
-		return nil, "", false, false
+	S.adj[i] = 0
+	for m := range S.memo {
+		if m&bit != 0 {
+			delete(S.memo, m)
+		}
+	}
+}
+
+// compact renumbers the used slots 0..n-1, keeping their order, and rewrites
+// every mask the Set holds — adjacency, memo keys and realizations — to the
+// new numbering.
+func (S *Set) compact() {
+	used := S.used
+	squeeze := func(m uint64) uint64 {
+		var out uint64
+		for i, r := 0, used; r != 0; i, r = i+1, r&(r-1) {
+			if m&r&-r != 0 {
+				out |= uint64(1) << i
+			}
+		}
+		return out
+	}
+	var slots [MaxLiveEdges]slot
+	var adj [MaxLiveEdges]uint64
+	n := 0
+	for r := used; r != 0; r &= r - 1 {
+		o := bits.TrailingZeros64(r)
+		slots[n], adj[n] = S.slots[o], squeeze(S.adj[o])
+		n++
+	}
+	S.slots, S.adj, S.used = slots, adj, uint64(1)<<n-1
+	memo := make(map[uint64]*class, len(S.memo))
+	for m, c := range S.memo {
+		memo[squeeze(m)] = c
+	}
+	S.memo = memo
+	for _, s := range S.spigs {
+		for _, lv := range s.levels {
+			for _, v := range lv {
+				for j, m := range v.Reps {
+					v.Reps[j] = squeeze(m)
+				}
+			}
+		}
+	}
+}
+
+// Steps returns the step labels of the edges in mask m (one of a vertex's
+// Reps), ascending.
+func (S *Set) Steps(m uint64) []int {
+	out := make([]int, 0, bits.OnesCount64(m))
+	for r := m; r != 0; r &= r - 1 {
+		out = append(out, S.slots[bits.TrailingZeros64(r)].step)
+	}
+	return out
+}
+
+// connected reports whether the edges of mask m form one connected fragment.
+func (S *Set) connected(m uint64) bool {
+	if m == 0 {
+		return false
+	}
+	reach := m & -m
+	for frontier := reach; frontier != 0; {
+		var grow uint64
+		for r := frontier; r != 0; r &= r - 1 {
+			grow |= S.adj[bits.TrailingZeros64(r)]
+		}
+		frontier = grow & m &^ reach
+		reach |= frontier
+	}
+	return reach == m
+}
+
+// classOf returns the class of the connected realization m. A mask met
+// before is a memo hit; a new one is materialized and checked by VF2
+// against the classes sharing its invariant (equal node and edge counts
+// make that an isomorphism test), and only a class new to the session gets
+// its canonical code computed.
+func (S *Set) classOf(m uint64) *class {
+	if c := S.memo[m]; c != nil {
+		return c
 	}
 	S.fragments++
-	code = graph.CanonicalCode(frag)
-	S.memo[string(key)] = fragMemo{frag: frag, code: code}
-	return frag, code, true, true
-}
-
-// carve allocates an n-int slice from the construction arena. Slices carved
-// earlier stay valid when the arena grows (they keep pointing into the old
-// chunk); the arena is rewound only at the start of a construction, when no
-// prior carved slice is live.
-func (S *Set) carve(n int) []int {
-	if len(S.arena)+n > cap(S.arena) {
-		c := 2 * cap(S.arena)
-		if c < 1024 {
-			c = 1024
-		}
-		if c < n {
-			c = n
-		}
-		S.arena = make([]int, 0, c)
-	}
-	off := len(S.arena)
-	S.arena = S.arena[:off+n]
-	return S.arena[off : off+n : off+n]
-}
-
-// without returns src minus element t in the reusable subBuf scratch; the
-// result is valid until the next call.
-func (S *Set) without(src []int, t int) []int {
-	b := S.subBuf[:0]
-	for _, x := range src {
-		if x != t {
-			b = append(b, x)
+	frag, h := S.fragment(m)
+	for _, c := range S.classes[h] {
+		if c.frag.NumNodes() == frag.NumNodes() && c.frag.NumEdges() == frag.NumEdges() && graph.SubgraphIsomorphic(c.frag, frag) {
+			S.memo[m] = c
+			return c
 		}
 	}
-	S.subBuf = b
-	return b
+	var t0 time.Time
+	if S.traced {
+		t0 = time.Now()
+	}
+	c := &class{frag: frag, code: graph.CanonicalCode(frag)}
+	if S.traced {
+		S.codeTime += time.Since(t0)
+	}
+	S.codes++
+	S.classes[h] = append(S.classes[h], c)
+	S.memo[m] = c
+	return c
 }
 
-// carveInsert carves a copy of the sorted set src with u inserted in order.
-// u must not already be in src.
-func (S *Set) carveInsert(src []int, u int) []int {
-	ns := S.carve(len(src) + 1)
-	i := 0
-	for i < len(src) && src[i] < u {
-		ns[i] = src[i]
-		i++
+// fragment materializes the realization m and returns it with its
+// isomorphism invariant: the node and edge counts and one Weisfeiler–Lehman
+// round over nodes coloured by (label, degree), each node hashing its colour
+// with its neighbours' colours and the edge labels to them. Nodes are
+// numbered in order of first appearance over the edges in step order, as
+// query.FragmentOf numbers them. Per-node hashes are summed, so the
+// invariant does not depend on that numbering.
+func (S *Set) fragment(m uint64) (*graph.Graph, uint64) {
+	g := graph.New(-1)
+	nodes := S.nodes[:0]
+	nodeOf := func(id int, lab uint32) int {
+		for i := range nodes {
+			if nodes[i].id == id {
+				return i
+			}
+		}
+		nodes = append(nodes, nodeAcc{id: id, lab: lab})
+		return g.AddNodeID(lab)
 	}
-	ns[i] = u
-	copy(ns[i+1:], src[i:])
-	return ns
+	ends := S.ends[:0]
+	for r := m; r != 0; r &= r - 1 {
+		e := &S.slots[bits.TrailingZeros64(r)]
+		i, j := nodeOf(e.a, e.la), nodeOf(e.b, e.lb)
+		if err := g.AddLabeledEdge(i, j, e.label); err != nil {
+			panic(fmt.Sprintf("spig: slot edge e%d: %v", e.step, err)) // query edges are simple
+		}
+		nodes[i].deg++
+		nodes[j].deg++
+		ends = append(ends, [3]uint32{uint32(i), uint32(j), e.le})
+	}
+	for _, e := range ends {
+		i, j := &nodes[e[0]], &nodes[e[1]]
+		i.nb += mix(uint64(j.lab)<<32 | j.deg<<24 | uint64(e[2]))
+		j.nb += mix(uint64(i.lab)<<32 | i.deg<<24 | uint64(e[2]))
+	}
+	h := mix(uint64(len(nodes))<<32 | uint64(len(ends)))
+	for _, n := range nodes {
+		h += mix(mix(uint64(n.lab)<<32|n.deg) ^ n.nb)
+	}
+	S.nodes, S.ends = nodes, ends
+	return g, h
+}
+
+// mix is the splitmix64 finalizer.
+func mix(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // SetClassifier rebinds the set to a different classifier — typically an
@@ -277,18 +456,6 @@ func (S *Set) NumVertices() int {
 	return n
 }
 
-// repKey canonicalizes a sorted step set for dedup.
-func repKey(steps []int) string {
-	var b strings.Builder
-	for i, s := range steps {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(s))
-	}
-	return b.String()
-}
-
 // Construct implements Algorithm 2 (SpigConstruct): it builds the SPIG for
 // the new edge eℓ over the current query fragment, computing each vertex's
 // Fragment List from the action-aware indexes or by inheritance from the
@@ -301,8 +468,8 @@ func (S *Set) Construct(q *query.Query, ell int) (*SPIG, error) {
 // aggregate time spent computing canonical codes and classifying vertices
 // against the indexes is attached as canonical_code / index_probe child
 // spans (one per call, not per vertex — SPIG levels visit hundreds of
-// subsets), and the span itself counts the realizations enumerated (step
-// subsets, every level) and the fragments materialized for them. The
+// realizations), and the span itself counts the realizations enumerated
+// (edge sets, every level) and the fragments materialized for them. The
 // construction itself is unaffected by ctx.
 func (S *Set) ConstructCtx(ctx context.Context, q *query.Query, ell int) (*SPIG, error) {
 	sp := trace.SpanFromContext(ctx)
@@ -312,31 +479,22 @@ func (S *Set) ConstructCtx(ctx context.Context, q *query.Query, ell int) (*SPIG,
 	if _, ok := S.spigs[ell]; ok {
 		return nil, fmt.Errorf("spig: SPIG for e%d already constructed", ell)
 	}
+	if err := S.bind(q, ell); err != nil {
+		return nil, err
+	}
 	// A SPIG ranges over the query fragment as of step ℓ: only edges with
-	// step labels ≤ ℓ participate. In the ordinary flow every current edge
-	// qualifies; when SPIGs are rebuilt out of order (node relabeling), the
-	// filter preserves the "each subgraph lives in the SPIG of its largest
-	// edge label" invariant.
-	n := 0
-	for _, s := range q.Steps() {
-		if s <= ell {
-			n++
-		}
-	}
-	adj := map[int][]int{}
-	for s, neighbors := range q.AdjacentSteps() {
-		if s > ell {
-			continue
-		}
-		for _, t := range neighbors {
-			if t <= ell {
-				adj[s] = append(adj[s], t)
-			}
-		}
-	}
+	// step labels ≤ ℓ participate — the slots up to ℓ's, since slot order
+	// is step order. In the ordinary flow every current edge qualifies;
+	// when SPIGs are rebuilt out of order (node relabeling), the filter
+	// preserves the "each subgraph lives in the SPIG of its largest edge
+	// label" invariant.
+	src := uint64(1) << S.slotOf(ell)
+	part := S.used & (src<<1 - 1)
+	n := bits.OnesCount64(part)
 
 	s := &SPIG{
 		L:      ell,
+		set:    S,
 		levels: make([][]*Vertex, n+1),
 		byCode: make([]map[string]*Vertex, n+1),
 	}
@@ -344,45 +502,30 @@ func (S *Set) ConstructCtx(ctx context.Context, q *query.Query, ell int) (*SPIG,
 		s.byCode[k] = map[string]*Vertex{}
 	}
 
-	// Level-by-level growth of connected step subsets containing eℓ. Subset
-	// slices are carved from the reusable arena; fragments and codes come
-	// from the cross-action memo (the same subsets recur at every step of a
-	// growing query).
-	var canonDur, probeDur time.Duration
-	var canonN, probeN, realizations int64
-	fragments0 := S.fragments
-	S.arena = S.arena[:0]
-	subsets := S.subsets[:0]
-	first := S.carve(1)
-	first[0] = ell
-	subsets = append(subsets, first)
+	// Level-by-level growth of connected edge sets containing eℓ: level k+1
+	// ORs each level-k mask with the edges adjacent to it, in step order.
+	S.gen++
+	S.traced = sp != nil
+	fragments0, codes0, codeTime0 := S.fragments, S.codes, S.codeTime
+	var probeDur time.Duration
+	var probeN, realizations int64
+	cur := append(S.cur[:0], src)
 	for k := 1; k <= n; k++ {
-		realizations += int64(len(subsets))
-		// Group this level's subsets into isomorphism classes.
-		for _, steps := range subsets {
-			var t0 time.Time
-			if sp != nil {
-				t0 = time.Now()
-			}
-			frag, code, computed, ok := S.fragAndCode(q, steps)
-			if sp != nil && computed {
-				canonDur += time.Since(t0)
-				canonN++
-			}
-			if !ok {
-				// Cannot happen: subsets grow by edge adjacency.
-				return nil, fmt.Errorf("spig: internal: disconnected subset %v", steps)
-			}
-			v := s.byCode[k][code]
-			if v == nil {
+		realizations += int64(len(cur))
+		// Group this level's realizations into isomorphism classes.
+		for _, m := range cur {
+			c := S.classOf(m)
+			v := c.v
+			if c.gen != S.gen {
 				v = &Vertex{
-					SpigLabel: ell, Level: k, Code: code, Frag: frag,
+					SpigLabel: ell, Level: k, Code: c.code, Frag: c.frag,
 					FreqID: -1, DifID: -1,
 				}
-				s.byCode[k][code] = v
+				c.gen, c.v = S.gen, v
+				s.byCode[k][c.code] = v
 				s.levels[k] = append(s.levels[k], v)
 			}
-			v.Reps = append(v.Reps, intset.Clone(steps))
+			v.Reps = append(v.Reps, m)
 		}
 		// Fragment lists for the finished level (parents at k-1 are final).
 		var t1 time.Time
@@ -390,7 +533,7 @@ func (S *Set) ConstructCtx(ctx context.Context, q *query.Query, ell int) (*SPIG,
 			t1 = time.Now()
 		}
 		for _, v := range s.levels[k] {
-			S.classify(q, s, v)
+			S.classify(v, src)
 		}
 		if sp != nil {
 			probeDur += time.Since(t1)
@@ -399,37 +542,31 @@ func (S *Set) ConstructCtx(ctx context.Context, q *query.Query, ell int) (*SPIG,
 		if k == n {
 			break
 		}
-		// Next level's subsets.
-		if S.seen == nil {
-			S.seen = map[string]bool{}
-		} else {
-			clear(S.seen)
-		}
-		next := S.nextSub[:0]
-		for _, steps := range subsets {
-			for _, t := range steps {
-				for _, u := range adj[t] {
-					if intset.Contains(steps, u) {
-						continue
-					}
-					ns := S.carveInsert(steps, u)
-					key := S.stepsKey(ns)
-					if !S.seen[string(key)] {
-						S.seen[string(key)] = true
-						next = append(next, ns)
+		// Next level's realizations, deduplicated in first-seen order.
+		clear(S.seen)
+		next := S.next[:0]
+		for _, m := range cur {
+			var tried uint64
+			for r := m; r != 0; r &= r - 1 {
+				for a := S.adj[bits.TrailingZeros64(r)] & part &^ (m | tried); a != 0; a &= a - 1 {
+					u := a & -a
+					tried |= u
+					if _, dup := S.seen[m|u]; !dup {
+						S.seen[m|u] = struct{}{}
+						next = append(next, m|u)
 					}
 				}
 			}
 		}
-		S.nextSub = subsets // recycle the finished level's header slice
-		subsets = next
+		S.next = cur // recycle the finished level's slice
+		cur = next
 	}
-	S.subsets = subsets[:0]
+	S.cur = cur[:0]
 
 	if sp != nil {
 		sp.Add("realizations", realizations)
 		sp.Add("fragments", S.fragments-fragments0)
-		sp.Record(trace.KindCanonical, canonDur, "codes", canonN)
+		sp.Record(trace.KindCanonical, S.codeTime-codeTime0, "codes", S.codes-codes0)
 		sp.Record(trace.KindIndexProbe, probeDur, "vertices", probeN)
 	}
 	S.spigs[ell] = s
@@ -441,8 +578,9 @@ func (S *Set) ConstructCtx(ctx context.Context, q *query.Query, ell int) (*SPIG,
 // classify fills in the Fragment List of v per Definition 4: an indexed
 // fragment gets its a2fId/a2iId; a NIF inherits Φ from its largest frequent
 // subgraphs and Υ from all of its subgraphs' DIF ids, via the SPIG parents
-// (largest subgraphs containing eℓ) and the cross-SPIG vertex of g−eℓ.
-func (S *Set) classify(q *query.Query, s *SPIG, v *Vertex) {
+// (largest subgraphs containing eℓ, whose mask src is) and the cross-SPIG
+// vertex of g−eℓ.
+func (S *Set) classify(v *Vertex, src uint64) {
 	kind, id := S.idx.Lookup(v.Code)
 	v.Kind = kind
 	switch kind {
@@ -467,29 +605,28 @@ func (S *Set) classify(q *query.Query, s *SPIG, v *Vertex) {
 	}
 
 	for _, rep := range v.Reps {
-		for _, t := range rep {
-			// A disconnected rep − t has no vertex to inherit from; a
-			// connected one is almost always a memo hit.
-			sub := S.without(rep, t)
-			if !q.StepsConnected(sub) {
-				continue
-			}
-			_, code, _, ok := S.fragAndCode(q, sub)
-			if !ok {
-				continue
-			}
-			if t != s.L {
-				// Largest subgraph containing eℓ: a parent in this SPIG.
-				if p := s.FindByCode(v.Level-1, code); p != nil {
-					inherit(p)
+		for r := rep; r != 0; r &= r - 1 {
+			t := r & -r
+			sub := rep &^ t
+			c := S.memo[sub]
+			if c == nil {
+				// A disconnected rep − t has no vertex to inherit from; a
+				// connected one misses only when its entry was evicted.
+				if !S.connected(sub) {
+					continue
 				}
-			} else {
+				c = S.classOf(sub)
+			}
+			if t != src {
+				// Largest subgraph containing eℓ: a parent in this SPIG,
+				// built at the previous level of this construction.
+				if c.gen == S.gen {
+					inherit(c.v)
+				}
+			} else if ps := S.spigs[S.slots[bits.Len64(sub)-1].step]; ps != nil {
 				// g − eℓ: lives in the SPIG of its largest edge label.
-				lp := sub[len(sub)-1]
-				if ps := S.spigs[lp]; ps != nil {
-					if p := ps.FindByCode(v.Level-1, code); p != nil {
-						inherit(p)
-					}
+				if p := ps.FindByCode(v.Level-1, c.code); p != nil {
+					inherit(p)
 				}
 			}
 		}
@@ -502,24 +639,22 @@ func (S *Set) classify(q *query.Query, s *SPIG, v *Vertex) {
 // lines 12-14): the SPIG S_d is removed entirely, and every vertex
 // realization containing e_d is dropped from the remaining SPIGs (vertices
 // with no surviving realization disappear). A surviving vertex keeps its
-// fragment class and its Fragment List; only its Reps shrink.
+// fragment class and its Fragment List; only its Reps shrink. The edge's
+// slot is freed.
 func (S *Set) DeleteEdge(d int) {
-	delete(S.spigs, d)
-	keep := S.order[:0]
-	for _, l := range S.order {
-		if l != d {
-			keep = append(keep, l)
-		}
+	S.Remove(d)
+	i := S.slotOf(d)
+	if i < 0 {
+		return
 	}
-	S.order = keep
-
+	bit := uint64(1) << i
 	for _, s := range S.spigs {
 		for k := 1; k < len(s.levels); k++ {
-			var survivors []*Vertex
+			survivors := s.levels[k][:0]
 			for _, v := range s.levels[k] {
-				var reps [][]int
+				reps := v.Reps[:0]
 				for _, rep := range v.Reps {
-					if !intset.Contains(rep, d) {
+					if rep&bit == 0 {
 						reps = append(reps, rep)
 					}
 				}
@@ -530,9 +665,11 @@ func (S *Set) DeleteEdge(d int) {
 					delete(s.byCode[k], v.Code)
 				}
 			}
+			clear(s.levels[k][len(survivors):])
 			s.levels[k] = survivors
 		}
 	}
+	S.free(i)
 }
 
 // Remove discards the SPIG for edge ℓ without touching others (used when a
@@ -581,7 +718,7 @@ func (S *Set) VerticesAtLevel(k int) int {
 }
 
 // Dump renders a human-readable view of the SPIG (its levels, classes,
-// realizations, and fragment lists) for debugging and the CLI.
+// realizations as step lists, and fragment lists) for debugging and the CLI.
 func (s *SPIG) Dump() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "SPIG S%d (levels 1..%d)\n", s.L, s.MaxLevel())
@@ -591,7 +728,11 @@ func (s *SPIG) Dump() string {
 		}
 		fmt.Fprintf(&b, "  level %d:\n", k)
 		for _, v := range s.levels[k] {
-			fmt.Fprintf(&b, "    %-10s cam=%s reps=%v", v.Kind, v.Code, v.Reps)
+			reps := make([][]int, len(v.Reps))
+			for i, m := range v.Reps {
+				reps[i] = s.set.Steps(m)
+			}
+			fmt.Fprintf(&b, "    %-10s cam=%s reps=%v", v.Kind, v.Code, reps)
 			switch {
 			case v.FreqID >= 0:
 				fmt.Fprintf(&b, " a2fId=%d", v.FreqID)

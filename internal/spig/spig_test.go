@@ -1,6 +1,7 @@
 package spig
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -186,8 +187,9 @@ func TestEachSubgraphInExactlyOneSpig(t *testing.T) {
 		s := S.Spig(l)
 		for k := 1; k <= s.MaxLevel(); k++ {
 			for _, v := range s.Level(k) {
-				for _, rep := range v.Reps {
-					seen[repKey(rep)]++
+				for _, m := range v.Reps {
+					rep := S.Steps(m)
+					seen[fmt.Sprint(rep)]++
 					// Realization must live in the SPIG of its max label.
 					if rep[len(rep)-1] != l {
 						t.Errorf("realization %v stored in S%d", rep, l)
@@ -330,8 +332,8 @@ func TestDeleteEdgeUpdatesSet(t *testing.T) {
 		s := S.Spig(l)
 		for k := 1; k <= s.MaxLevel(); k++ {
 			for _, v := range s.Level(k) {
-				for _, rep := range v.Reps {
-					if intset.Contains(rep, 1) {
+				for _, m := range v.Reps {
+					if rep := S.Steps(m); intset.Contains(rep, 1) {
 						t.Errorf("realization %v mentions deleted edge", rep)
 					}
 				}
@@ -449,14 +451,4 @@ func TestLevelOutOfRange(t *testing.T) {
 
 func containsStr(haystack, needle string) bool {
 	return len(haystack) >= len(needle) && strings.Contains(haystack, needle)
-}
-
-func TestContainsStep(t *testing.T) {
-	v := &Vertex{Reps: [][]int{{1, 2}, {2, 3}}}
-	if v.ContainsStep(1) {
-		t.Error("step 1 is avoidable")
-	}
-	if !v.ContainsStep(2) {
-		t.Error("step 2 is in every realization")
-	}
 }

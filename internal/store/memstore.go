@@ -57,6 +57,9 @@ func LoadMem(db []*graph.Graph, dir string) (*Mem, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := idx.CheckGraphIDs(len(db)); err != nil {
+		return nil, err
+	}
 	man, err := readStoreManifest(dir)
 	if err != nil {
 		return nil, err

@@ -191,6 +191,9 @@ func LoadSharded(db []*graph.Graph, dir string) (*Sharded, error) {
 	sets := make([]*index.Set, m.Shards)
 	for i := range sets {
 		set, err := index.Load(shardDir(dir, i))
+		if err == nil {
+			err = set.CheckGraphIDs(len(db))
+		}
 		if err != nil {
 			return nil, fmt.Errorf("store: loading shard %d: %w", i, err)
 		}

@@ -72,6 +72,7 @@ import (
 	"prague/internal/rpcstore"
 	"prague/internal/service"
 	"prague/internal/slo"
+	"prague/internal/spig"
 	"prague/internal/store"
 	"prague/internal/trace"
 )
@@ -108,6 +109,9 @@ var (
 	// ErrVerifyFaults: verification faults (worker panics, injected errors)
 	// truncated the answer and the caller asked for strictness.
 	ErrVerifyFaults = core.ErrVerifyFaults
+	// ErrTooManyEdges: the edge would be the query's 65th live edge. It is
+	// not drawn, and the session continues as it was.
+	ErrTooManyEdges = spig.ErrTooManyEdges
 )
 
 // Graph is a connected, undirected, node-labeled graph — the data model for
