@@ -32,8 +32,7 @@ func TestSpigScratchAllocBudget(t *testing.T) {
 	// Warm reconstruction (the modify-then-reformulate action): dropping a
 	// step's SPIG and rebuilding it hits the memo for every realization and
 	// for every connected rep − t, so the rebuild costs only the SPIG's own
-	// vertex/level structures: 39 allocations (82 when realizations were
-	// step slices keyed by strings).
+	// vertex/level structures: 39 allocations.
 	const budget = 42
 	if n := testing.AllocsPerRun(20, func() {
 		S.Remove(4)
@@ -48,8 +47,7 @@ func TestSpigScratchAllocBudget(t *testing.T) {
 // A cold step materializes one fragment per realization and computes a code
 // only for a class the session has not met, and builds nothing for a
 // dropped subset rep − t that is disconnected. On a tree-shaped query most
-// of them are: the step costs 263 allocations (355 when every realization
-// got its own code and a string key).
+// of them are: the step costs 263 allocations.
 func TestSpigColdStepAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation budgets are not meaningful under -race")

@@ -224,6 +224,8 @@ func TestSpigCodesPerSession(t *testing.T) {
 		}
 		return labels, edges
 	}
+	pathLabels, pathEdges := path(11)
+	combLabels, combEdges := comb(6)
 	for _, tc := range []struct {
 		name         string
 		labels       []string
@@ -231,14 +233,9 @@ func TestSpigCodesPerSession(t *testing.T) {
 		classes      int64
 		realizations int64
 	}{
-		{name: "cpath11", classes: 11, realizations: 66},
-		{name: "comb-o6", classes: 76, realizations: 234},
+		{"cpath11", pathLabels, pathEdges, 11, 66},
+		{"comb-o6", combLabels, combEdges, 76, 234},
 	} {
-		if tc.name == "cpath11" {
-			tc.labels, tc.edges = path(11)
-		} else {
-			tc.labels, tc.edges = comb(6)
-		}
 		t.Run(tc.name, func(t *testing.T) {
 			q, got := formulateCounted(t, tc.labels, tc.edges)
 			var codes, classes, realizations int64
