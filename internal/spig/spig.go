@@ -148,6 +148,13 @@ type class struct {
 	v    *Vertex
 }
 
+// realization is a memo entry: a mask's own fragment (a vertex's Frag is
+// that of its SPIG's first realization) and its class.
+type realization struct {
+	frag *graph.Graph
+	c    *class
+}
+
 // nodeAcc accumulates one fragment node's share of the invariant.
 type nodeAcc struct {
 	id  int    // canvas node id
@@ -174,8 +181,8 @@ type Set struct {
 	slots   [MaxLiveEdges]slot
 	adj     [MaxLiveEdges]uint64 // slots whose edges share an endpoint
 	used    uint64
-	memo    map[uint64]*class   // realization mask -> its class
-	classes map[uint64][]*class // invariant -> the session's classes with it
+	memo    map[uint64]realization // by mask
+	classes map[uint64][]*class    // invariant -> the session's classes with it
 
 	// Construction scratch, reused across user actions.
 	gen       uint64 // construction counter, for class.gen
@@ -207,7 +214,7 @@ func (S *Set) bind(q *query.Query, ell int) error {
 	case q:
 	case nil:
 		S.q = q
-		S.memo = map[uint64]*class{}
+		S.memo = map[uint64]realization{}
 		S.classes = map[uint64][]*class{}
 		S.seen = map[uint64]struct{}{}
 	default:
@@ -305,9 +312,9 @@ func (S *Set) compact() {
 		n++
 	}
 	S.slots, S.adj, S.used = slots, adj, uint64(1)<<n-1
-	memo := make(map[uint64]*class, len(S.memo))
-	for m, c := range S.memo {
-		memo[squeeze(m)] = c
+	memo := make(map[uint64]realization, len(S.memo))
+	for m, r := range S.memo {
+		memo[squeeze(m)] = r
 	}
 	S.memo = memo
 	for _, s := range S.spigs {
@@ -348,21 +355,22 @@ func (S *Set) connected(m uint64) bool {
 	return reach == m
 }
 
-// classOf returns the class of the connected realization m. A mask met
+// classOf returns the connected realization m with its class. A mask met
 // before is a memo hit; a new one is materialized and checked by VF2
 // against the classes sharing its invariant (equal node and edge counts
 // make that an isomorphism test), and only a class new to the session gets
 // its canonical code computed.
-func (S *Set) classOf(m uint64) *class {
-	if c := S.memo[m]; c != nil {
-		return c
+func (S *Set) classOf(m uint64) realization {
+	if r, ok := S.memo[m]; ok {
+		return r
 	}
 	S.fragments++
 	frag, h := S.fragment(m)
 	for _, c := range S.classes[h] {
 		if c.frag.NumNodes() == frag.NumNodes() && c.frag.NumEdges() == frag.NumEdges() && graph.SubgraphIsomorphic(c.frag, frag) {
-			S.memo[m] = c
-			return c
+			r := realization{frag, c}
+			S.memo[m] = r
+			return r
 		}
 	}
 	var t0 time.Time
@@ -375,8 +383,9 @@ func (S *Set) classOf(m uint64) *class {
 	}
 	S.codes++
 	S.classes[h] = append(S.classes[h], c)
-	S.memo[m] = c
-	return c
+	r := realization{frag, c}
+	S.memo[m] = r
+	return r
 }
 
 // fragment materializes the realization m and returns it with its
@@ -514,11 +523,11 @@ func (S *Set) ConstructCtx(ctx context.Context, q *query.Query, ell int) (*SPIG,
 		realizations += int64(len(cur))
 		// Group this level's realizations into isomorphism classes.
 		for _, m := range cur {
-			c := S.classOf(m)
-			v := c.v
+			r := S.classOf(m)
+			c, v := r.c, r.c.v
 			if c.gen != S.gen {
 				v = &Vertex{
-					SpigLabel: ell, Level: k, Code: c.code, Frag: c.frag,
+					SpigLabel: ell, Level: k, Code: c.code, Frag: r.frag,
 					FreqID: -1, DifID: -1,
 				}
 				c.gen, c.v = S.gen, v
@@ -608,15 +617,16 @@ func (S *Set) classify(v *Vertex, src uint64) {
 		for r := rep; r != 0; r &= r - 1 {
 			t := r & -r
 			sub := rep &^ t
-			c := S.memo[sub]
-			if c == nil {
+			r, ok := S.memo[sub]
+			if !ok {
 				// A disconnected rep − t has no vertex to inherit from; a
 				// connected one misses only when its entry was evicted.
 				if !S.connected(sub) {
 					continue
 				}
-				c = S.classOf(sub)
+				r = S.classOf(sub)
 			}
+			c := r.c
 			if t != src {
 				// Largest subgraph containing eℓ: a parent in this SPIG,
 				// built at the previous level of this construction.
