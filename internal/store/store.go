@@ -286,7 +286,8 @@ type HealthReporter interface {
 func AssignShard(id, n int) int { return shardOf(id, n) }
 
 // Validate checks the invariants every store constructor shares: a non-empty
-// database with dense identifiers and a built index set.
+// database with dense identifiers and a built index set naming no graph
+// beyond it.
 func Validate(db []*graph.Graph, idx *index.Set) error {
 	if len(db) == 0 {
 		return ErrEmptyDatabase
@@ -299,7 +300,7 @@ func Validate(db []*graph.Graph, idx *index.Set) error {
 			return fmt.Errorf("data graph at position %d must have dense id %d", i, i)
 		}
 	}
-	return nil
+	return idx.CheckGraphIDs(len(db))
 }
 
 // MergeSorted merges per-shard candidate id lists into one sorted,

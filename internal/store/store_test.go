@@ -304,3 +304,18 @@ func TestPersistRoundTrip(t *testing.T) {
 		t.Errorf("LoadSharded(short db) = %v, want ErrManifestMismatch", err)
 	}
 }
+
+// TestStoresRejectIndexOfLargerDB hands both store constructors an index
+// set built over twice the database: it names graphs the store does not
+// have, and each constructor fails with index.ErrInconsistent.
+func TestStoresRejectIndexOfLargerDB(t *testing.T) {
+	db := testDB(t, 6, 36)
+	idx := buildIndex(t, db, 0.2, 2)
+	short := db[:len(db)/2]
+	if _, err := NewMem(short, idx); !errors.Is(err, index.ErrInconsistent) {
+		t.Errorf("NewMem: err = %v, want index.ErrInconsistent", err)
+	}
+	if _, err := NewSharded(short, idx, 2); !errors.Is(err, index.ErrInconsistent) {
+		t.Errorf("NewSharded: err = %v, want index.ErrInconsistent", err)
+	}
+}
