@@ -617,16 +617,16 @@ func (S *Set) classify(v *Vertex, src uint64) {
 		for r := rep; r != 0; r &= r - 1 {
 			t := r & -r
 			sub := rep &^ t
-			r, ok := S.memo[sub]
+			e, ok := S.memo[sub]
 			if !ok {
 				// A disconnected rep − t has no vertex to inherit from; a
 				// connected one misses only when its entry was evicted.
 				if !S.connected(sub) {
 					continue
 				}
-				r = S.classOf(sub)
+				e = S.classOf(sub)
 			}
-			c := r.c
+			c := e.c
 			if t != src {
 				// Largest subgraph containing eℓ: a parent in this SPIG,
 				// built at the previous level of this construction.
