@@ -19,16 +19,14 @@ import (
 	"time"
 
 	"prague/internal/experiments"
-	"prague/internal/metrics"
 )
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "comma-separated experiment names, or 'all' (known: "+strings.Join(experiments.Names(), ", ")+")")
-		scale   = flag.Float64("scale", 0.05, "dataset scale relative to the paper (1.0 = AIDS 40K graphs)")
-		seed    = flag.Int64("seed", 42, "seed for dataset generation and query selection")
-		sigma   = flag.Int("sigma", 3, "default subgraph distance threshold σ")
-		showMet = flag.Bool("metrics", true, "print the aggregate metrics snapshot as JSON at the end")
+		exp   = flag.String("exp", "all", "comma-separated experiment names, or 'all' (known: "+strings.Join(experiments.Names(), ", ")+")")
+		scale = flag.Float64("scale", 0.05, "dataset scale relative to the paper (1.0 = AIDS 40K graphs)")
+		seed  = flag.Int64("seed", 42, "seed for dataset generation and query selection")
+		sigma = flag.Int("sigma", 3, "default subgraph distance threshold σ")
 	)
 	flag.Parse()
 
@@ -53,12 +51,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
-	}
-	if *showMet {
-		fmt.Println("\nmetrics snapshot (steps, SRT, SPIG build; latencies in ms):")
-		if err := metrics.Default.Snapshot().WriteJSON(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: metrics:", err)
-		}
 	}
 	fmt.Printf("\ncompleted in %v (scale %.3g, seed %d, σ=%d)\n", time.Since(start).Round(time.Millisecond), *scale, *seed, *sigma)
 }

@@ -1,17 +1,19 @@
 package experiments
 
 import (
+	"fmt"
+
 	"prague/internal/core"
 	"prague/internal/graph"
 	"prague/internal/index"
 	"prague/internal/mining"
-	"prague/internal/session"
 	"prague/internal/workload"
 )
 
 // AblationSequence checks the claim after Lemma 2: the candidate set (and
 // hence the SRT regime) is invariant to the formulation sequence. Each
-// AIDS query is run under three sequences; candidate counts must agree.
+// AIDS query is run under three sequences; a permuted sequence whose
+// (free, ver, total) differs from the default order's is an error.
 func (s *Suite) AblationSequence() error {
 	if err := s.ensureAIDSQueries(); err != nil {
 		return err
@@ -19,6 +21,7 @@ func (s *Suite) AblationSequence() error {
 	s.header("Ablation: formulation-sequence invariance of the candidate set")
 	s.printf("%-6s %-10s %8s %8s %8s %10s\n", "query", "sequence", "free", "ver", "total", "SRT(s)")
 	for _, wq := range s.aidsQueries {
+		var want [3]int
 		for _, v := range []struct {
 			name string
 			seed int64
@@ -28,12 +31,18 @@ func (s *Suite) AblationSequence() error {
 				q = wq.Permuted(v.seed)
 				q.Name = wq.Name
 			}
-			rep, err := session.RunPrague(s.aidsDB, s.aidsIdx, q, s.cfg.Sigma, session.Config{}, nil)
+			rep, err := runPrague(s.aidsDB, s.aidsIdx, q, s.cfg.Sigma, false)
 			if err != nil {
 				return err
 			}
 			s.printf("%-6s %-10s %8d %8d %8d %10.4f\n",
-				wq.Name, v.name, rep.Free, rep.Ver, rep.Total, sec(rep.SRT))
+				wq.Name, v.name, rep.free, rep.ver, rep.total, sec(rep.srt))
+			got := [3]int{rep.free, rep.ver, rep.total}
+			if v.seed == 0 {
+				want = got
+			} else if got != want {
+				return fmt.Errorf("%s: sequence %s gives (free, ver, total) %v, the default order %v", wq.Name, v.name, got, want)
+			}
 		}
 	}
 	return nil
@@ -49,12 +58,12 @@ func (s *Suite) AblationFreeVer() error {
 	s.header("Ablation: verification-free vs to-verify candidates (σ=3)")
 	s.printf("%-6s %-6s %8s %8s %10s %9s\n", "query", "class", "free", "ver", "SRT(s)", "results")
 	for _, wq := range s.aidsQueries {
-		rep, err := session.RunPrague(s.aidsDB, s.aidsIdx, wq, s.cfg.Sigma, session.Config{}, nil)
+		rep, err := runPrague(s.aidsDB, s.aidsIdx, wq, s.cfg.Sigma, false)
 		if err != nil {
 			return err
 		}
 		s.printf("%-6s %-6s %8d %8d %10.4f %9d\n",
-			wq.Name, wq.Class, rep.Free, rep.Ver, sec(rep.SRT), len(rep.Results))
+			wq.Name, wq.Class, rep.free, rep.ver, sec(rep.srt), len(rep.results))
 	}
 	return nil
 }
@@ -105,18 +114,8 @@ func forcedSimilarityCandidates(db []*graph.Graph, idx *index.Set, wq workload.Q
 	if err != nil {
 		return 0, err
 	}
-	ids := make([]int, len(wq.NodeLabels))
-	for i, l := range wq.NodeLabels {
-		ids[i] = e.AddNode(l)
-	}
-	for _, ed := range wq.Edges {
-		out, err := e.AddEdge(ids[ed[0]], ids[ed[1]])
-		if err != nil {
-			return 0, err
-		}
-		if out.NeedsChoice {
-			e.ChooseSimilarity()
-		}
+	if _, err := wq.Formulate(e); err != nil {
+		return 0, err
 	}
 	e.ChooseSimilarity()
 	_, _, total := e.CandidateCounts()
@@ -144,11 +143,11 @@ func (s *Suite) AblationBeta() error {
 		total, _, _ := idx.SizeBytes()
 		s.printf("%-4d %10.2f %8d %8d", beta, float64(total)/(1<<20), idx.A2F.MFEntries(), idx.A2F.DFEntries())
 		for _, wq := range s.aidsQueries {
-			rep, err := session.RunPrague(s.aidsDB, idx, wq, s.cfg.Sigma, session.Config{}, nil)
+			rep, err := runPrague(s.aidsDB, idx, wq, s.cfg.Sigma, false)
 			if err != nil {
 				return err
 			}
-			s.printf(" %9.4f", sec(rep.SRT))
+			s.printf(" %9.4f", sec(rep.srt))
 		}
 		s.printf("\n")
 	}

@@ -12,9 +12,11 @@ import (
 	"io"
 	"time"
 
+	"prague/internal/core"
 	"prague/internal/dataset"
 	"prague/internal/distvp"
 	"prague/internal/feature"
+	"prague/internal/gblender"
 	"prague/internal/grafil"
 	"prague/internal/graph"
 	"prague/internal/index"
@@ -328,6 +330,81 @@ func newBaselines(db []*graph.Graph, feat *feature.Index, maxSigma int) (*baseli
 		return nil, err
 	}
 	return &baselines{gr: gr, sg: sg, dvp: dvp}, nil
+}
+
+// prgSession is what one simulated PRAGUE session measured.
+type prgSession struct {
+	steps            []core.StepOutcome
+	free, ver, total int // |Rfree|, |Rver| and |Rfree ∪ Rver| when Run is pressed
+	results          []core.Result
+	srt              time.Duration // compute after Run was pressed
+	modify           time.Duration // the final deletion's cost (0 without one)
+}
+
+// runPrague simulates one PRAGUE session: formulate wq on a fresh engine,
+// press Run, and report the measurements. With deleteE1 set, the user first
+// deletes e1 after the last edge — the paper's worst-case modification — or,
+// where that would disconnect the query, the smallest deletable step.
+func runPrague(db []*graph.Graph, idx *index.Set, wq workload.Query, sigma int, deleteE1 bool) (*prgSession, error) {
+	e, err := core.New(db, idx, sigma)
+	if err != nil {
+		return nil, err
+	}
+	steps, err := wq.Formulate(e)
+	if err != nil {
+		return nil, err
+	}
+	rep := &prgSession{steps: steps}
+	if deleteE1 {
+		del := 0
+		for _, st := range e.Query().Steps() {
+			if e.Query().CanDelete(st) {
+				del = st
+				break
+			}
+		}
+		if del == 0 {
+			return nil, fmt.Errorf("experiments: %s has no deletable edge", wq.Name)
+		}
+		out, err := e.DeleteEdge(del)
+		if err != nil {
+			return nil, err
+		}
+		if out.NeedsChoice {
+			e.ChooseSimilarity()
+		}
+		times := e.Stats().ModificationTime
+		rep.modify = times[len(times)-1]
+	}
+	rep.free, rep.ver, rep.total = e.CandidateCounts()
+	if rep.results, err = e.Run(); err != nil {
+		return nil, err
+	}
+	rep.srt = e.Stats().RunTime
+	return rep, nil
+}
+
+// runGBlender simulates the same session on GBLENDER (containment only, the
+// Figure 9(a) baseline) and returns its answer and SRT.
+func runGBlender(db []*graph.Graph, idx *index.Set, wq workload.Query) ([]int, time.Duration, error) {
+	e, err := gblender.New(db, idx)
+	if err != nil {
+		return nil, 0, err
+	}
+	ids := make([]int, len(wq.NodeLabels))
+	for i, l := range wq.NodeLabels {
+		ids[i] = e.AddNode(l)
+	}
+	for i, ed := range wq.Edges {
+		if _, err := e.AddEdge(ids[ed[0]], ids[ed[1]]); err != nil {
+			return nil, 0, fmt.Errorf("experiments: drawing edge %d of %s: %w", i+1, wq.Name, err)
+		}
+	}
+	results, err := e.Run()
+	if err != nil {
+		return nil, 0, err
+	}
+	return results, e.Stats().RunTime, nil
 }
 
 func ms(d time.Duration) float64  { return float64(d.Microseconds()) / 1000 }

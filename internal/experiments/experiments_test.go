@@ -2,8 +2,16 @@ package experiments
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"prague/internal/dataset"
+	"prague/internal/graph"
+	"prague/internal/index"
+	"prague/internal/mining"
+	"prague/internal/workload"
 )
 
 // TestSuiteSmoke runs every experiment at a tiny scale and checks each
@@ -57,5 +65,102 @@ func TestNamesStable(t *testing.T) {
 			t.Errorf("duplicate experiment name %q", n)
 		}
 		seen[n] = true
+	}
+}
+
+func TestQFTAccountsLatencyBudget(t *testing.T) {
+	for _, tc := range []struct {
+		compute    []time.Duration
+		qft        time.Duration
+		violations int
+	}{
+		{nil, 0, 0},
+		// Steps inside the budget each cost the full budget.
+		{[]time.Duration{time.Millisecond, edgeBudget}, 2 * edgeBudget, 0},
+		// A step over the budget costs its compute and counts once.
+		{[]time.Duration{time.Millisecond, 3 * time.Second}, edgeBudget + 3*time.Second, 1},
+		{[]time.Duration{5 * time.Second, edgeBudget + 1}, 7*time.Second + 1, 2},
+	} {
+		total, violations := qft(tc.compute)
+		if total != tc.qft || violations != tc.violations {
+			t.Errorf("qft(%v) = %v, %d; want %v, %d", tc.compute, total, violations, tc.qft, tc.violations)
+		}
+	}
+}
+
+func containmentFixture(t *testing.T) ([]*graph.Graph, *index.Set, []workload.Query) {
+	t.Helper()
+	db, err := dataset.Molecules(dataset.MoleculeOptions{NumGraphs: 250, Seed: 21, MeanNodes: 12, MaxNodes: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := mining.Mine(db, mining.Options{MinSupportRatio: 0.1, MaxSize: 6, IncludeZeroSupportPairs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := index.Build(res, 0.1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, err := workload.ContainmentQueries(db, 3, []int{4, 5, 6}, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db, idx, qs
+}
+
+func resultIDs(t *testing.T, rep *prgSession) []int {
+	t.Helper()
+	ids := make([]int, len(rep.results))
+	for i, r := range rep.results {
+		if r.Distance != 0 {
+			t.Fatalf("graph %d at distance %d in a containment answer", r.GraphID, r.Distance)
+		}
+		ids[i] = r.GraphID
+	}
+	return ids
+}
+
+// TestPragueGBlenderAgreeOnContainment is Figure 9(a)'s premise: PRAGUE and
+// GBLENDER answer containment queries identically.
+func TestPragueGBlenderAgreeOnContainment(t *testing.T) {
+	db, idx, qs := containmentFixture(t)
+	for _, wq := range qs {
+		prg, err := runPrague(db, idx, wq, 2, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gbr, _, err := runGBlender(db, idx, wq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ids := resultIDs(t, prg); len(ids) == 0 || !slices.Equal(ids, gbr) {
+			t.Fatalf("%s: PRG answered %v, GBR %v", wq.Name, ids, gbr)
+		}
+	}
+}
+
+// TestRunPragueDeletesE1 checks the Tables IV/V session: the final deletion
+// is timed, and the smaller query matches every graph the full one did.
+func TestRunPragueDeletesE1(t *testing.T) {
+	db, idx, qs := containmentFixture(t)
+	for _, wq := range qs {
+		full, err := runPrague(db, idx, wq, 2, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mod, err := runPrague(db, idx, wq, 2, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.modify != 0 || mod.modify <= 0 {
+			t.Fatalf("%s: modification times %v without and %v with the deletion", wq.Name, full.modify, mod.modify)
+		}
+		got := resultIDs(t, mod)
+		for _, id := range resultIDs(t, full) {
+			if !slices.Contains(got, id) {
+				t.Fatalf("%s: graph %d matches the query but not the query less e1", wq.Name, id)
+			}
+		}
 	}
 }

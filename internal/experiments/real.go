@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"prague/internal/distvp"
 	"prague/internal/index"
 	"prague/internal/mining"
-	"prague/internal/session"
 	"prague/internal/workload"
 )
 
@@ -51,16 +49,16 @@ func (s *Suite) Fig9a() error {
 	s.header("Figure 9(a): containment query SRT (ms), GBR vs PRG")
 	s.printf("%-6s %6s %12s %12s %10s\n", "query", "|q|", "GBR SRT(ms)", "PRG SRT(ms)", "results")
 	for _, wq := range s.aidsCQs {
-		gbr, err := session.RunGBlender(s.aidsDB, s.aidsIdx, wq, session.Config{}, nil)
+		_, gbrSRT, err := runGBlender(s.aidsDB, s.aidsIdx, wq)
 		if err != nil {
 			return err
 		}
-		prg, err := session.RunPrague(s.aidsDB, s.aidsIdx, wq, s.cfg.Sigma, session.Config{}, nil)
+		prg, err := runPrague(s.aidsDB, s.aidsIdx, wq, s.cfg.Sigma, false)
 		if err != nil {
 			return err
 		}
 		s.printf("%-6s %6d %12.3f %12.3f %10d\n",
-			wq.Name, wq.Size(), ms(gbr.SRT), ms(prg.SRT), len(prg.Results))
+			wq.Name, wq.Size(), ms(gbrSRT), ms(prg.srt), len(prg.results))
 	}
 	return nil
 }
@@ -84,7 +82,7 @@ func (s *Suite) Fig9be() error {
 	for _, wq := range s.aidsQueries {
 		qg := wq.Graph()
 		for sig := 1; sig <= 4; sig++ {
-			rep, err := session.RunPrague(s.aidsDB, s.aidsIdx, wq, sig, session.Config{}, nil)
+			rep, err := runPrague(s.aidsDB, s.aidsIdx, wq, sig, false)
 			if err != nil {
 				return err
 			}
@@ -95,7 +93,7 @@ func (s *Suite) Fig9be() error {
 				return err
 			}
 			s.printf("%-6s %3d %8d %8d %8d %8d   (%d/%d)\n",
-				wq.Name, sig, rep.Total, grC, sgC, len(dvpC), rep.Free, rep.Ver)
+				wq.Name, sig, rep.total, grC, sgC, len(dvpC), rep.free, rep.ver)
 		}
 	}
 	return nil
@@ -120,7 +118,7 @@ func (s *Suite) Fig9fi() error {
 	for _, wq := range s.aidsQueries {
 		qg := wq.Graph()
 		for sig := 1; sig <= 4; sig++ {
-			rep, err := session.RunPrague(s.aidsDB, s.aidsIdx, wq, sig, session.Config{}, nil)
+			rep, err := runPrague(s.aidsDB, s.aidsIdx, wq, sig, false)
 			if err != nil {
 				return err
 			}
@@ -138,11 +136,11 @@ func (s *Suite) Fig9fi() error {
 			}
 			s.printf("%-6s %3d %10.4f %10.4f %10.4f %10.4f %9d\n",
 				wq.Name, sig,
-				sec(rep.SRT),
+				sec(rep.srt),
 				sec(grM.FilterTime+grM.VerifyTime),
 				sec(sgM.FilterTime+sgM.VerifyTime),
 				sec(dvpM.FilterTime+dvpM.VerifyTime),
-				len(rep.Results))
+				len(rep.results))
 		}
 	}
 	return nil
@@ -178,11 +176,11 @@ func (s *Suite) Fig9j() error {
 			}
 		}
 		for _, wq := range s.aidsQueries {
-			rep, err := session.RunPrague(s.aidsDB, idx, wq, s.cfg.Sigma, session.Config{}, nil)
+			rep, err := runPrague(s.aidsDB, idx, wq, s.cfg.Sigma, false)
 			if err != nil {
 				return err
 			}
-			srts[wq.Name] = append(srts[wq.Name], sec(rep.SRT))
+			srts[wq.Name] = append(srts[wq.Name], sec(rep.srt))
 		}
 	}
 	for _, wq := range s.aidsQueries {
@@ -205,16 +203,20 @@ func (s *Suite) Table3() error {
 	s.header("Table III: SPIG construction time per step (ms) under two formulation sequences")
 	picks := []workload.Query{s.aidsQueries[0], s.aidsQueries[2]} // Q1 and Q3
 	for _, wq := range picks {
-		for variant, q := range map[string]workload.Query{"default": wq, "permuted": wq.Permuted(s.cfg.Seed + 5)} {
-			rep, err := session.RunPrague(s.aidsDB, s.aidsIdx, q, s.cfg.Sigma, session.Config{}, nil)
+		for _, v := range []struct {
+			name string
+			q    workload.Query
+		}{{"default", wq}, {"permuted", wq.Permuted(s.cfg.Seed + 5)}} {
+			rep, err := runPrague(s.aidsDB, s.aidsIdx, v.q, s.cfg.Sigma, false)
 			if err != nil {
 				return err
 			}
-			s.printf("%-4s %-9s", wq.Name, variant)
-			for _, st := range rep.Steps {
+			s.printf("%-4s %-9s", wq.Name, v.name)
+			for _, st := range rep.steps {
 				s.printf(" %7.3f", ms(st.SpigTime))
 			}
-			s.printf("  | SRT=%.4fs violations=%d\n", sec(rep.SRT), rep.BudgetViolations)
+			_, violations := qft(rep.stepCompute())
+			s.printf("  | SRT=%.4fs violations=%d\n", sec(rep.srt), violations)
 		}
 	}
 	return nil
@@ -249,16 +251,11 @@ func (s *Suite) Table4() error {
 			// worst-case modification at step i.
 			trunc := wq
 			trunc.Edges = wq.Edges[:i]
-			rep, err := session.RunPrague(s.aidsDB, s.aidsIdx, trunc, s.cfg.Sigma, session.Config{},
-				[]session.Modification{{AfterEdges: i, DeleteStep: 1}})
+			rep, err := runPrague(s.aidsDB, s.aidsIdx, trunc, s.cfg.Sigma, true)
 			if err != nil {
 				return err
 			}
-			var total time.Duration
-			for _, d := range rep.ModificationTimes {
-				total += d
-			}
-			s.printf(" %8.3f", ms(total))
+			s.printf(" %8.3f", ms(rep.modify))
 		}
 		s.printf("\n")
 	}

@@ -1,11 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-	"time"
-
-	"prague/internal/session"
-)
+import "fmt"
 
 // Fig10a reproduces Figure 10(a): index sizes (MB) on the synthetic
 // datasets as |D| grows from 10K to 80K (× scale), PRG vs SG/GR.
@@ -48,7 +43,7 @@ func (s *Suite) Fig10be() error {
 			if err != nil {
 				return err
 			}
-			rep, err := session.RunPrague(s.synDB[k], s.synIdx[k], wq, s.cfg.Sigma, session.Config{}, nil)
+			rep, err := runPrague(s.synDB[k], s.synIdx[k], wq, s.cfg.Sigma, false)
 			if err != nil {
 				return err
 			}
@@ -62,8 +57,8 @@ func (s *Suite) Fig10be() error {
 			}
 			s.printf("%-6s %-8s %10.4f %10.4f %10.4f | %8d %8d %8d\n",
 				wq.Name, fmt.Sprintf("%dK", k),
-				sec(rep.SRT), sec(grM.FilterTime+grM.VerifyTime), sec(sgM.FilterTime+sgM.VerifyTime),
-				rep.Total, grM.Candidates, sgM.Candidates)
+				sec(rep.srt), sec(grM.FilterTime+grM.VerifyTime), sec(sgM.FilterTime+sgM.VerifyTime),
+				rep.total, grM.Candidates, sgM.Candidates)
 		}
 	}
 	return nil
@@ -87,16 +82,11 @@ func (s *Suite) Table5() error {
 			if err := s.ensureSynthetic(k); err != nil {
 				return err
 			}
-			rep, err := session.RunPrague(s.synDB[k], s.synIdx[k], wq, s.cfg.Sigma, session.Config{},
-				[]session.Modification{{AfterEdges: wq.Size(), DeleteStep: 1}})
+			rep, err := runPrague(s.synDB[k], s.synIdx[k], wq, s.cfg.Sigma, true)
 			if err != nil {
 				return err
 			}
-			var total time.Duration
-			for _, d := range rep.ModificationTimes {
-				total += d
-			}
-			s.printf(" %8.3f", ms(total))
+			s.printf(" %8.3f", ms(rep.modify))
 		}
 		s.printf("\n")
 	}

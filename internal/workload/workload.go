@@ -309,6 +309,29 @@ func specFromGraph(qg *graph.Graph) Query {
 	return spec
 }
 
+// Formulate draws the query on e the way the paper's user does: it places
+// the query's nodes, draws its edges in the default order, and takes
+// similarity search whenever a step reports that Rq has emptied. It returns
+// one outcome per drawn edge.
+func (q Query) Formulate(e *core.Engine) ([]core.StepOutcome, error) {
+	ids := make([]int, len(q.NodeLabels))
+	for i, l := range q.NodeLabels {
+		ids[i] = e.AddNode(l)
+	}
+	outs := make([]core.StepOutcome, 0, len(q.Edges))
+	for i, ed := range q.Edges {
+		out, err := e.AddEdge(ids[ed[0]], ids[ed[1]])
+		if err != nil {
+			return outs, fmt.Errorf("workload: drawing edge %d of %s: %w", i+1, q.Name, err)
+		}
+		if out.NeedsChoice {
+			e.ChooseSimilarity()
+		}
+		outs = append(outs, out)
+	}
+	return outs, nil
+}
+
 // evaluate formulates the query on a throwaway engine and reports the step
 // at which Rq emptied (0 if never) and the final |Rfree|, |Rver|.
 func evaluate(db []*graph.Graph, idx *index.Set, spec Query, sigma int) (emptyAt, free, ver int, ok bool) {
@@ -316,20 +339,14 @@ func evaluate(db []*graph.Graph, idx *index.Set, spec Query, sigma int) (emptyAt
 	if err != nil {
 		return 0, 0, 0, false
 	}
-	ids := make([]int, len(spec.NodeLabels))
-	for i, l := range spec.NodeLabels {
-		ids[i] = e.AddNode(l)
+	outs, err := spec.Formulate(e)
+	if err != nil {
+		return 0, 0, 0, false
 	}
-	for stepNo, ed := range spec.Edges {
-		out, err := e.AddEdge(ids[ed[0]], ids[ed[1]])
-		if err != nil {
-			return 0, 0, 0, false
-		}
+	for i, out := range outs {
 		if out.NeedsChoice {
-			if emptyAt == 0 {
-				emptyAt = stepNo + 1
-			}
-			e.ChooseSimilarity()
+			emptyAt = i + 1
+			break
 		}
 	}
 	free, ver, _ = e.CandidateCounts()

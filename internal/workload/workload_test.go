@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"prague/internal/core"
 	"prague/internal/dataset"
 	"prague/internal/graph"
 	"prague/internal/index"
@@ -96,6 +97,106 @@ func TestFindSimilarityQueries(t *testing.T) {
 			if graph.SubgraphIsomorphic(qg, g) {
 				t.Errorf("similarity query %s has an exact match in graph %d", q.Name, g.ID)
 				break
+			}
+		}
+	}
+}
+
+// formulated draws q on a fresh engine at σ = sigma and checks that every
+// edge yielded one outcome.
+func formulated(t *testing.T, db []*graph.Graph, idx *index.Set, q Query, sigma int) (*core.Engine, []core.StepOutcome) {
+	t.Helper()
+	e, err := core.New(db, idx, sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, err := q.Formulate(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(outs) != q.Size() {
+		t.Fatalf("%s: %d outcomes for %d edges", q.Name, len(outs), q.Size())
+	}
+	for i, out := range outs {
+		if out.Step != i+1 {
+			t.Fatalf("%s: outcome %d has step %d", q.Name, i, out.Step)
+		}
+	}
+	return e, outs
+}
+
+func TestFormulate(t *testing.T) {
+	db, idx := fixture(t)
+	cqs, err := ContainmentQueries(db, 2, []int{4, 5}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range cqs {
+		e, outs := formulated(t, db, idx, q, 2)
+		for _, out := range outs {
+			if out.NeedsChoice {
+				t.Fatalf("%s: containment query emptied Rq at step %d", q.Name, out.Step)
+			}
+		}
+		if e.SimilarityMode() {
+			t.Errorf("%s: containment query left in similarity mode", q.Name)
+		}
+	}
+
+	_, worst, err := FindSimilarityQueries(db, idx, 0, 2, Options{
+		Seed: 11, Sigma: 2, MinEdges: 4, MaxEdges: 6, Attempts: 150,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range worst {
+		e, outs := formulated(t, db, idx, q, 2)
+		first := 0
+		for _, out := range outs {
+			if out.NeedsChoice {
+				first = out.Step
+				break
+			}
+		}
+		if first != q.EmptyAtStep {
+			t.Errorf("%s: first NeedsChoice at step %d, selection saw %d", q.Name, first, q.EmptyAtStep)
+		}
+		if !e.SimilarityMode() || e.AwaitingChoice() {
+			t.Errorf("%s: similarity search not taken after NeedsChoice (mode %v, awaiting %v)",
+				q.Name, e.SimilarityMode(), e.AwaitingChoice())
+		}
+	}
+}
+
+// TestFormulatedSimilarityMatchesDefinition3 runs similarity queries drawn
+// by Formulate and compares their results with the Definition-3 oracle.
+func TestFormulatedSimilarityMatchesDefinition3(t *testing.T) {
+	db, idx := fixture(t)
+	best, worst, err := FindSimilarityQueries(db, idx, 1, 1, Options{
+		Seed: 3, Sigma: 2, MinEdges: 4, MaxEdges: 6, Attempts: 150,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range append(best, worst...) {
+		e, _ := formulated(t, db, idx, q, 2)
+		results, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		qg := q.Graph()
+		want := map[int]int{}
+		for _, g := range db {
+			if d := graph.SubgraphDistance(qg, g); d <= 2 {
+				want[g.ID] = d
+			}
+		}
+		if len(results) != len(want) {
+			t.Fatalf("%s: %d results, want %d", q.Name, len(results), len(want))
+		}
+		for _, r := range results {
+			if d, ok := want[r.GraphID]; !ok || d != r.Distance {
+				t.Fatalf("%s: graph %d distance %d, want %d (present %v)", q.Name, r.GraphID, r.Distance, d, ok)
 			}
 		}
 	}

@@ -37,6 +37,8 @@ go test -race -run 'TestMutationStressUnderRace|TestMutationChaos' ./internal/st
 # WITHOUT -race: the detector's shadow allocations would trip the pinned
 # budgets, so these tests self-skip there.
 go test -run 'AllocBudget' ./internal/workpool/ ./internal/graph/ ./internal/query/ ./internal/spig/ ./internal/intset/ ./internal/prefilter/ ./internal/core/ ./internal/rpcstore/ ./internal/metrics/
+# Every testing.B target runs once, so a kept benchmark cannot rot unseen.
+go test -run '^$' -bench . -benchtime 1x ./...
 sh scripts/cover.sh
 # Nothing above may write into the tree: a dirty checkout after the gate
 # means a test recorded something.
