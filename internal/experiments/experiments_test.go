@@ -140,6 +140,29 @@ func TestPragueGBlenderAgreeOnContainment(t *testing.T) {
 	}
 }
 
+// TestRunGBlender checks the GBLENDER session on its own: every containment
+// query draws to a non-empty answer that is exactly the graphs a VF2 scan of
+// the database finds.
+func TestRunGBlender(t *testing.T) {
+	db, idx, qs := containmentFixture(t)
+	for _, wq := range qs {
+		got, _, err := runGBlender(db, idx, wq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := wq.Graph()
+		var want []int
+		for _, g := range db {
+			if graph.SubgraphIsomorphic(q, g) {
+				want = append(want, g.ID)
+			}
+		}
+		if len(got) == 0 || !slices.Equal(got, want) {
+			t.Fatalf("%s: GBR answered %v, a scan finds %v", wq.Name, got, want)
+		}
+	}
+}
+
 // TestRunPragueDeletesE1 checks the Tables IV/V session: the final deletion
 // is timed, and the smaller query matches every graph the full one did.
 func TestRunPragueDeletesE1(t *testing.T) {
