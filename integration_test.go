@@ -10,19 +10,33 @@ import (
 	prague "prague"
 )
 
-// integrationFixture builds one database + persisted indexes shared by the
-// integration tests.
+// integration holds the database and indexes the integration tests share.
+// Building and mining them dominates the tests' time, and none of the tests
+// mutates them, so they are built once.
+var integration struct {
+	once sync.Once
+	db   *prague.Database
+	ix   *prague.Indexes
+	err  error
+}
+
+// integrationFixture returns the shared database and indexes, building them
+// on first use.
 func integrationFixture(t *testing.T) (*prague.Database, *prague.Indexes) {
 	t.Helper()
-	db, err := prague.GenerateMolecules(500, 77)
-	if err != nil {
-		t.Fatal(err)
+	integration.once.Do(func() {
+		db, err := prague.GenerateMolecules(500, 77)
+		if err != nil {
+			integration.err = err
+			return
+		}
+		integration.ix, integration.err = prague.BuildIndexes(db, prague.IndexOptions{Alpha: 0.1, Beta: 4, MaxFragmentSize: 6})
+		integration.db = db
+	})
+	if integration.err != nil {
+		t.Fatal(integration.err)
 	}
-	ix, err := prague.BuildIndexes(db, prague.IndexOptions{Alpha: 0.1, Beta: 4, MaxFragmentSize: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return db, ix
+	return integration.db, integration.ix
 }
 
 // TestConcurrentSessionsShareIndexes exercises the documented contract that

@@ -21,7 +21,10 @@ type Match struct {
 	MatchedSteps []int
 	MissingSteps []int
 	// NodeMap maps stable query node ids (of the matched part) to node
-	// indices in the data graph.
+	// indices in the data graph. It is an embedding, not a canonical one:
+	// the one graph.FindEmbedding meets first, so a change to the search's
+	// candidate order may change it (tests check that it is valid, not
+	// which one it is).
 	NodeMap map[int]int
 }
 

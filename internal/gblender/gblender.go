@@ -1,9 +1,9 @@
 // Package gblender reimplements the paper's predecessor system GBLENDER [6]
-// as the containment-query baseline: a blended engine over the same
-// action-aware indexes that keeps only the most recent candidate set Rq,
-// supports exact (containment) queries only, and must replay the whole
-// formulation history to handle a modification — the two limitations PRAGUE
-// removes (paper §I-A, §II).
+// as the containment-query baseline of Figure 9(a): a blended engine over the
+// same action-aware indexes that keeps only the most recent candidate set Rq
+// and supports exact (containment) queries only (paper §I-A, §II). Its other
+// limitation, replaying the whole formulation history on a modification, is
+// not modelled: no experiment modifies a GBLENDER session.
 package gblender
 
 import (
@@ -16,29 +16,20 @@ import (
 	"prague/internal/query"
 )
 
-// Action records one formulation step for replay on modification.
-type action struct {
-	u, v int // stable node ids
-	step int
-}
-
 // Engine is a GBLENDER session.
 type Engine struct {
 	db  []*graph.Graph
 	idx *index.Set
 
-	q       *query.Query
-	rq      []int
-	history []action
+	q  *query.Query
+	rq []int
 
 	stats Stats
 }
 
 // Stats holds session measurements.
 type Stats struct {
-	StepEvaluation   []time.Duration
-	ModificationTime []time.Duration
-	RunTime          time.Duration
+	RunTime time.Duration
 }
 
 // New creates a GBLENDER engine over the database and indexes.
@@ -57,9 +48,6 @@ func (e *Engine) Query() *query.Query { return e.q }
 // Stats returns the accumulated measurements.
 func (e *Engine) Stats() *Stats { return &e.stats }
 
-// Rq returns the current candidate set.
-func (e *Engine) Rq() []int { return intset.Clone(e.rq) }
-
 // AddNode drops a labeled node on the canvas.
 func (e *Engine) AddNode(label string) int { return e.q.AddNode(label) }
 
@@ -77,8 +65,6 @@ func (e *Engine) AddLabeledEdge(u, v int, label string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	t0 := time.Now()
-	e.history = append(e.history, action{u: u, v: v, step: step})
 	qg, _ := e.q.Graph()
 	ids := e.fragmentCandidates(qg)
 	if e.q.Size() == 1 {
@@ -86,7 +72,6 @@ func (e *Engine) AddLabeledEdge(u, v int, label string) (int, error) {
 	} else {
 		e.rq = intset.Intersect(e.rq, ids)
 	}
-	e.stats.StepEvaluation = append(e.stats.StepEvaluation, time.Since(t0))
 	return step, nil
 }
 
@@ -152,46 +137,6 @@ func (e *Engine) fragmentCandidates(frag *graph.Graph) []int {
 		return all
 	}
 	return ids
-}
-
-// DeleteEdge performs a modification the GBLENDER way: recompute Rq for
-// every step from the beginning (the expensive replay PRAGUE's SPIG set
-// avoids).
-func (e *Engine) DeleteEdge(step int) error {
-	t0 := time.Now()
-	if err := e.q.DeleteEdge(step); err != nil {
-		return err
-	}
-	keep := e.history[:0]
-	for _, a := range e.history {
-		if a.step != step {
-			keep = append(keep, a)
-		}
-	}
-	e.history = keep
-
-	// Full replay: rebuild the fragment prefix by prefix and recompute the
-	// candidate chain.
-	e.rq = nil
-	steps := make([]int, 0, len(e.history))
-	for i, a := range e.history {
-		steps = append(steps, a.step)
-		frag, connected := e.q.FragmentOf(steps)
-		if !connected {
-			// Replayed prefix momentarily disconnected (the deleted edge
-			// used to join it): evaluate from the full fragment at the
-			// end instead.
-			continue
-		}
-		ids := e.fragmentCandidates(frag)
-		if i == 0 || e.rq == nil {
-			e.rq = ids
-		} else {
-			e.rq = intset.Intersect(e.rq, ids)
-		}
-	}
-	e.stats.ModificationTime = append(e.stats.ModificationTime, time.Since(t0))
-	return nil
 }
 
 // Run verifies the candidates and returns exact matches only: GBLENDER

@@ -140,57 +140,6 @@ func TestEmptyResultForNoMatch(t *testing.T) {
 	}
 }
 
-func TestModificationReplayEquivalence(t *testing.T) {
-	db, idx := makeFixture(t, 13, 25)
-	r := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 8; trial++ {
-		// Random 4-edge query drawn via a data-graph subgraph to keep label
-		// realism.
-		g := db[r.Intn(len(db))]
-		subs := graph.ConnectedEdgeSubgraphs(g)
-		if len(subs) <= 4 || len(subs[4]) == 0 {
-			continue
-		}
-		qg := subs[4][0]
-		e, err := New(db, idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := drawGraph(e, qg); err != nil {
-			t.Fatal(err)
-		}
-		var deletable []int
-		for _, s := range e.Query().Steps() {
-			if e.Query().CanDelete(s) {
-				deletable = append(deletable, s)
-			}
-		}
-		if len(deletable) == 0 {
-			continue
-		}
-		if err := e.DeleteEdge(deletable[r.Intn(len(deletable))]); err != nil {
-			t.Fatal(err)
-		}
-		got, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		mq, _ := e.Query().Graph()
-		var want []int
-		for _, dg := range db {
-			if graph.SubgraphIsomorphic(mq, dg) {
-				want = append(want, dg.ID)
-			}
-		}
-		if !intset.Equal(got, want) {
-			t.Fatalf("trial %d: after modification got %v want %v", trial, got, want)
-		}
-		if len(e.Stats().ModificationTime) != 1 {
-			t.Error("modification time not recorded")
-		}
-	}
-}
-
 func TestRunEmptyQuery(t *testing.T) {
 	db, idx := makeFixture(t, 14, 10)
 	e, err := New(db, idx)

@@ -38,24 +38,29 @@ func allocFixture() (q, g *Graph) {
 // The VF2 verify path runs once per candidate graph per action — it is the
 // hot path the pool exists for. Budgets are pinned at zero: any allocation
 // here is a regression multiplied by every candidate of every query. The
-// queries cover both visit-order paths: label counting (two labels, and a
-// label g lacks) and the single-label path that skips it.
+// queries cover label counting (two labels, and a label g lacks), the
+// single-label case, and bitsets of more than one word: a 65-node path in a
+// 130-node path.
 func TestVF2AllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation budgets are not meaningful under -race")
 	}
 	twoLabels, g := allocFixture()
-	oneLabel := path("C", "C", "C")
-	absent := path("C", "P")
 	fn := func([]int) bool { return false }
 	for _, tc := range []struct {
 		name string
-		q    *Graph
-	}{{"two labels", twoLabels}, {"single label", oneLabel}, {"label absent from g", absent}} {
-		q := tc.q
+		q, g *Graph
+	}{
+		{"two labels", twoLabels, g},
+		{"single label", path("C", "C", "C"), g},
+		{"label absent from g", path("C", "P"), g},
+		{"65-node path in 130", cutPath(65, 0), cutPath(130, 0)},
+	} {
+		q, g := tc.q, tc.g
 		// Warm the pool on this goroutine.
 		for i := 0; i < 10; i++ {
 			SubgraphIsomorphic(q, g)
+			CountEmbeddings(q, g, 0)
 		}
 		if n := testing.AllocsPerRun(200, func() {
 			SubgraphIsomorphic(q, g)

@@ -11,17 +11,32 @@ package graph
 // root is the query node whose label is rarest among g's nodes, and each next
 // node is the frontier node (adjacent to one already ordered) with the rarest
 // label. Ties go to the higher query degree, then to the lower index at the
-// root and the node reached first on the frontier. A query with one distinct
-// label skips the count, so its order is by degree alone. Node labels are
-// compared as interned ids (intern.go), never as strings. Edge labels are
-// compared only when q or g has any.
+// root and the node reached first on the frontier. Node labels are compared
+// as interned ids (intern.go), never as strings.
+//
+// The search is bit-parallel: every set of g's nodes is a bitset of
+// ceil(|V(g)|/64) words, so one kernel serves graphs of any size. The
+// candidates for the query node at depth d are the data nodes with its
+// label, minus those already mapped, ANDed with the neighbourhood of the
+// image of every query neighbour ordered before it (its back-edges). They are
+// walked in ascending data-node order, and each still needs at least the
+// query node's degree and, when q or g has edge labels, its back-edges'
+// labels. Per call, g's labels are read once per distinct query label to
+// build its bitset (whose popcount is the label's rarity), and a data node's
+// neighbourhood bitset is built the first time a back-edge lands on it. A
+// search that runs past degreeMasksAfter extensions also builds one bitset
+// per distinct degree checked, which folds the degree check into the AND.
 //
 // Match state is recycled through a sync.Pool so the per-candidate verify hot
 // path is allocation-free in steady state. All scratch is re-sliced and
 // cleared on acquire, never on release: a state dirtied by a panic or an
 // early-stop unwind is safe to reuse.
 
-import "sync"
+import (
+	"math/bits"
+	"slices"
+	"sync"
+)
 
 type vf2ResultMode uint8
 
@@ -36,15 +51,51 @@ const (
 	modeForEach
 )
 
-type vf2State struct {
-	q, g   *Graph
-	core   []int // query node -> data node, -1 if unmapped
-	mapped []bool
-	order  []int // query node visit order (connected expansion)
-	parent []int // order position -> earlier query neighbor (-1 for root)
+// vf2Step is one depth of the visit order.
+type vf2Step struct {
+	qv    int // the query node mapped at this depth
+	deg   int // its degree, which a candidate needs; 0 if moot or left to a bitset
+	label int // offset in masks of its label's bitset
+	// degree is the offset in masks of the bitset of g's nodes with at least
+	// deg neighbours, or label's offset until filterDegrees runs.
+	degree       int
+	back0, back1 int // back[back0:back1]: its neighbours ordered before it
+}
 
-	inOrder []bool // buildOrder scratch
-	rarity  []int  // buildOrder scratch: query node -> g's nodes with its label
+// vf2Node is what the visit order needs of one query node.
+type vf2Node struct {
+	label int   // index in labels
+	rank  int   // lower ranks are visited first
+	seen  uint8 // buildOrder: 0 unseen, 1 on the frontier, 2 ordered
+}
+
+type vf2State struct {
+	q, g  *Graph
+	words int   // bitset length: ceil(|V(g)|/64)
+	core  []int // query node -> data node (valid for the mapped prefix)
+	steps []vf2Step
+	back  []int
+	// rows[k] is the adjArena offset of the image of back[k], set when its
+	// step is entered.
+	rows []int
+
+	// masks holds one bitset over g per distinct query label, then, once
+	// filterDegrees has run, one per distinct query degree above 1; rarity[i]
+	// counts g's nodes with labels[i].
+	nodes      []vf2Node
+	labels     []uint32
+	rarity     []int
+	masks      []uint64
+	extensions int // match calls so far, leaves excluded
+
+	used []uint64 // data nodes in the current partial mapping
+	// The neighbourhood bitset of data node v is adjArena[adjRow[v]:] once
+	// adjBuilt has v; adjRow is stale otherwise.
+	adjBuilt []uint64
+	adjRow   []int
+	adjArena []uint64
+
+	frontier []int // buildOrder scratch, in order of first appearance
 
 	// edgeLabeled is set when q or g has edge labels; otherwise every edge
 	// label is "" and the per-edge comparison is skipped.
@@ -62,12 +113,8 @@ type vf2State struct {
 
 var vf2Pool = sync.Pool{New: func() any { return new(vf2State) }}
 
-// acquireState returns a cleared state bound to (q, g). Pair with release.
-func acquireState(q, g *Graph) *vf2State {
-	s := vf2Pool.Get().(*vf2State)
-	s.prepare(q, g)
-	return s
-}
+// acquireState takes a state from the pool. Pair with release.
+func acquireState() *vf2State { return vf2Pool.Get().(*vf2State) }
 
 // release drops graph and callback references (so the pool never pins a
 // caller's graphs or closures) and recycles the scratch slices.
@@ -76,117 +123,239 @@ func (s *vf2State) release() {
 	vf2Pool.Put(s)
 }
 
-// prepare re-slices and clears every piece of scratch for a new (q, g) pair.
-// Clearing happens here — on acquire — so reuse after a panic or cancel that
-// unwound mid-search is safe by construction.
-func (s *vf2State) prepare(q, g *Graph) {
-	s.q, s.g = q, g
-	s.core = resizeInts(s.core, q.NumNodes())
-	for i := range s.core {
-		s.core[i] = -1
+// run searches for embeddings of q in g under the given result mode.
+func (s *vf2State) run(q, g *Graph, mode vf2ResultMode, limit int, fn func(core []int) bool) {
+	s.mode, s.limit, s.fn = mode, limit, fn
+	s.found, s.count, s.emb = false, 0, nil
+	if q.NumNodes() > g.NumNodes() || q.NumEdges() > g.NumEdges() {
+		return
 	}
-	s.mapped = resizeBools(s.mapped, g.NumNodes())
-	s.edgeLabeled = q.edgeLabeled() || g.edgeLabeled()
-	s.mode = modeExists
-	s.found = false
-	s.count, s.limit = 0, 0
-	s.fn = nil
-	s.emb = nil
-	s.buildOrder()
+	if s.prepare(q, g) {
+		s.match(0)
+	}
 }
 
-func resizeInts(buf []int, n int) []int {
+// prepare re-slices and clears every piece of scratch for a new (q, g) pair.
+// Clearing happens here — on acquire — so reuse after a panic or cancel that
+// unwound mid-search is safe by construction. It reports false when g has
+// fewer nodes of some label than q, so no search is needed.
+func (s *vf2State) prepare(q, g *Graph) bool {
+	s.q, s.g = q, g
+	w := (g.NumNodes() + 63) >> 6
+	s.words = w
+	s.core = resize(s.core, q.NumNodes())
+	s.used = resizeClear(s.used, w)
+	s.adjBuilt = resizeClear(s.adjBuilt, w)
+	s.adjRow = resize(s.adjRow, g.NumNodes())
+	s.adjArena = s.adjArena[:0]
+	s.edgeLabeled = q.edgeLabeled() || g.edgeLabeled()
+	s.extensions = 0
+	if !s.buildMasks() {
+		return false
+	}
+	s.buildOrder()
+	return true
+}
+
+func resize[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
 
-// resizeBools returns an all-false bool slice of length n reusing buf's
-// backing array when large enough.
-func resizeBools(buf []bool, n int) []bool {
-	if cap(buf) < n {
-		return make([]bool, n)
-	}
-	buf = buf[:n]
+// resizeClear is resize with every element zeroed.
+func resizeClear[T any](buf []T, n int) []T {
+	buf = resize(buf, n)
 	clear(buf)
 	return buf
 }
 
-// countLabels sets rarity[v] to the number of g's nodes labeled like query
-// node v. With a single distinct query label every count would be equal, so
-// the count is skipped and rarity stays all zero.
-func (s *vf2State) countLabels(n int) {
-	s.rarity = resizeInts(s.rarity, n)
-	clear(s.rarity)
-	ql := s.q.labels
-	single := true
-	for v := 1; v < n && single; v++ {
-		single = ql[v] == ql[0]
-	}
-	if single {
-		return
-	}
-	for v := 0; v < n; v++ {
-		u := 0
-		for u < v && ql[u] != ql[v] {
-			u++
+// buildMasks indexes q's distinct labels and builds their bitsets over g 64
+// nodes at a time, and each label's rarity. It reports false when g has
+// fewer nodes of some label than q.
+func (s *vf2State) buildMasks() bool {
+	q, n := s.q, s.q.NumNodes()
+	s.labels, s.rarity = s.labels[:0], s.rarity[:0]
+	s.nodes = resize(s.nodes, n)
+	for v, l := range q.labels {
+		i := 0
+		for i < len(s.labels) && s.labels[i] != l {
+			i++
 		}
-		if u < v { // label already counted at u
-			s.rarity[v] = s.rarity[u]
+		if i == len(s.labels) {
+			s.labels = append(s.labels, l)
+			s.rarity = append(s.rarity, 0)
+		}
+		s.rarity[i]-- // q's nodes count down, g's count up below
+		nd := &s.nodes[v]
+		nd.label, nd.seen = i, 0
+	}
+	w, labels := s.words, s.labels
+	masks := resize(s.masks, len(labels)*w)
+	s.masks = masks
+	gl := s.g.labels
+	for k := 0; k < w; k++ {
+		lo, hi := k<<6, min(k<<6+64, len(gl))
+		for i, ql := range labels {
+			masks[i*w+k] = labelWord(gl[lo:hi], ql)
+		}
+	}
+	ok := true
+	for i := range labels {
+		c := 0
+		for _, word := range masks[i*w : i*w+w] {
+			c += bits.OnesCount64(word)
+		}
+		ok = ok && s.rarity[i]+c >= 0
+		s.rarity[i] = c
+	}
+	return ok
+}
+
+// labelWord returns the bitset of the positions in ls (at most 64) that hold
+// l.
+func labelWord(ls []uint32, l uint32) uint64 {
+	var m uint64
+	for j, x := range ls {
+		var b uint64
+		if x == l {
+			b = 1
+		}
+		m |= b << (j & 63)
+	}
+	return m
+}
+
+// buildOrder produces a connected visit order over q's nodes, lowest rank
+// first (see the file comment), with each subsequent node adjacent to an
+// already ordered one, and records each step's bitsets and back-edges. The
+// frontier lists neighbours of ordered nodes in the order a scan of the
+// ordered nodes' adjacency lists first meets them, so its first unordered
+// node of lowest rank is the tie-break the file comment names. q must be
+// connected.
+func (s *vf2State) buildOrder() {
+	q, n, w := s.q, s.q.NumNodes(), s.words
+	s.steps, s.back, s.frontier = resize(s.steps, n), s.back[:0], s.frontier[:0]
+	nodes := s.nodes
+	next := 0
+	for v := range nodes {
+		// A lower rank is a rarer label, or the same rarity and a higher
+		// degree: a query degree is below n.
+		nd := &nodes[v]
+		nd.rank = s.rarity[nd.label]*n + n - 1 - len(q.adj[v])
+		if nd.rank < nodes[next].rank {
+			next = v
+		}
+	}
+	for depth := range s.steps {
+		nd := &nodes[next]
+		nd.seen = 2
+		st := &s.steps[depth]
+		st.qv, st.deg, st.back0 = next, len(q.adj[next]), len(s.back)
+		st.label, st.degree = nd.label*w, nd.label*w
+		for _, u := range q.adj[next] {
+			switch nodes[u].seen {
+			case 0:
+				nodes[u].seen = 1
+				s.frontier = append(s.frontier, u)
+			case 2:
+				s.back = append(s.back, u)
+			}
+		}
+		st.back1 = len(s.back)
+		// The check is moot for a degree of 1, which prunes only isolated
+		// nodes, and for one no larger than the back-edges: a common
+		// neighbour of their images has as many neighbours.
+		if st.deg <= max(1, st.back1-st.back0) {
+			st.deg = 0
+		}
+		next = -1
+		for _, u := range s.frontier {
+			if nodes[u].seen == 1 && (next < 0 || nodes[u].rank < nodes[next].rank) {
+				next = u
+			}
+		}
+	}
+	s.rows = resize(s.rows, len(s.back))
+}
+
+// degreeMasksAfter is the number of extensions after which a search builds
+// its degree bitsets. Most calls (a SPIG class settle, a SimVerify level
+// that fails near the root) end well before it, and for them a pass over g
+// per distinct degree costs more than the checks it would save; a long
+// search, such as a containment path query's, gains from it. On the
+// verify-comb benchmark 32 gave a lower SRT p50 and p95 than 16 or 64.
+const degreeMasksAfter = 32
+
+// filterDegrees builds, for each distinct degree a step still checks, the
+// bitset of g's nodes with at least that many neighbours, and points each
+// such step's degree filter at its own. Frames on the stack keep the bitsets they took:
+// the label bitsets are never rewritten, even if the append moves them.
+func (s *vf2State) filterDegrees() {
+	w, n := s.words, s.g.NumNodes()
+	for d := range s.steps {
+		st := &s.steps[d]
+		if st.deg == 0 {
 			continue
 		}
-		for _, l := range s.g.labels {
-			if l == ql[v] {
-				s.rarity[v]++
+		st.degree = -1
+		for _, e := range s.steps[:d] {
+			if e.deg == st.deg {
+				st.degree = e.degree
+				break
+			}
+		}
+		if st.degree < 0 {
+			st.degree = len(s.masks)
+			for k := 0; k < w; k++ {
+				s.masks = append(s.masks, degreeWord(s.g.adj[k<<6:min(k<<6+64, n)], st.deg))
 			}
 		}
 	}
+	for d := range s.steps {
+		s.steps[d].deg = 0 // the bitsets check it now
+	}
 }
 
-// before reports whether query node v is explored before w: rarer label in g
-// first, then higher degree.
-func (s *vf2State) before(v, w int) bool {
-	if s.rarity[v] != s.rarity[w] {
-		return s.rarity[v] < s.rarity[w]
+// degreeWord returns the bitset of the positions in adj (at most 64) whose
+// list has at least d entries.
+func degreeWord(adj [][]int, d int) uint64 {
+	var m uint64
+	for j, a := range adj {
+		var b uint64
+		if len(a) >= d {
+			b = 1
+		}
+		m |= b << (j & 63)
 	}
-	return s.q.Degree(v) > s.q.Degree(w)
+	return m
 }
 
-// buildOrder produces a connected visit order over q's nodes, rarest label in
-// g first (see the file comment), with each subsequent node adjacent to an
-// already ordered one. q must be connected.
-func (s *vf2State) buildOrder() {
-	q := s.q
-	n := q.NumNodes()
-	s.inOrder = resizeBools(s.inOrder, n)
-	s.order = s.order[:0]
-	s.parent = s.parent[:0]
-	s.countLabels(n)
-	start := 0
-	for v := 1; v < n; v++ {
-		if s.before(v, start) {
-			start = v
-		}
+// row returns the offset in adjArena of data node v's neighbourhood bitset,
+// building it on first use in this call.
+func (s *vf2State) row(v int) int {
+	if s.adjBuilt[v>>6]&(1<<(v&63)) != 0 {
+		return s.adjRow[v]
 	}
-	s.order = append(s.order, start)
-	s.parent = append(s.parent, -1)
-	if start < n {
-		s.inOrder[start] = true
+	return s.buildRow(v)
+}
+
+// buildRow appends v's neighbourhood bitset to adjArena and returns its
+// offset.
+func (s *vf2State) buildRow(v int) int {
+	s.adjBuilt[v>>6] |= 1 << (v & 63)
+	off := len(s.adjArena)
+	s.adjRow[v] = off
+	s.adjArena = slices.Grow(s.adjArena, s.words)[:off+s.words]
+	row := s.adjArena[off:]
+	for k := 0; k < len(row); k++ { // not clear: a memclr call outweighs one word
+		row[k] = 0
 	}
-	for len(s.order) < n {
-		bestV, bestPar := -1, -1
-		for _, u := range s.order {
-			for _, w := range q.Neighbors(u) {
-				if !s.inOrder[w] && (bestV == -1 || s.before(w, bestV)) {
-					bestV, bestPar = w, u
-				}
-			}
-		}
-		s.order = append(s.order, bestV)
-		s.parent = append(s.parent, bestPar)
-		s.inOrder[bestV] = true
+	for _, u := range s.g.adj[v] {
+		row[u>>6] |= 1 << (u & 63)
 	}
+	return off
 }
 
 // onResult consumes a complete mapping; returning true stops the search.
@@ -207,105 +376,88 @@ func (s *vf2State) onResult() bool {
 	}
 }
 
+// match extends the mapping at depth; returning true stops the search.
 func (s *vf2State) match(depth int) bool {
-	if depth == len(s.order) {
+	if depth == len(s.steps) {
 		return s.onResult()
 	}
-	qv := s.order[depth]
-	par := s.parent[depth]
-
-	if par == -1 {
-		// Root: every data node is a candidate; iterate directly rather
-		// than materializing a slice.
-		for gv := 0; gv < s.g.NumNodes(); gv++ {
-			if s.tryCandidate(depth, qv, gv) {
+	if s.extensions++; s.extensions == degreeMasksAfter {
+		s.filterDegrees()
+	}
+	st := &s.steps[depth]
+	back, rows := s.back[st.back0:st.back1], s.rows[st.back0:st.back1]
+	for k, qn := range back {
+		rows[k] = s.row(s.core[qn])
+	}
+	// Rows are never rewritten once built, so this view stays valid when a
+	// deeper level grows the arena into a new array.
+	arena := s.adjArena
+	w := s.words
+	// The filters are taken once: a deeper filterDegrees leaves this frame
+	// with its own, per-candidate degree check.
+	label, degree, deg := s.masks[st.label:][:w], s.masks[st.degree:][:w], st.deg
+	used, adj := s.used[:w], s.g.adj
+	for i, word := range label {
+		word &= degree[i] &^ used[i]
+		for _, r := range rows {
+			word &= arena[r+i]
+		}
+		for ; word != 0; word &= word - 1 {
+			gv := i<<6 | bits.TrailingZeros64(word)
+			if deg > 0 && len(adj[gv]) < deg || s.edgeLabeled && !s.edgeLabelsAgree(st.qv, gv, back) {
+				continue
+			}
+			bit := word & -word
+			s.core[st.qv] = gv
+			used[i] |= bit
+			if s.match(depth + 1) {
 				return true
 			}
-		}
-		return false
-	}
-	for _, gv := range s.g.Neighbors(s.core[par]) {
-		if s.tryCandidate(depth, qv, gv) {
-			return true
+			used[i] &^= bit
 		}
 	}
 	return false
 }
 
-// tryCandidate attempts to extend the mapping with qv -> gv and recurse;
-// returning true stops the search.
-func (s *vf2State) tryCandidate(depth, qv, gv int) bool {
-	if s.mapped[gv] || s.g.labels[gv] != s.q.labels[qv] {
-		return false
-	}
-	if s.g.Degree(gv) < s.q.Degree(qv) {
-		return false
-	}
-	// All already-mapped query neighbors of qv must map to neighbors of gv,
-	// with matching edge labels.
-	for _, qn := range s.q.Neighbors(qv) {
-		if s.core[qn] == -1 {
-			continue
-		}
-		if !s.g.HasEdge(gv, s.core[qn]) {
-			return false
-		}
-		if s.edgeLabeled && s.q.EdgeLabel(qv, qn) != s.g.EdgeLabel(gv, s.core[qn]) {
+// edgeLabelsAgree reports whether each back-edge {qv, qn} carries the label
+// of its image {gv, core[qn]}.
+func (s *vf2State) edgeLabelsAgree(qv, gv int, back []int) bool {
+	for _, qn := range back {
+		if s.q.EdgeLabel(qv, qn) != s.g.EdgeLabel(gv, s.core[qn]) {
 			return false
 		}
 	}
-	s.core[qv] = gv
-	s.mapped[gv] = true
-	if s.match(depth + 1) {
-		return true
-	}
-	s.core[qv] = -1
-	s.mapped[gv] = false
-	return false
+	return true
 }
 
 // SubgraphIsomorphic reports whether q is subgraph-isomorphic to g (q ⊆ g in
 // the paper's notation). q must be connected. Allocation-free in steady
 // state: the match state comes from a pool and no closure is created.
 func SubgraphIsomorphic(q, g *Graph) bool {
-	if q.NumNodes() > g.NumNodes() || q.NumEdges() > g.NumEdges() {
-		return false
-	}
-	s := acquireState(q, g)
+	s := acquireState()
 	defer s.release()
-	s.mode = modeExists
-	s.match(0)
+	s.run(q, g, modeExists, 0, nil)
 	return s.found
 }
 
 // FindEmbedding returns one embedding of q into g as a query-node -> data-node
-// slice, or nil if none exists. The returned slice is freshly allocated and
-// owned by the caller.
+// slice, or nil if none exists: the first one the search meets, not a
+// canonical one. The returned slice is freshly allocated and owned by the
+// caller.
 func FindEmbedding(q, g *Graph) []int {
-	if q.NumNodes() > g.NumNodes() || q.NumEdges() > g.NumEdges() {
-		return nil
-	}
-	s := acquireState(q, g)
+	s := acquireState()
 	defer s.release()
-	s.mode = modeFirst
-	s.match(0)
-	out := s.emb
-	s.emb = nil
-	return out
+	s.run(q, g, modeFirst, 0, nil)
+	return s.emb
 }
 
 // CountEmbeddings counts embeddings of q in g, stopping at limit (0 = no
 // limit). Distinct node mappings are counted separately (automorphic images
 // included), matching Grafil-style feature counting.
 func CountEmbeddings(q, g *Graph, limit int) int {
-	if q.NumNodes() > g.NumNodes() || q.NumEdges() > g.NumEdges() {
-		return 0
-	}
-	s := acquireState(q, g)
+	s := acquireState()
 	defer s.release()
-	s.mode = modeCount
-	s.limit = limit
-	s.match(0)
+	s.run(q, g, modeCount, limit, nil)
 	return s.count
 }
 
@@ -314,26 +466,14 @@ func CountEmbeddings(q, g *Graph, limit int) int {
 // the enumeration. If fn panics, the pooled state is still recycled safely
 // (scratch is cleared on acquire, not release).
 func ForEachEmbedding(q, g *Graph, fn func(core []int) bool) {
-	if q.NumNodes() > g.NumNodes() || q.NumEdges() > g.NumEdges() {
-		return
-	}
-	s := acquireState(q, g)
+	s := acquireState()
 	defer s.release()
-	s.mode = modeForEach
-	s.fn = fn
-	s.match(0)
+	s.run(q, g, modeForEach, 0, fn)
 }
 
 // forEachEmbeddingFresh runs the same search on a freshly allocated,
 // never-pooled state. It exists for differential tests that pin pooled and
 // fresh execution to identical results.
 func forEachEmbeddingFresh(q, g *Graph, fn func(core []int) bool) {
-	if q.NumNodes() > g.NumNodes() || q.NumEdges() > g.NumEdges() {
-		return
-	}
-	s := new(vf2State)
-	s.prepare(q, g)
-	s.mode = modeForEach
-	s.fn = fn
-	s.match(0)
+	new(vf2State).run(q, g, modeForEach, 0, fn)
 }

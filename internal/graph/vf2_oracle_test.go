@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -265,14 +266,16 @@ func TestVF2AgainstBruteForce(t *testing.T) {
 // FuzzSubgraphIsomorphic holds VF2 to the brute-force oracle on fuzzed
 // pairs: a query of 2–6 nodes and a data graph of 2–8 nodes (see
 // decodeFuzzGraph). kinds picks the node alphabet (1–3 labels), the edge
-// labels of each side (unlabeled, labeled or mixed) and whether the query
-// may draw a label the data graph never has.
+// labels of each side (unlabeled, labeled or mixed), whether the query may
+// draw a label the data graph never has, and whether the data graph is
+// padded (padGraph) to 65 or 129 nodes, past one or two bitset words.
 func FuzzSubgraphIsomorphic(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0}, []byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0}, byte(0))                   // C-C-C in a triangle
 	f.Add([]byte{0, 0, 1, 0, 0}, []byte{3, 0, 1, 0, 1, 0, 0, 0, 1, 0, 2, 0}, byte(1+3*1))                     // labeled query, unlabeled data
 	f.Add([]byte{0, 0, 0, 0, 0}, []byte{2, 0, 0, 0, 0, 0, 0, 0, 0, 1}, byte(3*2+9*1))                         // mixed query, labeled data
 	f.Add([]byte{2, 0, 3, 1, 0, 0, 0, 1, 0}, []byte{6, 0, 1, 2, 0, 1, 2, 0, 0, 0, 0, 1, 0, 2, 0}, byte(2+27)) // absent label
 	f.Add([]byte{4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 2, 0}, []byte{6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 2, 0, 0, 3, 0}, byte(0))
+	f.Add([]byte{2, 0, 1, 0, 0, 0, 0, 0, 0}, []byte{6, 0, 1, 0, 1, 0, 1, 0, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0}, byte(1+54)) // CN path in a CN path padded to 65 nodes
 
 	f.Fuzz(func(t *testing.T, qBytes, gBytes []byte, kinds byte) {
 		labels := []string{"C", "N", "O"}[:1+int(kinds)%3]
@@ -286,8 +289,109 @@ func FuzzSubgraphIsomorphic(f *testing.F) {
 		if q == nil || g == nil {
 			t.Skip("undecodable byte stream")
 		}
+		if kinds/54%2 == 1 {
+			g = padGraph(g, 65+64*int(kinds/108), "X", int64(kinds))
+		}
 		if _, err := checkAgainstBrute(q, g); err != nil {
 			t.Fatal(err)
 		}
 	})
+}
+
+// padGraph returns g grown to n nodes by a chain of nodes labelled pad that
+// hangs off node 0, with every id then shuffled (seeded), so g's own nodes
+// land in different words of the search's bitsets. The pad label must be one
+// the query lacks: the padded pair then has exactly g's embeddings.
+func padGraph(g *Graph, n int, pad string, seed int64) *Graph {
+	p := g.Clone()
+	prev := 0
+	for p.NumNodes() < n {
+		v := p.AddNode(pad)
+		p.MustAddEdge(prev, v)
+		prev = v
+	}
+	out, err := p.Permute(rand.New(rand.NewSource(seed)).Perm(p.NumNodes()))
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// cutPath is an all-C path on n nodes without its edge {cut-1, cut} (no
+// edge is missing when cut is 0).
+func cutPath(n, cut int) *Graph {
+	g := New(-1)
+	for v := 0; v < n; v++ {
+		g.AddNode("C")
+	}
+	for v := 1; v < n; v++ {
+		if v != cut {
+			g.MustAddEdge(v-1, v)
+		}
+	}
+	return g
+}
+
+// TestVF2WordBoundaries pads small pairs' data graphs across the 64-node
+// word boundaries of the search's bitsets (63, 64, 65, 128, 129 and the
+// molecule sets' 222-node tail) and holds every padded pair to its unpadded
+// answer and to the brute-force oracle.
+func TestVF2WordBoundaries(t *testing.T) {
+	cn := func(k int) string { return []string{"C", "N"}[k%2] }
+	c := func(int) string { return "C" }
+	none := func(int) string { return "" }
+	bond := func(k int) string { return []string{"1", "2"}[k%2] }
+	pairs := []struct {
+		name string
+		q, g *Graph
+	}{
+		{"P4/CN in comb4/CN", pathShape(4).build(cn, none), combShape(4).build(cn, none)},
+		{"C3 in tri+tail", cycleShape(3).build(c, none), triangleTail.build(c, none)},
+		{"S3 in K5", starShape(3).build(c, none), completeShape(5).build(c, none)},
+		{"C4 in K4", cycleShape(4).build(c, none), completeShape(4).build(c, none)},
+		{"bonded P3 in C6", pathShape(3).build(c, bond), cycleShape(6).build(c, bond)},
+		{"K4 in comb4 (none)", completeShape(4).build(c, none), combShape(4).build(c, none)},
+		{"comb3/CN in P8/CN (none)", combShape(3).build(cn, none), pathShape(8).build(cn, none)},
+	}
+	for _, p := range pairs {
+		want, err := checkAgainstBrute(p.q, p.g)
+		if err != nil {
+			t.Fatalf("%s unpadded: %v", p.name, err)
+		}
+		for i, n := range []int{63, 64, 65, 128, 129, 222} {
+			g := padGraph(p.g, n, "X", int64(i))
+			got, err := checkAgainstBrute(p.q, g)
+			if err != nil {
+				t.Fatalf("%s padded to %d: %v", p.name, n, err)
+			}
+			if got != want {
+				t.Fatalf("%s padded to %d: %d embeddings, unpadded %d", p.name, n, got, want)
+			}
+		}
+	}
+}
+
+// TestVF2LongPath maps a 65-node path query, one node more than a bitset
+// word, into 130- and 128-node paths with one edge cut.
+func TestVF2LongPath(t *testing.T) {
+	q := cutPath(65, 0)
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+		want int
+	}{
+		{"P130", cutPath(130, 0), 2 * 66},
+		{"P130 cut into 65+65", cutPath(130, 65), 2 * 2},
+		{"P128 cut into 64+64", cutPath(128, 64), 0},
+	} {
+		for i, g := range []*Graph{tc.g, padGraph(tc.g, tc.g.NumNodes(), "X", 1)} {
+			got, err := checkAgainstBrute(q, g)
+			if err != nil {
+				t.Fatalf("%s (shuffled %v): %v", tc.name, i == 1, err)
+			}
+			if got != tc.want {
+				t.Fatalf("%s (shuffled %v): %d embeddings, want %d", tc.name, i == 1, got, tc.want)
+			}
+		}
+	}
 }

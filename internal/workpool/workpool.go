@@ -150,8 +150,9 @@ func (p *Pool) Close() {
 // maxChunk caps the candidates in one chunk: small enough that batches
 // from concurrent sessions interleave and a batch spreads over every worker,
 // large enough that the hand-off costs little against the chunk's VF2
-// checks of about 2 µs each. On the verify-comb workload at 2 vCPUs, a cap
-// of 64 gave a lower Run latency than 32, and 32 a lower one than 16.
+// checks of about 1.2 µs each (graph.vf2_us_per_call of a traced verify-comb
+// run, 2 vCPU host). On the verify-comb workload at 2 vCPUs, a cap of 64 gave
+// a lower Run latency than 32, and 32 a lower one than 16.
 const maxChunk = 64
 
 // chunkSize splits n candidates into about four chunks per worker, each of
