@@ -29,8 +29,8 @@ package graph
 //
 // Match state is recycled through a sync.Pool so the per-candidate verify hot
 // path is allocation-free in steady state. All scratch is re-sliced and
-// cleared on acquire, never on release: a state dirtied by a panic or an
-// early-stop unwind is safe to reuse.
+// cleared before each search, never on release: a state dirtied by a panic
+// or an early-stop unwind is safe to reuse.
 
 import (
 	"math/bits"
@@ -136,8 +136,8 @@ func (s *vf2State) run(q, g *Graph, mode vf2ResultMode, limit int, fn func(core 
 }
 
 // prepare re-slices and clears every piece of scratch for a new (q, g) pair.
-// Clearing happens here — on acquire — so reuse after a panic or cancel that
-// unwound mid-search is safe by construction. It reports false when g has
+// Clearing happens here, before each search, so reuse after a panic or
+// cancel that unwound mid-search is safe by construction. It reports false when g has
 // fewer nodes of some label than q, so no search is needed.
 func (s *vf2State) prepare(q, g *Graph) bool {
 	s.q, s.g = q, g
@@ -157,6 +157,7 @@ func (s *vf2State) prepare(q, g *Graph) bool {
 	return true
 }
 
+// resize returns buf resliced to length n, reallocated only when too small.
 func resize[T any](buf []T, n int) []T {
 	if cap(buf) < n {
 		return make([]T, n)
