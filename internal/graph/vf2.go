@@ -80,8 +80,8 @@ type vf2State struct {
 	rows []int
 
 	// masks holds one bitset over g per distinct query label, then, once
-	// filterDegrees has run, one per distinct query degree above 1; rarity[i]
-	// counts g's nodes with labels[i].
+	// filterDegrees has run, one per distinct degree a step checks;
+	// rarity[i] counts g's nodes with labels[i].
 	nodes      []vf2Node
 	labels     []uint32
 	rarity     []int
@@ -290,9 +290,10 @@ func (s *vf2State) buildOrder() {
 const degreeMasksAfter = 32
 
 // filterDegrees builds, for each distinct degree a step still checks, the
-// bitset of g's nodes with at least that many neighbours, and points each
-// such step's degree filter at its own. Frames on the stack keep the bitsets they took:
-// the label bitsets are never rewritten, even if the append moves them.
+// bitset of g's nodes with at least that many neighbours, points each such
+// step's degree filter at its own and drops the step's per-candidate check.
+// Frames on the stack keep the filters and check they took on entry: the
+// label bitsets are never rewritten, even if the append moves them.
 func (s *vf2State) filterDegrees() {
 	w, n := s.words, s.g.NumNodes()
 	for d := range s.steps {
