@@ -48,9 +48,9 @@ func TestSimilarityStepAllocBudget(t *testing.T) {
 
 // TestShardedProbeAllocBudget pins the allocations of one NIF vertex probe
 // (Algorithm 3's intersection) on a warm 4-shard engine, memo cleared. The
-// shards are probed in the caller's loop on the engine's one scratch, so
-// what remains is the per-shard list slice, the fresh candidate list of each
-// shard with a non-empty intersection, and the merged result.
+// batch bookkeeping is engine-owned and the store's evaluator pools its
+// scratch, so what remains is the fresh candidate list of each shard with a
+// non-empty intersection and the merged result.
 func TestShardedProbeAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation budgets are not meaningful under -race")
@@ -83,14 +83,14 @@ func TestShardedProbeAllocBudget(t *testing.T) {
 		t.Fatal("fixture: the query has no NIF vertex with an intersection")
 	}
 	ctx := context.Background()
-	if _, err := e.localCandidates(ctx, nif); err != nil {
+	if _, err := e.exactSubCandidates(ctx, nif); err != nil {
 		t.Fatal(err)
 	}
 	// Measured: 4 (13 with a goroutine per shard and a WaitGroup).
 	const budget = 4
 	if a := testing.AllocsPerRun(50, func() {
 		delete(e.candMemo[0], nif.Code)
-		if _, err := e.localCandidates(ctx, nif); err != nil {
+		if _, err := e.exactSubCandidates(ctx, nif); err != nil {
 			t.Fatal(err)
 		}
 	}); a > budget {

@@ -9,7 +9,6 @@ import (
 	"prague/internal/candcache"
 	"prague/internal/graph"
 	"prague/internal/intset"
-	"prague/internal/spig"
 )
 
 // SetCandidateCache injects the shared cross-session candidate cache
@@ -29,9 +28,11 @@ func (e *Engine) SetCandidateCache(c *candcache.Cache) { e.cache = c }
 // fragment's minimum-DFS canonical code and the store's layout, and stay put
 // across mutations: the pinned snapshot's epoch and CacheTag (layout,
 // content fingerprint and epoch) travel as the entry's version instead
-// (version), so an entry computed before a mutation is carried forward by
-// the mutation's delta (carryContainment, carryCandidates) rather than
-// dropped, and entries from different store states still never alias.
+// (version), so entries from different store states never alias. A
+// candidate list hits only at its own version (exactSubCandidatesAll
+// recomputes it in one probe). A containment set, which costs isomorphism
+// checks, is carried forward by the mutations' delta (carryContainment)
+// rather than verified again.
 func (e *Engine) candKey(code string) string {
 	return candcache.Key(candcache.KeyCandidates, e.snap.CacheTag(), code)
 }
@@ -122,36 +123,5 @@ func (e *Engine) carryContainment(frag *graph.Graph) candcache.Carry {
 			return nil, err
 		}
 		return append(intset.Diff(ids, del), joined...), nil
-	}
-}
-
-// carryCandidates rolls NIF vertex v's Algorithm 3 candidate list forward to
-// the pinned snapshot: deleted ids leave it, and an inserted id still live at
-// the pin joins iff it is in every Υ and Φ list of v at the pin — exactly
-// what recomputing the intersection would add. It reads the in-process
-// shard indexes, so only in-process layouts carry candidate lists.
-func (e *Engine) carryCandidates(v *spig.Vertex) candcache.Carry {
-	return func(_ context.Context, from candcache.Version, ids []int) ([]int, error) {
-		ins, del, err := e.delta(from)
-		if err != nil {
-			return nil, err
-		}
-		out := intset.Diff(ids, del)
-	next:
-		for _, id := range ins {
-			idx := e.snap.Shard(e.snap.ShardOf(id)).Index()
-			for _, u := range v.Ups {
-				if !intset.Contains(idx.A2I.FSGIds(u), id) {
-					continue next
-				}
-			}
-			for _, p := range v.Phi {
-				if !intset.Contains(idx.A2F.FSGIds(p), id) {
-					continue next
-				}
-			}
-			out = append(out, id)
-		}
-		return out, nil
 	}
 }

@@ -2,9 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"time"
 
+	"prague/internal/candcache"
 	"prague/internal/faultinject"
 	"prague/internal/spig"
 	"prague/internal/store"
@@ -14,28 +15,8 @@ import (
 // exactSubCandidates implements Algorithm 3 (ExactSubCandidates): the FSG
 // identifiers of the query fragment represented by SPIG vertex v — directly
 // from A²F/A²I when the fragment is indexed, otherwise the intersection of
-// the FSG ids of its indexed subgraphs (Φ ∪ Υ). Results are memoized per
-// fragment class (classMemo) for the life of the pinned epoch: in similarity
-// mode Algorithm 4 revisits the same classes after every formulation step,
-// and a modification only removes vertices, so Run and Modify probe only
-// what formulation has not resolved yet — even when a deletion makes an
-// isomorphic vertex of another SPIG its level's representative.
-//
-// With a shared cross-session cache injected, the intersection result of a
-// non-indexed (NIF) vertex is additionally published under its canonical
-// code, so concurrent sessions formulating overlapping fragments intersect
-// each list once service-wide; in process, a list published before a
-// mutation is carried forward over it (carryCandidates) rather than
-// intersected again. Indexed vertices bypass the cache: their
-// candidate list is the index's own FSG list, already an O(1) lookup.
-// Cached NIF lists are sound candidate supersets; every consumer verifies
-// them (Rq verification in Run, Rver in SimilarResultsGen), so a list
-// published by a session with a differently-inherited Φ/Υ never changes
-// final answers.
-// A probe error (only possible on remote layouts, and only for indexed
-// vertices — NIF probe failures degrade to sound supersets) is returned
-// without memoizing or publishing anything, so recovery is immediate once
-// the shard heals.
+// the FSG ids of its indexed subgraphs (Φ ∪ Υ). It is exactSubCandidatesAll
+// for one vertex.
 func (e *Engine) exactSubCandidates(ctx context.Context, v *spig.Vertex) ([]int, error) {
 	var ids [1][]int
 	var errs [1]error
@@ -79,39 +60,127 @@ func (m *classMemo) put(v *spig.Vertex, ids []int) {
 	m[i][v.Code] = ids
 }
 
-// exactSubCandidatesAll is exactSubCandidates over every vertex one action
-// needs: vertex vs[i]'s list and probe error go to lists[i] and errs[i]. It
-// is the one place that tells the layouts apart. On a remote layout the
-// vertices travel together (probeRemote), so an action costs one request per
-// replica group rather than one per vertex and shard; the vertices of SPIG
-// level ride (0 for none) go along when a request is sent anyway. In process
-// they are resolved one at a time, polling cancellation between them; the
-// first error ends the batch and is also the error of every vertex after it.
+// probeBatch is the bookkeeping of one exactSubCandidatesAll call. The
+// engine owns one and reuses its buffers, so a batch allocates nothing of
+// its own once the session is warm.
+type probeBatch struct {
+	probes []store.Probe
+	probed []*spig.Vertex    // the vertex of each probe
+	keys   []string          // the cache key each probe's list is published under, "" for none
+	at     []int             // vertex index -> probe index, -1 if answered without one
+	class  [2]map[string]int // class -> probe index, as in classMemo
+	lists  [][]int           // ProbeAll's output
+	ver    candcache.Version // the version cached lists are looked up and published at
+}
+
+// exactSubCandidatesAll is Algorithm 3 over every vertex one action needs:
+// vertex vs[i]'s list and error go to lists[i] and errs[i]. A vertex is
+// answered, in order, by
+//
+//   - the class memo: results live per fragment class for the life of the
+//     pinned epoch. In similarity mode Algorithm 4 revisits the same classes
+//     after every formulation step, and a modification only removes
+//     vertices, so Run and Modify probe only what formulation has not
+//     resolved yet — even when a deletion makes an isomorphic vertex of
+//     another SPIG its level's representative;
+//   - the index fault hook, for a NIF vertex (see enqueue);
+//   - the shared cache, for a NIF vertex: concurrent sessions formulating
+//     overlapping fragments fetch each list once service-wide. Lookup is
+//     traced and fault-injected; an entry hits only at the pinned
+//     snapshot's own version. Indexed vertices bypass the cache: their list
+//     is the index's own FSG list;
+//   - one probe per class, all of them evaluated by one snap.ProbeAll call,
+//     recorded as one index_probe span. Fetched lists are memoized, and NIF
+//     ones published to the cache. Cached NIF lists are sound candidate
+//     supersets; every consumer verifies them (Rq verification in Run, Rver
+//     in SimilarResultsGen), so a list published by a session with a
+//     differently-inherited Φ/Υ never changes final answers.
+//
+// The unresolved classes of SPIG level ride (0 for none) join the batch as
+// optional riders: a deletion moves the similarity window down onto that
+// level, and a layout that sends a request anyway fetches them now, saving
+// the deletion its round trip. No one waits for a rider; a fetched one is
+// memoized and published like any other probe. With nothing else to probe,
+// no rider is gathered either.
+//
+// A context error fails every vertex the batch did not finish; the lists
+// finished before it are memoized. When a shard cannot be served, an
+// indexed vertex gets the wrapped error and a NIF vertex the degraded
+// superset ProbeAll returns, which is used for this action only: it is
+// neither memoized nor published, so the next action probes again.
 func (e *Engine) exactSubCandidatesAll(ctx context.Context, vs []*spig.Vertex, ride int, lists [][]int, errs []error) {
-	if pr, ok := e.snap.(store.Prober); ok {
-		e.probeRemote(ctx, pr, vs, ride, lists, errs)
+	b := &e.batch
+	b.probes, b.probed, b.keys, b.at = b.probes[:0], b.probed[:0], b.keys[:0], b.at[:0]
+	for i := range b.class {
+		if b.class[i] == nil {
+			b.class[i] = map[string]int{}
+		}
+		clear(b.class[i])
+	}
+	if e.cache != nil {
+		b.ver = e.version()
+	}
+	for i, v := range vs {
+		k := -1
+		if v != nil {
+			lists[i], k = e.enqueue(ctx, v)
+		}
+		b.at = append(b.at, k)
+	}
+	if len(b.probes) == 0 {
 		return
 	}
-	var err error
-	for i, v := range vs {
-		if err == nil && i > 0 {
-			err = ctx.Err()
+	asked := len(b.probes)
+	if ride > 0 {
+		for _, v := range e.spigs.LevelVertices(ride) {
+			e.enqueue(ctx, v)
 		}
-		if err == nil {
-			lists[i], err = e.localCandidates(ctx, v)
+	}
+	pctx, sp := trace.StartChild(ctx, trace.KindIndexProbe)
+	sp.Add("probes", int64(len(b.probes)))
+	if r := len(b.probes) - asked; r > 0 {
+		sp.Add("riders", int64(r))
+	}
+	got, err := e.snap.ProbeAll(pctx, b.probes, len(b.probes)-asked, b.lists)
+	b.lists = got
+	degraded := errors.Is(err, store.ErrShardUnavailable)
+	for k, ids := range got {
+		switch {
+		case !degraded:
+			e.candMemo.put(b.probed[k], ids)
+			if b.keys[k] != "" {
+				e.cache.Put(b.keys[k], b.ver, ids)
+			}
+		case k < asked && !b.probes[k].Kind.Indexed():
+			sp.Add("shard_probe_fallback", 1)
 		}
-		errs[i] = err
+	}
+	sp.End()
+	for i, k := range b.at {
+		switch {
+		case k < 0:
+		case k >= len(got):
+			errs[i] = err
+		case degraded && b.probes[k].Kind.Indexed():
+			errs[i] = fmt.Errorf("core: indexed probe: %w", err)
+		default:
+			lists[i] = got[k]
+		}
 	}
 }
 
-// localCandidates is Algorithm 3 for one vertex on an in-process store.
-func (e *Engine) localCandidates(ctx context.Context, v *spig.Vertex) ([]int, error) {
-	if v == nil {
-		return nil, nil
-	}
+// enqueue answers v without a probe — from the memo, the index fault
+// hook's fallback or the shared cache — or adds its class to the batch,
+// returning its list or its probe index (-1 if answered here).
+func (e *Engine) enqueue(ctx context.Context, v *spig.Vertex) ([]int, int) {
+	b := &e.batch
 	if ids, ok := e.candMemo.get(v); ok {
-		return ids, nil
+		return ids, -1
 	}
+	if k, ok := b.class[slot(v)][v.Code]; ok {
+		return nil, k // two vertices of one fragment class
+	}
+	key := ""
 	if !v.Kind.Indexed() {
 		// The fault hook covers only NIF probes: their candidate lists are
 		// always verified downstream, so degrading a faulted probe to the
@@ -122,165 +191,26 @@ func (e *Engine) localCandidates(ctx context.Context, v *spig.Vertex) ([]int, er
 		// is immediate once the probes heal.
 		if err := faultinject.Hit(ctx, faultinject.SiteIndex); err != nil {
 			trace.SpanFromContext(ctx).Add("index_fault_fallback", 1)
-			return e.allIds(), nil
+			return e.allIds(), -1
 		}
-	}
-	var ids []int
-	if e.cache == nil || v.Kind.Indexed() {
-		ids = e.computeCandidates(ctx, v)
-	} else {
-		// Candidate intersection is pure and never polls cancellation, so
-		// the cache call runs on a background context — cancelling mid-Do
-		// would memoize a bogus empty list. The trace span and the fault
-		// injector cross over, so cache hits/misses still land in the
-		// action's tree and cache faults still fire under chaos schedules.
-		cctx := trace.ContextWithSpan(context.Background(), trace.SpanFromContext(ctx))
-		cctx = faultinject.With(cctx, faultinject.FromContext(ctx))
-		var err error
-		ids, err = e.cache.Do(cctx, e.candKey(v.Code), e.version(), e.carryCandidates(v),
-			func(ctx context.Context) ([]int, error) { return e.computeCandidates(ctx, v), nil })
-		if err != nil {
-			return nil, err
-		}
-	}
-	e.candMemo.put(v, ids)
-	return ids, nil
-}
-
-// probeRemote is Algorithm 3 for several vertices on a snapshot whose shards
-// live in other processes. Memoized classes, NIF vertices the shared cache
-// holds, and NIF vertices the index fault hook degrades are answered on the
-// coordinator; the rest go out in one store.Prober batch, recorded as one
-// index_probe span, with one probe per class. Fetched lists are memoized, and
-// NIF ones published to the cache. The cache is consulted with Lookup rather
-// than Do, so each lookup is still a cand_fetch span and still meets the
-// cache fault hook, but a miss is fetched by the batch: concurrent sessions
-// that miss one fragment each probe it rather than wait for one fetch. The
-// coordinator holds no index lists to carry a list with, so a cached list
-// hits only at the pinned snapshot's own version. When a shard group
-// cannot answer, an indexed vertex gets the wrapped error and a NIF vertex
-// the degraded superset ProbeAll returns, which is used for this action
-// only: it is neither memoized nor published, so the next action probes
-// again.
-//
-// When the batch goes out, the unresolved classes of SPIG level ride join
-// it as riders: a deletion moves the similarity window down onto that level,
-// and a rider fetched now saves the deletion its round trip. Riders are
-// resolved like any other vertex, but no one waits for them: a rider that
-// faults or fails is simply not memoized. With nothing else to send, no
-// rider is sent either.
-func (e *Engine) probeRemote(ctx context.Context, pr store.Prober, vs []*spig.Vertex, ride int, lists [][]int, errs []error) {
-	var (
-		probes []store.Probe
-		probed []*spig.Vertex              // the vertex of each probe
-		keys   []string                    // the cache key each probe's list is published under, "" for none
-		batch  = [2]map[string]int{{}, {}} // class -> probe index, as in classMemo
-		ver    = e.version()               // the version cached lists are looked up and published at
-		at     = make([]int, len(vs))      // vs index -> probe index, -1 if answered here
-	)
-	// resolve answers v on the coordinator or adds its class to the batch,
-	// returning its list or its probe index (-1 if answered here).
-	resolve := func(v *spig.Vertex) ([]int, int) {
-		if ids, ok := e.candMemo.get(v); ok {
-			return ids, -1
-		}
-		if k, ok := batch[slot(v)][v.Code]; ok {
-			return nil, k // two vertices of one fragment class
-		}
-		key := ""
-		if !v.Kind.Indexed() {
-			// The same fault hook, fallback and soundness argument as the
-			// in-process path of localCandidates.
-			if err := faultinject.Hit(ctx, faultinject.SiteIndex); err != nil {
-				trace.SpanFromContext(ctx).Add("index_fault_fallback", 1)
-				return e.allIds(), -1
+		if e.cache != nil {
+			ck := e.candKey(v.Code)
+			ids, hit, publish := e.cache.Lookup(ctx, ck, b.ver)
+			if hit {
+				e.candMemo.put(v, ids)
+				return ids, -1
 			}
-			if e.cache != nil {
-				ck := e.candKey(v.Code)
-				ids, hit, publish := e.cache.Lookup(ctx, ck, ver)
-				if hit {
-					e.candMemo.put(v, ids)
-					return ids, -1
-				}
-				if publish {
-					key = ck
-				}
+			if publish {
+				key = ck
 			}
 		}
-		batch[slot(v)][v.Code] = len(probes)
-		probes = append(probes, probeOf(v))
-		probed = append(probed, v)
-		keys = append(keys, key)
-		return nil, len(probes) - 1
 	}
-	for i, v := range vs {
-		at[i] = -1
-		if v != nil {
-			lists[i], at[i] = resolve(v)
-		}
-	}
-	if len(probes) == 0 {
-		return
-	}
-	asked := len(probes)
-	if ride > 0 {
-		for _, v := range e.spigs.LevelVertices(ride) {
-			resolve(v)
-		}
-	}
-	pctx, sp := trace.StartChild(ctx, trace.KindIndexProbe)
-	sp.Add("probes", int64(len(probes)))
-	if r := len(probes) - asked; r > 0 {
-		sp.Add("riders", int64(r))
-	}
-	got, err := pr.ProbeAll(pctx, probes)
-	for k, v := range probed {
-		switch {
-		case err == nil:
-			e.candMemo.put(v, got[k])
-			if keys[k] != "" {
-				e.cache.Put(keys[k], ver, got[k])
-			}
-		case k < asked && !probes[k].Kind.Indexed():
-			sp.Add("shard_probe_fallback", 1)
-		}
-	}
-	sp.End()
-	for i, k := range at {
-		if k < 0 {
-			continue
-		}
-		if err != nil && probes[k].Kind.Indexed() {
-			errs[i] = fmt.Errorf("core: indexed probe: %w", err)
-			continue
-		}
-		lists[i] = got[k]
-	}
-}
-
-// computeCandidates resolves a vertex's candidate list against an in-process
-// store: shard by shard in the caller's loop, on the engine's one probe
-// scratch, and then merged by ascending graph id. Shard FSG lists partition
-// the monolithic lists, so the merged result is byte-identical to the
-// single-shard computation.
-func (e *Engine) computeCandidates(ctx context.Context, v *spig.Vertex) []int {
-	if sp := trace.SpanFromContext(ctx); sp != nil {
-		t0 := time.Now()
-		defer func() {
-			sp.Record(trace.KindIndexProbe, time.Since(t0), "lists", int64(len(v.Phi)+len(v.Ups)+1))
-		}()
-	}
-	p := probeOf(v)
-	n := e.snap.NumShards()
-	if n == 1 {
-		return store.ShardCandidates(e.snap.Shard(0), p, &e.probeScratch)
-	}
-	// ShardCandidates returns fresh lists, so one scratch serves every shard.
-	parts := make([][]int, n)
-	for i := range parts {
-		parts[i] = store.ShardCandidates(e.snap.Shard(i), p, &e.probeScratch)
-	}
-	return store.MergeSorted(parts)
+	k := len(b.probes)
+	b.class[slot(v)][v.Code] = k
+	b.probes = append(b.probes, probeOf(v))
+	b.probed = append(b.probed, v)
+	b.keys = append(b.keys, key)
+	return nil, k
 }
 
 // probeOf is the part of a SPIG vertex an index probe reads.
@@ -301,13 +231,12 @@ func (e *Engine) allIds() []int { return e.snap.LiveIDs() }
 // (NIF vertices, whose candidate sets are only upper bounds). The result
 // replaces e.sim, whose bitsets are cleared and refilled in place; on error
 // e.sim is left empty. The probes of every level, and of the target whose
-// list Run's distance-0 pass needs, are resolved together (one batch on a
-// remote layout), so a Run after formulation probes nothing; cancellation
-// is polled before them, between them in process, and between levels. On a
-// remote layout the level below the window rides along with the batch: it
-// is the one level a single-edge deletion adds to the window (whose target,
-// q − e, is already a level-(|q|-1) vertex), so that deletion probes
-// nothing either.
+// list Run's distance-0 pass needs, are resolved in one batch, so a Run
+// after formulation probes nothing; cancellation is polled before them,
+// between them, and between levels. The level below the window rides along
+// with the batch: it is the one level a single-edge deletion adds to the
+// window (whose target, q − e, is already a level-(|q|-1) vertex), so on a
+// remote layout that deletion probes nothing either.
 func (e *Engine) similarSubCandidates(ctx context.Context) error {
 	e.sim = e.sim[:0]
 	n := e.q.Size()

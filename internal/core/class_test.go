@@ -14,8 +14,8 @@ import (
 )
 
 // proberStore presents an in-process store as a remote layout: its
-// snapshots are store.Probers that answer a whole batch in one call, and
-// calls counts those calls.
+// snapshots evaluate the riders of a batch too, as a layout that sends a
+// request anyway does, and calls counts the batches.
 type proberStore struct {
 	store.Store
 	calls *int
@@ -28,18 +28,9 @@ type proberSnap struct {
 	calls *int
 }
 
-func (p proberSnap) ProbeAll(_ context.Context, probes []store.Probe) ([][]int, error) {
+func (p proberSnap) ProbeAll(ctx context.Context, probes []store.Probe, _ int, out [][]int) ([][]int, error) {
 	*p.calls++
-	var sc store.ProbeScratch
-	out := make([][]int, len(probes))
-	for i, pr := range probes {
-		parts := make([][]int, p.NumShards())
-		for s := range parts {
-			parts[s] = store.ShardCandidates(p.Shard(s), pr, &sc)
-		}
-		out[i] = store.MergeSorted(parts)
-	}
-	return out, nil
+	return p.Snapshot.ProbeAll(ctx, probes, 0, out)
 }
 
 // maskFlipFixture is a ten-graph database at α = 0.3 (minSup 3) whose edge

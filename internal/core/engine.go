@@ -124,9 +124,9 @@ type Engine struct {
 	// answering — serving stale sets would be silently incomplete.
 	stale bool
 
-	// probeScratch is the bitset scratch of Algorithm 3's NIF list
-	// intersection, shared by every shard computeCandidates probes.
-	probeScratch store.ProbeScratch
+	// batch is Algorithm 3's probe bookkeeping (candidates.go), reused by
+	// every action.
+	batch probeBatch
 
 	// verify-prefilter state (chooser.go).
 	lastChoice FilterDecision // most recent prefilter decision, for Explain
@@ -160,10 +160,11 @@ func New(db []*graph.Graph, idx *index.Set, sigma int) (*Engine, error) {
 }
 
 // NewWithStore creates an engine over an already-constructed graph store —
-// monolithic (store.NewMem) or hash-partitioned (store.NewSharded). A sharded
-// store's shards are probed one after another in the caller's loop and their
-// lists merged by ascending graph id, so results are byte-identical across
-// layouts; verification parallelism comes from the pool alone.
+// monolithic (store.NewMem), hash-partitioned (store.NewSharded) or remote.
+// The engine reads the store only through pinned snapshots, and every
+// layout's probe batches merge shard lists by ascending graph id, so results
+// are byte-identical across layouts; verification parallelism comes from
+// the pool alone.
 func NewWithStore(st store.Store, sigma int) (*Engine, error) {
 	if st == nil {
 		return nil, fmt.Errorf("core: nil store: %w", ErrNilIndex)

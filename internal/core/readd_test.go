@@ -1,14 +1,17 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"prague/internal/core"
 	"prague/internal/dataset"
+	"prague/internal/graph"
 	"prague/internal/index"
 	"prague/internal/mining"
+	"prague/internal/rpcstore"
 	"prague/internal/store"
 	"prague/internal/workload"
 )
@@ -30,9 +33,13 @@ type engineState struct {
 // outcome's counts, CandidateCounts and the Run answer. Each session runs
 // twice in lockstep, once as drawn and once with every edge deleted and
 // re-added right after it is drawn, over the workload package's similarity
-// queries at σ = 2 and one query at σ = |q|, on a monolithic and a 4-shard
-// store. A per-level set that survived a refresh it should not have (a
-// reused bitset not cleared) breaks it.
+// queries at σ = 2 and one query at σ = |q|, on a monolithic, a 4-shard and
+// a remote store (two loopback shard servers over independent 4-shard
+// replicas). The "-epoch" variants advance the store's epoch between the
+// deletion and the re-add, by inserting a graph and deleting it again: the
+// live graphs are the same, so the state must be too, although the re-add
+// repins and recomputes from an empty memo. A per-level set that survived a
+// refresh it should not have (a reused bitset not cleared) breaks it.
 func TestDeleteThenReaddRestoresCandidates(t *testing.T) {
 	db, err := dataset.Molecules(dataset.MoleculeOptions{NumGraphs: 150, Seed: 42, MeanNodes: 12, MaxNodes: 40})
 	if err != nil {
@@ -70,16 +77,77 @@ func TestDeleteThenReaddRestoresCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range []store.Store{mem, sharded} {
-		for _, c := range cases {
-			t.Run(fmt.Sprintf("%d-shards/%s/sigma-%d", st.NumShards(), c.q.Name, c.sigma), func(t *testing.T) {
-				checkReadd(t, st, c.q, c.sigma)
-			})
+	remote := bootRemote(t, db, idx)
+	for _, layout := range []struct {
+		name string
+		st   store.Store
+	}{{"1-shards", mem}, {"4-shards", sharded}, {"remote", remote}} {
+		for _, advance := range []bool{false, true} {
+			name := layout.name
+			if advance {
+				name += "-epoch"
+			}
+			for _, c := range cases {
+				t.Run(fmt.Sprintf("%s/%s/sigma-%d", name, c.q.Name, c.sigma), func(t *testing.T) {
+					var between func()
+					if advance {
+						between = func() { advanceEpoch(t, layout.st, db[0]) }
+					}
+					checkReadd(t, layout.st, c.q, c.sigma, between)
+				})
+			}
 		}
 	}
 }
 
-func checkReadd(t *testing.T, st store.Store, q workload.Query, sigma int) {
+// bootRemote serves two independent 4-shard replicas of the database over
+// loopback, the first answering shards 0 and 1 and the second 2 and 3, and
+// dials a coordinator over them. Everything is closed when the test ends.
+func bootRemote(t *testing.T, db []*graph.Graph, idx *index.Set) store.Store {
+	t.Helper()
+	serve := [2][]int{{0, 1}, {2, 3}}
+	var addrs []string
+	for _, shards := range serve {
+		rep, err := store.NewSharded(db, idx, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := rpcstore.NewServer(rep, rpcstore.WithServeShards(shards...))
+		if err := srv.Listen("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		addrs = append(addrs, srv.Addr().String())
+	}
+	rs, err := rpcstore.Dial(context.Background(), addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rs.Close() })
+	return rs
+}
+
+// advanceEpoch inserts a copy of g into the store and deletes it again: two
+// epochs later the live graphs are those before.
+func advanceEpoch(t *testing.T, st store.Store, g *graph.Graph) {
+	t.Helper()
+	before := st.Epoch()
+	id, err := st.InsertGraph(g.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.DeleteGraph(id); err != nil {
+		t.Fatal(err)
+	}
+	if st.Epoch() != before+2 {
+		t.Fatalf("epoch %d after an insert and a delete from %d", st.Epoch(), before)
+	}
+}
+
+// checkReadd runs q twice in lockstep, as drawn and with every edge deleted
+// and re-added right after it is drawn, and compares the two states after
+// each edge; between, if not nil, runs between the deletion and the re-add.
+func checkReadd(t *testing.T, st store.Store, q workload.Query, sigma int, between func()) {
 	var asDrawn, readded *core.Engine
 	for _, e := range []**core.Engine{&asDrawn, &readded} {
 		var err error
@@ -110,6 +178,9 @@ func checkReadd(t *testing.T, st store.Store, q workload.Query, sigma int) {
 		step, _ := draw(readded, ed)
 		if out, err := readded.DeleteEdge(step); err != nil || out.NeedsChoice {
 			t.Fatalf("edge %d: deleting it: %+v, %v", k+1, out, err)
+		}
+		if between != nil {
+			between()
 		}
 		_, got := draw(readded, ed)
 		if ws, gs := stateOf(asDrawn, want), stateOf(readded, got); !reflect.DeepEqual(ws, gs) {

@@ -24,11 +24,13 @@
 //
 // Cached and uncached variants are deliberately allowed to diverge in
 // *mode*: a cached NIF candidate list published by an earlier script can be
-// a different sound superset than the one an uncached engine derives (Φ/Υ
-// inheritance depends on formulation order), so the empty-Rq prompt may fire
-// for one variant and not another. Each variant therefore resolves its own
-// choices and is checked against the oracle matching its own final mode —
-// containment or similarity. What must never differ is the verified answer.
+// a different sound superset than the one an uncached engine derives (a
+// vertex keeps the Φ/Υ of the epoch it was built in), and Rq is not
+// monotone under edge addition (a NIF's Φ holds its frequent SPIG parents
+// only), so the empty-Rq prompt may fire for one variant and not another.
+// Each variant therefore resolves its own choices and is checked against
+// the oracle matching its own final mode — containment or similarity. What
+// must never differ is the verified answer.
 //
 // The cache is shared across all scripts of a database, so later scripts
 // exercise genuine cross-session reuse (hits on entries a previous script

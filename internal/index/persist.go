@@ -29,8 +29,10 @@ const (
 // ErrInconsistent is wrapped by Load's error for a file that decodes but
 // names an id out of range: an entry id that is not its position, a DAG
 // link, cluster or cluster root outside the entries, or a graph id list
-// that is not strictly ascending from 0. CheckGraphIDs wraps it for a graph
-// id outside the database's slot table.
+// that is not strictly ascending from 0. It is wrapped too for an entry or
+// DIF with no fragment graph, or whose stored canonical code is not its
+// graph's. CheckGraphIDs wraps it for a graph id outside the database's
+// slot table.
 var ErrInconsistent = errors.New("index: inconsistent persisted index")
 
 type wireEntry struct {
@@ -173,6 +175,9 @@ func Load(dir string) (*Set, error) {
 		if err := checkIDs(e.DelIds); err != nil {
 			return nil, fmt.Errorf("index: entry %d delIds: %w", e.ID, err)
 		}
+		if err := checkCode(e.Graph, e.Code); err != nil {
+			return nil, fmt.Errorf("index: entry %d: %w", e.ID, err)
+		}
 	}
 
 	var difs []wireDIF
@@ -183,6 +188,9 @@ func Load(dir string) (*Set, error) {
 	for i, d := range difs {
 		if err := checkIDs(d.FSGIds); err != nil {
 			return nil, fmt.Errorf("index: %s: DIF %d fsgIds: %w", a2iFile, i, err)
+		}
+		if err := checkCode(d.Graph, d.Code); err != nil {
+			return nil, fmt.Errorf("index: %s: DIF %d: %w", a2iFile, i, err)
 		}
 		a2i.byCode[d.Code] = len(a2i.entries)
 		a2i.entries = append(a2i.entries, &mining.Fragment{
@@ -216,6 +224,20 @@ func checkMeta(meta *wireMeta) error {
 				}
 			}
 		}
+	}
+	return nil
+}
+
+// checkCode checks that a stored fragment is present and that its stored
+// canonical code is its own: Lookup classifies a query fragment by code, so
+// an entry answering for a foreign code would serve another fragment's
+// graph ids as exact answers.
+func checkCode(g *graph.Graph, code string) error {
+	if g == nil {
+		return fmt.Errorf("no fragment graph for code %q: %w", code, ErrInconsistent)
+	}
+	if own := graph.CanonicalCode(g); own != code {
+		return fmt.Errorf("stored code %q, fragment's own %q: %w", code, own, ErrInconsistent)
 	}
 	return nil
 }

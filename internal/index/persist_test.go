@@ -8,7 +8,10 @@ import (
 
 // TestLoadRejectsEditedIDs saves an index set, rewrites one id in its saved
 // metadata or DIF file, and requires Load to fail with ErrInconsistent
-// rather than load a set whose first probe would index out of range.
+// rather than load a set whose first probe would index out of range. It
+// does the same for foreign canonical codes — two A²F entries' codes, or
+// two DIFs' codes, swapped — and for an MF entry with no fragment graph,
+// which would make Lookup serve one fragment's ids for another.
 func TestLoadRejectsEditedIDs(t *testing.T) {
 	db := testDB(t, 7, 30)
 	set, _ := buildSet(t, db, 0.15, 2)
@@ -26,8 +29,8 @@ func TestLoadRejectsEditedIDs(t *testing.T) {
 			mf = i
 		}
 	}
-	if linked < 0 || mf < 0 || set.A2I.NumEntries() == 0 {
-		t.Fatal("fixture index lacks a linked entry, a multi-id MF entry or a DIF")
+	if linked < 0 || mf < 0 || set.A2I.NumEntries() < 2 {
+		t.Fatal("fixture index lacks a linked entry, a multi-id MF entry or two DIFs")
 	}
 	n := len(set.A2F.entries)
 	for name, edit := range map[string]func(*wireMeta, []wireDIF){
@@ -38,6 +41,11 @@ func TestLoadRejectsEditedIDs(t *testing.T) {
 		"cluster root":    func(m *wireMeta, _ []wireDIF) { m.ClusterRoots[0] = n + 3 },
 		"delIds order":    func(m *wireMeta, _ []wireDIF) { d := m.Entries[mf].DelIds; d[0], d[1] = d[1], d[0] },
 		"negative fsgIds": func(_ *wireMeta, d []wireDIF) { d[0].FSGIds = append([]int{-1}, d[0].FSGIds...) },
+		"swapped entry codes": func(m *wireMeta, _ []wireDIF) {
+			m.Entries[0].Code, m.Entries[linked].Code = m.Entries[linked].Code, m.Entries[0].Code
+		},
+		"swapped DIF codes": func(_ *wireMeta, d []wireDIF) { d[0].Code, d[1].Code = d[1].Code, d[0].Code },
+		"missing MF graph":  func(m *wireMeta, _ []wireDIF) { m.Entries[mf].Graph = nil },
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()

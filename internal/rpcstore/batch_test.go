@@ -447,14 +447,14 @@ func TestOutOfRangeCandidateIDsRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { rs.Close() })
-	pr := rs.Pin().(store.Prober)
+	pr := rs.Pin()
 
-	_, err = pr.ProbeAll(context.Background(), []store.Probe{{Kind: index.KindFrequent, FreqID: 0}})
+	_, err = pr.ProbeAll(context.Background(), []store.Probe{{Kind: index.KindFrequent, FreqID: 0}}, 0, nil)
 	if !errors.Is(err, store.ErrShardUnavailable) || !errors.Is(err, ErrBadFrame) {
 		t.Errorf("indexed probe: err = %v, want ErrShardUnavailable and ErrBadFrame", err)
 	}
 	nif := []store.Probe{{Kind: index.KindNone}, {Kind: index.KindNone, Phi: []int{0}}}
-	got, err := pr.ProbeAll(context.Background(), nif)
+	got, err := pr.ProbeAll(context.Background(), nif, 0, nil)
 	if !errors.Is(err, store.ErrShardUnavailable) {
 		t.Errorf("NIF probes: err = %v, want ErrShardUnavailable", err)
 	}

@@ -47,7 +47,6 @@ var (
 	_ store.Store          = (*RemoteStore)(nil)
 	_ store.HealthReporter = (*RemoteStore)(nil)
 	_ store.Snapshot       = (*remoteSnap)(nil)
-	_ store.Prober         = (*remoteSnap)(nil)
 	_ store.Shard          = (*remoteShard)(nil)
 )
 
@@ -319,6 +318,10 @@ func (rs *RemoteStore) Since(epoch uint64, tag string) ([]store.Mutation, bool) 
 }
 
 func (rs *RemoteStore) FilterTable() (*prefilter.Table, bool) { return rs.Pin().FilterTable() }
+
+func (rs *RemoteStore) ProbeAll(ctx context.Context, probes []store.Probe, riders int, out [][]int) ([][]int, error) {
+	return rs.Pin().ProbeAll(ctx, probes, riders, out)
+}
 
 // Save is unsupported: replicas persist their own layouts server-side.
 func (rs *RemoteStore) Save(dir string) error {
@@ -804,13 +807,15 @@ func (sn *remoteSnap) Lookup(code string) (index.Kind, int) {
 	return index.Kind(reply.Kind), reply.EntryID
 }
 
-// ProbeAll implements store.Prober: the whole batch goes to every replica
-// group in one OpCandidates request, the groups concurrently, and each
-// probe's per-group lists merge into one ascending list. A group that
-// cannot answer (every endpoint failed within the call's budget)
-// contributes its shards' live ids to every NIF probe, and the indexed
-// probes' lists stay nil behind an error wrapping store.ErrShardUnavailable.
-func (sn *remoteSnap) ProbeAll(ctx context.Context, probes []store.Probe) ([][]int, error) {
+// ProbeAll implements store.Snapshot: the whole batch, riders included,
+// goes to every replica group in one OpCandidates request, the groups
+// concurrently, and each probe's per-group lists merge into one ascending
+// list. A group that cannot answer (every endpoint failed within the
+// call's budget) contributes its shards' live ids to every NIF probe, and
+// the indexed probes' lists stay nil behind an error wrapping
+// store.ErrShardUnavailable. A batch cut short by the caller's context
+// returns no list and the context's error.
+func (sn *remoteSnap) ProbeAll(ctx context.Context, probes []store.Probe, _ int, out [][]int) ([][]int, error) {
 	packed := make([][]int, len(probes))
 	for i, p := range probes {
 		packed[i] = packProbe(p)
@@ -828,7 +833,11 @@ func (sn *remoteSnap) ProbeAll(ctx context.Context, probes []store.Probe) ([][]i
 	}
 	wg.Wait()
 	err := errors.Join(errs...)
-	out := make([][]int, len(probes))
+	if err != nil && ctx.Err() != nil {
+		return out[:0], ctx.Err()
+	}
+	out = slices.Grow(out[:0], len(probes))[:len(probes)]
+	clear(out)
 	per := make([][]int, 0, sn.rs.numShards)
 	for i, p := range probes {
 		if err != nil && p.Kind.Indexed() {

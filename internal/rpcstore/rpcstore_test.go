@@ -208,7 +208,7 @@ func TestRemoteMirrorsLocal(t *testing.T) {
 	}
 	// Probe parity: every index entry, an unconstrained NIF (the whole
 	// universe) and constrained NIFs, all in one batch, against the local
-	// per-shard evaluation merged.
+	// snapshot's batch.
 	probes := []store.Probe{{Kind: index.KindNone}}
 	for id := 0; id < idx.A2F.NumEntries(); id++ {
 		probes = append(probes, store.Probe{Kind: index.KindFrequent, FreqID: id},
@@ -217,18 +217,17 @@ func TestRemoteMirrorsLocal(t *testing.T) {
 	for id := 0; id < idx.A2I.NumEntries(); id++ {
 		probes = append(probes, store.Probe{Kind: index.KindDIF, DifID: id})
 	}
-	got, err := sn.(store.Prober).ProbeAll(context.Background(), probes)
+	got, err := sn.ProbeAll(context.Background(), probes, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sc store.ProbeScratch
+	want, err := local.ProbeAll(context.Background(), probes, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, p := range probes {
-		parts := make([][]int, n)
-		for s := range parts {
-			parts[s] = store.ShardCandidates(local.Shard(s), p, &sc)
-		}
-		if want := store.MergeSorted(parts); !sameIDs(got[i], want) {
-			t.Fatalf("probe %+v diverged: remote %v, local %v", p, got[i], want)
+		if !sameIDs(got[i], want[i]) {
+			t.Fatalf("probe %+v diverged: remote %v, local %v", p, got[i], want[i])
 		}
 	}
 	if !reflect.DeepEqual(got[0], local.LiveIDs()) {
@@ -409,8 +408,8 @@ func TestPartitionIsTypedError(t *testing.T) {
 	inj.Set(faultinject.SiteRPCServe, faultinject.Rule{Every: 1, Err: true})
 
 	sn := rs.Pin()
-	got, perr := sn.(store.Prober).ProbeAll(context.Background(),
-		[]store.Probe{{Kind: index.KindFrequent, FreqID: 0}, {Kind: index.KindNone}})
+	got, perr := sn.ProbeAll(context.Background(),
+		[]store.Probe{{Kind: index.KindFrequent, FreqID: 0}, {Kind: index.KindNone}}, 0, nil)
 	if !errors.Is(perr, store.ErrShardUnavailable) {
 		t.Errorf("partitioned probe: err = %v, want ErrShardUnavailable", perr)
 	}
@@ -661,7 +660,7 @@ func TestLegacyFrameDropsConnection(t *testing.T) {
 
 // probeOne sends one probe through the snapshot's batch path.
 func probeOne(sn store.Snapshot, p store.Probe) ([]int, error) {
-	lists, err := sn.(store.Prober).ProbeAll(context.Background(), []store.Probe{p})
+	lists, err := sn.ProbeAll(context.Background(), []store.Probe{p}, 0, nil)
 	return lists[0], err
 }
 

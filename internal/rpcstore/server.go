@@ -34,11 +34,10 @@ type Server struct {
 	pinned map[uint64]store.Snapshot
 	order  []uint64 // ring eviction order (ascending epochs)
 
-	lis      net.Listener
-	ctx      context.Context
-	cancel   context.CancelFunc
-	connWG   sync.WaitGroup
-	scratchP sync.Pool
+	lis    net.Listener
+	ctx    context.Context
+	cancel context.CancelFunc
+	connWG sync.WaitGroup
 }
 
 // ServerOption configures a Server.
@@ -76,12 +75,11 @@ func WithPinRing(n int) ServerOption {
 func NewServer(st store.Store, opts ...ServerOption) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		st:       st,
-		ringSz:   64,
-		pinned:   map[uint64]store.Snapshot{},
-		ctx:      ctx,
-		cancel:   cancel,
-		scratchP: sync.Pool{New: func() any { return new(store.ProbeScratch) }},
+		st:     st,
+		ringSz: 64,
+		pinned: map[uint64]store.Snapshot{},
+		ctx:    ctx,
+		cancel: cancel,
 	}
 	for _, o := range opts {
 		o(s)
@@ -251,7 +249,8 @@ func (s *Server) handleHello(req *Msg) *Msg {
 }
 
 // handleCandidates evaluates every probe of one action on every requested
-// shard and replies, per probe, with the union over those shards. The whole
+// shard with the store's batch evaluator and replies, per probe, with the
+// union over those shards. The whole
 // request is checked before any probe runs: a duplicate, out-of-range or
 // unserved shard id, or an index entry id outside a shard's index, fails it
 // as a whole.
@@ -292,15 +291,13 @@ func (s *Server) handleCandidates(req *Msg) *Msg {
 			}
 		}
 	}
-	sc := s.scratchP.Get().(*store.ProbeScratch)
-	defer s.scratchP.Put(sc)
-	perShard := make([][]int, len(shards))
-	parts := make([][]BitsPage, len(probes))
-	for i, p := range probes {
-		for j, sh := range shards {
-			perShard[j] = store.ShardCandidates(sh, p, sc)
-		}
-		parts[i] = PackIDs(store.MergeSorted(perShard))
+	lists, err := store.ProbeShards(s.ctx, shards, probes, nil)
+	if err != nil {
+		return errMsg(OpCandidates, codeStoreErr, err.Error())
+	}
+	parts := make([][]BitsPage, len(lists))
+	for i, ids := range lists {
+		parts[i] = PackIDs(ids)
 	}
 	return &Msg{Op: OpCandidates, Epoch: req.Epoch, Parts: parts}
 }

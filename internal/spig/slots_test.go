@@ -27,12 +27,36 @@ func checkCodes(t *testing.T, S *Set) {
 	}
 }
 
-// checkAgainstRebuild asserts checkCodes, that the slots hold exactly the
-// live edges with no memo entry naming a freed slot, and that each level's
-// class set equals that of a Set built from scratch over q's edges.
+// checkClassTable asserts that the class table holds exactly the classes
+// the memo refers to: none is unreferenced, and none referred to is missing.
+func checkClassTable(t *testing.T, S *Set) {
+	t.Helper()
+	referenced := map[*class]bool{}
+	for _, r := range S.memo {
+		referenced[r.c] = true
+	}
+	n := 0
+	for _, bucket := range S.classes {
+		for _, c := range bucket {
+			if !referenced[c] {
+				t.Fatalf("class %s is in the table but no memo entry refers to it", c.code)
+			}
+			n++
+		}
+	}
+	if n != len(referenced) {
+		t.Fatalf("the table holds %d classes, the memo refers to %d", n, len(referenced))
+	}
+}
+
+// checkAgainstRebuild asserts checkCodes and checkClassTable, that the
+// slots hold exactly the live edges with no memo entry naming a freed slot,
+// and that each level's class set equals that of a Set built from scratch
+// over q's edges.
 func checkAgainstRebuild(t *testing.T, q *query.Query, S *Set) {
 	t.Helper()
 	checkCodes(t, S)
+	checkClassTable(t, S)
 	if live := bits.OnesCount64(S.used); live != q.Size() {
 		t.Fatalf("%d slots used for %d live edges", live, q.Size())
 	}
@@ -88,72 +112,65 @@ func drawEdge(t *testing.T, q *query.Query, S *Set, u, v int) {
 	}
 }
 
-// TestSettleSplitsWLTwins puts decalin (two fused hexagons) and
-// bicyclopentyl (two pentagons joined by an edge) into one Set: both are
-// all-C with 10 nodes and 11 edges and share the invariant, yet are not
-// isomorphic, so the second must fail VF2 against the first's class and get
-// its own code.
+// TestSettleSplitsWLTwins draws one all-C query that holds two 7-edge WL
+// twins at once: the hexagon 0..5 with the chord 0-3 (two fused squares) and
+// the triangles 0-1-2 and 3-4-5 joined by that chord. Both have 6 nodes, 7
+// edges and the same (degree, neighbour degrees) colours, so they share the
+// invariant, yet are not isomorphic: the second met must fail VF2 against
+// the first's class and get its own code. The class table keeps only what
+// the memo refers to, so both classes must be live in one query.
 func TestSettleSplitsWLTwins(t *testing.T) {
 	q := query.New()
 	S := NewSet(noIndex{})
-	node := func() int { return q.AddNode("C") }
-
-	// Decalin: hexagon 0..5, second hexagon fused on edge {4,5}.
-	var d [10]int
-	for i := range d {
-		d[i] = node()
+	var n [6]int
+	for i := range n {
+		n[i] = q.AddNode("C")
 	}
-	drawRing(t, q, S, d[:6])
-	for _, e := range [][2]int{{5, 6}, {6, 7}, {7, 8}, {8, 9}, {9, 4}} {
-		drawEdge(t, q, S, d[e[0]], d[e[1]])
+	drawRing(t, q, S, n[:])
+	for _, e := range [][2]int{{0, 3}, {0, 2}, {3, 5}} {
+		drawEdge(t, q, S, n[e[0]], n[e[1]])
 	}
-	decalin := S.Target(q)
 	checkAgainstRebuild(t, q, S)
 
-	// Delete it edge by edge, then draw bicyclopentyl on fresh nodes.
-	for q.Size() > 0 {
-		for _, st := range q.Steps() {
-			if q.CanDelete(st) {
-				if err := q.DeleteEdge(st); err != nil {
-					t.Fatal(err)
+	find := func(edges ...[2]int) *Vertex {
+		t.Helper()
+		var steps []int
+		for _, e := range edges {
+			for _, st := range q.Steps() {
+				if ed, _ := q.Edge(st); (ed.A == n[e[0]] && ed.B == n[e[1]]) || (ed.A == n[e[1]] && ed.B == n[e[0]]) {
+					steps = append(steps, st)
 				}
-				S.DeleteEdge(st)
-				break
 			}
 		}
-	}
-	var b [10]int
-	for i := range b {
-		b[i] = node()
-	}
-	drawRing(t, q, S, b[:5])
-	drawEdge(t, q, S, b[0], b[5])
-	drawRing(t, q, S, b[5:])
-	bicyclopentyl := S.Target(q)
-	checkAgainstRebuild(t, q, S)
-
-	for _, v := range []*Vertex{decalin, bicyclopentyl} {
-		if v == nil || v.Level != 11 || v.Frag.NumNodes() != 10 {
-			t.Fatalf("target vertex %+v is not a 10-node, 11-edge fragment", v)
+		frag, ok := q.FragmentOf(steps)
+		if !ok || len(steps) != len(edges) {
+			t.Fatalf("fragment %v is not a connected subgraph of the query", edges)
 		}
-		if want := graph.CanonicalCode(v.Frag); v.Code != want {
-			t.Fatalf("vertex code %s, its fragment's %s", v.Code, want)
+		code := graph.CanonicalCode(frag)
+		for _, v := range S.LevelVertices(len(edges)) {
+			if v.Code == code {
+				return v
+			}
 		}
+		t.Fatalf("no level-%d vertex has the code of %v", len(edges), edges)
+		return nil
 	}
-	if decalin.Code == bicyclopentyl.Code {
-		t.Fatal("decalin and bicyclopentyl got one code")
+	squares := find([2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}, [2]int{3, 4}, [2]int{4, 5}, [2]int{5, 0}, [2]int{0, 3})
+	triangles := find([2]int{0, 1}, [2]int{1, 2}, [2]int{0, 2}, [2]int{3, 4}, [2]int{4, 5}, [2]int{3, 5}, [2]int{0, 3})
+	if squares.Code == triangles.Code {
+		t.Fatal("the fused squares and the bridged triangles got one code")
 	}
 	shared := false
 	for _, bucket := range S.classes {
-		var hasD, hasB bool
+		var hasS, hasT bool
 		for _, c := range bucket {
-			hasD = hasD || c.code == decalin.Code
-			hasB = hasB || c.code == bicyclopentyl.Code
+			hasS = hasS || c.code == squares.Code
+			hasT = hasT || c.code == triangles.Code
 		}
-		shared = shared || (hasD && hasB)
+		shared = shared || (hasS && hasT)
 	}
 	if !shared {
-		t.Fatal("decalin and bicyclopentyl landed in different buckets: the settle path went untested")
+		t.Fatal("the twins landed in different buckets: the settle path went untested")
 	}
 }
 
@@ -249,5 +266,42 @@ func TestSixtyFifthEdgeRefused(t *testing.T) {
 	g, _ := q.Graph()
 	if tgt := S.Target(q); tgt == nil || tgt.Code != graph.CanonicalCode(g) {
 		t.Fatal("target does not match the 64-edge query")
+	}
+}
+
+// TestClassTableShrinksWithDeletions formulates the three-ring ladder, then
+// deletes its newest edge until one is left: after every deletion the class
+// table holds exactly the classes the memo refers to, down to the single
+// edge's one class.
+func TestClassTableShrinksWithDeletions(t *testing.T) {
+	labels, edges := hexLadder(3)
+	q := query.New()
+	for _, l := range labels {
+		q.AddNode(l)
+	}
+	S := NewSet(noIndex{})
+	for _, e := range edges {
+		drawEdge(t, q, S, e.a, e.b)
+	}
+	checkClassTable(t, S)
+	full := 0
+	for _, bucket := range S.classes {
+		full += len(bucket)
+	}
+	for q.Size() > 1 {
+		steps := q.Steps()
+		last := steps[len(steps)-1]
+		if err := q.DeleteEdge(last); err != nil {
+			t.Fatal(err)
+		}
+		S.DeleteEdge(last)
+		checkClassTable(t, S)
+	}
+	left := 0
+	for _, bucket := range S.classes {
+		left += len(bucket)
+	}
+	if left != 1 || full <= left {
+		t.Fatalf("the table held %d classes on the ladder and %d on one edge, want many and then 1", full, left)
 	}
 }

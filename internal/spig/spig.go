@@ -146,6 +146,7 @@ type class struct {
 	code string
 	gen  uint64
 	v    *Vertex
+	ref  bool // a memo entry refers to the class (free's sweep)
 }
 
 // realization is a memo entry: a mask's own fragment (a vertex's Frag is
@@ -175,8 +176,9 @@ type Set struct {
 	// above every used one, and when none is left compact renumbers the
 	// used slots from 0, rewriting every mask. Deleting an edge frees its
 	// slot and evicts the memo entries holding it, so a reused slot never
-	// aliases a stale fragment. The class table outlives deletions: it maps
-	// graphs, not edges.
+	// aliases a stale fragment. The class table holds exactly the classes
+	// the memo refers to: the deletion drops the rest, so the table shrinks
+	// with the query instead of keeping every class the session met.
 	q       *query.Query
 	slots   [MaxLiveEdges]slot
 	adj     [MaxLiveEdges]uint64 // slots whose edges share an endpoint
@@ -274,7 +276,8 @@ func (S *Set) slotOf(step int) int {
 	return -1
 }
 
-// free releases slot i and evicts the memo entries whose mask holds it.
+// free releases slot i, evicts the memo entries whose mask holds it, and
+// drops the classes no surviving memo entry refers to.
 func (S *Set) free(i int) {
 	bit := uint64(1) << i
 	S.used &^= bit
@@ -285,6 +288,28 @@ func (S *Set) free(i int) {
 	for m := range S.memo {
 		if m&bit != 0 {
 			delete(S.memo, m)
+		}
+	}
+	for _, bucket := range S.classes {
+		for _, c := range bucket {
+			c.ref = false
+		}
+	}
+	for _, r := range S.memo {
+		r.c.ref = true
+	}
+	for h, bucket := range S.classes {
+		kept := bucket[:0]
+		for _, c := range bucket {
+			if c.ref {
+				kept = append(kept, c)
+			}
+		}
+		clear(bucket[len(kept):])
+		if len(kept) == 0 {
+			delete(S.classes, h)
+		} else {
+			S.classes[h] = kept
 		}
 	}
 }

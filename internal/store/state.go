@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -89,6 +90,12 @@ func (s *snap) Since(epoch uint64, tag string) ([]Mutation, bool) {
 
 func (s *snap) FilterTable() (*prefilter.Table, bool) { return s.filter.Get(s.live, s.Graph) }
 
+// ProbeAll evaluates the required probes over every shard; an in-process
+// snapshot sends no request, so it evaluates no rider.
+func (s *snap) ProbeAll(ctx context.Context, probes []Probe, riders int, out [][]int) ([][]int, error) {
+	return ProbeShards(ctx, s.shards, probes[:len(probes)-riders], out)
+}
+
 // Lookup classifies a canonical code against the vocabulary (every shard
 // carries all of it; shard 0 answers), demoting masked entries to KindNone.
 func (s *snap) Lookup(code string) (index.Kind, int) {
@@ -130,6 +137,10 @@ func (b *base) Since(epoch uint64, tag string) ([]Mutation, bool) {
 }
 
 func (b *base) FilterTable() (*prefilter.Table, bool) { return b.cur.Load().FilterTable() }
+
+func (b *base) ProbeAll(ctx context.Context, probes []Probe, riders int, out [][]int) ([][]int, error) {
+	return b.cur.Load().ProbeAll(ctx, probes, riders, out)
+}
 
 // Pin returns the current snapshot for a single-epoch evaluation.
 func (b *base) Pin() Snapshot { return b.cur.Load() }

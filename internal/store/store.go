@@ -3,10 +3,11 @@
 // index set) or hash-partitioned (Sharded — N shards, each owning its own
 // A²F/A²I index built concurrently). Every layer above — candidate
 // maintenance, verification, caching, persistence, the naive-scan oracle —
-// goes through the Store interface. In process, a caller evaluates the
-// shards one after another in its own loop, and the per-shard results merge
-// deterministically (sorted by graph id) so both layouts return
-// byte-identical answers.
+// goes through the Store interface. Candidate probes (Algorithm 3) go
+// through a pinned snapshot's ProbeAll, one batch per action: in process
+// the batch evaluator (ProbeShards) walks the shards one after another in
+// the caller's goroutine, and the per-shard results merge deterministically
+// (sorted by graph id) so every layout returns byte-identical answers.
 //
 // Stores are mutable: InsertGraph and DeleteGraph maintain the per-shard
 // index lists incrementally (prague/internal/index dynamic surgery) under
@@ -103,6 +104,24 @@ type Snapshot interface {
 	// published the snapshot derived it from its parent's table; built
 	// reports whether this call paid for the full build.
 	FilterTable() (tab *prefilter.Table, built bool)
+	// ProbeAll evaluates every Algorithm 3 probe one action needs at the
+	// snapshot's epoch, in one call, so a layout whose shards live in other
+	// processes sends one request per replica group instead of one per
+	// probe and shard. It appends one ascending global id list per probe it
+	// evaluated to out[:0], in order, and returns the lists as read-only.
+	//
+	// The last riders probes are optional: a layout evaluates them only
+	// when it sends a request anyway. An in-process snapshot never does,
+	// so it returns len(probes)-riders lists; a remote one returns
+	// len(probes).
+	//
+	// Cancellation is polled between probes: on a context error the lists
+	// returned are those of the probes finished before it. When some shard
+	// cannot be served, every probe is still evaluated: each NIF probe's
+	// list holds the unserved shards' whole live id sets (a sound
+	// superset), each indexed probe's list is nil, and the error wraps
+	// ErrShardUnavailable.
+	ProbeAll(ctx context.Context, probes []Probe, riders int, out [][]int) ([][]int, error)
 }
 
 // HistoryLen bounds how many mutations a snapshot remembers (Since). It is
@@ -179,7 +198,7 @@ type Shard interface {
 	// order. The slice is owned by the shard and must not be mutated.
 	GraphIDs() []int
 	// Index returns the shard-restricted index set, or nil when the shard
-	// lives in another process (its snapshot is then a Prober).
+	// lives in another process.
 	Index() *index.Set
 }
 
@@ -196,19 +215,53 @@ type Probe struct {
 	Ups    []int      // indexed DIF subgraphs (A²I entry ids), NIF only
 }
 
-// ProbeScratch is reusable bitset scratch for ShardCandidates' NIF
-// intersection. One goroutine uses one scratch at a time.
-type ProbeScratch struct {
-	a, b intset.Bits
+// probeScratch is reusable scratch for ProbeShards: the bitsets of
+// shardCandidates' NIF intersection and the per-shard lists of one probe.
+// One goroutine uses one scratch at a time.
+type probeScratch struct {
+	a, b  intset.Bits
+	parts [][]int
 }
 
-// ShardCandidates is Algorithm 3's index probe against one in-process shard:
+var probeScratchPool = sync.Pool{New: func() any { return new(probeScratch) }}
+
+// ProbeShards is Algorithm 3's batch evaluator over in-process shards, the
+// one that serves every in-process snapshot's ProbeAll and a shard server's
+// candidate requests. For each probe it takes every shard's list and merges
+// them once, appending the merged list to out[:0]; between probes it polls
+// ctx, and on cancellation it returns the lists finished so far with the
+// context's error. Scratch is pooled, so a batch allocates only the NIF
+// lists it computes and the merges of several shards. An indexed probe on a
+// single shard returns the index's own list, which must not be mutated.
+func ProbeShards[S Shard](ctx context.Context, shards []S, probes []Probe, out [][]int) ([][]int, error) {
+	out = out[:0]
+	sc := probeScratchPool.Get().(*probeScratch)
+	defer func() {
+		clear(sc.parts)
+		probeScratchPool.Put(sc)
+	}()
+	for i, p := range probes {
+		if i > 0 {
+			if err := ctx.Err(); err != nil {
+				return out, err
+			}
+		}
+		sc.parts = sc.parts[:0]
+		for _, sh := range shards {
+			sc.parts = append(sc.parts, shardCandidates(sh, p, sc))
+		}
+		out = append(out, MergeSorted(sc.parts))
+	}
+	return out, nil
+}
+
+// shardCandidates is Algorithm 3's index probe against one in-process shard:
 // the shard-restricted FSG list for indexed probes, the Υ-then-Φ
 // intersection for NIFs, and the shard's whole id set when no index
 // information exists. The NIF intersection runs word-at-a-time over
 // compressed bitsets in sc; only the returned list is allocated. Indexed
 // probes return the index's own list, which must not be mutated.
-func ShardCandidates(sh Shard, p Probe, sc *ProbeScratch) []int {
+func shardCandidates(sh Shard, p Probe, sc *probeScratch) []int {
 	idx := sh.Index()
 	switch p.Kind {
 	case index.KindFrequent:
@@ -247,20 +300,6 @@ func ShardCandidates(sh Shard, p Probe, sc *ProbeScratch) []int {
 		}
 	}
 	return sc.a.AppendTo(make([]int, 0, sc.a.Len()))
-}
-
-// Prober is the snapshot capability of layouts whose shards live in other
-// processes (Shard(i).Index() is nil): every probe one action needs,
-// evaluated in one call, so the layout can send one request per replica
-// group instead of one per probe and shard.
-type Prober interface {
-	// ProbeAll evaluates the probes at the snapshot's pinned epoch and
-	// returns one ascending global id list per probe. When some shard
-	// cannot be served, it still returns every NIF probe's list, with the
-	// unserved shards contributing their whole live id sets (a sound
-	// superset), and an error wrapping ErrShardUnavailable; every indexed
-	// probe's list is then nil.
-	ProbeAll(ctx context.Context, probes []Probe) ([][]int, error)
 }
 
 // ShardHealth is one shard's serving status as seen by a coordinator:

@@ -27,6 +27,12 @@ if go list -deps ./internal/service | grep -qx 'prague/internal/rpcstore'; then
 	echo "verify.sh: internal/service depends on internal/rpcstore" >&2
 	exit 1
 fi
+# Core reads the store only through pinned snapshots and their probe
+# batches: no non-test file of internal/core may reach into a layout's shards.
+if grep -rnE --include='*.go' --exclude='*_test.go' '\.Shard\(|NumShards\(\)|ShardOf\(|\.Index\(\)' internal/core; then
+	echo "verify.sh: internal/core calls a shard accessor" >&2
+	exit 1
+fi
 go test ./...
 go test -race ./internal/service/ ./internal/core/ ./internal/candcache/ ./internal/clock/ ./internal/difftest/ ./internal/trace/ ./internal/ops/ ./internal/metrics/ ./internal/workpool/ ./internal/faultinject/ ./internal/chaostest/ ./internal/store/ ./internal/graph/ ./internal/spig/ ./internal/intset/ ./internal/slo/ ./internal/rpcstore/ ./internal/prefilter/
 go test -race -run 'TestMutationStressUnderRace|TestMutationChaos' ./internal/store/ ./internal/chaostest/
