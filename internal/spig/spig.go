@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -146,7 +147,8 @@ type class struct {
 	code string
 	gen  uint64
 	v    *Vertex
-	ref  bool // a memo entry refers to the class (free's sweep)
+	h    uint64 // the invariant bucketing the class
+	refs int    // memo entries referring to the class
 }
 
 // realization is a memo entry: a mask's own fragment (a vertex's Frag is
@@ -285,31 +287,21 @@ func (S *Set) free(i int) {
 		S.adj[bits.TrailingZeros64(r)] &^= bit
 	}
 	S.adj[i] = 0
-	for m := range S.memo {
-		if m&bit != 0 {
-			delete(S.memo, m)
+	for m, r := range S.memo {
+		if m&bit == 0 {
+			continue
 		}
-	}
-	for _, bucket := range S.classes {
-		for _, c := range bucket {
-			c.ref = false
-		}
-	}
-	for _, r := range S.memo {
-		r.c.ref = true
-	}
-	for h, bucket := range S.classes {
-		kept := bucket[:0]
-		for _, c := range bucket {
-			if c.ref {
-				kept = append(kept, c)
+		delete(S.memo, m)
+		c := r.c
+		if c.refs--; c.refs == 0 {
+			bucket := S.classes[c.h]
+			i := slices.Index(bucket, c)
+			bucket = slices.Delete(bucket, i, i+1)
+			if len(bucket) == 0 {
+				delete(S.classes, c.h)
+			} else {
+				S.classes[c.h] = bucket
 			}
-		}
-		clear(bucket[len(kept):])
-		if len(kept) == 0 {
-			delete(S.classes, h)
-		} else {
-			S.classes[h] = kept
 		}
 	}
 }
@@ -395,6 +387,7 @@ func (S *Set) classOf(m uint64) realization {
 		if c.frag.NumNodes() == frag.NumNodes() && c.frag.NumEdges() == frag.NumEdges() && graph.SubgraphIsomorphic(c.frag, frag) {
 			r := realization{frag, c}
 			S.memo[m] = r
+			c.refs++
 			return r
 		}
 	}
@@ -402,7 +395,7 @@ func (S *Set) classOf(m uint64) realization {
 	if S.traced {
 		t0 = time.Now()
 	}
-	c := &class{frag: frag, code: graph.CanonicalCode(frag)}
+	c := &class{frag: frag, code: graph.CanonicalCode(frag), h: h, refs: 1}
 	if S.traced {
 		S.codeTime += time.Since(t0)
 	}
