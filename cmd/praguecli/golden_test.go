@@ -68,7 +68,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // newStore wraps db and ix in a monolithic store.
 func newStore(t *testing.T, db *prague.Database, ix *prague.Indexes) prague.GraphStore {
 	t.Helper()
-	st, err := prague.NewStore(db, ix)
+	st, err := prague.NewStore(db, ix, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,15 +121,10 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		if *shards > 1 {
-			st, err = prague.NewShardedStore(db, idx, *shards)
-			fmt.Printf("store: %d shards\n", *shards)
-		} else {
-			st, err = prague.NewStore(db, idx)
-		}
-		if err != nil {
+		if st, err = prague.NewStore(db, idx, *shards); err != nil {
 			fail(err)
 		}
+		fmt.Printf("store: %d shards\n", st.NumShards())
 	}
 
 	opts := []prague.Option{

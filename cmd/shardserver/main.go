@@ -41,7 +41,6 @@ func main() {
 		indexDir = flag.String("index", "", "persisted index directory (mined on the fly if empty)")
 		generate = flag.Int("generate", 0, "generate the AIDS-like demo database of this size instead of -db (fixed seed: replicas agree)")
 		alpha    = flag.Float64("alpha", 0.1, "α for on-the-fly index construction")
-		pinRing  = flag.Int("pinring", 64, "how many recent epochs stay answerable for pinned coordinators")
 	)
 	flag.Parse()
 
@@ -68,7 +67,7 @@ func main() {
 		fail(err)
 	}
 
-	opts := []rpcstore.ServerOption{rpcstore.WithPinRing(*pinRing)}
+	var opts []rpcstore.ServerOption
 	served := []int{}
 	if *serve != "" {
 		for _, f := range strings.Split(*serve, ",") {

@@ -112,7 +112,7 @@ func ExampleNewService_mutable() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	st, err := prague.NewStore(db, ix)
+	st, err := prague.NewStore(db, ix, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -32,10 +32,10 @@ func main() {
 	}
 
 	// The store holds the database and its indexes; its constructor chooses
-	// the layout (NewShardedStore partitions, DialStore serves remote shard
-	// servers). A service multiplexes many concurrent sessions over it;
+	// the layout (NewStore's shard count, 1 here for the monolithic layout;
+	// DialStore serves remote shard servers). A service multiplexes many concurrent sessions over it;
 	// σ = 2 means results may miss up to two query edges.
-	st, err := prague.NewStore(db, ix)
+	st, err := prague.NewStore(db, ix, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -56,9 +56,9 @@ const (
 
 // Key builds a cache key from a computation kind, a store's CacheTag, and a
 // fragment's canonical code. Only the tag's layout token (the part before
-// its first ':', "m" or "s<N>") enters the key: a monolithic store and a
-// sharded store — or two stores with different shard counts — share one
-// cache without one layout ever serving another's entries, while the rest
+// its first ':', "s<N>" for an N-shard store) enters the key: stores with
+// different shard counts share one cache without one layout ever serving
+// another's entries, while the rest
 // of the tag, which changes with every mutation, belongs to the entry's
 // Version instead.
 func Key(kind, tag, code string) string {

@@ -16,7 +16,7 @@ import (
 )
 
 // v0 is the version the single-version tests compute and look up at.
-var v0 = Version{Epoch: 0, Tag: "m:fp0@0"}
+var v0 = Version{Epoch: 0, Tag: "s1:fp0@0"}
 
 func TestNewDisabled(t *testing.T) {
 	if c := New(0, nil); c != nil {
@@ -393,7 +393,7 @@ func TestKeyDropsVersion(t *testing.T) {
 	if a, b := Key(KeyContainment, v1.Tag, "c"), Key(KeyContainment, v2.Tag, "c"); a != b {
 		t.Errorf("keys of one layout at two versions differ: %q vs %q", a, b)
 	}
-	if a, b := Key(KeyContainment, "m:aa@1", "c"), Key(KeyContainment, "s4:aa@1", "c"); a == b {
+	if a, b := Key(KeyContainment, "s1:aa@1", "c"), Key(KeyContainment, "s4:aa@1", "c"); a == b {
 		t.Errorf("two layouts share key %q", a)
 	}
 }

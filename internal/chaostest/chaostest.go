@@ -225,7 +225,7 @@ func runSchedule(t *testing.T, cfg Config, fx *Fixture, i int, tot *Totals) {
 	if sc.sessionQueue > 0 {
 		opts = append(opts, service.WithSessionQueue(sc.sessionQueue))
 	}
-	st, err := store.NewMem(fx.DB, fx.Idx)
+	st, err := store.NewSharded(fx.DB, fx.Idx, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

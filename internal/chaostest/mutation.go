@@ -62,7 +62,7 @@ func runMutationSchedule(t *testing.T, cfg Config, fx *Fixture, i int, tot *Muta
 		err error
 	)
 	if i%2 == 0 {
-		st, err = store.NewMem(fx.DB, fx.Idx)
+		st, err = store.NewSharded(fx.DB, fx.Idx, 1)
 	} else {
 		st, err = store.NewSharded(fx.DB, fx.Idx, 4)
 	}

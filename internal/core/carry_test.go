@@ -29,7 +29,7 @@ func TestCarryEqualsRecompute(t *testing.T) {
 			var st store.Store
 			var err error
 			if shards == 1 {
-				st, err = store.NewMem(fx.db, fx.idx)
+				st, err = store.NewSharded(fx.db, fx.idx, 1)
 			} else {
 				st, err = store.NewSharded(fx.db, fx.idx, shards)
 			}

@@ -182,7 +182,7 @@ func chooserTopology(t *testing.T, name string, fx *fixture) store.Store {
 	t.Helper()
 	switch name {
 	case "mem":
-		st, err := store.NewMem(fx.db, fx.idx)
+		st, err := store.NewSharded(fx.db, fx.idx, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +308,7 @@ func TestChooserParityAcrossEpochAdvance(t *testing.T) {
 			snap := e.Snapshot()
 			checkOracle(t, got, e.SimilarityMode(), qg, snap.LiveIDs(), snap.Graph)
 
-			fresh, err := store.NewMem(fx.db, fx.idx)
+			fresh, err := store.NewSharded(fx.db, fx.idx, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -86,7 +86,7 @@ func TestClassKeySoundAcrossMaskFlip(t *testing.T) {
 				calls int
 			)
 			if layout == "mono" {
-				st, err = store.NewMem(fx.db, fx.idx)
+				st, err = store.NewSharded(fx.db, fx.idx, 1)
 			} else {
 				st, err = store.NewSharded(fx.db, fx.idx, 2)
 			}
@@ -182,7 +182,7 @@ func checkRfreeContained(t *testing.T, e *Engine) {
 func TestSimilarityDeletionReadsTheRiders(t *testing.T) {
 	fx := makeFixture(t, 7, 40, 0.3)
 	for _, batching := range []bool{false, true} {
-		mem, err := store.NewMem(fx.db, fx.idx)
+		mem, err := store.NewSharded(fx.db, fx.idx, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

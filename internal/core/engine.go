@@ -152,7 +152,7 @@ type SessionStats struct {
 // be non-empty with dense ids and the index set non-nil; violations return
 // errors wrapping the store sentinels (ErrEmptyDatabase, ErrNilIndex).
 func New(db []*graph.Graph, idx *index.Set, sigma int) (*Engine, error) {
-	st, err := store.NewMem(db, idx)
+	st, err := store.NewSharded(db, idx, 1)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -160,7 +160,7 @@ func New(db []*graph.Graph, idx *index.Set, sigma int) (*Engine, error) {
 }
 
 // NewWithStore creates an engine over an already-constructed graph store —
-// monolithic (store.NewMem), hash-partitioned (store.NewSharded) or remote.
+// in process (store.NewSharded, any shard count) or remote.
 // The engine reads the store only through pinned snapshots, and every
 // layout's probe batches merge shard lists by ascending graph id, so results
 // are byte-identical across layouts; verification parallelism comes from

@@ -23,7 +23,7 @@ func TestNewSentinels(t *testing.T) {
 	if _, err := NewWithStore(nil, 2); !errors.Is(err, ErrNilIndex) {
 		t.Errorf("NewWithStore(nil) = %v, want ErrNilIndex", err)
 	}
-	st, err := store.NewMem(f.db, f.idx)
+	st, err := store.NewSharded(f.db, f.idx, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

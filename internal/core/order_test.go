@@ -36,7 +36,7 @@ func FuzzFormulationOrder(f *testing.F) {
 		var st store.Store
 		var err error
 		if layout%2 == 0 {
-			st, err = store.NewMem(fx.db, fx.idx)
+			st, err = store.NewSharded(fx.db, fx.idx, 1)
 		} else {
 			st, err = store.NewSharded(fx.db, fx.idx, 4)
 		}

@@ -69,7 +69,7 @@ func TestDeleteThenReaddRestoresCandidates(t *testing.T) {
 	}
 	cases = append(cases, tcase{best[0], best[0].Size()})
 
-	mem, err := store.NewMem(db, idx)
+	mem, err := store.NewSharded(db, idx, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

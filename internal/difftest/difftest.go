@@ -114,7 +114,7 @@ func run(tb testing.TB, cfg Config, su suite) int {
 		for i := range stores {
 			var err error
 			if i == 0 {
-				stores[i], err = store.NewMem(db, idx)
+				stores[i], err = store.NewSharded(db, idx, 1)
 			} else {
 				stores[i], err = store.NewSharded(db, idx, 4)
 			}

@@ -65,10 +65,8 @@ const (
 	CounterBudgetExhausted  = "run_budget_exhausted"     // Runs with nothing to serve on any rung
 	CounterVerifyFaultTotal = "verify_faults_total"      // candidate checks dropped by faults
 
-	// Shard topology gauges (set once at service construction).
-	CounterShardCount     = "shard_count"      // number of store shards (1 = monolithic)
-	CounterShardGraphsMin = "shard_graphs_min" // smallest shard's graph count
-	CounterShardGraphsMax = "shard_graphs_max" // largest shard's graph count
+	// Shard topology gauge (set once at service construction).
+	CounterShardCount = "shard_count" // number of store shards (1 = monolithic)
 
 	// Remote shard RPC counters (see prague/internal/rpcstore). Calls count
 	// logical shard calls; attempts count wire attempts (so attempts - calls

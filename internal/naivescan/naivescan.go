@@ -61,16 +61,16 @@ func NewFromStore(st store.Store, workers int) (*Engine, error) {
 }
 
 // graphs returns the database to scan: the fixed slice for New engines, or
-// the store's current live graphs (in shard order) for NewFromStore engines.
+// the store's current live graphs for NewFromStore engines.
 func (e *Engine) graphs() []*graph.Graph {
 	if e.st == nil {
 		return e.db
 	}
-	var db []*graph.Graph
-	for i := 0; i < e.st.NumShards(); i++ {
-		for _, id := range e.st.Shard(i).GraphIDs() {
-			db = append(db, e.st.Graph(id))
-		}
+	sn := e.st.Pin()
+	live := sn.LiveIDs()
+	db := make([]*graph.Graph, len(live))
+	for i, id := range live {
+		db[i] = sn.Graph(id)
 	}
 	return db
 }

@@ -47,7 +47,6 @@ var (
 	_ store.Store          = (*RemoteStore)(nil)
 	_ store.HealthReporter = (*RemoteStore)(nil)
 	_ store.Snapshot       = (*remoteSnap)(nil)
-	_ store.Shard          = (*remoteShard)(nil)
 )
 
 // WithCallTimeout bounds one wire attempt (default 2s). The deadline budget
@@ -309,7 +308,6 @@ func (rs *RemoteStore) Graph(id int) *graph.Graph            { return rs.Pin().G
 func (rs *RemoteStore) LiveIDs() []int                       { return rs.Pin().LiveIDs() }
 func (rs *RemoteStore) Lookup(code string) (index.Kind, int) { return rs.Pin().Lookup(code) }
 func (rs *RemoteStore) NumShards() int                       { return rs.numShards }
-func (rs *RemoteStore) Shard(i int) store.Shard              { return rs.Pin().Shard(i) }
 func (rs *RemoteStore) ShardOf(graphID int) int              { return store.AssignShard(graphID, rs.numShards) }
 func (rs *RemoteStore) CacheTag() string                     { return rs.Pin().CacheTag() }
 
@@ -775,10 +773,6 @@ func (sn *remoteSnap) ShardOf(graphID int) int {
 	return store.AssignShard(graphID, sn.rs.numShards)
 }
 
-func (sn *remoteSnap) Shard(i int) store.Shard {
-	return &remoteShard{snap: sn, id: i}
-}
-
 func (sn *remoteSnap) Graph(id int) *graph.Graph {
 	i := sort.SearchInts(sn.live, id)
 	if i >= len(sn.live) || sn.live[i] != id {
@@ -886,18 +880,6 @@ func (sn *remoteSnap) probeGroup(ctx context.Context, g replicaGroup, probes [][
 	}
 	return lists, nil
 }
-
-// remoteShard is one partition of a pinned epoch. Index() is nil by
-// design: candidate probes go through the snapshot's ProbeAll instead.
-type remoteShard struct {
-	snap *remoteSnap
-	id   int
-}
-
-func (sh *remoteShard) ID() int           { return sh.id }
-func (sh *remoteShard) NumGraphs() int    { return len(sh.snap.shardIDs[sh.id]) }
-func (sh *remoteShard) GraphIDs() []int   { return sh.snap.shardIDs[sh.id] }
-func (sh *remoteShard) Index() *index.Set { return nil }
 
 // ---- connection pool ----
 

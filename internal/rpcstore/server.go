@@ -2,6 +2,7 @@ package rpcstore
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"slices"
@@ -9,7 +10,6 @@ import (
 	"sync"
 
 	"prague/internal/faultinject"
-	"prague/internal/index"
 	"prague/internal/store"
 )
 
@@ -61,22 +61,15 @@ func WithServerInjector(inj *faultinject.Injector) ServerOption {
 	return func(s *Server) { s.inj = inj }
 }
 
-// WithPinRing sets how many recent epochs the server keeps answerable
-// (default 64).
-func WithPinRing(n int) ServerOption {
-	return func(s *Server) {
-		if n > 0 {
-			s.ringSz = n
-		}
-	}
-}
+// pinRing is how many recent epochs a server keeps answerable.
+const pinRing = 64
 
 // NewServer wraps a store replica. The store must outlive the server.
 func NewServer(st store.Store, opts ...ServerOption) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		st:     st,
-		ringSz: 64,
+		ringSz: pinRing,
 		pinned: map[uint64]store.Snapshot{},
 		ctx:    ctx,
 		cancel: cancel,
@@ -250,10 +243,9 @@ func (s *Server) handleHello(req *Msg) *Msg {
 
 // handleCandidates evaluates every probe of one action on every requested
 // shard with the store's batch evaluator and replies, per probe, with the
-// union over those shards. The whole
-// request is checked before any probe runs: a duplicate, out-of-range or
-// unserved shard id, or an index entry id outside a shard's index, fails it
-// as a whole.
+// union over those shards. The whole request is checked before any probe
+// runs: a duplicate or unserved shard id here, an out-of-range shard id or
+// index entry id in store.ProbeShards, fails it as a whole.
 func (s *Server) handleCandidates(req *Msg) *Msg {
 	if len(req.Shards) == 0 {
 		return errMsg(OpCandidates, codeBadRequest, "no shards to probe")
@@ -279,19 +271,10 @@ func (s *Server) handleCandidates(req *Msg) *Msg {
 			return errMsg(OpCandidates, codeBadRequest, err.Error())
 		}
 	}
-	shards := make([]store.Shard, len(req.Shards))
-	for i, sid := range req.Shards {
-		if sid < 0 || sid >= sn.NumShards() {
-			return errMsg(OpCandidates, codeBadRequest, fmt.Sprintf("shard %d out of range", sid))
-		}
-		shards[i] = sn.Shard(sid)
-		for _, p := range probes {
-			if err := checkProbe(shards[i].Index(), p); err != nil {
-				return errMsg(OpCandidates, codeBadRequest, err.Error())
-			}
-		}
+	lists, err := store.ProbeShards(s.ctx, sn, req.Shards, probes, nil)
+	if errors.Is(err, store.ErrBadProbe) {
+		return errMsg(OpCandidates, codeBadRequest, err.Error())
 	}
-	lists, err := store.ProbeShards(s.ctx, shards, probes, nil)
 	if err != nil {
 		return errMsg(OpCandidates, codeStoreErr, err.Error())
 	}
@@ -300,30 +283,6 @@ func (s *Server) handleCandidates(req *Msg) *Msg {
 		parts[i] = PackIDs(ids)
 	}
 	return &Msg{Op: OpCandidates, Epoch: req.Epoch, Parts: parts}
-}
-
-// checkProbe bounds every index entry id a probe will dereference: the ids
-// come off the wire, and the index accessors do not check them.
-func checkProbe(idx *index.Set, p store.Probe) error {
-	inRange := func(what string, n int, ids ...int) error {
-		for _, id := range ids {
-			if id < 0 || id >= n {
-				return fmt.Errorf("%s entry %d out of range [0,%d)", what, id, n)
-			}
-		}
-		return nil
-	}
-	nf, ni := idx.A2F.NumEntries(), idx.A2I.NumEntries()
-	switch p.Kind {
-	case index.KindFrequent:
-		return inRange("frequent", nf, p.FreqID)
-	case index.KindDIF:
-		return inRange("DIF", ni, p.DifID)
-	}
-	if err := inRange("Ups", ni, p.Ups...); err != nil {
-		return err
-	}
-	return inRange("Phi", nf, p.Phi...)
 }
 
 func (s *Server) handleGraphs(req *Msg) *Msg {

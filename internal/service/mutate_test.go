@@ -15,7 +15,7 @@ import (
 // concurrency side (mutators racing sessions) lives in internal/chaostest.
 func TestServiceMutation(t *testing.T) {
 	db, idx := smallFixture(t)
-	st, err := store.NewMem(db, idx)
+	st, err := store.NewSharded(db, idx, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestServiceMutation(t *testing.T) {
 // mutation is shed with a typed *OverloadError instead of queueing.
 func TestServiceMutationSharesAdmission(t *testing.T) {
 	db, idx := smallFixture(t)
-	st, err := store.NewMem(db, idx)
+	st, err := store.NewSharded(db, idx, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

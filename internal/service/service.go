@@ -222,9 +222,9 @@ type Service struct {
 
 // NewFromStore builds a service over a graph store, the one handle for the
 // database, its indexes, and online mutation. The store constructors choose
-// the layout: monolithic (store.NewMem), hash-partitioned (store.NewSharded),
-// reloaded (store.LoadMem / store.LoadSharded), or remote (rpcstore.Dial) —
-// all serve identically. The service never builds, dials, or closes a store:
+// the layout: in process (store.NewSharded, 1 shard for the monolithic
+// layout), reloaded (store.LoadSharded), or remote (rpcstore.Dial) — all
+// serve identically. The service never builds, dials, or closes a store:
 // whoever built it closes it, after Close. While the service is live, mutate
 // the store through Service.InsertGraph / Service.DeleteGraph, so mutations
 // pass admission control and land in the metrics.
@@ -264,16 +264,6 @@ func NewFromStore(st store.Store, opts ...Option) (*Service, error) {
 		ms.SetMetrics(reg)
 	}
 	reg.Counter(metrics.CounterShardCount).Set(int64(st.NumShards()))
-	minG, maxG := st.Shard(0).NumGraphs(), st.Shard(0).NumGraphs()
-	for i := 1; i < st.NumShards(); i++ {
-		if n := st.Shard(i).NumGraphs(); n < minG {
-			minG = n
-		} else if n > maxG {
-			maxG = n
-		}
-	}
-	reg.Counter(metrics.CounterShardGraphsMin).Set(int64(minG))
-	reg.Counter(metrics.CounterShardGraphsMax).Set(int64(maxG))
 	if opt.Trace {
 		s.tracer = trace.New(trace.Options{
 			Enabled:       true,

@@ -77,7 +77,7 @@ func smallFixture(tb testing.TB) ([]*graph.Graph, *index.Set) {
 
 // newMem builds a service over a monolithic store of db and idx.
 func newMem(db []*graph.Graph, idx *index.Set, opts ...Option) (*Service, error) {
-	st, err := store.NewMem(db, idx)
+	st, err := store.NewSharded(db, idx, 1)
 	if err != nil {
 		return nil, err
 	}

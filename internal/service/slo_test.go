@@ -279,7 +279,7 @@ func TestFailedConstructionStopsSLOSampler(t *testing.T) {
 	}
 	before := samplers()
 	for i := 0; i < 5; i++ {
-		st, err := store.NewMem(db, idx)
+		st, err := store.NewSharded(db, idx, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

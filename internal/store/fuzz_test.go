@@ -1,6 +1,10 @@
 package store
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"prague/internal/intset"
@@ -106,5 +110,84 @@ func FuzzIncrementalIndex(f *testing.F) {
 			}
 		}
 		checkIncrementalAgainstRebuild(t, st)
+	})
+}
+
+// FuzzLoadStore mutates the manifest of a saved one-shard and a saved
+// three-shard layout, each holding a tombstone, over their unchanged shard
+// directories. LoadSharded must never panic, and any store it returns must
+// survive Save followed by LoadSharded with its shape, epoch, tag and live
+// universe intact.
+func FuzzLoadStore(f *testing.F) {
+	db := testDB(f, 32, 16)
+	idx := buildIndex(f, db, 0.25, 2)
+	var layouts [2]string
+	var saved [2][]byte
+	for i, n := range []int{1, 3} {
+		st, err := NewSharded(db, idx, n)
+		if err == nil {
+			err = st.DeleteGraph(5)
+		}
+		layouts[i] = filepath.Join(f.TempDir(), "layout")
+		if err == nil {
+			err = st.Save(layouts[i])
+		}
+		if err == nil {
+			saved[i], err = os.ReadFile(filepath.Join(layouts[i], manifestFile))
+		}
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(i), saved[i])
+	}
+	for _, edit := range [][2]string{
+		{`"shards":3,`, `"shards":1125899906842624,`},
+		{`"num_graphs":16,`, `"num_graphs":-16,`},
+		{`"deleted":[5]`, `"deleted":[999]`},
+		{`"version":2,`, `"version":1,`},
+	} {
+		seed := bytes.Replace(saved[1], []byte(edit[0]), []byte(edit[1]), 1)
+		if bytes.Equal(seed, saved[1]) {
+			f.Fatalf("manifest %s holds no %s", saved[1], edit[0])
+		}
+		f.Add(uint8(1), seed)
+	}
+
+	f.Fuzz(func(t *testing.T, layout uint8, manifest []byte) {
+		// The input is the manifest alone: the layout's shard directories
+		// are linked into a fresh directory beside it.
+		src, dir := layouts[layout%2], t.TempDir()
+		entries, err := os.ReadDir(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if e.IsDir() {
+				if err := os.Symlink(filepath.Join(src, e.Name()), filepath.Join(dir, e.Name())); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, manifestFile), manifest, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := LoadSharded(db, dir)
+		if err != nil {
+			return
+		}
+		out := filepath.Join(t.TempDir(), "resaved")
+		if err := st.Save(out); err != nil {
+			t.Fatalf("saving a loaded store: %v", err)
+		}
+		re, err := LoadSharded(db, out)
+		if err != nil {
+			t.Fatalf("reloading a saved store: %v", err)
+		}
+		if re.NumShards() != st.NumShards() || re.Epoch() != st.Epoch() || re.CacheTag() != st.CacheTag() ||
+			!reflect.DeepEqual(re.LiveIDs(), st.LiveIDs()) {
+			t.Fatalf("round trip changed the store: %d shards, epoch %d, tag %s, %d live; was %d, %d, %s, %d",
+				re.NumShards(), re.Epoch(), re.CacheTag(), len(re.LiveIDs()),
+				st.NumShards(), st.Epoch(), st.CacheTag(), len(st.LiveIDs()))
+		}
 	})
 }

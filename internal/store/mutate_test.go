@@ -1,8 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -137,7 +139,7 @@ func checkIncrementalAgainstRebuild(t *testing.T, st Store) {
 func TestMutationLockstepAcrossLayouts(t *testing.T) {
 	db := testDB(t, 21, 30)
 	idx := buildIndex(t, db, 0.25, 2)
-	mem, err := NewMem(db, idx)
+	mem, err := NewSharded(db, idx, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +187,11 @@ func TestMutationLockstepAcrossLayouts(t *testing.T) {
 			}
 		}
 		// Merged sharded lists reconstruct the monolithic lists exactly.
-		memSet := mem.Pin().Shard(0).Index()
+		memSet := shardsOf(mem.Pin())[0].set
 		for i := 0; i < memSet.A2F.NumEntries(); i++ {
 			parts := make([][]int, shd.NumShards())
-			for si := 0; si < shd.NumShards(); si++ {
-				parts[si] = shd.Pin().Shard(si).Index().A2F.FSGIds(i)
+			for si, sh := range shardsOf(shd.Pin()) {
+				parts[si] = sh.set.A2F.FSGIds(i)
 			}
 			if !intset.Equal(MergeSorted(parts), memSet.A2F.FSGIds(i)) {
 				t.Fatalf("step %d: a2f entry %d: merged shard lists diverge from monolithic", step, i)
@@ -202,7 +204,7 @@ func TestMutationLockstepAcrossLayouts(t *testing.T) {
 
 func TestMutationValidation(t *testing.T) {
 	db := testDB(t, 22, 8)
-	st, err := NewMem(db, buildIndex(t, db, 0.3, 2))
+	st, err := NewSharded(db, buildIndex(t, db, 0.3, 2), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +267,7 @@ func TestMutationValidation(t *testing.T) {
 func TestCacheTagLineage(t *testing.T) {
 	db := testDB(t, 29, 12)
 	build := func() Store {
-		st, err := NewMem(db, buildIndex(t, db, 0.25, 2))
+		st, err := NewSharded(db, buildIndex(t, db, 0.25, 2), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,8 +313,8 @@ func TestPinnedSnapshotIsolation(t *testing.T) {
 	tag0 := pinned.CacheTag()
 	live0 := append([]int(nil), pinned.LiveIDs()...)
 	lists0 := make([]string, pinned.NumShards())
-	for i := range lists0 {
-		lists0[i] = pinned.Shard(i).Index().DumpLists()
+	for i, sh := range shardsOf(pinned) {
+		lists0[i] = sh.set.DumpLists()
 	}
 
 	if _, err := st.InsertGraph(extraGraph(1)); err != nil {
@@ -334,8 +336,8 @@ func TestPinnedSnapshotIsolation(t *testing.T) {
 	if pinned.Graph(live0[0]) == nil {
 		t.Fatal("pinned snapshot lost a graph deleted in a later epoch")
 	}
-	for i := range lists0 {
-		if pinned.Shard(i).Index().DumpLists() != lists0[i] {
+	for i, sh := range shardsOf(pinned) {
+		if sh.set.DumpLists() != lists0[i] {
 			t.Fatalf("pinned shard %d lists changed under mutation", i)
 		}
 	}
@@ -344,16 +346,17 @@ func TestPinnedSnapshotIsolation(t *testing.T) {
 	}
 }
 
+// TestMutatedPersistRoundTrip saves a mutated store of one shard ("mem",
+// the monolithic layout) and of three, and reloads each through
+// LoadSharded with its epoch, tag, tombstones and lists intact.
 func TestMutatedPersistRoundTrip(t *testing.T) {
 	db := testDB(t, 24, 20)
-	for name, build := range map[string]func() (Store, error){
-		"mem": func() (Store, error) { return NewMem(db, buildIndex(t, db, 0.25, 2)) },
-		"sharded": func() (Store, error) {
-			return NewSharded(db, buildIndex(t, db, 0.25, 2), 3)
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
-			st, err := build()
+	for _, tc := range []struct {
+		name string
+		n    int
+	}{{"mem", 1}, {"sharded", 3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := NewSharded(db, buildIndex(t, db, 0.25, 2), tc.n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -377,12 +380,7 @@ func TestMutatedPersistRoundTrip(t *testing.T) {
 
 			// The loader gets the full slot table (deleted slots may be nil).
 			slots := append(append([]*graph.Graph(nil), db...), inserted...)
-			var loaded Store
-			if name == "mem" {
-				loaded, err = LoadMem(slots, dir)
-			} else {
-				loaded, err = LoadSharded(slots, dir)
-			}
+			loaded, err := LoadSharded(slots, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -396,8 +394,12 @@ func TestMutatedPersistRoundTrip(t *testing.T) {
 			if !intset.Equal(loaded.LiveIDs(), st.LiveIDs()) {
 				t.Fatal("loaded live universe differs")
 			}
-			for i := 0; i < st.NumShards(); i++ {
-				if got, want := loaded.Shard(i).Index().DumpLists(), st.Shard(i).Index().DumpLists(); got != want {
+			if loaded.NumShards() != tc.n {
+				t.Fatalf("loaded %d shards, want %d", loaded.NumShards(), tc.n)
+			}
+			loadedShards := shardsOf(loaded.Pin())
+			for i, sh := range shardsOf(st.Pin()) {
+				if got, want := loadedShards[i].set.DumpLists(), sh.set.DumpLists(); got != want {
 					t.Fatalf("shard %d lists differ after round trip:\n got: %s\nwant: %s", i, got, want)
 				}
 			}
@@ -431,18 +433,35 @@ func TestLoadShardedRejectsWrongSlots(t *testing.T) {
 	if _, err := LoadSharded(bad, dir); !errors.Is(err, ErrManifestMismatch) {
 		t.Errorf("missing live slot = %v, want ErrManifestMismatch", err)
 	}
+	// A shard count beyond the saved shards fails at the first missing
+	// shard directory; it must not size an allocation first.
+	path := filepath.Join(dir, manifestFile)
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := bytes.Replace(buf, []byte(`"shards":2,`), []byte(`"shards":1125899906842624,`), 1)
+	if bytes.Equal(huge, buf) {
+		t.Fatalf("manifest %s has no 2-shard count", buf)
+	}
+	if err := os.WriteFile(path, huge, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSharded(db, dir); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("huge shard count = %v, want fs.ErrNotExist", err)
+	}
 }
 
-// TestLoadTruncatedFileFails truncates each file of a persisted index set
-// to three bytes: index.Load, LoadMem and LoadSharded must each return an
-// error, and none may panic.
+// TestLoadTruncatedFileFails truncates each file of shard 0's persisted
+// index set, in a one-shard and a two-shard layout, to three bytes:
+// index.Load and LoadSharded must each return an error, and none may panic.
 func TestLoadTruncatedFileFails(t *testing.T) {
 	db := testDB(t, 6, 35)
 	idx := buildIndex(t, db, 0.2, 2)
 	if idx.A2F.NumClusters() == 0 {
 		t.Fatal("fixture index has no DF cluster, so df.dat would be empty")
 	}
-	mono, err := NewMem(db, idx)
+	mono, err := NewSharded(db, idx, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,15 +478,15 @@ func TestLoadTruncatedFileFails(t *testing.T) {
 			if err := sharded.Save(shardedDir); err != nil {
 				t.Fatal(err)
 			}
-			for _, path := range []string{filepath.Join(monoDir, file), filepath.Join(shardDir(shardedDir, 0), file)} {
+			for _, path := range []string{filepath.Join(shardDir(monoDir, 0), file), filepath.Join(shardDir(shardedDir, 0), file)} {
 				if err := os.Truncate(path, 3); err != nil {
 					t.Fatal(err)
 				}
 			}
 			for name, load := range map[string]func() error{
-				"index.Load":  func() error { _, err := index.Load(monoDir); return err },
-				"LoadMem":     func() error { _, err := LoadMem(db, monoDir); return err },
-				"LoadSharded": func() error { _, err := LoadSharded(db, shardedDir); return err },
+				"index.Load":    func() error { _, err := index.Load(shardDir(monoDir, 0)); return err },
+				"LoadSharded/1": func() error { _, err := LoadSharded(db, monoDir); return err },
+				"LoadSharded/2": func() error { _, err := LoadSharded(db, shardedDir); return err },
 			} {
 				func() {
 					defer func() {
@@ -509,10 +528,9 @@ func TestMutationStressUnderRace(t *testing.T) {
 				s := st.Pin()
 				epoch, tag := s.Epoch(), s.CacheTag()
 				total := 0
-				for i := 0; i < s.NumShards(); i++ {
-					sh := s.Shard(i)
-					total += sh.NumGraphs()
-					for _, id := range sh.GraphIDs() {
+				for i, sh := range shardsOf(s) {
+					total += len(sh.ids)
+					for _, id := range sh.ids {
 						if s.Graph(id) == nil {
 							errc <- fmt.Errorf("reader %d: shard %d lists id %d but slot is nil at epoch %d", w, i, id, epoch)
 							return
@@ -523,7 +541,7 @@ func TestMutationStressUnderRace(t *testing.T) {
 						}
 					}
 					// Touch the index lists: sealed sets must never race.
-					set := sh.Index()
+					set := sh.set
 					for e := 0; e < set.A2F.NumEntries(); e++ {
 						_ = set.A2F.FSGIds(e)
 					}
@@ -622,7 +640,7 @@ func TestFilterTableBuiltOnce(t *testing.T) {
 // next mutation publishes its successor with a derived table.
 func TestFilterTableLazy(t *testing.T) {
 	db := testDB(t, 28, 20)
-	st, err := NewMem(db, buildIndex(t, db, 0.25, 2))
+	st, err := NewSharded(db, buildIndex(t, db, 0.25, 2), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,8 @@ import (
 	"prague/internal/index"
 )
 
-// Persistence layout. Sharded: one directory holding a manifest plus one
-// classic index.Save directory per shard. Mem: the classic index.Save files
-// plus the same manifest under a different name.
+// Persistence layout: one directory holding a manifest plus one classic
+// index.Save directory per shard (one for the monolithic layout).
 //
 //	dir/
 //	  shards.json      {"version":2,"scheme":"splitmix64-mod","shards":N,
@@ -23,13 +22,10 @@ import (
 //
 // num_graphs is the slot-table size including tombstones; deleted lists the
 // tombstoned ids, so a mutated store round-trips with its id space (ids are
-// never reused) and its epoch intact. Version-1 manifests (and Mem layouts
-// saved before the manifest existed) load as epoch 0 with no tombstones.
+// never reused) and its epoch intact. Version-1 manifests load as epoch 0
+// with no tombstones.
 
-const (
-	manifestFile    = "shards.json"
-	memManifestFile = "store.json"
-)
+const manifestFile = "shards.json"
 
 // manifestScheme names the graph-id → shard assignment; a layout saved under
 // a different scheme must not be silently reinterpreted.
@@ -77,37 +73,10 @@ func writeManifest(path string, m manifest) error {
 	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }
 
-// writeStoreManifest persists the Mem-layout manifest next to the index
-// files.
-func writeStoreManifest(dir string, s *snap, shards int) error {
-	return writeManifest(filepath.Join(dir, memManifestFile), manifestFor(s, shards))
-}
-
-// readStoreManifest reads the Mem-layout manifest; a missing file (a layout
-// saved before stores were mutable) returns nil with no error.
-func readStoreManifest(dir string) (*manifest, error) {
-	buf, err := os.ReadFile(filepath.Join(dir, memManifestFile))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var m manifest
-	if err := json.Unmarshal(buf, &m); err != nil {
-		return nil, fmt.Errorf("store: %s: %w", memManifestFile, err)
-	}
-	return &m, nil
-}
-
 // applyManifestSlots validates the caller's slot table against a manifest
 // and returns an owned copy with the manifest's tombstones forced nil. The
 // caller must supply every slot ever allocated (deleted slots may be nil).
-func applyManifestSlots(db []*graph.Graph, m *manifest, wantShards int) ([]*graph.Graph, error) {
-	if m.Shards != wantShards && wantShards > 0 {
-		return nil, fmt.Errorf("store: manifest has %d shards, loading as %d: %w",
-			m.Shards, wantShards, ErrManifestMismatch)
-	}
+func applyManifestSlots(db []*graph.Graph, m *manifest) ([]*graph.Graph, error) {
 	if m.NumGraphs != len(db) {
 		return nil, fmt.Errorf("store: layout holds %d graph slots, database has %d: %w",
 			m.NumGraphs, len(db), ErrManifestMismatch)
@@ -139,7 +108,7 @@ func applyManifestSlots(db []*graph.Graph, m *manifest, wantShards int) ([]*grap
 	return graphs, nil
 }
 
-// Save persists the sharded index layout into dir (created if needed),
+// Save persists the store's index layout into dir (created if needed),
 // including the current epoch and tombstone set.
 func (s *Sharded) Save(dir string) error {
 	s.mu.Lock()
@@ -159,7 +128,7 @@ func (s *Sharded) Save(dir string) error {
 	return nil
 }
 
-// LoadSharded reconstructs a sharded store from a persisted layout over the
+// LoadSharded reconstructs a store from a persisted layout (Save) over the
 // given database. The manifest must match the slot-table size and the hash
 // scheme this build uses; per-shard graph-id assignments are re-derived
 // (they are a pure function of id and shard count) and the persisted
@@ -184,12 +153,15 @@ func LoadSharded(db []*graph.Graph, dir string) (*Sharded, error) {
 	if len(db) == 0 {
 		return nil, fmt.Errorf("store: %w", ErrEmptyDatabase)
 	}
-	graphs, err := applyManifestSlots(db, &m, m.Shards)
+	graphs, err := applyManifestSlots(db, &m)
 	if err != nil {
 		return nil, err
 	}
-	sets := make([]*index.Set, m.Shards)
-	for i := range sets {
+	// The shard count comes off disk: sets grow as shard directories load,
+	// so a count beyond the saved shards fails at the first missing one
+	// instead of sizing an allocation.
+	var sets []*index.Set
+	for i := 0; i < m.Shards; i++ {
 		set, err := index.Load(shardDir(dir, i))
 		if err == nil {
 			err = set.CheckGraphIDs(len(db))
@@ -197,7 +169,7 @@ func LoadSharded(db []*graph.Graph, dir string) (*Sharded, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: loading shard %d: %w", i, err)
 		}
-		sets[i] = set
+		sets = append(sets, set)
 	}
 	minSup := m.MinSup
 	if m.Version < 2 {

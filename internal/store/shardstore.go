@@ -7,15 +7,16 @@ import (
 	"prague/internal/index"
 )
 
-// Sharded hash-partitions the database into n shards, each owning its own
-// A²F/A²I index restricted to the shard's graphs (built concurrently by
-// index.PartitionSets). The full graph slot table stays addressable by
-// global id; only the index layout is partitioned. Every shard keeps the
-// complete fragment vocabulary, so classification is identical to the
-// monolithic layout and merged per-shard candidate lists reconstruct the
-// monolithic lists exactly. Mutations touch only the owning shard's index
-// (the other shards' sets are shared by pointer across epochs), which is
-// what makes mutation throughput scale with shard count.
+// Sharded is the store: the database hash-partitioned into n shards, each
+// owning its own A²F/A²I index restricted to the shard's graphs (built
+// concurrently by index.PartitionSets). n == 1 is the monolithic layout: its
+// one shard holds the built index set itself. The full graph slot table
+// stays addressable by global id; only the index layout is partitioned.
+// Every shard keeps the complete fragment vocabulary, so classification is
+// identical across shard counts and merged per-shard candidate lists
+// reconstruct the monolithic lists exactly. Mutations touch only the owning
+// shard's index (the other shards' sets are shared by pointer across
+// epochs), which is what makes mutation throughput scale with shard count.
 type Sharded struct {
 	base
 }
@@ -34,10 +35,12 @@ func shardOf(id, n int) int {
 }
 
 // NewSharded partitions the database and its built indexes into n shards.
-// n == 1 yields a degenerate but valid single-shard layout (useful as the
-// baseline in shard-scaling benchmarks). Shards left empty by the hash
-// assignment are legal: their index sets carry the vocabulary with empty
-// FSG lists.
+// The database must be non-empty with dense ids and the index set non-nil.
+// The store takes ownership of both: index sets are sealed (DF clusters
+// loaded, list memos materialized) so snapshots can share entries safely.
+// n == 1 makes no partition copy: the one shard holds idx itself. Shards
+// left empty by the hash assignment are legal: their index sets carry the
+// vocabulary with empty FSG lists.
 func NewSharded(db []*graph.Graph, idx *index.Set, n int) (*Sharded, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("store: %d shards: %w", n, ErrBadShardCount)
@@ -45,13 +48,19 @@ func NewSharded(db []*graph.Graph, idx *index.Set, n int) (*Sharded, error) {
 	if err := Validate(db, idx); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	sets, _, err := index.PartitionSets(idx, n, func(id int) int { return shardOf(id, n) })
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+	sets := []*index.Set{idx}
+	if n > 1 {
+		var err error
+		if sets, _, err = index.PartitionSets(idx, n, func(id int) int { return shardOf(id, n) }); err != nil {
+			return nil, fmt.Errorf("store: %w", err)
+		}
 	}
 	minSup := minSupportOf(idx.Alpha, idx.NumGraphs)
 	return assemble(append([]*graph.Graph(nil), db...), sets, minSup, 0, "")
 }
+
+// NewMem is NewSharded(db, idx, 1), the monolithic layout.
+func NewMem(db []*graph.Graph, idx *index.Set) (*Sharded, error) { return NewSharded(db, idx, 1) }
 
 // assemble builds the Sharded from per-shard index sets, deriving each
 // shard's live graph-id list from the hash assignment over non-nil slots.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -15,7 +14,7 @@ import (
 	"prague/internal/prefilter"
 )
 
-// Epoch-based copy-on-write state shared by both store layouts.
+// Epoch-based copy-on-write state of the store.
 //
 // A snap is one immutable published state: the graph slot table, the live-id
 // universe, one shardSnap per partition, and the global support bookkeeping
@@ -46,7 +45,7 @@ import (
 // first reader rebuilding it over the whole database.
 type snap struct {
 	epoch  uint64
-	kind   string         // layout token: "m" or "s<N>"
+	kind   string         // layout token: "s<N>"
 	fp     string         // content fingerprint, rolled over every mutation (rollFp)
 	tag    string         // CacheTag: kind:fp@epoch
 	hist   History        // the mutations that led here (Since)
@@ -67,17 +66,11 @@ type shardSnap struct {
 	set *index.Set
 }
 
-func (s *shardSnap) ID() int           { return s.id }
-func (s *shardSnap) NumGraphs() int    { return len(s.ids) }
-func (s *shardSnap) GraphIDs() []int   { return s.ids }
-func (s *shardSnap) Index() *index.Set { return s.set }
-
 func (s *snap) Epoch() uint64             { return s.epoch }
 func (s *snap) NumGraphs() int            { return len(s.graphs) }
 func (s *snap) Graph(id int) *graph.Graph { return s.graphs[id] }
 func (s *snap) LiveIDs() []int            { return s.live }
 func (s *snap) NumShards() int            { return len(s.shards) }
-func (s *snap) Shard(i int) Shard         { return s.shards[i] }
 func (s *snap) ShardOf(graphID int) int   { return shardOf(graphID, len(s.shards)) }
 func (s *snap) CacheTag() string          { return s.tag }
 
@@ -93,7 +86,7 @@ func (s *snap) FilterTable() (*prefilter.Table, bool) { return s.filter.Get(s.li
 // ProbeAll evaluates the required probes over every shard; an in-process
 // snapshot sends no request, so it evaluates no rider.
 func (s *snap) ProbeAll(ctx context.Context, probes []Probe, riders int, out [][]int) ([][]int, error) {
-	return ProbeShards(ctx, s.shards, probes[:len(probes)-riders], out)
+	return probeShards(ctx, s.shards, probes[:len(probes)-riders], out)
 }
 
 // Lookup classifies a canonical code against the vocabulary (every shard
@@ -113,8 +106,8 @@ func (s *snap) Lookup(code string) (index.Kind, int) {
 	return kind, id
 }
 
-// base is the store chassis both layouts embed: the atomically published
-// current snap plus the mutation lock.
+// base is the store chassis: the atomically published current snap plus
+// the mutation lock.
 type base struct {
 	mu  sync.Mutex
 	cur atomic.Pointer[snap]
@@ -128,7 +121,6 @@ func (b *base) Graph(id int) *graph.Graph            { return b.cur.Load().Graph
 func (b *base) LiveIDs() []int                       { return b.cur.Load().LiveIDs() }
 func (b *base) Lookup(code string) (index.Kind, int) { return b.cur.Load().Lookup(code) }
 func (b *base) NumShards() int                       { return b.cur.Load().NumShards() }
-func (b *base) Shard(i int) Shard                    { return b.cur.Load().Shard(i) }
 func (b *base) ShardOf(graphID int) int              { return b.cur.Load().ShardOf(graphID) }
 func (b *base) CacheTag() string                     { return b.cur.Load().CacheTag() }
 
@@ -416,11 +408,4 @@ func liveByShard(graphs []*graph.Graph, n int) [][]int {
 		parts[si] = append(parts[si], id)
 	}
 	return parts
-}
-
-// sortedCopy is a small helper for loaders that deal in deleted-id sets.
-func sortedCopy(ids []int) []int {
-	out := append([]int(nil), ids...)
-	sort.Ints(out)
-	return out
 }

@@ -1,13 +1,14 @@
-// Package store abstracts how the (database, action-aware indexes) pair is
-// laid out behind the engine: monolithic (Mem — one flat graph slice and one
-// index set) or hash-partitioned (Sharded — N shards, each owning its own
-// A²F/A²I index built concurrently). Every layer above — candidate
-// maintenance, verification, caching, persistence, the naive-scan oracle —
-// goes through the Store interface. Candidate probes (Algorithm 3) go
-// through a pinned snapshot's ProbeAll, one batch per action: in process
-// the batch evaluator (ProbeShards) walks the shards one after another in
-// the caller's goroutine, and the per-shard results merge deterministically
-// (sorted by graph id) so every layout returns byte-identical answers.
+// Package store lays the (database, action-aware indexes) pair out behind
+// the engine as one store type, Sharded: the database hash-partitioned into
+// N shards, each owning its own A²F/A²I index. N == 1 is the monolithic
+// layout, whose one shard holds the built index set itself. Every layer
+// above — candidate maintenance, verification, caching, persistence, the
+// naive-scan oracle — goes through the Store interface. Candidate probes
+// (Algorithm 3) go through a pinned snapshot's ProbeAll, one batch per
+// action: in process the batch evaluator walks the shards one after another
+// in the caller's goroutine, and the per-shard results merge
+// deterministically (sorted by graph id) so every shard count, and the
+// remote layout, returns byte-identical answers.
 //
 // Stores are mutable: InsertGraph and DeleteGraph maintain the per-shard
 // index lists incrementally (prague/internal/index dynamic surgery) under
@@ -48,6 +49,9 @@ var (
 	ErrBadGraph = errors.New("insert requires a non-empty connected graph")
 	// ErrNoSuchGraph: DeleteGraph's id is out of range or already deleted.
 	ErrNoSuchGraph = errors.New("no such data graph")
+	// ErrBadProbe: a probe batch names a shard or an index entry the
+	// snapshot does not have (ProbeShards).
+	ErrBadProbe = errors.New("probe out of range")
 	// ErrShardUnavailable: a shard's candidate probe could not be served —
 	// every endpoint owning the shard failed (or replied at the wrong
 	// epoch) within the call's budget. Only probes whose result feeds
@@ -81,10 +85,9 @@ type Snapshot interface {
 	// the frequency threshold under mutation are masked to KindNone
 	// (negative-border repair; see the package comment in state.go).
 	Lookup(code string) (index.Kind, int)
-	// NumShards returns how many partitions the store holds (1 for Mem).
+	// NumShards returns how many partitions the store holds (1 for the
+	// monolithic layout).
 	NumShards() int
-	// Shard returns partition i as of this snapshot.
-	Shard(i int) Shard
 	// ShardOf returns the partition owning the given global graph id.
 	ShardOf(graphID int) int
 	// CacheTag is a short stable token identifying (layout, content
@@ -187,21 +190,6 @@ type Store interface {
 	Save(dir string) error
 }
 
-// Shard is one partition of a Snapshot: a subset of the live data graphs
-// plus the action-aware indexes restricted to exactly those graphs.
-type Shard interface {
-	// ID returns the shard's index in [0, NumShards).
-	ID() int
-	// NumGraphs returns how many live data graphs the shard owns.
-	NumGraphs() int
-	// GraphIDs returns the shard's live global graph ids in ascending
-	// order. The slice is owned by the shard and must not be mutated.
-	GraphIDs() []int
-	// Index returns the shard-restricted index set, or nil when the shard
-	// lives in another process.
-	Index() *index.Set
-}
-
 // Probe is one Algorithm 3 index probe, in a form that can cross a process
 // boundary: the vertex's classification plus the entry ids to intersect. It
 // captures exactly what candidate maintenance reads from a spig.Vertex, so a
@@ -215,7 +203,7 @@ type Probe struct {
 	Ups    []int      // indexed DIF subgraphs (A²I entry ids), NIF only
 }
 
-// probeScratch is reusable scratch for ProbeShards: the bitsets of
+// probeScratch is reusable scratch for probeShards: the bitsets of
 // shardCandidates' NIF intersection and the per-shard lists of one probe.
 // One goroutine uses one scratch at a time.
 type probeScratch struct {
@@ -225,15 +213,64 @@ type probeScratch struct {
 
 var probeScratchPool = sync.Pool{New: func() any { return new(probeScratch) }}
 
-// ProbeShards is Algorithm 3's batch evaluator over in-process shards, the
-// one that serves every in-process snapshot's ProbeAll and a shard server's
-// candidate requests. For each probe it takes every shard's list and merges
-// them once, appending the merged list to out[:0]; between probes it polls
-// ctx, and on cancellation it returns the lists finished so far with the
-// context's error. Scratch is pooled, so a batch allocates only the NIF
-// lists it computes and the merges of several shards. An indexed probe on a
-// single shard returns the index's own list, which must not be mutated.
-func ProbeShards[S Shard](ctx context.Context, shards []S, probes []Probe, out [][]int) ([][]int, error) {
+// ProbeShards evaluates a probe batch that came off the wire — a shard
+// server's candidate request — over the shards shardIDs of sn, a snapshot
+// pinned from an in-process store. The whole batch is checked before any
+// probe runs: a shard id outside [0, NumShards) or an index entry id
+// outside the vocabulary fails it with an error wrapping ErrBadProbe.
+// Otherwise it returns what ProbeAll returns for the same probes over just
+// those shards.
+func ProbeShards(ctx context.Context, sn Snapshot, shardIDs []int, probes []Probe, out [][]int) ([][]int, error) {
+	s, ok := sn.(*snap)
+	if !ok {
+		return out[:0], fmt.Errorf("store: probing a %T: not an in-process snapshot", sn)
+	}
+	shards := make([]*shardSnap, len(shardIDs))
+	for i, id := range shardIDs {
+		if id < 0 || id >= len(s.shards) {
+			return out[:0], fmt.Errorf("store: shard %d out of range [0,%d): %w", id, len(s.shards), ErrBadProbe)
+		}
+		shards[i] = s.shards[id]
+	}
+	inRange := func(what string, n int, ids ...int) error {
+		for _, id := range ids {
+			if id < 0 || id >= n {
+				return fmt.Errorf("store: %s entry %d out of range [0,%d): %w", what, id, n, ErrBadProbe)
+			}
+		}
+		return nil
+	}
+	// Every shard carries the whole vocabulary, so one check per probe
+	// covers every shard.
+	nf, ni := len(s.supF), len(s.supI)
+	for _, p := range probes {
+		var err error
+		switch p.Kind {
+		case index.KindFrequent:
+			err = inRange("frequent", nf, p.FreqID)
+		case index.KindDIF:
+			err = inRange("DIF", ni, p.DifID)
+		default:
+			if err = inRange("Ups", ni, p.Ups...); err == nil {
+				err = inRange("Phi", nf, p.Phi...)
+			}
+		}
+		if err != nil {
+			return out[:0], err
+		}
+	}
+	return probeShards(ctx, shards, probes, out)
+}
+
+// probeShards is Algorithm 3's batch evaluator over in-process shards, the
+// one behind every in-process snapshot's ProbeAll and ProbeShards. For each
+// probe it takes every shard's list and merges them once, appending the
+// merged list to out[:0]; between probes it polls ctx, and on cancellation
+// it returns the lists finished so far with the context's error. Scratch is
+// pooled, so a batch allocates only the NIF lists it computes and the
+// merges of several shards. An indexed probe on a single shard returns the
+// index's own list, which must not be mutated.
+func probeShards(ctx context.Context, shards []*shardSnap, probes []Probe, out [][]int) ([][]int, error) {
 	out = out[:0]
 	sc := probeScratchPool.Get().(*probeScratch)
 	defer func() {
@@ -261,8 +298,8 @@ func ProbeShards[S Shard](ctx context.Context, shards []S, probes []Probe, out [
 // information exists. The NIF intersection runs word-at-a-time over
 // compressed bitsets in sc; only the returned list is allocated. Indexed
 // probes return the index's own list, which must not be mutated.
-func shardCandidates(sh Shard, p Probe, sc *probeScratch) []int {
-	idx := sh.Index()
+func shardCandidates(sh *shardSnap, p Probe, sc *probeScratch) []int {
+	idx := sh.set
 	switch p.Kind {
 	case index.KindFrequent:
 		return idx.A2F.FSGIds(p.FreqID)
@@ -275,7 +312,7 @@ func shardCandidates(sh Shard, p Probe, sc *probeScratch) []int {
 		// or a DIF, and Υ propagates), but a degraded index — e.g. the
 		// A²I-disabled ablation — can reach here. With no information, the
 		// sound candidate set is the whole shard.
-		return sh.GraphIDs()
+		return sh.ids
 	}
 	// DIFs have the strongest pruning power; intersect them first so the
 	// running set shrinks early.

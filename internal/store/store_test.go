@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"strings"
@@ -13,7 +14,7 @@ import (
 )
 
 // testDB grows a seeded random molecule-like database with dense ids.
-func testDB(t *testing.T, seed int64, n int) []*graph.Graph {
+func testDB(t testing.TB, seed int64, n int) []*graph.Graph {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	labels := []string{"C", "C", "C", "N", "O", "S"}
@@ -38,7 +39,7 @@ func testDB(t *testing.T, seed int64, n int) []*graph.Graph {
 	return db
 }
 
-func buildIndex(t *testing.T, db []*graph.Graph, alpha float64, beta int) *index.Set {
+func buildIndex(t testing.TB, db []*graph.Graph, alpha float64, beta int) *index.Set {
 	t.Helper()
 	res, err := mining.Mine(db, mining.Options{MinSupportRatio: alpha, MaxSize: 6, IncludeZeroSupportPairs: true})
 	if err != nil {
@@ -54,11 +55,11 @@ func buildIndex(t *testing.T, db []*graph.Graph, alpha float64, beta int) *index
 func TestValidateSentinels(t *testing.T) {
 	db := testDB(t, 1, 8)
 	idx := buildIndex(t, db, 0.3, 2)
-	if _, err := NewMem(nil, idx); !errors.Is(err, ErrEmptyDatabase) {
-		t.Errorf("NewMem(nil db) = %v, want ErrEmptyDatabase", err)
+	if _, err := NewSharded(nil, idx, 1); !errors.Is(err, ErrEmptyDatabase) {
+		t.Errorf("NewSharded(nil db, 1) = %v, want ErrEmptyDatabase", err)
 	}
-	if _, err := NewMem(db, nil); !errors.Is(err, ErrNilIndex) {
-		t.Errorf("NewMem(nil idx) = %v, want ErrNilIndex", err)
+	if _, err := NewSharded(db, nil, 1); !errors.Is(err, ErrNilIndex) {
+		t.Errorf("NewSharded(nil idx, 1) = %v, want ErrNilIndex", err)
 	}
 	if _, err := NewSharded(nil, idx, 4); !errors.Is(err, ErrEmptyDatabase) {
 		t.Errorf("NewSharded(nil db) = %v, want ErrEmptyDatabase", err)
@@ -71,12 +72,17 @@ func TestValidateSentinels(t *testing.T) {
 	}
 	// Sparse ids are rejected.
 	db[3].ID = 99
-	if _, err := NewMem(db, idx); err == nil {
+	if _, err := NewSharded(db, idx, 1); err == nil {
 		t.Error("sparse graph id accepted")
 	}
 	db[3].ID = 3
 }
 
+// shardsOf returns a pinned in-process snapshot's shards.
+func shardsOf(sn Snapshot) []*shardSnap { return sn.(*snap).shards }
+
+// TestMemStore checks NewMem's monolithic layout: one shard owning every
+// graph.
 func TestMemStore(t *testing.T) {
 	db := testDB(t, 2, 10)
 	idx := buildIndex(t, db, 0.3, 2)
@@ -87,27 +93,47 @@ func TestMemStore(t *testing.T) {
 	if m.NumShards() != 1 || m.NumGraphs() != len(db) {
 		t.Fatalf("NumShards=%d NumGraphs=%d", m.NumShards(), m.NumGraphs())
 	}
-	if tag := m.CacheTag(); !strings.HasPrefix(tag, "m:") || !strings.HasSuffix(tag, "@0") {
-		t.Errorf("CacheTag = %q, want m:<fingerprint>@0", tag)
+	if tag := m.CacheTag(); !strings.HasPrefix(tag, "s1:") || !strings.HasSuffix(tag, "@0") {
+		t.Errorf("CacheTag = %q, want s1:<fingerprint>@0", tag)
 	}
-	sh := m.Shard(0)
-	if sh.ID() != 0 || sh.NumGraphs() != len(db) {
-		t.Fatalf("shard 0: id=%d graphs=%d", sh.ID(), sh.NumGraphs())
+	sh := shardsOf(m.Pin())[0]
+	if sh.id != 0 || len(sh.ids) != len(db) {
+		t.Fatalf("shard 0: id=%d graphs=%d", sh.id, len(sh.ids))
 	}
-	ids := sh.GraphIDs()
-	for i, id := range ids {
+	for i, id := range sh.ids {
 		if id != i {
-			t.Fatalf("GraphIDs[%d] = %d", i, id)
+			t.Fatalf("shard ids[%d] = %d", i, id)
 		}
 		if m.ShardOf(id) != 0 {
 			t.Fatalf("ShardOf(%d) = %d", id, m.ShardOf(id))
 		}
 	}
-	if sh.Index() != idx {
-		t.Error("mem shard index is not the shared set")
-	}
 	if m.Graph(3) != db[3] {
 		t.Error("Graph(3) mismatch")
+	}
+}
+
+// TestOneShardSharesTheIndex pins the monolithic layout's cost: one shard
+// holds the built index set itself, where more shards hold partition
+// copies.
+func TestOneShardSharesTheIndex(t *testing.T) {
+	db := testDB(t, 2, 10)
+	idx := buildIndex(t, db, 0.3, 2)
+	one, err := NewSharded(db, idx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if set := shardsOf(one.Pin())[0].set; set != idx {
+		t.Errorf("the one shard holds %p, want the built set %p", set, idx)
+	}
+	two, err := NewSharded(db, idx, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sh := range shardsOf(two.Pin()) {
+		if sh.set == idx {
+			t.Errorf("shard %d of 2 holds the built set, not its partition", i)
+		}
 	}
 }
 
@@ -128,15 +154,13 @@ func TestShardPartition(t *testing.T) {
 	}
 	seen := map[int]int{}
 	total := 0
-	for i := 0; i < st.NumShards(); i++ {
-		sh := st.Shard(i)
-		if sh.ID() != i {
-			t.Fatalf("shard %d reports id %d", i, sh.ID())
+	for i, sh := range shardsOf(st.Pin()) {
+		if sh.id != i {
+			t.Fatalf("shard %d reports id %d", i, sh.id)
 		}
-		ids := sh.GraphIDs()
-		if len(ids) != sh.NumGraphs() || sh.NumGraphs() != sh.Index().NumGraphs {
-			t.Fatalf("shard %d: len(ids)=%d NumGraphs=%d idx.NumGraphs=%d",
-				i, len(ids), sh.NumGraphs(), sh.Index().NumGraphs)
+		ids := sh.ids
+		if len(ids) != sh.set.NumGraphs {
+			t.Fatalf("shard %d: len(ids)=%d idx.NumGraphs=%d", i, len(ids), sh.set.NumGraphs)
 		}
 		for j, id := range ids {
 			if j > 0 && ids[j-1] >= id {
@@ -178,10 +202,11 @@ func TestShardedListsMatchMonolithic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		shards := shardsOf(st.Pin())
 		for id := 0; id < idx.A2F.NumEntries(); id++ {
 			parts := make([][]int, n)
-			for i := 0; i < n; i++ {
-				parts[i] = st.Shard(i).Index().A2F.FSGIds(id)
+			for i, sh := range shards {
+				parts[i] = sh.set.A2F.FSGIds(id)
 			}
 			if got, want := MergeSorted(parts), idx.A2F.FSGIds(id); !intset.Equal(got, want) {
 				t.Fatalf("n=%d A2F entry %d (%s): merged %v, want %v", n, id, idx.A2F.Code(id), got, want)
@@ -189,8 +214,8 @@ func TestShardedListsMatchMonolithic(t *testing.T) {
 		}
 		for id := 0; id < idx.A2I.NumEntries(); id++ {
 			parts := make([][]int, n)
-			for i := 0; i < n; i++ {
-				parts[i] = st.Shard(i).Index().A2I.FSGIds(id)
+			for i, sh := range shards {
+				parts[i] = sh.set.A2I.FSGIds(id)
 			}
 			if got, want := MergeSorted(parts), idx.A2I.FSGIds(id); !intset.Equal(got, want) {
 				t.Fatalf("n=%d A2I entry %d (%s): merged %v, want %v", n, id, idx.A2I.Code(id), got, want)
@@ -273,12 +298,13 @@ func TestPersistRoundTrip(t *testing.T) {
 	if got.NumShards() != st.NumShards() || got.NumGraphs() != st.NumGraphs() {
 		t.Fatalf("loaded shape %d/%d, want %d/%d", got.NumShards(), got.NumGraphs(), st.NumShards(), st.NumGraphs())
 	}
-	for i := 0; i < st.NumShards(); i++ {
-		a, b := st.Shard(i), got.Shard(i)
-		if !intset.Equal(a.GraphIDs(), b.GraphIDs()) {
+	gotShards := shardsOf(got.Pin())
+	for i, a := range shardsOf(st.Pin()) {
+		b := gotShards[i]
+		if !intset.Equal(a.ids, b.ids) {
 			t.Fatalf("shard %d graph ids differ", i)
 		}
-		ai, bi := a.Index(), b.Index()
+		ai, bi := a.set, b.set
 		if ai.A2F.NumEntries() != bi.A2F.NumEntries() || ai.A2I.NumEntries() != bi.A2I.NumEntries() {
 			t.Fatalf("shard %d entry counts differ", i)
 		}
@@ -305,17 +331,61 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStoresRejectIndexOfLargerDB hands both store constructors an index
-// set built over twice the database: it names graphs the store does not
-// have, and each constructor fails with index.ErrInconsistent.
+// TestStoresRejectIndexOfLargerDB hands the store constructor an index set
+// built over twice the database: it names graphs the store does not have,
+// and both shard counts fail with index.ErrInconsistent.
 func TestStoresRejectIndexOfLargerDB(t *testing.T) {
 	db := testDB(t, 6, 36)
 	idx := buildIndex(t, db, 0.2, 2)
 	short := db[:len(db)/2]
-	if _, err := NewMem(short, idx); !errors.Is(err, index.ErrInconsistent) {
-		t.Errorf("NewMem: err = %v, want index.ErrInconsistent", err)
+	if _, err := NewSharded(short, idx, 1); !errors.Is(err, index.ErrInconsistent) {
+		t.Errorf("NewSharded(…, 1): err = %v, want index.ErrInconsistent", err)
 	}
 	if _, err := NewSharded(short, idx, 2); !errors.Is(err, index.ErrInconsistent) {
-		t.Errorf("NewSharded: err = %v, want index.ErrInconsistent", err)
+		t.Errorf("NewSharded(…, 2): err = %v, want index.ErrInconsistent", err)
+	}
+}
+
+// TestProbeShards checks the shard server's evaluator: over every shard it
+// answers what ProbeAll answers, and a shard id or entry id outside the
+// snapshot fails the whole batch with ErrBadProbe.
+func TestProbeShards(t *testing.T) {
+	db := testDB(t, 7, 30)
+	idx := buildIndex(t, db, 0.2, 2)
+	st, err := NewSharded(db, idx, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	sn := st.Pin()
+	probes := []Probe{{Kind: index.KindNone}, {Kind: index.KindFrequent, FreqID: 0}, {Kind: index.KindDIF, DifID: 0}}
+	got, err := ProbeShards(ctx, sn, []int{0, 1, 2}, probes, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sn.ProbeAll(ctx, probes, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range probes {
+		if !intset.Equal(got[i], want[i]) {
+			t.Fatalf("probe %d: %v over every shard, ProbeAll %v", i, got[i], want[i])
+		}
+	}
+	nf, ni := idx.A2F.NumEntries(), idx.A2I.NumEntries()
+	for _, bad := range []struct {
+		shards []int
+		probe  Probe
+	}{
+		{[]int{3}, Probe{Kind: index.KindNone}},
+		{[]int{-1}, Probe{Kind: index.KindNone}},
+		{[]int{0}, Probe{Kind: index.KindFrequent, FreqID: nf}},
+		{[]int{0}, Probe{Kind: index.KindDIF, DifID: -1}},
+		{[]int{0}, Probe{Kind: index.KindNone, Ups: []int{ni}}},
+		{[]int{0}, Probe{Kind: index.KindNone, Phi: []int{0, nf}}},
+	} {
+		if _, err := ProbeShards(ctx, sn, bad.shards, []Probe{{Kind: index.KindNone}, bad.probe}, nil); !errors.Is(err, ErrBadProbe) {
+			t.Errorf("shards %v, probe %+v: err = %v, want ErrBadProbe", bad.shards, bad.probe, err)
+		}
 	}
 }

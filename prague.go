@@ -28,11 +28,10 @@
 // of bare sessions: it multiplexes id-addressed sessions over a shared
 // bounded verification pool, evicts idle sessions, and records metrics. A
 // service is built over a GraphStore, and the store constructor alone
-// chooses the layout — NewStore (monolithic), NewShardedStore (hash
-// partitions), LoadStore / LoadShardedStore (persisted), or DialStore
-// (remote shard servers):
+// chooses the layout — NewStore (n hash partitions; n = 1 is the monolithic
+// layout), LoadStore (persisted), or DialStore (remote shard servers):
 //
-//	st, _ := prague.NewStore(db, ix)             // or NewShardedStore(db, ix, 8)
+//	st, _ := prague.NewStore(db, ix, 1)          // or NewStore(db, ix, 8)
 //	svc, _ := prague.NewService(st,
 //		prague.WithSigma(3),
 //		prague.WithVerifyWorkers(8),
@@ -284,9 +283,9 @@ func LoadIndexes(dir string) (*Indexes, error) { return index.Load(dir) }
 // GraphStore is the handle a Service is built over: graph access,
 // action-aware index probes, candidate enumeration, online mutation
 // (InsertGraph/DeleteGraph with incremental index maintenance and epoch
-// snapshots), and persistence. Its constructor chooses the layout: the
-// monolithic in-memory store (NewStore), a hash-partitioned sharded store
-// (NewShardedStore) whose shards own their own A²F/A²I slices, or a remote
+// snapshots), and persistence. Its constructor chooses the layout: an
+// in-process store of n hash partitions whose shards own their own A²F/A²I
+// slices (NewStore; n = 1 is the monolithic layout), or a remote
 // shard-server topology (DialStore). Results are byte-identical across
 // layouts.
 type GraphStore = store.Store
@@ -296,55 +295,35 @@ type GraphStore = store.Store
 // one snapshot per action; GraphStore.Pin exposes the same mechanism.
 type StoreSnapshot = store.Snapshot
 
-// NewStore wraps a database and its indexes as a monolithic mutable
-// GraphStore — the handle to build a service on (NewService) or to mutate
-// online. The store takes ownership; do not mutate db or ix directly
-// afterwards.
-func NewStore(db *Database, ix *Indexes) (GraphStore, error) {
+// NewStore hash-partitions the database and its indexes into n shards,
+// each owning the FSG id lists of its own graphs, as a mutable GraphStore —
+// the handle to build a service on (NewService), to mutate online, or to
+// persist (SaveStore). n = 1 is the monolithic layout: its one shard holds
+// ix itself, with no partition copy. The full fragment vocabulary
+// (classification, DAG structure) is replicated in every shard, so SPIG
+// construction is layout-independent; candidate enumeration evaluates the
+// shards in the caller's loop and merges their lists. The store takes
+// ownership; do not mutate db or ix directly afterwards.
+func NewStore(db *Database, ix *Indexes, n int) (GraphStore, error) {
 	if db == nil || db.Len() == 0 {
 		return nil, fmt.Errorf("prague: store: %w", ErrEmptyDatabase)
 	}
-	return store.NewMem(db.graphs, ix)
+	return store.NewSharded(db.graphs, ix, n)
 }
 
-// LoadStore loads a persisted monolithic layout (SaveStore of a NewStore)
-// over the database. Mutated stores round-trip: the epoch, the frozen
+// SaveStore persists a store's layout into dir: a manifest plus one index
+// directory per shard.
+func SaveStore(st GraphStore, dir string) error { return st.Save(dir) }
+
+// LoadStore loads a persisted layout (SaveStore of a NewStore) over the
+// database. The manifest pins the partition scheme and graph count, so
+// loading against a different database fails rather than silently
+// mis-assigning graphs. Mutated stores round-trip: the epoch, the frozen
 // support threshold, and the tombstoned ids are restored from the manifest,
 // and db must supply every slot ever allocated (deleted slots may be nil).
 func LoadStore(db *Database, dir string) (GraphStore, error) {
 	if db == nil || db.Len() == 0 {
 		return nil, fmt.Errorf("prague: store: %w", ErrEmptyDatabase)
-	}
-	return store.LoadMem(db.graphs, dir)
-}
-
-// NewShardedStore hash-partitions the database and its indexes into n
-// shards, each owning the FSG id lists of its own graphs; the per-shard
-// index slices are built concurrently. The full fragment vocabulary
-// (classification, DAG structure) is replicated in every shard, so SPIG
-// construction is layout-independent. Candidate enumeration evaluates the
-// shards in the caller's loop and merges their lists; verification runs on
-// the shared worker pool, whose workers alone bound its parallelism. Build a
-// service over it with NewService, or persist it with SaveStore.
-func NewShardedStore(db *Database, ix *Indexes, n int) (GraphStore, error) {
-	if db == nil || db.Len() == 0 {
-		return nil, fmt.Errorf("prague: sharded store: %w", ErrEmptyDatabase)
-	}
-	return store.NewSharded(db.graphs, ix, n)
-}
-
-// SaveStore persists a store's index layout into dir (per-shard
-// subdirectories plus a manifest for sharded stores; the plain index layout
-// for monolithic ones).
-func SaveStore(st GraphStore, dir string) error { return st.Save(dir) }
-
-// LoadShardedStore loads a persisted sharded layout (SaveStore of a
-// NewShardedStore) over the same database. The manifest pins the partition
-// scheme and graph count, so loading against a different database fails
-// rather than silently mis-assigning graphs.
-func LoadShardedStore(db *Database, dir string) (GraphStore, error) {
-	if db == nil || db.Len() == 0 {
-		return nil, fmt.Errorf("prague: sharded store: %w", ErrEmptyDatabase)
 	}
 	return store.LoadSharded(db.graphs, dir)
 }

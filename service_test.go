@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"io/fs"
 	"net/http"
 	"strings"
 	"sync"
@@ -45,7 +46,7 @@ func serviceFixture(t *testing.T) (*Database, *Indexes) {
 func serviceStore(t *testing.T) GraphStore {
 	t.Helper()
 	db, ix := serviceFixture(t)
-	st, err := NewStore(db, ix)
+	st, err := NewStore(db, ix, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,20 +243,22 @@ func TestFacadeStoreExports(t *testing.T) {
 	db, ix := serviceFixture(t)
 	ctx := context.Background()
 
-	if _, err := NewStore(nil, ix); !errors.Is(err, ErrEmptyDatabase) {
+	if _, err := NewStore(nil, ix, 1); !errors.Is(err, ErrEmptyDatabase) {
 		t.Errorf("NewStore(nil): %v", err)
-	}
-	if _, err := NewShardedStore(nil, ix, 2); !errors.Is(err, ErrEmptyDatabase) {
-		t.Errorf("NewShardedStore(nil): %v", err)
 	}
 	if _, err := LoadStore(nil, t.TempDir()); !errors.Is(err, ErrEmptyDatabase) {
 		t.Errorf("LoadStore(nil): %v", err)
 	}
-	if _, err := LoadShardedStore(nil, t.TempDir()); !errors.Is(err, ErrEmptyDatabase) {
-		t.Errorf("LoadShardedStore(nil): %v", err)
+	// A bare SaveIndexes directory holds no store manifest.
+	ixDir := t.TempDir()
+	if err := SaveIndexes(ix, ixDir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadStore(db, ixDir); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("LoadStore(bare index dir): %v, want fs.ErrNotExist", err)
 	}
 
-	st, err := NewStore(db, ix)
+	st, err := NewStore(db, ix, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +291,7 @@ func TestFacadeStoreExports(t *testing.T) {
 		t.Errorf("reloaded tag %q, want %q", loaded.CacheTag(), st.CacheTag())
 	}
 
-	sharded, err := NewShardedStore(db, ix, 2)
+	sharded, err := NewStore(db, ix, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +299,7 @@ func TestFacadeStoreExports(t *testing.T) {
 	if err := SaveStore(sharded, sdir); err != nil {
 		t.Fatal(err)
 	}
-	sloaded, err := LoadShardedStore(db, sdir)
+	sloaded, err := LoadStore(db, sdir)
 	if err != nil {
 		t.Fatal(err)
 	}
